@@ -1,11 +1,15 @@
 """Smallest eigenpairs of sparse symmetric pencils K x = lambda M x.
 
-Shift-invert Lanczos (ARPACK) around a shift certified to sit below the
-bottom of the spectrum.  The floor comes from a quadrature-level bound on
-the negative part of the form (stored at assembly) or a scaled Gershgorin
-bound; tridiagonal pencils tighten it by exact Sturm-sequence inertia
-bisection, the rest by a below-shift probe walk.  Small pencils with
-moderate scale spread fall through to a dense solve.
+Every sparse pencil takes one certified path.  K - sigma M is factored
+with diagonal pivots only, so its negative pivots count the eigenvalues
+below sigma (Sylvester's law of inertia).  Inertia bisection raises a shift
+from a floor (a quadrature bound on the negative part of the form, stored
+at assembly, or a scaled Gershgorin estimate) to just below the spectrum,
+and shift-invert Lanczos (ARPACK) runs on that same factor.  For more than
+one eigenpair, an inertia count above the returned values shows that none
+was skipped, or the spectrum is sliced again above the confirmed clusters
+(Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).  Small pencils with
+moderate scale spread go to a dense solve.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +22,6 @@ import scipy.sparse.linalg as spla
 from .errors import FactorizationFailure, NoConvergence
 
 DENSE_CUTOFF = 120
-NEAR_FLOOR_FACTOR = 1e3   # floors further than this from the diagonal upper
-                          # bound go through the probe walk, not a direct solve
 
 
 @dataclass
@@ -33,7 +35,7 @@ class SpectralReport:
     sigma: float                   # shift used (below the returned spectrum)
     seed: int
     solver: str                    # "dense" or "shift-invert-lanczos"
-    iterations: int                # number of iterative-solver invocations
+    iterations: int                # number of shift-invert solves
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
 
@@ -56,12 +58,15 @@ class SpectralReport:
         }
 
 
-def _gershgorin_lower(pencil, seed):
-    """A value certified to lie below every pencil eigenvalue.
+def _gershgorin_lower(pencil):
+    """A starting shift for the inertia search, below every pencil
+    eigenvalue when Gershgorin bounds the scaled denominator away from 0.
 
     Work on the diagonally scaled pair K' = S K S, M' = S M S with
     S = diag(M)^{-1/2}; Rayleigh quotients are invariant.  Then
-    lam >= min(x K' x) / (worst-case x M' x) via Gershgorin bounds.
+    lam >= min(x K' x) / (worst-case x M' x) via Gershgorin bounds.  P1
+    mass matrices in 2D sit on the Gershgorin edge (gm = 0), where the
+    unit diagonal of M' stands in.
     """
     K, M = pencil.K, pencil.M
     dM = M.diagonal()
@@ -84,22 +89,7 @@ def _gershgorin_lower(pencil, seed):
     if gk >= 0:
         return gk / float(mhi.max())
     gm = float(mlo.min())
-    if gm <= 0:
-        # Gershgorin fails to bound lambda_min(M') away from zero; compute it
-        n = Ms.shape[0]
-        v0 = np.random.RandomState(seed).standard_normal(n)
-        try:
-            lam_min = float(spla.eigsh(Ms, k=1, which="SA", v0=v0,
-                                       maxiter=5000, tol=1e-6,
-                                       return_eigenvectors=False)[0])
-        except Exception:
-            lam_min = None
-        if lam_min is None or lam_min <= 0:
-            # mass matrices of conforming meshes keep a positive bottom;
-            # fall back to a crude but safe floor
-            lam_min = 1e-3
-        gm = lam_min
-    return gk / gm
+    return gk / gm if gm > 0 else gk
 
 
 def _diag_spread(pencil):
@@ -122,149 +112,128 @@ def _dense_solve(pencil, count):
     return vals, vecs * s[:, None]
 
 
-def _arpack_once(K, M, count, sigma, v0, tol, maxiter, which="LM"):
-    try:
-        vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which=which,
-                                mode="normal", v0=v0, tol=tol, maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        if len(exc.eigenvalues) == 0:
-            raise
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+def _factor(K, M, sigma):
+    """Factor K - sigma M with diagonal pivots only; returns the factor,
+    the number of pencil eigenvalues below sigma, and sigma.
 
-
-def _probe(K, M, k_buf, sigma, v0, tol, maxiter, which="LM"):
-    """One shift-invert solve with the singular-factor retry."""
+    With a symmetric ordering and no off-diagonal pivoting the factor is
+    P (K - sigma M) P^T = L U with U = D L^T, so the signs of diag(U) are
+    the inertia of K - sigma M.  A shift on an eigenvalue can make the
+    factor exactly singular; sigma is then nudged down a few times.
+    """
     for attempt in range(4):
         try:
-            return _arpack_once(K, M, k_buf, sigma, v0, tol, maxiter,
-                                which=which), sigma
-        except spla.ArpackNoConvergence:
-            raise
+            lu = spla.splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            break
         except RuntimeError as exc:
             if attempt == 3:
-                raise FactorizationFailure(str(exc)) from exc
-            sigma = sigma - (1e-6 + 0.01 * abs(sigma)) * (attempt + 1)
-    raise AssertionError("unreachable")
+                raise FactorizationFailure(
+                    f"K - sigma M stays singular down to sigma={sigma:g}") from exc
+            sigma = sigma - 1e-8 * (1.0 + abs(sigma)) * (attempt + 1)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationFailure(
+            f"K - sigma M needed off-diagonal pivots at sigma={sigma:g}, "
+            "so its inertia is unknown")
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0)), sigma
 
 
-def _probe_below(K, M, sigma, v0, maxiter):
-    """The eigenvalue closest below sigma, or None when the whole spectrum
-    sits above.  which="SA" targets the most negative transformed value
-    1/(lam - sigma), which exists exactly when some lam < sigma."""
-    for attempt in range(4):
-        try:
-            vals = spla.eigsh(K, k=1, M=M, sigma=sigma, which="SA", v0=v0,
-                              tol=1e-8, maxiter=maxiter,
-                              return_eigenvectors=False)
-            lam = float(vals[0])
-            return (lam if lam < sigma else None), sigma
-        except spla.ArpackNoConvergence:
-            # eigenvalues below sigma transform to dominant negatives and
-            # converge fast; stagnation means the spectrum sits above
-            return None, sigma
-        except RuntimeError as exc:
-            if attempt == 3:
-                raise FactorizationFailure(str(exc)) from exc
-            sigma = sigma - (1e-6 + 0.01 * abs(sigma)) * (attempt + 1)
-    raise AssertionError("unreachable")
+def _shift(K, M, lo, hi, found):
+    """A factor at a shift with exactly `found` eigenvalues below it, within
+    the scale of hi of the next eigenvalue (hi bounds it from above), and
+    the shift.
 
-
-def _is_tridiagonal(A):
-    coo = A.tocoo()
-    return bool(np.all(np.abs(coo.row - coo.col) <= 1))
-
-
-def _sturm_count(kd, ko, md, mo, sigma):
-    """Eigenvalues of the tridiagonal pencil strictly below sigma, via the
-    signs of the LDL^T pivots of K - sigma M (Sturm sequence)."""
-    n = len(kd)
-    count = 0
-    tiny = np.finfo(float).tiny
-    d = kd[0] - sigma * md[0]
-    if d == 0.0:
-        d = tiny
-    if d < 0:
-        count += 1
-    for i in range(1, n):
-        e = ko[i - 1] - sigma * mo[i - 1]
-        correction = e * e / d if np.isfinite(d) and d != 0.0 else 0.0
-        d = kd[i] - sigma * md[i] - correction
-        if d == 0.0:
-            d = tiny
-        if d < 0:
-            count += 1
-    return count
-
-
-def _sturm_brackets(K, M, count, sigma_floor, c_upper):
-    """Certified brackets (lo_j, hi_j] around each of the count smallest
-    eigenvalues of a tridiagonal pencil, by inertia bisection; exactly j
-    eigenvalues lie below lo_j."""
-    kd = K.diagonal()
-    ko = K.diagonal(1) if K.shape[0] > 1 else np.zeros(0)
-    md = M.diagonal()
-    mo = M.diagonal(1) if M.shape[0] > 1 else np.zeros(0)
-
-    def below(x):
-        return _sturm_count(kd, ko, md, mo, x)
-
-    floor = sigma_floor
+    Starts at lo, stepped down while inertia finds more eigenvalues below
+    it, then bisects on inertia counts, geometrically while the bracket
+    spans decades.  One factor is alive at a time.
+    """
     for _ in range(8):
-        if below(floor) == 0:
+        lu, below, lo = _factor(K, M, lo)
+        if below == found:
             break
-        floor = floor - (1.0 + abs(floor))
-    ceil = c_upper + 1e-6 * (1.0 + abs(c_upper))
-    for _ in range(200):
-        if below(ceil) >= count:
-            break
-        ceil = ceil + (1.0 + abs(ceil))
-
-    brackets = []
-    for j in range(count):
-        lo, hi = floor, ceil
-        for _ in range(220):
-            if hi - lo <= 1e-10 * (1.0 + abs(lo)):
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if below(mid) <= j:
-                lo = mid
-            else:
-                hi = mid
-        brackets.append((lo, hi))
-    return brackets
+        lu, hi = None, min(hi, lo)
+        lo = lo - 10.0 * (1.0 + abs(lo))
+    else:
+        raise NoConvergence(f"no shift below the spectrum down to {lo:g}")
+    while hi - lo > 1.0 + abs(hi):
+        lu = None       # rebuilt at the final shift: one factor alive at a time
+        gap, scale = hi - lo, 1.0 + abs(hi)
+        mid = hi - np.sqrt(gap * scale) if gap > 100.0 * scale else 0.5 * (lo + hi)
+        below, mid = _factor(K, M, mid)[1:]
+        if below == found:
+            lo = mid
+        else:
+            hi = mid
+    if lu is None:
+        lu, _, lo = _factor(K, M, lo)
+    return lu, lo
 
 
-def _locate_shift(K, M, sigma_floor, c_upper, v0, maxiter):
-    """Find a shift certified (by below-shift probes) to sit under the whole
-    spectrum, yet close enough to its bottom for sharp shift-invert solves.
+def _slice(K, M, count, floor, upper, v0, tol, maxiter):
+    """The count smallest eigenpairs, the shift below them and the number
+    of Lanczos solves.
 
-    A floor many orders of magnitude below the spectrum cannot be used
-    directly (the transformed spectrum degenerates numerically), so walk an
-    anchor downward, amplifying the step while probes keep finding smaller
-    eigenvalues."""
-    probes = 0
-    near = (c_upper - sigma_floor) <= NEAR_FLOOR_FACTOR * (1.0 + abs(c_upper))
-    if near:
-        return sigma_floor, probes
-    anchor = c_upper
-    step = 0.5 * (1.0 + abs(anchor))
-    sigma = anchor - step
-    for _ in range(80):
-        sigma = max(sigma, sigma_floor)
-        below, sigma = _probe_below(K, M, sigma, v0, maxiter)
-        probes += 1
-        if below is None:
-            return sigma, probes
-        anchor = below
-        step = max(8.0 * step, 0.5 * (1.0 + abs(anchor)))
-        sigma = anchor - step
-        if sigma <= sigma_floor and anchor - sigma_floor <= 1e8 * (1.0 + abs(anchor)):
-            return sigma_floor, probes
-    raise NoConvergence("shift walk failed to settle below the spectrum")
+    Each window is solved by shift-invert Lanczos on the factor at a
+    certified shift, the first raised from floor toward the bottom of the
+    spectrum (upper bounds it from above).  One eigenpair is certified by
+    the empty count below that shift; for more, the inertia count just
+    above the wanted values must equal the eigenvalues accepted plus those
+    returned.  A larger count means Lanczos skipped some (a missed twin,
+    values lost far from the shift): the clusters that inertia confirms are
+    kept and the next window opens at a certified shift above them; when
+    none is confirmed, the window is solved again for as many eigenvalues
+    as inertia finds in it.
+    """
+    n = K.shape[0]
+    lu, sigma = _shift(K, M, floor, upper, 0)
+    sigma0 = sigma
+    vals, vecs = np.empty(0), np.empty((n, 0))
+    k = count
+    for calls in range(1, 2 * count + 5):
+        if lu is None:      # the same window, solved again for more values
+            lu = _factor(K, M, sigma)[0]
+        op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+        got, gvecs = spla.eigsh(K, k=min(k, n - 1), M=M, sigma=sigma, which="LA",
+                                OPinv=op, v0=v0, tol=tol, maxiter=maxiter)
+        order = np.argsort(got)
+        got, gvecs = got[order], gvecs[:, order]
+        if count == 1:
+            return got, gvecs, sigma0, calls
+        lu = op = None      # one factor alive at a time
+        need = count - len(vals)
+        # well above the Lanczos error, which grows with the distance to sigma
+        pad = 1e-6 * (1.0 + np.abs(got) + (got - sigma))
+        below, top = _factor(K, M, got[need - 1] + pad[need - 1])[1:]
+        inside = int(np.count_nonzero(got <= top))
+        if below < len(vals) + inside:
+            raise NoConvergence("inertia counts fewer eigenvalues than Lanczos returned")
+        if below == len(vals) + inside:
+            m = inside
+        else:
+            # bisect the cuts just above each returned cluster for the last
+            # one whose count confirms every value below it; the first cut
+            # that fails bounds the next eigenvalue from above
+            ends = [j for j in range(need - 1) if got[j] + pad[j] < got[j + 1]]
+            first, last, m, bound = 0, len(ends), 0, (top, below)
+            while first < last:
+                mid = (first + last) // 2
+                j = ends[mid]
+                below_j, cut_j = _factor(K, M, got[j] + pad[j])[1:]
+                if below_j == len(vals) + j + 1:
+                    m, cut, first = j + 1, cut_j, mid + 1
+                else:
+                    bound, last = (cut_j, below_j), mid
+            if m == 0:
+                k = max(need, bound[1] - len(vals))
+                continue
+        vals = np.concatenate([vals, got[:m]])
+        vecs = np.hstack([vecs, gvecs[:, :m]])
+        if len(vals) >= count:
+            return vals[:count], vecs[:, :count], sigma0, calls
+        lu, sigma = _shift(K, M, cut, bound[0], len(vals))
+        k = count - len(vals)
+    raise NoConvergence(f"spectrum slicing did not certify {count} eigenvalues")
 
 
 def _polish(K, M, lam, x):
@@ -307,9 +276,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
 
     lower = pencil.meta.get("spectral_lower_bound") if pencil.meta else None
     if lower is None:
-        lower = _gershgorin_lower(pencil, seed)
-    sigma_floor = lower - 0.01 * (1.0 + abs(lower))
-    c_upper = _diag_upper(pencil)
+        lower = _gershgorin_lower(pencil)
+    sigma = lower - 0.01 * (1.0 + abs(lower))
     solver_calls = 0
 
     # dense transformation methods lose the bottom of a pencil whose top
@@ -318,23 +286,16 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
     if n <= max(DENSE_CUTOFF, count + 2) and (dense_feasible or n <= count + 2):
         vals, vecs = _dense_solve(pencil, count)
         solver = "dense"
-        sigma = sigma_floor
     else:
         solver = "shift-invert-lanczos"
         K, M = pencil.K, pencil.M
         v0 = np.random.RandomState(seed).standard_normal(n)
-        k_buf = min(n - 1, count + 3)
-        near_floor = (c_upper - sigma_floor) \
-            <= NEAR_FLOOR_FACTOR * (1.0 + abs(c_upper))
         try:
-            vals, vecs, sigma, solver_calls = _sparse_paths(
-                K, M, count, k_buf, sigma_floor, c_upper, near_floor,
-                v0, tol, maxiter)
+            vals, vecs, sigma, solver_calls = _slice(
+                K, M, count, sigma, _diag_upper(pencil), v0, tol, maxiter)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(
                 f"Lanczos stalled after {maxiter} iterations", partial=exc) from exc
-        vals = vals[:count]
-        vecs = vecs[:, :count]
 
     # normalize in the M inner product
     K, M = pencil.K, pencil.M
@@ -369,133 +330,6 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
     return SpectralReport(vals, residuals, backward, vecs, n, tol,
                           float(sigma), seed, solver, solver_calls,
                           converged, mesh_info or dict(pencil.meta))
-
-
-def _sparse_paths(K, M, count, k_buf, sigma_floor, c_upper, near_floor,
-                  v0, tol, maxiter):
-    if _is_tridiagonal(K) and _is_tridiagonal(M):
-        return _sturm_slice(K, M, count, sigma_floor, c_upper, v0, tol, maxiter)
-    if near_floor:
-        # the floor (quadrature bound or Gershgorin) is rigorous, so the
-        # nearest-shift solve at it returns the bottom of the spectrum;
-        # a stall means the floor was too far from a clustered bottom
-        try:
-            return _direct_at_floor(K, M, count, k_buf, sigma_floor, v0,
-                                    tol, maxiter)
-        except spla.ArpackNoConvergence:
-            pass
-    return _walk(K, M, count, k_buf, sigma_floor, c_upper, v0, tol, maxiter)
-
-
-def _sturm_slice(K, M, count, sigma_floor, c_upper, v0, tol, maxiter):
-    """Spectrum slicing for tridiagonal pencils: inertia bisection brackets
-    every requested eigenvalue (so none can be skipped even when the
-    spectrum spans many decades), then one shift-invert solve per cluster
-    collects the eigenvectors just above a certified shift."""
-    brackets = _sturm_brackets(K, M, count, sigma_floor, c_upper)
-
-    # group near-coincident brackets so ARPACK resolves multiplets jointly
-    clusters = [[0]]
-    for j in range(1, count):
-        prev = brackets[clusters[-1][-1]][1]
-        if brackets[j][0] - prev <= 1e-8 * (1.0 + abs(prev)):
-            clusters[-1].append(j)
-        else:
-            clusters.append([j])
-
-    n = K.shape[0]
-    vals = np.empty(count)
-    vecs = np.empty((n, count))
-    solver_calls = 0
-    sigma0 = None
-    prev_hi = None
-    for group in clusters:
-        lo = brackets[group[0]][0]
-        width = max(brackets[group[-1]][1] - lo, 1e-12 * (1.0 + abs(lo)))
-        # keep the shift a respectful distance below the cluster: a shift
-        # within rounding of an eigenvalue makes the factor numerically
-        # singular and the solves meaningless
-        pad = max(2.0 * width, 1e-6 * (1.0 + abs(lo)))
-        if prev_hi is not None:
-            pad = min(pad, 0.5 * (lo - prev_hi))
-        sigma = lo - pad
-        prev_hi = brackets[group[-1]][1]
-        if sigma0 is None:
-            sigma0 = sigma
-        for attempt in range(4):
-            try:
-                got = spla.eigsh(K, k=len(group), M=M, sigma=sigma,
-                                 which="LA", mode="normal", v0=v0,
-                                 tol=tol, maxiter=maxiter)
-                break
-            except spla.ArpackNoConvergence as exc:
-                if attempt == 3 or len(exc.eigenvalues) < len(group):
-                    raise
-                got = (exc.eigenvalues, exc.eigenvectors)
-                break
-            except RuntimeError as exc:
-                if attempt == 3:
-                    raise FactorizationFailure(str(exc)) from exc
-                sigma = sigma - 1e-2 * width * (attempt + 1)
-        solver_calls += 1
-        gvals, gvecs = got
-        order = np.argsort(gvals)
-        for pos, j in enumerate(group):
-            vals[j] = gvals[order[pos]]
-            vecs[:, j] = gvecs[:, order[pos]]
-    return vals, vecs, sigma0, solver_calls
-
-
-def _direct_at_floor(K, M, count, k_buf, sigma_floor, v0, tol, maxiter):
-    (vals, vecs), sigma = _probe(K, M, k_buf, sigma_floor, v0,
-                                 max(tol, 1e-6), maxiter)
-    solver_calls = 1
-    # recenter just below the located bottom to sharpen the separation
-    spread = max(float(vals[min(count, len(vals) - 1)] - vals[0]),
-                 1e-6 * (1.0 + abs(vals[0])))
-    sigma_b = vals[0] - 0.05 * spread
-    try:
-        (vals_b, vecs_b), sigma_b = _probe(K, M, k_buf, sigma_b, v0,
-                                           tol, maxiter)
-        solver_calls += 1
-        if vals_b[0] > sigma_b:
-            vals, vecs, sigma = vals_b, vecs_b, sigma_b
-    except (FactorizationFailure, spla.ArpackNoConvergence):
-        pass
-    return vals, vecs, sigma, solver_calls
-
-
-def _walk(K, M, count, k_buf, sigma_floor, c_upper, v0, tol, maxiter):
-    sigma, solver_calls = _locate_shift(K, M, sigma_floor, c_upper,
-                                        v0, maxiter)
-    (vals, vecs), sigma = _probe(K, M, k_buf, sigma, v0,
-                                 max(tol, 1e-7), maxiter)
-    solver_calls += 1
-    for _ in range(3):
-        # recenter just below the located bottom for sharp convergence,
-        # verifying that nothing lies beneath
-        spread = max(float(vals[min(count, len(vals) - 1)] - vals[0]),
-                     1e-6 * (1.0 + abs(vals[0])))
-        sigma_b = vals[0] - 0.05 * spread
-        below, sigma_b = _probe_below(K, M, sigma_b, v0, maxiter)
-        solver_calls += 1
-        if below is not None:
-            sigma, extra = _locate_shift(K, M, sigma_floor, below,
-                                         v0, maxiter)
-            solver_calls += extra + 1
-            (vals, vecs), sigma = _probe(K, M, k_buf, sigma, v0,
-                                         max(tol, 1e-7), maxiter)
-            continue
-        try:
-            (vals_b, vecs_b), sigma_b = _probe(K, M, k_buf, sigma_b,
-                                               v0, tol, maxiter)
-            solver_calls += 1
-            if vals_b[0] > sigma_b:
-                vals, vecs, sigma = vals_b, vecs_b, sigma_b
-        except (FactorizationFailure, spla.ArpackNoConvergence):
-            pass
-        break
-    return vals, vecs, sigma, solver_calls
 
 
 def counting_function(report, lam):

@@ -3,12 +3,43 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from hardyspec import (FormSpec, Interval, Pencil, assemble_pencil,
-                       build_mesh_1d, counting_function,
+import scipy.linalg
+
+from hardyspec import (Disc, FormSpec, Interval, Pencil, assemble_pencil,
+                       build_mesh_1d, build_trimesh, counting_function,
                        refine_and_extrapolate, smallest_eigenpairs)
+from hardyspec.eigensolve import _diag_spread, _factor
+from hardyspec.errors import FactorizationFailure
 from hardyspec.spectral import strip_mesh, ProblemSpec
 
 IV = Interval(0, 1)
+
+
+def _sturm_count(kd, ko, md, mo, sigma):
+    """Oracle: eigenvalues of the tridiagonal pencil strictly below sigma,
+    via the signs of the LDL^T pivots of K - sigma M (Sturm sequence)."""
+    n = len(kd)
+    count = 0
+    tiny = np.finfo(float).tiny
+    d = kd[0] - sigma * md[0]
+    if d == 0.0:
+        d = tiny
+    if d < 0:
+        count += 1
+    for i in range(1, n):
+        e = ko[i - 1] - sigma * mo[i - 1]
+        correction = e * e / d if np.isfinite(d) and d != 0.0 else 0.0
+        d = kd[i] - sigma * md[i] - correction
+        if d == 0.0:
+            d = tiny
+        if d < 0:
+            count += 1
+    return count
+
+
+def _disc_pencil(h):
+    mesh = build_trimesh(Disc((0, 0), 1.0), h, 1.0)
+    return assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
 
 
 def _pencil(K, M):
@@ -159,3 +190,62 @@ def test_levels_validation():
     p = _pencil(sp.identity(10), sp.identity(10))
     with pytest.raises(ValueError):
         refine_and_extrapolate(lambda level: p, 2)
+
+
+def test_inertia_matches_sturm_on_graded_strips():
+    # the strips of the 1D discreteness diagnosis: graded to the float64
+    # floor, so the pencil scale spreads over more than 1e12
+    prob = ProblemSpec(domain=IV, form=FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5),
+                       gamma=0.5, ks=tuple(range(2, 17)))
+    for k in prob.ks:
+        sub, _ = strip_mesh(prob, k)
+        pencil = assemble_pencil(sub, prob.form, 1.0, quad_points=prob.quad_points,
+                                 quad_subdiv=prob.quad_subdiv)
+        K, M = pencil.K, pencil.M
+        assert _diag_spread(pencil) > 1e12
+        mu = smallest_eigenpairs(pencil, 1, tol=prob.tol).eigenvalues[0]
+        counts = []
+        for sigma in (mu * (1 - 1e-6), mu * (1 + 1e-6)):
+            oracle = _sturm_count(K.diagonal(), K.diagonal(1), M.diagonal(),
+                                  M.diagonal(1), sigma)
+            assert _factor(K, M, sigma)[1] == oracle
+            counts.append(oracle)
+        assert counts[0] == 0 < counts[1]
+
+
+def test_inertia_matches_dense_count_on_disc():
+    pencil = _disc_pencil(0.3)
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    for sigma in (-5.0, 0.0, 10.0, 16.0, 17.0, 40.0, 1e3, 2 * vals[-1]):
+        assert _factor(pencil.K, pencil.M, sigma)[1] == np.sum(vals < sigma)
+
+
+def test_slicing_matches_dense():
+    # counts 2, 4 and 7 cut through double eigenvalues of the disc
+    pencil = _disc_pencil(0.1)
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    for count in range(1, 8):
+        rep = smallest_eigenpairs(pencil, count)
+        assert rep.solver == "shift-invert-lanczos"
+        assert_allclose(rep.eigenvalues, vals[:count], rtol=1e-8)
+        assert _factor(pencil.K, pencil.M, rep.sigma)[1] == 0
+
+
+def test_floor_above_spectrum_is_stepped_down():
+    pencil = _disc_pencil(0.1)
+    assert pencil.dof == 568
+    pencil.meta["spectral_lower_bound"] = 20.0   # wrong: the bottom is 5.80260
+    rep = smallest_eigenpairs(pencil, 1)
+    assert rep.eigenvalues[0] == pytest.approx(5.80260, abs=1e-5)
+    assert rep.eigenvalues[0] > rep.sigma
+
+
+def test_singular_shift():
+    K = sp.diags([1.0, 2.0, 3.0]).tocsc()
+    M = sp.identity(3, format="csc")
+    lu, below, sigma = _factor(K, M, 2.0)     # exactly singular at 2
+    assert sigma < 2.0 and below == 1
+    # a pencil singular at every shift is refused rather than counted
+    Z = sp.diags([1.0, 0.0]).tocsc()
+    with pytest.raises(FactorizationFailure):
+        _factor(Z, Z, 0.5)
