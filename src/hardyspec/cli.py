@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import geometry, report
-from .coefficients import parse_coefficient
+from .coefficients import parse_coefficient, require_axisymmetric
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, HardySpecError
 from .forms import FormSpec, assemble_pencil, format_matrix_text
@@ -113,25 +113,30 @@ def _build_form(sec):
     sigma = None
     if "sigma_left" in sec.data or "sigma_right" in sec.data:
         sigma = (sec.get_float("sigma_left", 0.0), sec.get_float("sigma_right", 0.0))
-    beta = sec.get_float("beta")
-    return FormSpec(a=a, q=q, sigma=sigma, beta=beta)
+    try:
+        return FormSpec(a=a, q=q, sigma=sigma, beta=sec.get_float("beta"))
+    except ValueError as exc:
+        raise ConfigError(f"[form] invalid parameters: {exc}") from exc
 
 
 def _problem_spec(domain, form, form_sec, num_sec, seed):
     ks = tuple(range(num_sec.get_int("k_min", 2), num_sec.get_int("k_max", 16) + 1))
-    return ProblemSpec(
-        domain=domain, form=form,
-        gamma=form_sec.get_float("gamma", 0.5),
-        ks=ks,
-        k0=num_sec.get_int("k0"),
-        strip_elements=num_sec.get_int("strip_elements", 96),
-        grading=num_sec.get_float("grading"),
-        samples=num_sec.get_int("samples", 10000),
-        lam=form_sec.get_float("lambda", 0.0),
-        alpha=form_sec.get_float("alpha", 0.0),
-        seed=seed,
-        tol=num_sec.get_float("tol"),
-    )
+    try:
+        return ProblemSpec(
+            domain=domain, form=form,
+            gamma=form_sec.get_float("gamma", 0.5),
+            ks=ks,
+            k0=num_sec.get_int("k0"),
+            strip_elements=num_sec.get_int("strip_elements", 96),
+            grading=num_sec.get_float("grading"),
+            samples=num_sec.get_int("samples", 10000),
+            lam=form_sec.get_float("lambda", 0.0),
+            alpha=form_sec.get_float("alpha", 0.0),
+            seed=seed,
+            tol=num_sec.get_float("tol"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid problem parameters: {exc}") from exc
 
 
 def _status_from_verdict(verdict):
@@ -216,6 +221,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         mesh_domain = domain
         extra_q = None
         if isinstance(domain, geometry.Torus):
+            require_axisymmetric(form.a, form.q)
             mode = num_sec.get_int("mode", 0)
             mesh_domain, measure_weight, potential = axisymmetric_reduce(domain, mode)
             if not potential.is_zero():

@@ -286,6 +286,9 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
     if n <= max(DENSE_CUTOFF, count + 2) and (dense_feasible or n <= count + 2):
         vals, vecs = _dense_solve(pencil, count)
         solver = "dense"
+        # the dense solve does not use the floor, which may lie above the
+        # bottom: the reported shift stays below the returned spectrum
+        sigma = min(sigma, vals[0] - 0.01 * (1.0 + abs(vals[0])))
     else:
         solver = "shift-invert-lanczos"
         K, M = pencil.K, pencil.M

@@ -52,6 +52,10 @@ class ParseError(HardySpecError):
         self.expected = frozenset(expected)
 
 
+class NotAxisymmetric(HardySpecError):
+    """A torus coefficient names a Cartesian coordinate."""
+
+
 # -- assembly ---------------------------------------------------------------
 
 class AssemblyError(HardySpecError):

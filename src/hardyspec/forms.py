@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .coefficients import Coefficient, as_coefficient
+from .coefficients import Coefficient, as_coefficient, environment
 from .errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
                      SingularQuadrature)
 from .meshing import ROBIN, Mesh1D, TriMesh
@@ -110,18 +110,6 @@ def _tri_rule(subdiv):
     return bary, w
 
 
-# ---------------------------------------------------------------------------
-# coefficient evaluation environments
-# ---------------------------------------------------------------------------
-
-def _env_1d(x, d):
-    return {"x": x, "x1": x, "d": d}
-
-def _env_2d(x, y, d):
-    # r, z alias the coordinates for axisymmetric cross-section problems
-    return {"x": x, "x1": x, "y": y, "x2": y, "r": x, "z": y, "d": d}
-
-
 def _eval_on(coef, env, shape):
     vals = coef.evaluate(env)
     return np.broadcast_to(vals, shape)
@@ -145,14 +133,8 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
     denominator = as_coefficient(denominator)
     mw = as_coefficient(measure_weight) if measure_weight is not None else None
 
-    if isinstance(mesh, Mesh1D):
-        K, M, qneg_ratio = _assemble_1d(mesh, form, denominator, quad_points,
-                                        quad_subdiv, mw)
-    elif isinstance(mesh, TriMesh):
-        K, M, qneg_ratio = _assemble_2d(mesh, form, denominator, quad_subdiv, mw)
-    else:
-        raise TypeError(f"cannot assemble on {type(mesh).__name__}")
-
+    K, M, qneg_ratio = _assemble(mesh, form, denominator, quad_points,
+                                 quad_subdiv, mw)
     clamped = mesh.dirichlet_nodes()
     free = np.setdiff1d(np.arange(mesh.n_nodes), np.asarray(clamped, dtype=int))
     if len(free) == 0:
@@ -189,59 +171,82 @@ def _has_negative_sigma(form):
     return any(s < 0 for s in form.sigma)
 
 
-def _quad_points_1d(mesh, quad_points, quad_subdiv):
-    t, w = gauss_panels(quad_points, quad_subdiv)
-    x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
-    h = mesh.element_sizes()[:, None]
-    pts = x0 + t[None, :] * h
-    wts = w[None, :] * h
-    return pts, wts, h
+def _element_rule(mesh, quad_points, quad_subdiv):
+    """Per-element quadrature and P1 data: connectivity (m, nloc), points
+    (m, nq, dim), weights (m, nq), basis values at the points (m or 1, nq,
+    nloc) and the constant basis gradients (m, nloc, dim).
+
+    1D elements take quad_subdiv Gauss panels of quad_points, with basis
+    values at the points as rounded (graded elements span a few ulps of x);
+    triangles take the 7-point rule composited over max(1, quad_subdiv // 4)
+    subdivisions, sharing the reference basis.
+    """
+    if isinstance(mesh, Mesh1D):
+        t, w = gauss_panels(quad_points, quad_subdiv)
+        x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
+        h = mesh.element_sizes()[:, None]
+        pts = x0 + t[None, :] * h
+        phi_r = (pts - x0) / h
+        basis = np.stack([1.0 - phi_r, phi_r], axis=2)
+        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)          # (m, 2, 1)
+        return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads
+    if isinstance(mesh, TriMesh):
+        bary, w = _tri_rule(max(1, quad_subdiv // 4))
+        v = mesh.points[mesh.triangles]                         # (m, 3, 2)
+        area = mesh.areas()
+        if np.any(area <= 0):
+            raise ValueError("mesh has an inverted triangle")
+        pts = np.einsum("qk,mkj->mqj", bary, v)                 # (m, nq, 2)
+        # grad lambda_i = (b_i, c_i) / (2 area)
+        x, y = v[:, :, 0], v[:, :, 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
+        return mesh.triangles, pts, w[None, :] * area[:, None], bary[None], grads
+    raise TypeError(f"cannot assemble on {type(mesh).__name__}")
 
 
-def _assemble_1d(mesh, form, denominator, quad_points, quad_subdiv, mw):
-    pts, wts, h = _quad_points_1d(mesh, quad_points, quad_subdiv)
-    d = mesh.domain.distance_many(pts.ravel()).reshape(pts.shape)
+def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
+    conn, pts, wts, basis, grads = _element_rule(mesh, quad_points, quad_subdiv)
+    shape = wts.shape
+    d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
     if np.any(d <= 0):
         raise SingularQuadrature("a quadrature point touched the boundary (d <= 0)")
-    env = _env_1d(pts, d)
-    a = _eval_on(form.a, env, pts.shape)
+    env = environment(pts, d)
+    a = _eval_on(form.a, env, shape)
     if np.any(a <= 0):
         raise NonpositiveDiffusion("diffusion coefficient is not positive "
                                    "at a quadrature point")
-    q = _eval_on(form.q, env, pts.shape)
-    den = _eval_on(denominator, env, pts.shape)
+    q = _eval_on(form.q, env, shape)
+    den = _eval_on(denominator, env, shape)
     if np.any(den <= 0):
         raise NonpositiveWeight("denominator weight is not positive "
                                 "at a quadrature point")
-    scale = np.ones_like(pts) if mw is None else _eval_on(mw, env, pts.shape)
+    scale = np.ones(shape) if mw is None else _eval_on(mw, env, shape)
     if np.any(scale <= 0):
         raise NonpositiveWeight("measure weight is not positive at a quadrature point")
 
-    x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
-    phi_r = (pts - x0) / h
-    phi = np.stack([1.0 - phi_r, phi_r], axis=1)        # (m, 2, nq)
-
-    stiff = ((wts * a * scale).sum(axis=1) / h[:, 0] ** 2)    # (m,)
+    wa = (wts * a * scale).sum(axis=1)                 # (m,)
     wq = wts * q * scale
     wden = wts * den * scale
 
-    m = len(mesh.elements)
-    blocks_k = np.empty((m, 2, 2))
-    blocks_m = np.empty((m, 2, 2))
-    sgn = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for i in range(2):
-        for j in range(i, 2):
-            pot = (wq * phi[:, i, :] * phi[:, j, :]).sum(axis=1)
-            mass = (wden * phi[:, i, :] * phi[:, j, :]).sum(axis=1)
-            blocks_k[:, i, j] = stiff * sgn[i, j] + pot
+    m, nloc = grads.shape[:2]
+    blocks_k = np.empty((m, nloc, nloc))
+    blocks_m = np.empty((m, nloc, nloc))
+    for i in range(nloc):
+        for j in range(i, nloc):
+            gij = (grads[:, i, :] * grads[:, j, :]).sum(axis=1)
+            pot = (wq * basis[:, :, i] * basis[:, :, j]).sum(axis=1)
+            mass = (wden * basis[:, :, i] * basis[:, :, j]).sum(axis=1)
+            blocks_k[:, i, j] = wa * gij + pot
             blocks_k[:, j, i] = blocks_k[:, i, j]
             blocks_m[:, i, j] = mass
             blocks_m[:, j, i] = mass
 
     n = mesh.n_nodes
-    K = _scatter_blocks(mesh.elements, blocks_k, n)
-    M = _scatter_blocks(mesh.elements, blocks_m, n)
-    K = K + _robin_1d(mesh, form, n)
+    K = _scatter_blocks(conn, blocks_k, n)
+    M = _scatter_blocks(conn, blocks_m, n)
+    K = K + (_robin_1d if mesh.dim == 1 else _robin_2d)(mesh, form, n)
     qneg_ratio = float(np.max(np.maximum(-q, 0.0) / den))
     return K, M, qneg_ratio
 
@@ -264,67 +269,6 @@ def _robin_1d(mesh, form, n):
         entries[(i, i)] = val
     rows, cols = zip(*entries)
     return sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(n, n))
-
-
-def _assemble_2d(mesh, form, denominator, quad_subdiv, mw):
-    bary, w = _tri_rule(max(1, quad_subdiv // 4))
-    p = mesh.points
-    t = mesh.triangles
-    v = p[t]                                           # (m, 3, 2)
-    area = mesh.areas()
-    if np.any(area <= 0):
-        raise ValueError("mesh has an inverted triangle")
-
-    pts = np.einsum("qk,mkj->mqj", bary, v)            # (m, nq, 2)
-    d = mesh.domain.distance_many(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    if np.any(d <= 0):
-        raise SingularQuadrature("a quadrature point touched the boundary (d <= 0)")
-    env = _env_2d(pts[:, :, 0], pts[:, :, 1], d)
-    shape = pts.shape[:2]
-    a = _eval_on(form.a, env, shape)
-    if np.any(a <= 0):
-        raise NonpositiveDiffusion("diffusion coefficient is not positive "
-                                   "at a quadrature point")
-    q = _eval_on(form.q, env, shape)
-    den = _eval_on(denominator, env, shape)
-    if np.any(den <= 0):
-        raise NonpositiveWeight("denominator weight is not positive "
-                                "at a quadrature point")
-    scale = np.ones(shape) if mw is None else _eval_on(mw, env, shape)
-    if np.any(scale <= 0):
-        raise NonpositiveWeight("measure weight is not positive at a quadrature point")
-
-    wts = w[None, :] * area[:, None]                   # (m, nq)
-
-    # constant P1 gradients: grad lambda_i = (b_i, c_i) / (2 area)
-    x, y = v[:, :, 0], v[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])   # (m, 3, 2)
-
-    wa = (wts * a * scale).sum(axis=1)                 # (m,)
-    wq = wts * q * scale
-    wden = wts * den * scale
-
-    m = len(t)
-    blocks_k = np.empty((m, 3, 3))
-    blocks_m = np.empty((m, 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            gij = (grads[:, i, :] * grads[:, j, :]).sum(axis=1)
-            pot = (wq * bary[None, :, i] * bary[None, :, j]).sum(axis=1)
-            mass = (wden * bary[None, :, i] * bary[None, :, j]).sum(axis=1)
-            blocks_k[:, i, j] = wa * gij + pot
-            blocks_k[:, j, i] = blocks_k[:, i, j]
-            blocks_m[:, i, j] = mass
-            blocks_m[:, j, i] = mass
-
-    n = mesh.n_nodes
-    K = _scatter_blocks(t, blocks_k, n)
-    M = _scatter_blocks(t, blocks_m, n)
-    K = K + _robin_2d(mesh, form, n)
-    qneg_ratio = float(np.max(np.maximum(-q, 0.0) / den))
-    return K, M, qneg_ratio
 
 
 def _robin_2d(mesh, form, n):
@@ -428,27 +372,14 @@ def ims_partition(mesh, delta_in, delta_out):
             f"element sizes ({local:.3g})")
 
     if isinstance(mesh, Mesh1D):
-        node_pts = mesh.nodes[:, None]
-        d = mesh.node_distances()
+        node_pts, d = mesh.nodes[:, None], mesh.node_distances()
     else:
-        node_pts = mesh.points
-        d = mesh.node_d
-    grad_d = grad_distance_many(mesh.domain, node_pts)
+        node_pts, d = mesh.points, mesh.node_d
+    grad_d = mesh.domain.calculus_many(node_pts)[0]
     part = IMSPartition(delta_in, delta_out, None, None, None, None)
     part.phi1, part.phi2 = part.values_at(d)
     part.grad_phi1, part.grad_phi2 = part.gradients_at(d, grad_d)
     return part
-
-
-def grad_distance_many(domain, pts):
-    """Vectorized closed-form gradient of d; a deterministic branch is taken
-    on the medial axis (callers exclude or ignore those points)."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.empty((pts.shape[0], domain.dim))
-    for k in range(pts.shape[0]):
-        grad, _, _ = domain._closed_form_eval(pts[k].reshape(domain.dim))
-        out[k] = grad
-    return out
 
 
 def ims_identity_residual(mesh, partition, u, a, quad_points=4):
@@ -462,37 +393,14 @@ def ims_identity_residual(mesh, partition, u, a, quad_points=4):
     a = as_coefficient(a)
     u = np.asarray(u, dtype=float)
 
-    if isinstance(mesh, Mesh1D):
-        pts, _, h = _quad_points_1d(mesh, quad_points, 1)
-        d = np.maximum(mesh.domain.distance_many(pts.ravel()), 0.0).reshape(pts.shape)
-        grad_d = grad_distance_many(mesh.domain, pts.reshape(-1, 1)).reshape(pts.shape + (1,))
-        x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
-        lam_r = (pts - x0) / h
-        u_l = u[mesh.elements[:, 0]][:, None]
-        u_r = u[mesh.elements[:, 1]][:, None]
-        u_q = u_l * (1 - lam_r) + u_r * lam_r
-        grad_u = ((u_r - u_l) / h)[:, :, None] * np.ones_like(pts)[..., None]
-        env = _env_1d(pts, d)
-    else:
-        bary, _ = _tri_rule(1)
-        v = mesh.points[mesh.triangles]
-        pts = np.einsum("qk,mkj->mqj", bary, v)
-        d = np.maximum(mesh.domain.distance_many(pts.reshape(-1, 2)), 0.0)
-        d = d.reshape(pts.shape[:2])
-        grad_d = grad_distance_many(mesh.domain, pts.reshape(-1, 2))
-        grad_d = grad_d.reshape(pts.shape[:2] + (2,))
-        area = mesh.areas()
-        x, y = v[:, :, 0], v[:, :, 1]
-        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
-        u_loc = u[mesh.triangles]
-        u_q = np.einsum("qk,mk->mq", bary, u_loc)
-        grad_u = np.einsum("mk,mkj->mj", u_loc, grads)[:, None, :] \
-            * np.ones(pts.shape[:2])[..., None]
-        env = _env_2d(pts[:, :, 0], pts[:, :, 1], d)
-
-    a_q = _eval_on(a, env, pts.shape[:2] if mesh.dim == 2 else pts.shape)
+    conn, pts, _, basis, grads = _element_rule(mesh, quad_points, 1)
+    flat = pts.reshape(-1, mesh.dim)
+    d = np.maximum(mesh.domain.distance_many(flat), 0.0).reshape(pts.shape[:2])
+    grad_d = mesh.domain.calculus_many(flat)[0].reshape(pts.shape)
+    u_loc = u[conn]
+    u_q = (basis * u_loc[:, None, :]).sum(axis=2)
+    grad_u = np.einsum("mk,mkj->mj", u_loc, grads)[:, None, :]   # constant per element
+    a_q = _eval_on(a, environment(pts, d), d.shape)
 
     phi1, phi2 = partition.values_at(d)
     g1, g2 = partition.gradients_at(d, grad_d)

@@ -7,6 +7,7 @@ that the Hardy-constant catalogue consumes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -83,54 +84,46 @@ class Domain:
 
     # -- calculus ------------------------------------------------------------
 
-    def _closed_form_eval(self, p):
-        """(grad, -lap, near_ridge) at an interior point, or None if unavailable."""
+    def calculus_many(self, pts):
+        """Closed-form gradient (N, dim) and -laplacian (N,) of d, and the
+        medial-axis mask (N,) of points whose nearest boundary point is not
+        unique.  On that axis a deterministic branch is taken; at the disc
+        centre and the torus core circle, 1/rho is evaluated at
+        rho = RIDGE_TOL.  No membership check."""
         raise NotImplementedError
 
     def distance_calculus(self, p, h=None, method="auto", tol=1e-12):
-        """Gradient and -laplacian of d, closed form where available.
+        """Gradient and -laplacian of d at one point.
 
-        method: "auto" prefers the closed form, "closed_form" requires it,
+        method: "auto" and "closed_form" take the closed form;
         "finite_difference" forces second-order central differences with
         step h (default 1e-4 * D_int).
         """
         p = _as_point(p, self.dim)
         d = self.distance(p, tol=tol)
-        if h is None:
-            h = FD_STEP_FACTOR * self.interior_diameter()
-
+        grads, neg_laps, ridges = self.calculus_many(p[None, :])
+        ridge = bool(ridges[0])
         if method in ("auto", "closed_form"):
-            cf = self._closed_form_eval(p)
-            if cf is not None:
-                grad, neg_lap, ridge = cf
-                return DistanceEval(d, grad, neg_lap, "closed_form", ridge)
-            if method == "closed_form":
-                raise NotImplementedError("no closed form for this variant")
-
-        if d <= 2 * h:
-            raise TooCloseToBoundary(
-                f"d(p)={d:.3e} <= 2h={2 * h:.3e}; finite differences need clearance")
-        grad = np.empty(self.dim)
-        lap = 0.0
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            dp = float(self.distance_many((p + e)[None, :])[0])
-            dm = float(self.distance_many((p - e)[None, :])[0])
-            grad[i] = (dp - dm) / (2 * h)
-            lap += (dp - 2 * d + dm) / h**2
-        ridge = bool(self._ridge_mask(p[None, :])[0])
+            grad, neg_lap, provenance = grads[0], float(neg_laps[0]), "closed_form"
+        else:
+            if h is None:
+                h = FD_STEP_FACTOR * self.interior_diameter()
+            if d <= 2 * h:
+                raise TooCloseToBoundary(
+                    f"d(p)={d:.3e} <= 2h={2 * h:.3e}; finite differences need clearance")
+            grad = np.empty(self.dim)
+            lap = 0.0
+            for i in range(self.dim):
+                e = np.zeros(self.dim)
+                e[i] = h
+                dp = float(self.distance_many((p + e)[None, :])[0])
+                dm = float(self.distance_many((p - e)[None, :])[0])
+                grad[i] = (dp - dm) / (2 * h)
+                lap += (dp - 2 * d + dm) / h**2
+            neg_lap, provenance = -lap, "finite_difference"
         if self.dim == 1:
             grad = float(grad[0])
-        return DistanceEval(d, grad, -lap, "finite_difference", ridge)
-
-    def _ridge_mask(self, pts):
-        """Boolean mask of points whose nearest boundary point is non-unique."""
-        raise NotImplementedError
-
-    def neg_laplacian_many(self, pts):
-        """Vectorized closed-form -laplacian; caller excludes ridge points."""
-        raise NotImplementedError
+        return DistanceEval(d, grad, neg_lap, provenance, ridge)
 
     # -- functionals ----------------------------------------------------------
 
@@ -162,20 +155,12 @@ class Interval(Domain):
         x = np.asarray(pts, dtype=float).reshape(-1)
         return np.minimum(x - self.a, self.b - x)
 
-    def _ridge_mask(self, pts):
+    def calculus_many(self, pts):
         x = np.asarray(pts, dtype=float).reshape(-1)
-        return np.abs((x - self.a) - (self.b - x)) < RIDGE_TOL
-
-    def _closed_form_eval(self, p):
-        x = float(p[0])
         left = x - self.a
         right = self.b - x
-        ridge = abs(left - right) < RIDGE_TOL
-        grad = 1.0 if left <= right else -1.0
-        return grad, 0.0, ridge
-
-    def neg_laplacian_many(self, pts):
-        return np.zeros(np.asarray(pts).reshape(-1).shape[0])
+        grad = np.where(left <= right, 1.0, -1.0)[:, None]
+        return grad, np.zeros(len(x)), np.abs(left - right) < RIDGE_TOL
 
     def interior_diameter(self):
         return self.b - self.a
@@ -206,19 +191,14 @@ class Disc(Domain):
     def distance_many(self, pts):
         return self.radius - self._rho(pts)
 
-    def _ridge_mask(self, pts):
-        return self._rho(pts) < RIDGE_TOL
-
-    def _closed_form_eval(self, p):
-        v = p - self.center
-        rho = float(np.hypot(v[0], v[1]))
-        if rho < RIDGE_TOL:
-            # center of the disc: every boundary point is nearest
-            return np.array([1.0, 0.0]), 1.0 / max(rho, RIDGE_TOL), True
-        return -v / rho, 1.0 / rho, False
-
-    def neg_laplacian_many(self, pts):
-        return 1.0 / self._rho(pts)
+    def calculus_many(self, pts):
+        v = np.asarray(pts, dtype=float).reshape(-1, 2) - self.center
+        rho = np.hypot(v[:, 0], v[:, 1])
+        # center of the disc: every boundary point is nearest
+        ridge = rho < RIDGE_TOL
+        rho = np.maximum(rho, RIDGE_TOL)
+        grad = np.where(ridge[:, None], [1.0, 0.0], -v / rho[:, None])
+        return grad, 1.0 / rho, ridge
 
     def interior_diameter(self):
         return 2 * self.radius
@@ -251,24 +231,14 @@ class Annulus(Domain):
         rho = self._rho(pts)
         return np.minimum(rho - self.r_in, self.r_out - rho)
 
-    def _ridge_mask(self, pts):
-        rho = self._rho(pts)
-        return np.abs((rho - self.r_in) - (self.r_out - rho)) < RIDGE_TOL
-
-    def _closed_form_eval(self, p):
-        v = p - self.center
-        rho = float(np.hypot(v[0], v[1]))
+    def calculus_many(self, pts):
+        v = np.asarray(pts, dtype=float).reshape(-1, 2) - self.center
+        rho = np.hypot(v[:, 0], v[:, 1])
         inner = rho - self.r_in
         outer = self.r_out - rho
-        ridge = abs(inner - outer) < RIDGE_TOL
-        if inner <= outer:
-            return v / rho, -1.0 / rho, ridge
-        return -v / rho, 1.0 / rho, ridge
-
-    def neg_laplacian_many(self, pts):
-        rho = self._rho(pts)
-        inner_side = (rho - self.r_in) <= (self.r_out - rho)
-        return np.where(inner_side, -1.0 / rho, 1.0 / rho)
+        sign = np.where(inner <= outer, 1.0, -1.0)
+        return (sign[:, None] * v / rho[:, None], -sign / rho,
+                np.abs(inner - outer) < RIDGE_TOL)
 
     def interior_diameter(self):
         return self.r_out - self.r_in
@@ -327,47 +297,36 @@ class ConvexPolygon(Domain):
         outside = halfplane.min(axis=1) < 0
         return np.where(outside, halfplane.min(axis=1), d)
 
-    def _ridge_mask(self, pts):
-        seg_d, _ = self._edge_distances(pts)
-        seg_d = np.sort(seg_d, axis=1)
-        return (seg_d[:, 1] - seg_d[:, 0]) < RIDGE_TOL
-
-    def _closed_form_eval(self, p):
-        seg_d, proj = self._edge_distances(p[None, :])
-        order = np.argsort(seg_d[0])
-        nearest = order[0]
-        ridge = (seg_d[0, order[1]] - seg_d[0, nearest]) < RIDGE_TOL
-        y = proj[0, nearest]
-        v = p - y
-        r = float(np.hypot(v[0], v[1]))
-        grad = v / r if r > RIDGE_TOL else self._normals[nearest]
+    def calculus_many(self, pts):
+        p = np.asarray(pts, dtype=float).reshape(-1, 2)
+        seg_d, proj = self._edge_distances(p)
+        nearest = np.argmin(seg_d, axis=1)
+        two = np.sort(seg_d, axis=1)[:, :2]
+        v = p - proj[np.arange(len(p)), nearest]
+        r = np.hypot(v[:, 0], v[:, 1])[:, None]
+        grad = np.where(r > RIDGE_TOL, v / np.maximum(r, RIDGE_TOL),
+                        self._normals[nearest])
         # d is a min of affine functions: Laplacian vanishes off the ridge
-        return grad, 0.0, ridge
+        return grad, np.zeros(len(p)), (two[:, 1] - two[:, 0]) < RIDGE_TOL
 
-    def neg_laplacian_many(self, pts):
-        return np.zeros(np.asarray(pts).reshape(-1, 2).shape[0])
+    @cached_property
+    def _chebyshev(self):
+        """Center and radius of the largest inscribed disc, by linear
+        programming: maximize t  s.t.  n_i . p - t >= n_i . v_i."""
+        n = self._normals
+        b = np.einsum("ej,ej->e", n, self.vertices)
+        a_ub = np.column_stack([-n, np.ones(len(n))])
+        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-b,
+                      bounds=[(None, None), (None, None), (0, None)], method="highs")
+        if not res.success:
+            raise RuntimeError(f"Chebyshev LP failed: {res.message}")
+        return np.array(res.x[:2]), float(res.x[2])
 
     def chebyshev_radius(self):
-        """Radius of the largest inscribed disc, by linear programming."""
-        n = self._normals
-        b = np.einsum("ej,ej->e", n, self.vertices)
-        # maximize t  s.t.  n_i . p - t >= n_i . v_i
-        a_ub = np.column_stack([-n, np.ones(len(n))])
-        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-b,
-                      bounds=[(None, None), (None, None), (0, None)], method="highs")
-        if not res.success:
-            raise RuntimeError(f"Chebyshev LP failed: {res.message}")
-        return float(res.x[2])
+        return self._chebyshev[1]
 
     def chebyshev_center(self):
-        n = self._normals
-        b = np.einsum("ej,ej->e", n, self.vertices)
-        a_ub = np.column_stack([-n, np.ones(len(n))])
-        res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-b,
-                      bounds=[(None, None), (None, None), (0, None)], method="highs")
-        if not res.success:
-            raise RuntimeError(f"Chebyshev LP failed: {res.message}")
-        return np.array(res.x[:2])
+        return self._chebyshev[0].copy()
 
     def interior_diameter(self):
         return 2 * self.chebyshev_radius()
@@ -412,30 +371,20 @@ class Torus(Domain):
     def distance_many(self, pts):
         return self.R - self._rho(pts)
 
-    def _ridge_mask(self, pts):
-        return self._rho(pts) < RIDGE_TOL
-
-    def _closed_form_eval(self, p):
-        x, y, z = p
-        r = float(np.hypot(x, y))
-        rho = float(np.hypot(r - self.c, z))
-        if rho < RIDGE_TOL:
-            # core circle: nearest boundary point is non-unique
-            grad = np.array([x / r, y / r, 0.0])
-            return grad, (2 * r - self.c) / (r * max(rho, RIDGE_TOL)), True
-        grad = np.array([-(r - self.c) * x / (r * rho),
-                         -(r - self.c) * y / (r * rho),
-                         -z / rho])
-        return grad, (2 * r - self.c) / (r * rho), False
-
-    def neg_laplacian_many(self, pts):
-        rz = self.cross_section(pts)
-        return self.neg_laplacian_rz(rz)
-
-    def neg_laplacian_rz(self, rz):
-        r = rz[:, 0]
-        rho = np.hypot(r - self.c, rz[:, 1])
-        return (2 * r - self.c) / (r * rho)
+    def calculus_many(self, pts):
+        p = np.asarray(pts, dtype=float).reshape(-1, 3)
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        r = np.hypot(x, y)
+        rho = np.hypot(r - self.c, z)
+        # core circle: nearest boundary point is non-unique
+        ridge = rho < RIDGE_TOL
+        rho = np.maximum(rho, RIDGE_TOL)
+        radial = -(r - self.c)
+        grad = np.where(ridge[:, None],
+                        np.column_stack([x / r, y / r, np.zeros(len(p))]),
+                        np.column_stack([radial * x / (r * rho), radial * y / (r * rho),
+                                         -z / rho]))
+        return grad, (2 * r - self.c) / (r * rho), ridge
 
     def interior_diameter(self):
         return 2 * self.R
@@ -495,30 +444,19 @@ def superharmonicity_scan(domain, region="full", resolution=200, tol=GEOM_TOL):
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
     pts = _scan_grid(domain, resolution)
-
-    if isinstance(domain, Torus):
-        # axisymmetric: scan the (r, z) cross-section
-        rho = np.hypot(pts[:, 0] - domain.c, pts[:, 1])
-        d = domain.R - rho
-        ridge = rho < RIDGE_TOL
-        mask = (d >= -1e-12) & ~ridge
-        mask &= _region_mask(region, d)
-        if not mask.any():
-            raise EmptyRegion("no grid point falls in the requested region")
-        values = domain.neg_laplacian_rz(pts[mask])
-    else:
-        d = domain.distance_many(pts)
-        ridge = domain._ridge_mask(pts)
-        mask = (d >= -1e-12) & ~ridge
-        mask &= _region_mask(region, d)
-        if not mask.any():
-            raise EmptyRegion("no grid point falls in the requested region")
-        values = domain.neg_laplacian_many(pts[mask])
+    # the torus grid is its (r, z) cross-section, lifted to (r, 0, z)
+    lifted = np.insert(pts, 1, 0.0, axis=1) if isinstance(domain, Torus) else pts
+    d = domain.distance_many(lifted)
+    keep = (d >= -1e-12) & _region_mask(region, d)
+    _, neg_lap, ridge = domain.calculus_many(lifted[keep])
+    values = neg_lap[~ridge]
+    if values.size == 0:
+        raise EmptyRegion("no grid point falls in the requested region")
 
     i = int(np.argmin(values))
     min_value = float(values[i])
-    argmin = tuple(np.asarray(pts[mask][i], dtype=float).tolist())
+    argmin = tuple(np.asarray(pts[keep][~ridge][i], dtype=float).tolist())
     verdict = "PASS" if min_value >= -tol else "FAIL"
     region_name = "full" if region == "full" else f"tubular({region[1]})"
     return SuperharmonicityReport(min_value, argmin, verdict, resolution,
-                                  region_name, tol, int(mask.sum()))
+                                  region_name, tol, int(values.size))

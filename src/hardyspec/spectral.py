@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import Coefficient, as_coefficient
+from .coefficients import (Coefficient, as_coefficient, environment,
+                           require_axisymmetric)
 from .eigensolve import smallest_eigenpairs
 from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
@@ -53,6 +54,8 @@ class ProblemSpec:
             raise ValueError("exhaustion indices must be positive")
         if self.k0 is None:
             self.k0 = self.ks[0]
+        if isinstance(self.domain, Torus):
+            require_axisymmetric(self.form.a, self.form.q)
         if self.grading is None:
             self.grading = 0.15 if self._degenerate_data() else 1.0
 
@@ -65,13 +68,10 @@ class ProblemSpec:
         env = {name: probe for name in
                self.form.q.variables() | self.form.a.variables()}
         env["d"] = probe
-        try:
-            if np.any(np.asarray(self.form.q.evaluate(env)) < 0):
-                return True
-            a_vals = np.asarray(self.form.a.evaluate(env))
-            return bool(np.any(np.abs(a_vals - a_vals.flat[0]) > 0))
-        except Exception:
+        if np.any(np.asarray(self.form.q.evaluate(env)) < 0):
             return True
+        a_vals = np.asarray(self.form.a.evaluate(env))
+        return bool(np.any(np.abs(a_vals - a_vals.flat[0]) > 0))
 
     @property
     def beta(self):
@@ -157,17 +157,13 @@ def persson_sequence(problem):
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
                         "mu": float(rep.eigenvalues[0])})
         # sample the potential sign on the strip quadrature-free
-        d_nodes = (sub.node_distances() if hasattr(sub, "node_distances")
-                   else sub.node_d)
+        if hasattr(sub, "nodes"):
+            coords, d_nodes = sub.nodes[:, None], sub.node_distances()
+        else:
+            coords, d_nodes = sub.points, sub.node_d
         pos = d_nodes > 0
         if pos.any():
-            env = {"d": d_nodes[pos]}
-            if hasattr(sub, "nodes"):
-                env.update({"x": sub.nodes[pos], "x1": sub.nodes[pos]})
-            else:
-                env.update({"x": sub.points[pos, 0], "x1": sub.points[pos, 0],
-                            "y": sub.points[pos, 1], "x2": sub.points[pos, 1],
-                            "r": sub.points[pos, 0], "z": sub.points[pos, 1]})
+            env = environment(coords[pos], d_nodes[pos])
             qv = np.broadcast_to(problem.form.q.evaluate(env), d_nodes[pos].shape)
             if np.any(qv < 0):
                 q_nonneg = False
@@ -226,7 +222,7 @@ def _halton_points(domain, lo, hi, n_keep, d_max, max_draw=400000):
         idx = np.arange(start, start + batch)
         cols = [np.array([_halton(i, b) for i in idx]) for b in bases]
         p = lo + np.column_stack(cols) * (hi - lo)
-        d = domain.distance_many(p if dim > 1 else p[:, 0])
+        d = domain.distance_many(p)
         good = (d > 0) & (d < d_max)
         out.append(p[good])
         kept += int(good.sum())
@@ -265,20 +261,9 @@ def check_pointwise_criterion(problem, lam=None, alpha=None, samples=None):
 
     lo, hi = _domain_box(problem.domain)
     pts = _halton_points(problem.domain, lo, hi, samples, 1.0 / problem.k0)
-    d = problem.domain.distance_many(pts if pts.shape[1] > 1 else pts[:, 0])
+    d = problem.domain.distance_many(pts)
 
-    env = {"d": d, "x1": pts[:, 0], "x": pts[:, 0]}
-    if pts.shape[1] >= 2:
-        env["x2"] = pts[:, 1]
-        env["y"] = pts[:, 1]
-        env["r"] = pts[:, 0]
-        env["z"] = pts[:, 1]
-    if pts.shape[1] == 3:
-        # cylindrical aliases on the solid torus
-        env["x3"] = pts[:, 2]
-        env["z"] = pts[:, 2]
-        env["r"] = np.hypot(pts[:, 0], pts[:, 1])
-
+    env = environment(pts, d)
     q_minus = np.broadcast_to(problem.form.q.negative_part().evaluate(env), d.shape)
     allowed = (1 - problem.gamma) * (kap * d ** (beta - 2) + lam * d ** alpha)
     margin = allowed - q_minus

@@ -222,6 +222,21 @@ def test_config_errors(tmp_path):
         run("persson", badexpr)
 
 
+def test_bad_form_parameters_exit_two(tmp_path, capsys):
+    diagnose = ("[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n{extra}\n"
+                "[numerics]\nk_min = 2\nk_max = 8\n")
+    torus = ("[domain]\nvariant = torus\n\n[form]\na = 1\nq = -0.05*d^-2*(1+x^2)\n\n"
+             "[numerics]\nh = 0.25\ncount = 1\n")
+    cases = [("diagnose", diagnose.format(extra="gamma = 1.5")),
+             ("diagnose", diagnose.format(extra="beta = 1.0")),
+             ("spectrum", torus)]
+    for i, (command, text) in enumerate(cases):
+        cfg = write(tmp_path, f"bad{i}.ini", text)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_spectrum_robin_end(tmp_path):
     ini = """
 [domain]

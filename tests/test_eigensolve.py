@@ -106,10 +106,15 @@ def test_determinism_bitwise():
 
 
 def test_shift_safety():
+    pencils = []
     for n, q in ((700, None), (300, "-0.1*d^-2")):
         mesh = build_mesh_1d(IV, n, 1.0 if q is None else 0.9)
-        q = q or "0"
-        pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=q), 1.0)
+        pencils.append(assemble_pencil(mesh, FormSpec(a=1.0, q=q or "0"), 1.0))
+    # the dense path, with a floor above its bottom eigenvalue 5.95361
+    small = _disc_pencil(0.3)
+    small.meta["spectral_lower_bound"] = 20.0
+    pencils.append(small)
+    for pencil in pencils:
         rep = smallest_eigenpairs(pencil, 2)
         assert rep.eigenvalues[0] > rep.sigma
 

@@ -210,6 +210,20 @@ def test_torus_criteria_subcritical():
     assert all(m >= -1e-4 for m in rep.detail["minima"])
 
 
+def test_torus_refuses_cartesian_coefficients():
+    # the pointwise check samples the torus in 3D while its strip pencils
+    # live on the (r, z) cross-section, where x would mean r
+    from hardyspec import Torus
+    from hardyspec.errors import NotAxisymmetric
+    torus = Torus(3.0, 1.0)
+    for a, q in ((1.0, "-0.05*d^-2*(1+x^2)"), (1.0, "y*d"), ("1+x1^2", 0.0),
+                 ("d^0.5", "x2 - x3")):
+        with pytest.raises(NotAxisymmetric):
+            ProblemSpec(domain=torus, form=FormSpec(a=a, q=q), gamma=0.5, ks=(2,))
+    ProblemSpec(domain=torus, form=FormSpec(a="1+r^2", q="-0.05*d^-2*(1+z^2)"),
+                gamma=0.5, ks=(2,))
+
+
 def test_counting_lower_bound_flag():
     from hardyspec import assemble_pencil, build_mesh_1d, smallest_eigenpairs
     from hardyspec.eigensolve import counting_is_lower_bound
