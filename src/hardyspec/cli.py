@@ -242,8 +242,8 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             form = FormSpec(a=form.a, q=form.q + extra_q, sigma=form.sigma,
                             beta=form.beta)
         if dry_run:
-            n_el = len(mesh.elements) if mesh.dim == 1 else len(mesh.triangles)
-            result = {"dry_run": True, "nodes": mesh.n_nodes, "elements": n_el}
+            result = {"dry_run": True, "nodes": mesh.n_nodes,
+                      "elements": len(mesh.elements)}
             status = 0
         else:
             pencil = assemble_pencil(mesh, form, 1.0, measure_weight=measure_weight)

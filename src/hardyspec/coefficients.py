@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .errors import NotAxisymmetric, ParseError
+from .errors import NotAxisymmetric, ParseError, UnknownVariable
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
@@ -199,8 +199,8 @@ def _eval(node, env):
         try:
             return env[node[1]]
         except KeyError:
-            raise NameError(f"unknown variable {node[1]!r}; available: "
-                            f"{sorted(env)}") from None
+            raise UnknownVariable(f"unknown variable {node[1]!r}; available: "
+                                  f"{sorted(env)}") from None
     if op == "add":
         return _eval(node[1], env) + _eval(node[2], env)
     if op == "sub":

@@ -39,9 +39,6 @@ class SpectralReport:
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
 
-    def count_below(self, lam):
-        return int(np.sum(self.eigenvalues <= lam))
-
     def to_dict(self):
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
@@ -366,6 +363,20 @@ class ConvergenceTable:
         }
 
 
+def ladder(pencils, tol=None, seed=0):
+    """(dof, smallest eigenvalue) of each pencil of a refinement ladder.
+
+    Pencils are drawn from the iterable and solved one level at a time; no
+    earlier pencil, report or factor is kept while the next is built.
+    """
+    rows = []
+    for pencil in pencils:
+        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed)
+        rows.append((pencil.dof, float(rep.eigenvalues[0])))
+        del pencil, rep
+    return rows
+
+
 def refine_and_extrapolate(pencil_factory, levels, tol=None, seed=0):
     """Solve the smallest eigenvalue on a ladder of nested refinements.
 
@@ -375,12 +386,8 @@ def refine_and_extrapolate(pencil_factory, levels, tol=None, seed=0):
     """
     if levels < 3:
         raise ValueError("need at least 3 levels to observe a rate")
-    values, dofs = [], []
-    for level in range(levels):
-        pencil = pencil_factory(level)
-        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed)
-        values.append(float(rep.eigenvalues[0]))
-        dofs.append(pencil.dof)
+    rows = ladder(map(pencil_factory, range(levels)), tol=tol, seed=seed)
+    dofs, values = map(list, zip(*rows))
 
     scale = max(1.0, max(abs(v) for v in values))
     diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]

@@ -52,6 +52,10 @@ class ParseError(HardySpecError):
         self.expected = frozenset(expected)
 
 
+class UnknownVariable(HardySpecError, NameError):
+    """A coefficient names a variable its evaluation point does not bind."""
+
+
 class NotAxisymmetric(HardySpecError):
     """A torus coefficient names a Cartesian coordinate."""
 

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .coefficients import Coefficient, as_coefficient, environment
 from .errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
                      SingularQuadrature)
-from .meshing import ROBIN, Mesh1D, TriMesh
+from .meshing import ROBIN
 
 
 @dataclass
@@ -181,7 +181,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     triangles take the 7-point rule composited over max(1, quad_subdiv // 4)
     subdivisions, sharing the reference basis.
     """
-    if isinstance(mesh, Mesh1D):
+    if mesh.dim == 1:
         t, w = gauss_panels(quad_points, quad_subdiv)
         x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
         h = mesh.element_sizes()[:, None]
@@ -190,20 +190,18 @@ def _element_rule(mesh, quad_points, quad_subdiv):
         basis = np.stack([1.0 - phi_r, phi_r], axis=2)
         grads = np.stack([-1.0 / h, 1.0 / h], axis=1)          # (m, 2, 1)
         return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads
-    if isinstance(mesh, TriMesh):
-        bary, w = _tri_rule(max(1, quad_subdiv // 4))
-        v = mesh.points[mesh.triangles]                         # (m, 3, 2)
-        area = mesh.areas()
-        if np.any(area <= 0):
-            raise ValueError("mesh has an inverted triangle")
-        pts = np.einsum("qk,mkj->mqj", bary, v)                 # (m, nq, 2)
-        # grad lambda_i = (b_i, c_i) / (2 area)
-        x, y = v[:, :, 0], v[:, :, 1]
-        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
-        return mesh.triangles, pts, w[None, :] * area[:, None], bary[None], grads
-    raise TypeError(f"cannot assemble on {type(mesh).__name__}")
+    bary, w = _tri_rule(max(1, quad_subdiv // 4))
+    v = mesh.points[mesh.elements]                              # (m, 3, 2)
+    area = mesh.areas()
+    if np.any(area <= 0):
+        raise ValueError("mesh has an inverted triangle")
+    pts = np.einsum("qk,mkj->mqj", bary, v)                     # (m, nq, 2)
+    # grad lambda_i = (b_i, c_i) / (2 area)
+    x, y = v[:, :, 0], v[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
+    return mesh.elements, pts, w[None, :] * area[:, None], bary[None], grads
 
 
 def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
@@ -361,8 +359,7 @@ def ims_partition(mesh, delta_in, delta_out):
     sup_d = mesh.domain.interior_diameter() / 2.0
     if not 0 < delta_in < delta_out < sup_d + 1e-12:
         raise ValueError("need 0 < delta_in < delta_out < sup d")
-    sizes = (mesh.element_sizes() if isinstance(mesh, Mesh1D)
-             else np.sqrt(2 * mesh.areas()))
+    sizes = mesh.element_sizes()
     bary_d = np.maximum(mesh.domain.distance_many(mesh.barycenters()), 0.0)
     in_band = (bary_d >= delta_in) & (bary_d <= delta_out)
     local = sizes[in_band].max() if in_band.any() else sizes.min()
@@ -371,11 +368,8 @@ def ims_partition(mesh, delta_in, delta_out):
             f"transition band {delta_out - delta_in:.3g} thinner than 4 local "
             f"element sizes ({local:.3g})")
 
-    if isinstance(mesh, Mesh1D):
-        node_pts, d = mesh.nodes[:, None], mesh.node_distances()
-    else:
-        node_pts, d = mesh.points, mesh.node_d
-    grad_d = mesh.domain.calculus_many(node_pts)[0]
+    d = mesh.node_d
+    grad_d = mesh.domain.calculus_many(mesh.points)[0]
     part = IMSPartition(delta_in, delta_out, None, None, None, None)
     part.phi1, part.phi2 = part.values_at(d)
     part.grad_phi1, part.grad_phi2 = part.gradients_at(d, grad_d)

@@ -82,6 +82,10 @@ class Domain:
         """Vectorized signed distance (positive inside); no membership check."""
         raise NotImplementedError
 
+    def box(self):
+        """Corners (lo, hi) of the axis-aligned bounding box."""
+        raise NotImplementedError
+
     # -- calculus ------------------------------------------------------------
 
     def calculus_many(self, pts):
@@ -155,6 +159,9 @@ class Interval(Domain):
         x = np.asarray(pts, dtype=float).reshape(-1)
         return np.minimum(x - self.a, self.b - x)
 
+    def box(self):
+        return np.array([self.a]), np.array([self.b])
+
     def calculus_many(self, pts):
         x = np.asarray(pts, dtype=float).reshape(-1)
         left = x - self.a
@@ -190,6 +197,9 @@ class Disc(Domain):
 
     def distance_many(self, pts):
         return self.radius - self._rho(pts)
+
+    def box(self):
+        return self.center - self.radius, self.center + self.radius
 
     def calculus_many(self, pts):
         v = np.asarray(pts, dtype=float).reshape(-1, 2) - self.center
@@ -230,6 +240,9 @@ class Annulus(Domain):
     def distance_many(self, pts):
         rho = self._rho(pts)
         return np.minimum(rho - self.r_in, self.r_out - rho)
+
+    def box(self):
+        return self.center - self.r_out, self.center + self.r_out
 
     def calculus_many(self, pts):
         v = np.asarray(pts, dtype=float).reshape(-1, 2) - self.center
@@ -296,6 +309,9 @@ class ConvexPolygon(Domain):
                               self._normals)
         outside = halfplane.min(axis=1) < 0
         return np.where(outside, halfplane.min(axis=1), d)
+
+    def box(self):
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def calculus_many(self, pts):
         p = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -371,6 +387,10 @@ class Torus(Domain):
     def distance_many(self, pts):
         return self.R - self._rho(pts)
 
+    def box(self):
+        s = self.c + self.R
+        return np.array([-s, -s, -self.R]), np.array([s, s, self.R])
+
     def calculus_many(self, pts):
         p = np.asarray(pts, dtype=float).reshape(-1, 3)
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
@@ -398,30 +418,10 @@ class Torus(Domain):
 
 
 def _scan_grid(domain, resolution):
-    """Closed-domain grid points and coordinates used for the scan report."""
-    if isinstance(domain, Interval):
-        x = np.linspace(domain.a, domain.b, resolution + 1)
-        return x[:, None]
-    if isinstance(domain, Torus):
-        r = np.linspace(domain.c - domain.R, domain.c + domain.R, resolution + 1)
-        z = np.linspace(-domain.R, domain.R, resolution + 1)
-        rr, zz = np.meshgrid(r, z, indexing="ij")
-        return np.column_stack([rr.ravel(), zz.ravel()])
-    if isinstance(domain, Disc):
-        lo = domain.center - domain.radius
-        hi = domain.center + domain.radius
-    elif isinstance(domain, Annulus):
-        lo = domain.center - domain.r_out
-        hi = domain.center + domain.r_out
-    elif isinstance(domain, ConvexPolygon):
-        lo = domain.vertices.min(axis=0)
-        hi = domain.vertices.max(axis=0)
-    else:
-        raise NotImplementedError(type(domain))
-    x = np.linspace(lo[0], hi[0], resolution + 1)
-    y = np.linspace(lo[1], hi[1], resolution + 1)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    """Uniform grid with resolution + 1 points per axis over the box."""
+    lo, hi = domain.box()
+    axes = [np.linspace(a, b, resolution + 1) for a, b in zip(lo, hi)]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def _region_mask(region, d):
@@ -443,9 +443,12 @@ def superharmonicity_scan(domain, region="full", resolution=200, tol=GEOM_TOL):
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    pts = _scan_grid(domain, resolution)
-    # the torus grid is its (r, z) cross-section, lifted to (r, 0, z)
-    lifted = np.insert(pts, 1, 0.0, axis=1) if isinstance(domain, Torus) else pts
+    if isinstance(domain, Torus):
+        # scanned on the box of its (r, z) cross-section, lifted to (r, 0, z)
+        pts = _scan_grid(Disc((domain.c, 0.0), domain.R), resolution)
+        lifted = np.insert(pts, 1, 0.0, axis=1)
+    else:
+        pts = lifted = _scan_grid(domain, resolution)
     d = domain.distance_many(lifted)
     keep = (d >= -1e-12) & _region_mask(region, d)
     _, neg_lap, ridge = domain.calculus_many(lifted[keep])

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import Coefficient, constant
-from .eigensolve import smallest_eigenpairs
+from .eigensolve import ladder
 from .errors import ExponentOutOfRange, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
 from .geometry import Torus, superharmonicity_scan
 from .meshing import (axisymmetric_reduce, build_mesh_1d, build_trimesh,
-                      feasible_grading, grading_floor, refine_mesh_1d,
-                      refine_trimesh)
+                      feasible_grading, grading_floor, nested)
 
 CERT_TOL = 1e-4          # absolute slack on the certified margin
 LAMBDA0 = 0.94           # pinned lower bound for the Avkhadiev-Wirths constant
@@ -269,27 +268,24 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
         grading = feasible_grading(grading, n // 2,
                                    mesh_domain.interior_diameter() / 2, floor)
         mesh = build_mesh_1d(mesh_domain, n, grading)
-        refine = refine_mesh_1d
-        size_of = lambda m: len(m.elements)
     else:
         if h is None:
             h = mesh_domain.interior_diameter() / 16
         mesh = build_trimesh(mesh_domain, h, grading)
-        refine = refine_trimesh
-        size_of = lambda m: len(m.triangles)
 
-    rows = []
-    for level in range(levels):
-        if level > 0:
-            for _ in range(refine_factor):
-                mesh = refine(mesh)
-        pencil = hardy_pencil(mesh, beta, alpha, lam,
-                              measure_weight=measure_weight,
-                              quad_points=quad_points, quad_subdiv=quad_subdiv)
-        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed)
-        mu = float(rep.eigenvalues[0])
-        rows.append({"level": level, "size": size_of(mesh), "dof": pencil.dof,
-                     "minimum": mu, "margin": mu - kap})
+    sizes = []
+
+    def pencils():
+        for fine in nested(mesh, levels, refine_factor):
+            sizes.append(len(fine.elements))
+            yield hardy_pencil(fine, beta, alpha, lam,
+                               measure_weight=measure_weight,
+                               quad_points=quad_points, quad_subdiv=quad_subdiv)
+
+    minima = ladder(pencils(), tol=tol, seed=seed)
+    rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,
+             "margin": mu - kap}
+            for level, (size, (dof, mu)) in enumerate(zip(sizes, minima))]
 
     certified = all(r["margin"] >= -cert_tol for r in rows)
     return HardyCertificate(repr(domain), beta, alpha, lam, kap, rows,

@@ -29,70 +29,68 @@ class StripSpec:
             raise ValueError("need 0 <= delta_out < delta_in")
 
 
-@dataclass
-class Mesh1D:
-    nodes: np.ndarray                 # sorted coordinates
-    elements: np.ndarray              # (m, 2) node index pairs
-    node_tags: dict                   # node index -> DIRICHLET | ROBIN
-    domain: Interval
-
-    @property
-    def dim(self):
-        return 1
-
-    @property
-    def n_nodes(self):
-        return len(self.nodes)
-
-    def element_sizes(self):
-        return self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
-
-    def barycenters(self):
-        return 0.5 * (self.nodes[self.elements[:, 0]] + self.nodes[self.elements[:, 1]])
-
-    def node_distances(self):
-        return np.maximum(self.domain.distance_many(self.nodes), 0.0)
-
-    def dirichlet_nodes(self):
-        return sorted(i for i, t in self.node_tags.items() if t == DIRICHLET)
-
-    def total_measure(self):
-        return float(self.element_sizes().sum())
-
-
-@dataclass
-class TriMesh:
-    points: np.ndarray                # (n, 2)
-    triangles: np.ndarray             # (m, 3), counterclockwise
-    boundary_edges: list              # (i, j, tag) tuples
-    node_tags: dict                   # node index -> tag (dirichlet clamps)
-    domain: object
-    node_d: np.ndarray = field(default=None)
+class _Mesh:
+    """The interface both mesh types share: nodes as `points` (n, dim) with
+    their boundary distances `node_d`, `elements` (m, dim + 1) of node
+    indices, `node_tags` and the generating `domain`."""
 
     def __post_init__(self):
         if self.node_d is None:
             self.node_d = np.maximum(self.domain.distance_many(self.points), 0.0)
 
     @property
-    def dim(self):
-        return 2
-
-    @property
     def n_nodes(self):
         return len(self.points)
 
+    def barycenters(self):
+        return self.points[self.elements].mean(axis=1)
+
+    def dirichlet_nodes(self):
+        return sorted(i for i, t in self.node_tags.items() if t == DIRICHLET)
+
+
+@dataclass
+class Mesh1D(_Mesh):
+    nodes: np.ndarray                 # sorted coordinates
+    elements: np.ndarray              # (m, 2) node index pairs
+    node_tags: dict                   # node index -> DIRICHLET | ROBIN
+    domain: Interval
+    node_d: np.ndarray = field(default=None)
+
+    dim = 1
+
+    @property
+    def points(self):
+        return self.nodes[:, None]
+
+    def element_sizes(self):
+        return self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
+
+    def total_measure(self):
+        return float(self.element_sizes().sum())
+
+
+@dataclass
+class TriMesh(_Mesh):
+    points: np.ndarray                # (n, 2)
+    elements: np.ndarray              # (m, 3), counterclockwise
+    boundary_edges: list              # (i, j, tag) tuples
+    node_tags: dict                   # node index -> tag (dirichlet clamps)
+    domain: object
+    node_d: np.ndarray = field(default=None)
+
+    dim = 2
+
     def areas(self):
         p = self.points
-        t = self.triangles
+        t = self.elements
         v1 = p[t[:, 1]] - p[t[:, 0]]
         v2 = p[t[:, 2]] - p[t[:, 0]]
         return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
 
-    def barycenters(self):
-        return self.points[self.triangles].mean(axis=1)
-
-    def dirichlet_nodes(self):
-        return sorted(i for i, t in self.node_tags.items() if t == DIRICHLET)
+    def element_sizes(self):
+        """Leg of the right isosceles triangle of the same area."""
+        return np.sqrt(2 * self.areas())
 
     def total_measure(self):
         return float(self.areas().sum())
@@ -227,16 +225,14 @@ def mesh_1d_with_level(interval, level, n_strip, grading=1.0, n_mid=None):
 def refine_mesh_1d(mesh):
     """Split every element at its midpoint (nested refinement)."""
     old = mesh.nodes
-    mids = 0.5 * (old[mesh.elements[:, 0]] + old[mesh.elements[:, 1]])
-    nodes = np.sort(np.unique(np.concatenate([old, mids])))
-    index = {x: i for i, x in enumerate(nodes)}
-    elements = []
-    for e0, e1 in mesh.elements:
-        im = index[0.5 * (old[e0] + old[e1])]
-        elements.append((index[old[e0]], im))
-        elements.append((im, index[old[e1]]))
-    tags = {index[old[i]]: t for i, t in mesh.node_tags.items()}
-    return Mesh1D(nodes, np.asarray(elements, dtype=int), tags, mesh.domain)
+    left, right = old[mesh.elements[:, 0]], old[mesh.elements[:, 1]]
+    mids = 0.5 * (left + right)
+    nodes = np.unique(np.concatenate([old, mids]))
+    a, m, b = (np.searchsorted(nodes, x) for x in (left, mids, right))
+    elements = np.column_stack([a, m, m, b]).reshape(-1, 2)
+    index = np.searchsorted(nodes, old)
+    tags = {int(index[i]): t for i, t in mesh.node_tags.items()}
+    return Mesh1D(nodes, elements, tags, mesh.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +428,7 @@ def refine_trimesh(mesh):
         return None
 
     tris = []
-    for a, b, c in mesh.triangles:
+    for a, b, c in mesh.elements:
         ab = midpoint(a, b, snap_target(a, b))
         bc = midpoint(b, c, snap_target(b, c))
         ca = midpoint(c, a, snap_target(c, a))
@@ -450,6 +446,17 @@ def refine_trimesh(mesh):
     return TriMesh(np.asarray(pts), np.asarray(tris, dtype=int), edges, tags, mesh.domain)
 
 
+def nested(mesh, levels, steps=1):
+    """The mesh and its nested refinements: `levels` meshes, each `steps`
+    uniform refinements finer than the one before.  Built lazily, so a
+    ladder holds one level at a time."""
+    for level in range(levels):
+        if level:
+            for _ in range(steps):
+                mesh = refine_mesh_1d(mesh) if mesh.dim == 1 else refine_trimesh(mesh)
+        yield mesh
+
+
 # ---------------------------------------------------------------------------
 # strips
 # ---------------------------------------------------------------------------
@@ -461,12 +468,7 @@ def restrict_to_strip(mesh, strip):
     if strip.delta_in > sup_d + 1e-12:
         raise ValueError(f"delta_in={strip.delta_in} exceeds sup d = {sup_d}")
 
-    if isinstance(mesh, Mesh1D):
-        elems = mesh.elements
-        coords = mesh.nodes
-    else:
-        elems = mesh.triangles
-        coords = mesh.points
+    elems = mesh.elements
     bary_d = np.maximum(mesh.domain.distance_many(mesh.barycenters()), 0.0)
     keep = (bary_d > strip.delta_out) & (bary_d < strip.delta_in)
     kept = np.where(keep)[0]
@@ -486,9 +488,9 @@ def restrict_to_strip(mesh, strip):
     dropped_nodes = set(elems[~keep].ravel().tolist())
     used = np.unique(kept_elems)
     renum = {int(old): new for new, old in enumerate(used)}
-    new_elems = np.vectorize(renum.get)(kept_elems)
+    new_elems = np.searchsorted(used, kept_elems)
 
-    node_d = np.maximum(mesh.domain.distance_many(coords[used]), 0.0)
+    node_d = mesh.node_d[used]
     tags = {}
     for old, t in mesh.node_tags.items():
         if old in renum:
@@ -499,11 +501,10 @@ def restrict_to_strip(mesh, strip):
             tags[new] = DIRICHLET
 
     if isinstance(mesh, Mesh1D):
-        return Mesh1D(coords[used], new_elems, tags, mesh.domain)
+        return Mesh1D(mesh.nodes[used], new_elems, tags, mesh.domain, node_d)
     edges = [(renum[i], renum[j], t) for i, j, t in mesh.boundary_edges
              if i in renum and j in renum]
-    return TriMesh(coords[used], new_elems, edges, tags, mesh.domain,
-                   node_d=node_d)
+    return TriMesh(mesh.points[used], new_elems, edges, tags, mesh.domain, node_d)
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +544,15 @@ def format_mesh_text(mesh):
     n_boundary`, then node coordinate lines, element index lines, and tagged
     boundary lines (node index + tag in 1D, edge indices + tag in 2D)."""
     lines = []
-    if isinstance(mesh, Mesh1D):
+    if mesh.dim == 1:
         bnd = sorted(mesh.node_tags.items())
         lines.append(f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}")
         lines.extend(repr(float(x)) for x in mesh.nodes)
         lines.extend(f"{i} {j}" for i, j in mesh.elements)
         lines.extend(f"{i} {tag}" for i, tag in bnd)
     else:
-        lines.append(f"2 {mesh.n_nodes} {len(mesh.triangles)} {len(mesh.boundary_edges)}")
+        lines.append(f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}")
         lines.extend(f"{repr(float(x))} {repr(float(y))}" for x, y in mesh.points)
-        lines.extend(f"{a} {b} {c}" for a, b, c in mesh.triangles)
+        lines.extend(f"{a} {b} {c}" for a, b, c in mesh.elements)
         lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
     return "\n".join(lines) + "\n"

@@ -14,14 +14,14 @@ import numpy as np
 
 from .coefficients import (Coefficient, as_coefficient, environment,
                            require_axisymmetric)
-from .eigensolve import smallest_eigenpairs
+from .eigensolve import ladder, smallest_eigenpairs
 from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval, Torus
 from .hardy import kappa
 from .meshing import (DIRICHLET, StripSpec, axisymmetric_reduce, build_trimesh,
                       feasible_grading, grading_floor, mesh_1d_with_level,
-                      refine_mesh_1d, refine_trimesh, restrict_to_strip)
+                      nested, restrict_to_strip)
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
@@ -93,14 +93,12 @@ def strip_mesh(problem, k):
         grading = feasible_grading(problem.grading, problem.strip_elements,
                                    delta, floor, one_sided=True)
         mesh = mesh_1d_with_level(domain, delta, problem.strip_elements, grading)
-        sub = restrict_to_strip(mesh, StripSpec(0.0, delta))
     else:
         # 2D strips stay on the uniform template: the triangulation's grading
         # knob refines tangentially as well, which balloons strip pencils
         h = max(delta / 8, domain.interior_diameter() / 256)
         mesh = build_trimesh(domain, h, 1.0)
-        sub = restrict_to_strip(mesh, StripSpec(0.0, delta))
-    return sub, measure_weight
+    return restrict_to_strip(mesh, StripSpec(0.0, delta)), measure_weight
 
 
 @dataclass
@@ -157,14 +155,10 @@ def persson_sequence(problem):
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
                         "mu": float(rep.eigenvalues[0])})
         # sample the potential sign on the strip quadrature-free
-        if hasattr(sub, "nodes"):
-            coords, d_nodes = sub.nodes[:, None], sub.node_distances()
-        else:
-            coords, d_nodes = sub.points, sub.node_d
-        pos = d_nodes > 0
+        pos = sub.node_d > 0
         if pos.any():
-            env = environment(coords[pos], d_nodes[pos])
-            qv = np.broadcast_to(problem.form.q.evaluate(env), d_nodes[pos].shape)
+            env = environment(sub.points[pos], sub.node_d[pos])
+            qv = np.broadcast_to(problem.form.q.evaluate(env), sub.node_d[pos].shape)
             if np.any(qv < 0):
                 q_nonneg = False
 
@@ -232,19 +226,6 @@ def _halton_points(domain, lo, hi, n_keep, d_max, max_draw=400000):
     return np.vstack(out)[:n_keep]
 
 
-def _domain_box(domain):
-    if isinstance(domain, Interval):
-        return np.array([domain.a]), np.array([domain.b])
-    if isinstance(domain, Torus):
-        s = domain.c + domain.R
-        return np.array([-s, -s, -domain.R]), np.array([s, s, domain.R])
-    if hasattr(domain, "vertices"):
-        return domain.vertices.min(axis=0), domain.vertices.max(axis=0)
-    if hasattr(domain, "r_out"):
-        return domain.center - domain.r_out, domain.center + domain.r_out
-    return domain.center - domain.radius, domain.center + domain.radius
-
-
 def check_pointwise_criterion(problem, lam=None, alpha=None, samples=None):
     """Pointwise domination of the negative part of the potential:
 
@@ -259,7 +240,7 @@ def check_pointwise_criterion(problem, lam=None, alpha=None, samples=None):
     beta = problem.beta
     kap = kappa(beta)
 
-    lo, hi = _domain_box(problem.domain)
+    lo, hi = problem.domain.box()
     pts = _halton_points(problem.domain, lo, hi, samples, 1.0 / problem.k0)
     d = problem.domain.distance_many(pts)
 
@@ -293,23 +274,17 @@ def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
 
     sub, measure_weight = strip_mesh(problem, k)
     if bc == "free_inner":
-        keep_d = (sub.node_distances() if hasattr(sub, "node_distances")
-                  else sub.node_d)
         sub.node_tags = {i: t for i, t in sub.node_tags.items()
-                         if not (t == DIRICHLET and keep_d[i] > 1e-9)}
-    minima, dofs = [], []
-    for level in range(levels + 1):
-        if level > 0:
-            # nested bisection keeps the ladder monotone (1D strips only;
-            # curved 2D strips would need re-restriction)
-            sub = refine_mesh_1d(sub) if hasattr(sub, "nodes") else refine_trimesh(sub)
-        pencil = assemble_pencil(sub, check_form, 1.0,
-                                 quad_points=problem.quad_points,
-                                 quad_subdiv=problem.quad_subdiv,
-                                 measure_weight=measure_weight)
-        rep = smallest_eigenpairs(pencil, 1, tol=problem.tol, seed=problem.seed)
-        minima.append(float(rep.eigenvalues[0]))
-        dofs.append(pencil.dof)
+                         if not (t == DIRICHLET and sub.node_d[i] > 1e-9)}
+    # nested bisection keeps the ladder monotone (1D strips only; curved
+    # 2D strips would need re-restriction)
+    pencils = (assemble_pencil(mesh, check_form, 1.0,
+                               quad_points=problem.quad_points,
+                               quad_subdiv=problem.quad_subdiv,
+                               measure_weight=measure_weight)
+               for mesh in nested(sub, levels + 1))
+    dofs, minima = map(list, zip(*ladder(pencils, tol=problem.tol,
+                                         seed=problem.seed)))
 
     final = minima[-1]
     verdict = "PASS" if final >= -FORM_TOL else "FAIL"

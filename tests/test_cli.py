@@ -237,6 +237,17 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unknown_identifier_exit_two(tmp_path, capsys):
+    text = ("[domain]\nvariant = interval\n\n[form]\na = 1\nq = -0.1*foo\n\n"
+            "[numerics]\nn = 64\ncount = 1\nk_min = 2\nk_max = 8\nsamples = 200\n")
+    cfg = write(tmp_path, "foo.ini", text)
+    for command in ("spectrum", "diagnose"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'foo'" in err
+
+
 def test_spectrum_robin_end(tmp_path):
     ini = """
 [domain]

@@ -108,6 +108,15 @@ def test_unknown_method():
         lambda_bound(IV, "made_up")
 
 
+def _assert_nested_ladder(levels, dim, refine_factor):
+    """Each level refines the last: 2^(dim refine_factor) times the
+    elements, more dof, and a minimum that never increases."""
+    for coarse, fine in zip(levels, levels[1:]):
+        assert fine["size"] == 2 ** (dim * refine_factor) * coarse["size"]
+        assert fine["dof"] > coarse["dof"]
+        assert fine["minimum"] <= coarse["minimum"]
+
+
 def test_certify_classical_hardy():
     cert = verify_hardy(IV, beta=0.0, alpha=0.0, lam=0.0, n=256,
                         grading=0.15, levels=3)
@@ -115,6 +124,7 @@ def test_certify_classical_hardy():
     minima = [lv["minimum"] for lv in cert.levels]
     assert all(m >= 0.25 - 1e-4 for m in minima)
     assert minima[0] > minima[1] > minima[2]
+    _assert_nested_ladder(cert.levels, dim=1, refine_factor=2)
 
 
 def test_certify_with_remainder():
@@ -155,3 +165,4 @@ def test_torus_certification():
                         h=0.25, grading=0.2, levels=2)
     assert cert.verdict == "CERTIFIED"
     assert all(lv["minimum"] >= 0.25 - 1e-4 for lv in cert.levels)
+    _assert_nested_ladder(cert.levels, dim=2, refine_factor=2)

@@ -56,7 +56,7 @@ def test_element_measures_sum():
 
 def test_structured_square():
     mesh = build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 1.0)
-    assert len(mesh.triangles) == 32
+    assert len(mesh.elements) == 32
     assert_allclose(mesh.areas(), 1 / 32)
     assert mesh.total_measure() == pytest.approx(1.0, rel=1e-12)
 
@@ -64,12 +64,12 @@ def test_structured_square():
 def test_disc_triangle_count_band():
     mesh = build_trimesh(Disc((0, 0), 1.0), 0.2, 1.0)
     target = np.pi / (0.5 * 0.2**2)
-    assert 0.5 * target <= len(mesh.triangles) <= 2 * target
+    assert 0.5 * target <= len(mesh.elements) <= 2 * target
 
 
 def test_graded_boundary_diameter():
     mesh = build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 0.25)
-    touching = [t for t in mesh.triangles if np.any(mesh.node_d[t] < 1e-12)]
+    touching = [t for t in mesh.elements if np.any(mesh.node_d[t] < 1e-12)]
     for t in touching:
         p = mesh.points[t]
         diam = max(np.linalg.norm(p[0] - p[1]), np.linalg.norm(p[1] - p[2]),
@@ -175,7 +175,7 @@ def test_refine_1d_nested():
 def test_refine_trimesh_quadruples():
     mesh = build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 1.0)
     fine = refine_trimesh(mesh)
-    assert len(fine.triangles) == 4 * len(mesh.triangles)
+    assert len(fine.elements) == 4 * len(mesh.elements)
     assert fine.total_measure() == pytest.approx(1.0, rel=1e-12)
     assert np.all(fine.areas() > 0)
 
