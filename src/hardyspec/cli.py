@@ -165,7 +165,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
 
     domain = _build_domain(domain_sec)
     resolved = {"command": command, "seed": seed,
-                "config_path": os.path.abspath(config_path),
+                "config_path": os.fspath(config_path),
                 "sections": {name: dict(parser[name]) for name in parser.sections()}}
 
     csv_payload = None  # (filename, header, rows)
@@ -179,11 +179,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             raise ConfigError("[point] x is required for the distance command")
         p = np.array(coords, dtype=float)
         ev = domain.distance_calculus(p)
-        result = {"point": p.tolist(), "d": ev.d,
-                  "grad_d": ev.grad_d.tolist() if hasattr(ev.grad_d, "tolist")
-                  else ev.grad_d,
-                  "neg_laplacian_d": ev.neg_laplacian_d,
-                  "provenance": ev.provenance, "near_ridge": ev.near_ridge}
+        result = {"point": p.tolist(), **report.jsonable(ev)}
         status = 0
 
     elif command == "hardy":

@@ -29,7 +29,8 @@ class SpectralReport:
     eigenvalues: np.ndarray
     residuals: np.ndarray          # ||K x - lam M x|| / ||M x||
     backward_errors: np.ndarray    # ||K x - lam M x|| / ((||K||+|lam| ||M||) ||x||)
-    eigenvectors: np.ndarray       # (dof, count), M-orthonormal
+    # (dof, count), M-orthonormal; left out of reports
+    eigenvectors: np.ndarray = field(metadata={"key": None})
     dof: int
     tol: float
     sigma: float                   # shift used (below the returned spectrum)
@@ -38,21 +39,6 @@ class SpectralReport:
     iterations: int                # number of shift-invert solves
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "residuals": [float(v) for v in self.residuals],
-            "backward_errors": [float(v) for v in self.backward_errors],
-            "dof": self.dof,
-            "tol": self.tol,
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "solver": self.solver,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "mesh_info": self.mesh_info,
-        }
 
 
 def _gershgorin_lower(pencil):
@@ -352,15 +338,6 @@ class ConvergenceTable:
     rates: list
     extrapolated: float
     flag: str                     # "Converging", "Exact" or "NonConvergent"
-
-    def to_dict(self):
-        return {
-            "values": [float(v) for v in self.values],
-            "dofs": [int(d) for d in self.dofs],
-            "rates": [float(r) for r in self.rates],
-            "extrapolated": None if self.extrapolated is None else float(self.extrapolated),
-            "flag": self.flag,
-        }
 
 
 def ladder(pencils, tol=None, seed=0):

@@ -40,17 +40,6 @@ class SuperharmonicityReport:
     tol: float
     n_points: int
 
-    def to_dict(self):
-        return {
-            "min_value": self.min_value,
-            "argmin": list(self.argmin),
-            "verdict": self.verdict,
-            "resolution": self.resolution,
-            "region": self.region,
-            "tol": self.tol,
-            "n_points": self.n_points,
-        }
-
 
 def _as_point(p, dim):
     q = np.atleast_1d(np.asarray(p, dtype=float))

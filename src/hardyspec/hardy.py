@@ -42,9 +42,6 @@ class HardyConstants:
     fmt: float          # None when alpha <= beta - 2
     tubular: float      # None when alpha <= (beta - 3) / 2
 
-    def to_dict(self):
-        return {"kappa": self.kappa, "fmt": self.fmt, "tubular": self.tubular}
-
 
 def fmt_constant(alpha, beta):
     """Two-branch constant of the interior-diameter Hardy remainder:
@@ -97,12 +94,8 @@ class HardyBoundSpec:
     alpha: float
     kappa: float
     method: str
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     notes: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"beta": self.beta, "alpha": self.alpha, "kappa": self.kappa,
-                "method": self.method, "lambda": self.lam, "notes": self.notes}
 
 
 def _require_superharmonic(domain, method, resolution):
@@ -204,18 +197,12 @@ class HardyCertificate:
     domain: str
     beta: float
     alpha: float
-    lam: float
+    lam: float = field(metadata={"key": "lambda"})
     kappa: float
     levels: list            # dicts: level, n_or_h, dof, minimum, margin
     verdict: str            # "CERTIFIED" or "INCONCLUSIVE"
     cert_tol: float
     semantics: str
-
-    def to_dict(self):
-        return {"domain": self.domain, "beta": self.beta, "alpha": self.alpha,
-                "lambda": self.lam, "kappa": self.kappa, "levels": self.levels,
-                "verdict": self.verdict, "cert_tol": self.cert_tol,
-                "semantics": self.semantics}
 
     def csv_rows(self):
         return [(self.beta, self.alpha, self.lam, lv["level"], lv["dof"],

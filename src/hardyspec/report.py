@@ -2,6 +2,7 @@
 written atomically (write to a temp file, then rename)."""
 
 import csv
+import dataclasses
 import datetime
 import json
 import os
@@ -13,9 +14,14 @@ SCHEMA = "hardyspec-report/1"
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and dataclass-style reports."""
-    if hasattr(obj, "to_dict"):
-        return jsonable(obj.to_dict())
+    """Recursively convert result dataclasses, numpy scalars and arrays to
+    JSON types.  A dataclass serializes field by field; a field's
+    metadata {"key": name} renames it in the report, {"key": None} omits it."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = ((f.metadata.get("key", f.name), f.name)
+                  for f in dataclasses.fields(obj))
+        return {key: jsonable(getattr(obj, name))
+                for key, name in fields if key is not None}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

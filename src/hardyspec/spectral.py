@@ -8,7 +8,7 @@ k^(2-beta) exactly when the spectrum is purely discrete, which is what the
 diagnostic pipeline checks at desk scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,8 +50,18 @@ class ProblemSpec:
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         self.ks = tuple(sorted(set(int(k) for k in self.ks)))
+        if not self.ks:
+            raise ValueError("the exhaustion range is empty")
         if any(k < 1 for k in self.ks):
             raise ValueError("exhaustion indices must be positive")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
+        power = _power_form_exponent(self.form)
+        if power is not None:
+            if self.form.beta not in (None, power):
+                raise ValueError(f"beta = {self.form.beta:g} contradicts "
+                                 f"a = d^{power:g}")
+            self.form = replace(self.form, beta=power)
         if self.k0 is None:
             self.k0 = self.ks[0]
         if isinstance(self.domain, Torus):
@@ -108,10 +118,6 @@ class PerssonSequence:
     fitted_exponent: float
     beta: float
 
-    def to_dict(self):
-        return {"entries": self.entries, "bound": self.bound,
-                "fitted_exponent": self.fitted_exponent, "beta": self.beta}
-
     def csv_rows(self):
         rows = []
         for i, e in enumerate(self.entries):
@@ -162,17 +168,17 @@ def persson_sequence(problem):
             if np.any(qv < 0):
                 q_nonneg = False
 
-    power_beta = _power_form_exponent(problem.form)
+    beta = problem.beta
     bound = None
-    if power_beta is not None and q_nonneg:
-        bound = [kappa(power_beta) * k ** (2 - power_beta) for k in problem.ks]
+    if _power_form_exponent(problem.form) is not None and q_nonneg:
+        bound = [kappa(beta) * k ** (2 - beta) for k in problem.ks]
 
     mus = np.array([e["mu"] for e in entries])
     fitted = None
     if np.all(mus > 0) and len(mus) >= 2:
         ks = np.array([e["k"] for e in entries], dtype=float)
         fitted = float(np.polyfit(np.log(ks), np.log(mus), 1)[0])
-    return PerssonSequence(entries, bound, fitted, problem.beta)
+    return PerssonSequence(entries, bound, fitted, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +193,6 @@ class CriterionReport:
     worst_point: tuple
     tol: float
     detail: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"criterion": self.criterion, "verdict": self.verdict,
-                "worst_margin": self.worst_margin,
-                "worst_point": list(self.worst_point), "tol": self.tol,
-                "detail": self.detail}
 
 
 def _halton(index, base):
@@ -310,18 +310,6 @@ class DiagnosticReport:
     exponent_required: float
     bound_ok: bool
     reason: str
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "pointwise": self.pointwise.to_dict() if self.pointwise else None,
-            "form": self.form.to_dict() if self.form else None,
-            "sequence": self.sequence.to_dict() if self.sequence else None,
-            "fitted_exponent": self.fitted_exponent,
-            "exponent_required": self.exponent_required,
-            "bound_ok": self.bound_ok,
-            "reason": self.reason,
-        }
 
 
 def discreteness_diagnostic(problem):

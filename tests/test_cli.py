@@ -140,7 +140,7 @@ def test_distance_report(tmp_path):
     assert doc["result"]["neg_laplacian_d"] == pytest.approx((7 - 3) / (3.5 * 0.5))
 
 
-def test_reports_reparse_and_reproduce(tmp_path):
+def test_reports_reparse_and_reproduce(tmp_path, monkeypatch):
     cfg = write(tmp_path, "p.ini", PERSSON_INI)
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")
@@ -157,6 +157,17 @@ def test_reports_reparse_and_reproduce(tmp_path):
     csv2 = open(os.path.join(out2, "persson_table.csv")).read()
     assert csv1 == csv2
     assert csv1.splitlines()[0] == "k,delta,dof,mu,bound"
+    # the same relative config path run from two checkouts
+    reports = []
+    for name in ("checkout_a", "checkout_b"):
+        (tmp_path / name).mkdir()
+        write(tmp_path / name, "p.ini", PERSSON_INI)
+        monkeypatch.chdir(tmp_path / name)
+        run("persson", "p.ini", out_dir="out")
+        text = (tmp_path / name / "out" / "persson_report.json").read_text()
+        reports.append([line for line in text.splitlines()
+                        if '"generated_at"' not in line])
+    assert reports[0] == reports[1]
 
 
 def test_dry_run(tmp_path):
@@ -205,6 +216,35 @@ samples = 2000
     assert (tmp_path / "out" / "persson_table.csv").exists()
 
 
+def test_beta_defaults_to_power_of_d(tmp_path):
+    ini = """
+[domain]
+variant = interval
+
+[form]
+a = d^0.5
+q = -0.03*d^-1.5
+{beta}
+gamma = 0.5
+
+[numerics]
+k_min = 2
+k_max = 8
+strip_elements = 48
+samples = 2000
+"""
+    results = []
+    for i, beta in enumerate(("beta = 0.5", "")):
+        cfg = write(tmp_path, f"b{i}.ini", ini.format(beta=beta))
+        status, doc = run("diagnose", cfg, out_dir=str(tmp_path / f"o{i}"))
+        assert status == 0
+        results.append(doc["result"])
+    assert results[0] == results[1]
+    assert results[1]["verdict"] == "DISCRETE"
+    assert results[1]["sequence"]["beta"] == 0.5
+    assert results[1]["exponent_required"] == pytest.approx(1.4)
+
+
 def test_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         run("hardy", str(tmp_path / "missing.ini"))
@@ -227,8 +267,12 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                 "[numerics]\nk_min = 2\nk_max = 8\n")
     torus = ("[domain]\nvariant = torus\n\n[form]\na = 1\nq = -0.05*d^-2*(1+x^2)\n\n"
              "[numerics]\nh = 0.25\ncount = 1\n")
+    plain = diagnose.format(extra="")
     cases = [("diagnose", diagnose.format(extra="gamma = 1.5")),
              ("diagnose", diagnose.format(extra="beta = 1.0")),
+             ("diagnose", diagnose.format(extra="beta = 0.5")),
+             ("diagnose", plain.replace("k_max = 8", "k_max = 1")),
+             ("diagnose", plain + "samples = 0\n"),
              ("spectrum", torus)]
     for i, (command, text) in enumerate(cases):
         cfg = write(tmp_path, f"bad{i}.ini", text)

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
                        superharmonicity_scan)
 from hardyspec.errors import EmptyRegion, PointOutsideDomain
+from hardyspec.report import jsonable
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -257,7 +258,7 @@ def test_scan_resolution_guard():
 
 def test_scan_report_serialization():
     report = superharmonicity_scan(Disc((0, 0), 1.0), resolution=50)
-    doc = report.to_dict()
+    doc = jsonable(report)
     assert set(doc) >= {"min_value", "argmin", "verdict", "resolution"}
 
 

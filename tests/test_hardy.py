@@ -5,6 +5,7 @@ from hardyspec import (Annulus, Disc, Interval, Torus,
                        hardy_constants, kappa, lambda_bound, verify_hardy)
 from hardyspec.errors import ExponentOutOfRange, MethodNotApplicable
 from hardyspec.hardy import fmt_constant, tubular_constant
+from hardyspec.report import jsonable
 
 IV = Interval(0, 1)
 UNIT_DISC = Disc((0, 0), 1.0)
@@ -153,8 +154,9 @@ def test_monotone_in_lambda():
 def test_certificate_serialization():
     cert = verify_hardy(IV, beta=0.0, alpha=0.0, lam=0.0, n=64,
                         grading=0.5, levels=1)
-    doc = cert.to_dict()
+    doc = jsonable(cert)
     assert doc["verdict"] == "CERTIFIED"
+    assert "lambda" in doc and "lam" not in doc
     assert "upper bounds" in doc["semantics"] or "bound" in doc["semantics"]
     rows = cert.csv_rows()
     assert len(rows) == 1 and len(rows[0]) == 7

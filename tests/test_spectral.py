@@ -5,6 +5,7 @@ from hardyspec import (FormSpec, Interval, ProblemSpec,
                        check_form_nonnegativity, check_pointwise_criterion,
                        discreteness_diagnostic, persson_sequence)
 from hardyspec.errors import StripTooThin
+from hardyspec.report import jsonable
 from hardyspec.spectral import strip_mesh
 
 IV = Interval(0, 1)
@@ -165,6 +166,18 @@ def test_diagnostic_needs_five_indices():
         discreteness_diagnostic(prob)
 
 
+def test_beta_taken_from_power_diffusion():
+    prob = _problem("d^0.5", 0.0, None, 0.5, (2, 4))
+    assert prob.beta == 0.5 and prob.form.beta == 0.5
+    assert persson_sequence(prob).beta == 0.5
+    assert _problem(1.0, 0.0, None, 0.5, (2,)).beta == 0.0
+    assert _problem("1+d", 0.0, None, 0.5, (2,)).beta == 0.0
+    with pytest.raises(ValueError, match="contradicts"):
+        _problem("d^0.5", 0.0, 0.3, 0.5, (2,))
+    with pytest.raises(ValueError, match="contradicts"):
+        _problem(1.0, 0.0, 0.5, 0.5, (2,))
+
+
 def test_gamma_validation():
     with pytest.raises(ValueError):
         _problem(1.0, 0.0, 0.0, 1.5, (2,))
@@ -236,8 +249,12 @@ def test_counting_lower_bound_flag():
 
 def test_reports_serialize():
     prob = _problem(1.0, "-0.1*d^-2", 0.0, 0.5, (2,), samples=500)
-    doc = check_pointwise_criterion(prob).to_dict()
+    doc = jsonable(check_pointwise_criterion(prob))
     assert doc["criterion"] == "pointwise"
+    from hardyspec import assemble_pencil, build_mesh_1d, smallest_eigenpairs
+    pencil = assemble_pencil(build_mesh_1d(IV, 50), FormSpec(a=1.0, q=0.0), 1.0)
+    spec = jsonable(smallest_eigenpairs(pencil, 2))
+    assert len(spec["eigenvalues"]) == 2 and "eigenvectors" not in spec
     seq = persson_sequence(_problem(1.0, 0.0, 0.0, 0.5, (2, 4)))
     rows = seq.csv_rows()
     assert len(rows) == 2 and rows[0][0] == 2
