@@ -398,52 +398,47 @@ def build_trimesh(domain, h, grading=1.0):
 
 def refine_trimesh(mesh):
     """Split every triangle into four; curved-boundary midpoints are snapped
-    back onto the exact boundary circle."""
-    points = list(map(tuple, mesh.points))
-    index = {p: i for i, p in enumerate(points)}
-    pts = [np.asarray(p) for p in points]
+    back onto the exact boundary circle.
 
-    def midpoint(i, j, snap):
-        p = 0.5 * (mesh.points[i] + mesh.points[j])
-        if snap is not None:
-            center, radius = snap
-            v = p - center
-            p = center + v * (radius / np.linalg.norm(v))
-        key = tuple(p)
-        if key not in index:
-            index[key] = len(pts)
-            pts.append(p)
-        return index[key]
+    New nodes follow the old ones, numbered by the first occurrence of their
+    edge in the order ab, bc, ca per triangle, then along the boundary."""
+    n, tri = mesh.n_nodes, mesh.elements
+    bnd = np.array([(i, j) for i, j, _ in mesh.boundary_edges], dtype=int).reshape(-1, 2)
+    ends = np.vstack([tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), bnd])
+    codes = ends.min(axis=1) * n + ends.max(axis=1)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)       # unique edges by first occurrence
+    mid = n + np.argsort(order)[inverse]
+    e0, e1 = ends[first[order]].T
+    mids = 0.5 * (mesh.points[e0] + mesh.points[e1])
 
-    def snap_target(i, j):
-        dom = mesh.domain
+    dom = mesh.domain
+    on = np.flatnonzero((mesh.node_d[e0] < 1e-12) & (mesh.node_d[e1] < 1e-12))
+    if isinstance(dom, (Disc, Annulus)) and len(on):
+        # row by row: a row-wise norm is not bitwise the scalar one
+        v = mids[on] - dom.center
+        norm = np.array([np.linalg.norm(row) for row in v])
         if isinstance(dom, Disc):
-            if mesh.node_d[i] < 1e-12 and mesh.node_d[j] < 1e-12:
-                return dom.center, dom.radius
-        if isinstance(dom, Annulus):
-            if mesh.node_d[i] < 1e-12 and mesh.node_d[j] < 1e-12:
-                r_i = np.linalg.norm(mesh.points[i] - dom.center)
-                ring = dom.r_in if abs(r_i - dom.r_in) < abs(r_i - dom.r_out) else dom.r_out
-                return dom.center, ring
-        return None
+            radius = dom.radius
+        else:
+            r_i = np.linalg.norm(mesh.points[e0[on]] - dom.center, axis=1)
+            radius = np.where(np.abs(r_i - dom.r_in) < np.abs(r_i - dom.r_out),
+                              dom.r_in, dom.r_out)
+        mids[on] = dom.center + v * (radius / norm)[:, None]
 
-    tris = []
-    for a, b, c in mesh.elements:
-        ab = midpoint(a, b, snap_target(a, b))
-        bc = midpoint(b, c, snap_target(b, c))
-        ca = midpoint(c, a, snap_target(c, a))
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    ab, bc, ca = mid[:3 * len(tri)].reshape(-1, 3).T
+    a, b, c = tri.T
+    tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
     edges = []
     tags = {}
-    for i, j, tag in mesh.boundary_edges:
-        mid = midpoint(i, j, snap_target(i, j))
-        edges.extend([(i, mid, tag), (mid, j, tag)])
+    for (i, j, tag), m in zip(mesh.boundary_edges, mid[3 * len(tri):].tolist()):
+        edges.extend([(i, m, tag), (m, j, tag)])
         tags[i] = tag
         tags[j] = tag
-        tags[mid] = tag
+        tags[m] = tag
     for i, t in mesh.node_tags.items():
         tags.setdefault(i, t)
-    return TriMesh(np.asarray(pts), np.asarray(tris, dtype=int), edges, tags, mesh.domain)
+    return TriMesh(np.vstack([mesh.points, mids]), tris, edges, tags, mesh.domain)
 
 
 def nested(mesh, levels, steps=1):

@@ -25,6 +25,7 @@ from .meshing import (DIRICHLET, StripSpec, axisymmetric_reduce, build_trimesh,
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
+MAX_DRAW = 400000       # Halton indices tried for strip samples
 
 
 @dataclass
@@ -195,34 +196,34 @@ class CriterionReport:
     detail: dict = field(default_factory=dict)
 
 
-def _halton(index, base):
-    f, r = 1.0, 0.0
-    while index > 0:
+def _halton(idx, base):
+    """Radical inverse of each index in `base` (the Halton coordinate)."""
+    idx = np.array(idx)
+    f, r = 1.0, np.zeros(idx.shape)
+    while idx.any():
         f /= base
-        r += f * (index % base)
-        index //= base
+        r += f * (idx % base)
+        idx //= base
     return r
 
 
-def _halton_points(domain, lo, hi, n_keep, d_max, max_draw=400000):
+def _halton_points(domain, lo, hi, n_keep, d_max):
     """Deterministic low-discrepancy points with 0 < d < d_max."""
-    dim = len(lo)
-    bases = (2, 3, 5)[:dim]
-    pts, kept = [], 0
+    bases = (2, 3, 5)[:len(lo)]
+    kept = 0
     batch = max(4 * n_keep, 1024)
     start = 1
     out = []
-    while kept < n_keep and start < max_draw:
+    while kept < n_keep and start < MAX_DRAW:
         idx = np.arange(start, start + batch)
-        cols = [np.array([_halton(i, b) for i in idx]) for b in bases]
-        p = lo + np.column_stack(cols) * (hi - lo)
+        p = lo + np.column_stack([_halton(idx, b) for b in bases]) * (hi - lo)
         d = domain.distance_many(p)
         good = (d > 0) & (d < d_max)
         out.append(p[good])
         kept += int(good.sum())
         start += batch
     if kept == 0:
-        raise ValueError("no sample point landed in the strip")
+        raise StripTooThin(f"no sample point landed in the strip 0 < d < {d_max}")
     return np.vstack(out)[:n_keep]
 
 

@@ -267,12 +267,18 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                 "[numerics]\nk_min = 2\nk_max = 8\n")
     torus = ("[domain]\nvariant = torus\n\n[form]\na = 1\nq = -0.05*d^-2*(1+x^2)\n\n"
              "[numerics]\nh = 0.25\ncount = 1\n")
+    # the interval bench config with a strip {d < 1e-9} no sample reaches
+    thin = ("[domain]\nvariant = interval\na = 0.0\nb = 1.0\n\n[form]\na = d^0.5\n"
+            "q = -0.03*d^-1.5\nbeta = 0.5\ngamma = 0.5\n\n[numerics]\n"
+            "k_min = 1000000000\nk_max = 1000000004\nstrip_elements = 96\n"
+            "samples = 10000\n")
     plain = diagnose.format(extra="")
     cases = [("diagnose", diagnose.format(extra="gamma = 1.5")),
              ("diagnose", diagnose.format(extra="beta = 1.0")),
              ("diagnose", diagnose.format(extra="beta = 0.5")),
              ("diagnose", plain.replace("k_max = 8", "k_max = 1")),
              ("diagnose", plain + "samples = 0\n"),
+             ("diagnose", thin),
              ("spectrum", torus)]
     for i, (command, text) in enumerate(cases):
         cfg = write(tmp_path, f"bad{i}.ini", text)

@@ -8,7 +8,7 @@ from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, StripSpec,
                        refine_trimesh, restrict_to_strip)
 from hardyspec.errors import (InvalidGrading, MeshGenerationFailure,
                               NotATorus, StripTooThin)
-from hardyspec.meshing import DIRICHLET, format_mesh_text
+from hardyspec.meshing import DIRICHLET, TriMesh, format_mesh_text
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -186,6 +186,84 @@ def test_refine_trimesh_snaps_curved_boundary():
     boundary_nodes = sorted({i for i, j, _ in fine.boundary_edges}
                             | {j for _, j, _ in fine.boundary_edges})
     assert np.all(fine.node_d[boundary_nodes] < 1e-12)
+
+
+def _refine_trimesh_dict(mesh):
+    """Oracle: refinement one triangle at a time, new nodes keyed by their
+    float coordinates in a dict."""
+    points = list(map(tuple, mesh.points))
+    index = {p: i for i, p in enumerate(points)}
+    pts = [np.asarray(p) for p in points]
+
+    def midpoint(i, j, snap):
+        p = 0.5 * (mesh.points[i] + mesh.points[j])
+        if snap is not None:
+            center, radius = snap
+            v = p - center
+            p = center + v * (radius / np.linalg.norm(v))
+        key = tuple(p)
+        if key not in index:
+            index[key] = len(pts)
+            pts.append(p)
+        return index[key]
+
+    def snap_target(i, j):
+        dom = mesh.domain
+        if isinstance(dom, Disc):
+            if mesh.node_d[i] < 1e-12 and mesh.node_d[j] < 1e-12:
+                return dom.center, dom.radius
+        if isinstance(dom, Annulus):
+            if mesh.node_d[i] < 1e-12 and mesh.node_d[j] < 1e-12:
+                r_i = np.linalg.norm(mesh.points[i] - dom.center)
+                ring = dom.r_in if abs(r_i - dom.r_in) < abs(r_i - dom.r_out) else dom.r_out
+                return dom.center, ring
+        return None
+
+    tris = []
+    for a, b, c in mesh.elements:
+        ab = midpoint(a, b, snap_target(a, b))
+        bc = midpoint(b, c, snap_target(b, c))
+        ca = midpoint(c, a, snap_target(c, a))
+        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
+    edges = []
+    tags = {}
+    for i, j, tag in mesh.boundary_edges:
+        mid = midpoint(i, j, snap_target(i, j))
+        edges.extend([(i, mid, tag), (mid, j, tag)])
+        tags[i] = tag
+        tags[j] = tag
+        tags[mid] = tag
+    for i, t in mesh.node_tags.items():
+        tags.setdefault(i, t)
+    return TriMesh(np.asarray(pts), np.asarray(tris, dtype=int), edges, tags, mesh.domain)
+
+
+def test_refine_trimesh_matches_dict_oracle():
+    # the last triangle of the fan is missing, so boundary edge (3, 0)
+    # borders no element and its midpoint is numbered after all others
+    square = ConvexPolygon(UNIT_SQUARE)
+    fan = TriMesh(np.vstack([UNIT_SQUARE, [(0.5, 0.5)]]).astype(float),
+                  np.array([(0, 1, 4), (1, 2, 4), (2, 3, 4)]),
+                  [(i, (i + 1) % 4, DIRICHLET) for i in range(4)],
+                  dict.fromkeys(range(4), DIRICHLET), square)
+    meshes = [fan,
+              build_trimesh(Disc((0, 0), 1.0), 0.25, 1.0),
+              build_trimesh(Disc((0.3, -0.2), 0.7), 0.15, 0.5),
+              build_trimesh(Annulus((0, 0), 0.5, 1.0), 0.12, 0.5),
+              build_trimesh(square, 0.25, 1.0),
+              build_trimesh(ConvexPolygon([(0, 0), (2, 0), (0.5, 1.5)]), 0.2, 0.5),
+              restrict_to_strip(build_trimesh(Disc((3, 0), 1.0), 0.1, 1.0),
+                                StripSpec(0.0, 0.3))]
+    for mesh in meshes:
+        new = old = mesh
+        for _ in range(2):
+            new, old = refine_trimesh(new), _refine_trimesh_dict(old)
+            assert np.array_equal(new.points, old.points)
+            assert new.elements.dtype == old.elements.dtype
+            assert np.array_equal(new.elements, old.elements)
+            assert new.boundary_edges == old.boundary_edges
+            assert list(new.node_tags.items()) == list(old.node_tags.items())
+            assert np.array_equal(new.node_d, old.node_d)
 
 
 def test_axisymmetric_reduce():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hardyspec import (FormSpec, Interval, ProblemSpec,
+from hardyspec import (FormSpec, Interval, ProblemSpec, Torus,
                        check_form_nonnegativity, check_pointwise_criterion,
                        discreteness_diagnostic, persson_sequence)
 from hardyspec.errors import StripTooThin
 from hardyspec.report import jsonable
-from hardyspec.spectral import strip_mesh
+from hardyspec.spectral import _halton, _halton_points, strip_mesh
 
 IV = Interval(0, 1)
 
@@ -14,6 +14,38 @@ IV = Interval(0, 1)
 def _problem(a, q, beta, gamma, ks, **kw):
     return ProblemSpec(domain=IV, form=FormSpec(a=a, q=q, beta=beta),
                        gamma=gamma, ks=ks, **kw)
+
+
+def _halton_scalar(index, base):
+    """Oracle: the radical inverse of one index, digit by digit."""
+    f, r = 1.0, 0.0
+    while index > 0:
+        f /= base
+        r += f * (index % base)
+        index //= base
+    return r
+
+
+def test_halton_matches_scalar_oracle():
+    idx = np.arange(1, 20001)
+    for base in (2, 3, 5):
+        oracle = np.array([_halton_scalar(i, base) for i in idx])
+        assert np.array_equal(_halton(idx, base), oracle)
+
+
+def test_halton_points_match_scalar_oracle():
+    # batches are consecutive index ranges, so the kept points are the first
+    # n_keep in-strip points of one long Halton sequence
+    for domain, n_keep, d_max, n_idx in ((IV, 300, 0.25, 2000),
+                                         (Torus(3.0, 1.0), 300, 0.25, 3000)):
+        lo, hi = domain.box()
+        idx = np.arange(1, n_idx + 1)
+        cols = [[_halton_scalar(i, b) for i in idx] for b in (2, 3, 5)[:len(lo)]]
+        p = lo + np.column_stack(cols) * (hi - lo)
+        d = domain.distance_many(p)
+        oracle = p[(d > 0) & (d < d_max)][:n_keep]
+        assert len(oracle) == n_keep
+        assert np.array_equal(_halton_points(domain, lo, hi, n_keep, d_max), oracle)
 
 
 def test_persson_laplacian_matches_strip_modes():
