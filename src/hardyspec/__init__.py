@@ -4,8 +4,7 @@ graded finite elements, weighted Hardy-inequality certification, and
 exhaustion-based spectral discreteness diagnostics."""
 
 from .coefficients import Coefficient, constant, parse_coefficient
-from .eigensolve import (ConvergenceTable, SpectralReport, counting_function,
-                         refine_and_extrapolate, smallest_eigenpairs)
+from .eigensolve import SpectralReport, counting_function, smallest_eigenpairs
 from .forms import (FormSpec, IMSPartition, Pencil, assemble_pencil,
                     ims_identity_residual, ims_partition)
 from .geometry import (Annulus, ConvexPolygon, Disc, DistanceEval, Domain,

@@ -198,12 +198,15 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             result = {"dry_run": True, "beta": beta, "alpha": alpha, "lambda": lam}
             status = 0
         else:
-            cert = verify_hardy(
-                domain, beta, alpha, lam,
-                n=num_sec.get_int("n", 256), h=num_sec.get_float("h"),
-                grading=num_sec.get_float("grading", 0.15),
-                levels=num_sec.get_int("levels", 3), seed=seed,
-                tol=num_sec.get_float("tol"))
+            try:
+                cert = verify_hardy(
+                    domain, beta, alpha, lam,
+                    n=num_sec.get_int("n", 256), h=num_sec.get_float("h"),
+                    grading=num_sec.get_float("grading", 0.15),
+                    levels=num_sec.get_int("levels", 3), seed=seed,
+                    tol=num_sec.get_float("tol"))
+            except ValueError as exc:
+                raise ConfigError(f"invalid hardy parameters: {exc}") from exc
             result = cert
             status = _status_from_verdict(cert.verdict)
             csv_payload = ("hardy_table.csv",
@@ -243,8 +246,11 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             status = 0
         else:
             pencil = assemble_pencil(mesh, form, 1.0, measure_weight=measure_weight)
-            rep = smallest_eigenpairs(pencil, count, tol=num_sec.get_float("tol"),
-                                      seed=seed)
+            try:
+                rep = smallest_eigenpairs(pencil, count,
+                                          tol=num_sec.get_float("tol"), seed=seed)
+            except ValueError as exc:
+                raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
             result = rep
             status = 0
             csv_payload = ("spectrum_table.csv", ("index", "value", "residual"),

@@ -2,9 +2,11 @@
 
 Every sparse pencil takes one certified path.  K - sigma M is factored
 with diagonal pivots only, so its negative pivots count the eigenvalues
-below sigma (Sylvester's law of inertia).  Inertia bisection raises a shift
-from a floor (a quadrature bound on the negative part of the form, stored
-at assembly, or a scaled Gershgorin estimate) to just below the spectrum,
+below sigma (Sylvester's law of inertia); that count is also the exact
+counting function N(lambda).  Inertia bisection raises a shift from a
+floor (a quadrature bound on the negative part of the form, stored at
+assembly; without one, the smallest diagonal Rayleigh quotient, stepped
+down until inertia finds nothing below it) to just below the spectrum,
 and shift-invert Lanczos (ARPACK) runs on that same factor.  For more than
 one eigenpair, an inertia count above the returned values shows that none
 was skipped, or the spectrum is sliced again above the confirmed clusters
@@ -39,40 +41,6 @@ class SpectralReport:
     iterations: int                # number of shift-invert solves
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
-
-
-def _gershgorin_lower(pencil):
-    """A starting shift for the inertia search, below every pencil
-    eigenvalue when Gershgorin bounds the scaled denominator away from 0.
-
-    Work on the diagonally scaled pair K' = S K S, M' = S M S with
-    S = diag(M)^{-1/2}; Rayleigh quotients are invariant.  Then
-    lam >= min(x K' x) / (worst-case x M' x) via Gershgorin bounds.  P1
-    mass matrices in 2D sit on the Gershgorin edge (gm = 0), where the
-    unit diagonal of M' stands in.
-    """
-    K, M = pencil.K, pencil.M
-    dM = M.diagonal()
-    if np.any(dM <= 0):
-        raise FactorizationFailure("denominator matrix has a nonpositive diagonal")
-    s = 1.0 / np.sqrt(dM)
-    S = sp.diags(s)
-    Ks = (S @ K @ S).tocsr()
-    Ms = (S @ M @ S).tocsr()
-
-    def gersh(A):
-        d = A.diagonal()
-        row = np.asarray(abs(A).sum(axis=1)).ravel()
-        off = row - np.abs(d)
-        return d - off, d + off
-
-    klo, _ = gersh(Ks)
-    mlo, mhi = gersh(Ms)
-    gk = float(klo.min())
-    if gk >= 0:
-        return gk / float(mhi.max())
-    gm = float(mlo.min())
-    return gk / gm if gm > 0 else gk
 
 
 def _diag_spread(pencil):
@@ -222,11 +190,7 @@ def _slice(K, M, count, floor, upper, v0, tol, maxiter):
 def _polish(K, M, lam, x):
     """One inverse-iteration step at a slightly detuned shift; keeps the
     update only when it reduces the residual."""
-    shift = lam - max(1e-8 * (1.0 + abs(lam)), 0.0)
-    try:
-        lu = spla.splu((K - shift * M).tocsc())
-    except RuntimeError:
-        return lam, x
+    lu = _factor(K, M, lam - 1e-8 * (1.0 + abs(lam)))[0]
     y = lu.solve(M @ x)
     ny = np.sqrt(abs(y @ (M @ y)))
     if not np.isfinite(ny) or ny == 0:
@@ -241,8 +205,7 @@ def _polish(K, M, lam, x):
     return lam, x
 
 
-def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
-                        mesh_info=None, polish=True):
+def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x.
 
     Deterministic for a fixed seed (the seed fixes the Lanczos start
@@ -254,13 +217,11 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
         raise ValueError("count must be at least 1")
     if count > n:
         raise ValueError(f"requested {count} eigenpairs from a {n}-dof pencil")
+    K, M = pencil.K, pencil.M
+    if np.any(M.diagonal() <= 0):
+        raise FactorizationFailure("denominator matrix has a nonpositive diagonal")
     if tol is None:
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
-
-    lower = pencil.meta.get("spectral_lower_bound") if pencil.meta else None
-    if lower is None:
-        lower = _gershgorin_lower(pencil)
-    sigma = lower - 0.01 * (1.0 + abs(lower))
     solver_calls = 0
 
     # dense transformation methods lose the bottom of a pencil whose top
@@ -269,22 +230,25 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
     if n <= max(DENSE_CUTOFF, count + 2) and (dense_feasible or n <= count + 2):
         vals, vecs = _dense_solve(pencil, count)
         solver = "dense"
-        # the dense solve does not use the floor, which may lie above the
-        # bottom: the reported shift stays below the returned spectrum
-        sigma = min(sigma, vals[0] - 0.01 * (1.0 + abs(vals[0])))
+        sigma = vals[0] - 0.01 * (1.0 + abs(vals[0]))
     else:
         solver = "shift-invert-lanczos"
-        K, M = pencil.K, pencil.M
+        upper = _diag_upper(pencil)
+        # without a stored floor the search starts at the upper bound and
+        # inertia steps it down below the spectrum
+        lower = pencil.meta.get("spectral_lower_bound")
+        if lower is None:
+            lower = upper
         v0 = np.random.RandomState(seed).standard_normal(n)
         try:
             vals, vecs, sigma, solver_calls = _slice(
-                K, M, count, sigma, _diag_upper(pencil), v0, tol, maxiter)
+                K, M, count, lower - 0.01 * (1.0 + abs(lower)), upper, v0,
+                tol, maxiter)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(
                 f"Lanczos stalled after {maxiter} iterations", partial=exc) from exc
 
     # normalize in the M inner product
-    K, M = pencil.K, pencil.M
     for j in range(vecs.shape[1]):
         nj = np.sqrt(abs(vecs[:, j] @ (M @ vecs[:, j])))
         vecs[:, j] /= nj
@@ -298,7 +262,7 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
         x = vecs[:, j]
         r = K @ x - vals[j] * (M @ x)
         res = np.linalg.norm(r) / max(np.linalg.norm(M @ x), 1e-300)
-        if polish and res > tol and solver != "dense":
+        if res > tol and solver != "dense":
             vals[j], vecs[:, j] = _polish(K, M, vals[j], x)
             x = vecs[:, j]
             r = K @ x - vals[j] * (M @ x)
@@ -315,29 +279,13 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400,
     converged = bool(np.all((residuals <= tol) | (backward <= tol)))
     return SpectralReport(vals, residuals, backward, vecs, n, tol,
                           float(sigma), seed, solver, solver_calls,
-                          converged, mesh_info or dict(pencil.meta))
+                          converged, dict(pencil.meta))
 
 
-def counting_function(report, lam):
-    """Number of computed eigenvalues <= lam (closed at lam).
-
-    When lam is not below the largest computed eigenvalue the answer only
-    bounds the true counting function from below.
-    """
-    return int(np.sum(report.eigenvalues <= lam))
-
-
-def counting_is_lower_bound(report, lam):
-    return bool(lam >= report.eigenvalues[-1]) and report.dof > len(report.eigenvalues)
-
-
-@dataclass
-class ConvergenceTable:
-    values: list
-    dofs: list
-    rates: list
-    extrapolated: float
-    flag: str                     # "Converging", "Exact" or "NonConvergent"
+def counting_function(pencil, lam):
+    """N(lam): the number of pencil eigenvalues strictly below lam, from the
+    inertia of one diagonal-pivot factorization of K - lam M."""
+    return _factor(pencil.K, pencil.M, lam)[1]
 
 
 def ladder(pencils, tol=None, seed=0):
@@ -352,36 +300,3 @@ def ladder(pencils, tol=None, seed=0):
         rows.append((pencil.dof, float(rep.eigenvalues[0])))
         del pencil, rep
     return rows
-
-
-def refine_and_extrapolate(pencil_factory, levels, tol=None, seed=0):
-    """Solve the smallest eigenvalue on a ladder of nested refinements.
-
-    pencil_factory(level) must return the pencil of level `level`, where
-    each level halves the element size.  Reports per-level values, observed
-    convergence rates from consecutive triples, and the Aitken limit.
-    """
-    if levels < 3:
-        raise ValueError("need at least 3 levels to observe a rate")
-    rows = ladder(map(pencil_factory, range(levels)), tol=tol, seed=seed)
-    dofs, values = map(list, zip(*rows))
-
-    scale = max(1.0, max(abs(v) for v in values))
-    diffs = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-    if all(abs(d) <= 1e-14 * scale for d in diffs):
-        return ConvergenceTable(values, dofs, [], values[0], "Exact")
-
-    decreasing = all(d > 0 for d in diffs)
-    non_contracting = all(abs(diffs[i + 1]) >= 0.9 * abs(diffs[i])
-                          for i in range(len(diffs) - 1))
-    if decreasing and non_contracting:
-        return ConvergenceTable(values, dofs, [], None, "NonConvergent")
-
-    rates = []
-    for i in range(len(diffs) - 1):
-        if diffs[i] * diffs[i + 1] > 0 and abs(diffs[i + 1]) < abs(diffs[i]):
-            rates.append(np.log2(abs(diffs[i]) / abs(diffs[i + 1])))
-    v0, v1, v2 = values[-3], values[-2], values[-1]
-    denom = (v2 - v1) - (v1 - v0)
-    extrapolated = v2 - (v2 - v1) ** 2 / denom if denom != 0 else v2
-    return ConvergenceTable(values, dofs, rates, extrapolated, "Converging")

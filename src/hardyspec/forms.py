@@ -88,28 +88,6 @@ TRI_W = np.array([0.225,
                   0.125939180544827, 0.125939180544827, 0.125939180544827])
 
 
-def _tri_rule(subdiv):
-    """Barycentric points/weights, optionally composited over 4^k congruent
-    subtriangles of the reference triangle."""
-    bary, w = TRI_BARY, TRI_W
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for _ in range(int(np.log2(max(subdiv, 1)))):
-        pts = bary @ corners
-        new_pts = []
-        sub = [
-            (np.array([0., 0.]), np.array([.5, 0.]), np.array([0., .5])),
-            (np.array([.5, 0.]), np.array([1., 0.]), np.array([.5, .5])),
-            (np.array([0., .5]), np.array([.5, .5]), np.array([0., 1.])),
-            (np.array([.5, 0.]), np.array([.5, .5]), np.array([0., .5])),
-        ]
-        for p0, p1, p2 in sub:
-            new_pts.append(p0 + pts @ np.vstack([p1 - p0, p2 - p0]))
-        pts = np.vstack(new_pts)
-        bary = np.column_stack([1 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
-        w = np.tile(w / 4.0, 4)
-    return bary, w
-
-
 def _eval_on(coef, env, shape):
     vals = coef.evaluate(env)
     return np.broadcast_to(vals, shape)
@@ -178,8 +156,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
 
     1D elements take quad_subdiv Gauss panels of quad_points, with basis
     values at the points as rounded (graded elements span a few ulps of x);
-    triangles take the 7-point rule composited over max(1, quad_subdiv // 4)
-    subdivisions, sharing the reference basis.
+    triangles take the 7-point rule, sharing the reference basis.
     """
     if mesh.dim == 1:
         t, w = gauss_panels(quad_points, quad_subdiv)
@@ -190,7 +167,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
         basis = np.stack([1.0 - phi_r, phi_r], axis=2)
         grads = np.stack([-1.0 / h, 1.0 / h], axis=1)          # (m, 2, 1)
         return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads
-    bary, w = _tri_rule(max(1, quad_subdiv // 4))
+    bary, w = TRI_BARY, TRI_W
     v = mesh.points[mesh.elements]                              # (m, 3, 2)
     area = mesh.areas()
     if np.any(area <= 0):

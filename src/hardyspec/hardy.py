@@ -230,7 +230,7 @@ def hardy_pencil(mesh, beta, alpha, lam, measure_weight=None,
 
 def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
                  grading=0.15, levels=3, refine_factor=2, cert_tol=CERT_TOL,
-                 seed=0, tol=None, quad_points=6, quad_subdiv=4):
+                 seed=0, tol=None):
     """Certify the weighted Hardy inequality on a refinement ladder.
 
     1D and 2D domains mesh directly; a torus reduces to its cross-section
@@ -242,6 +242,8 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
         raise ExponentOutOfRange(f"requires beta < 1, got {beta}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    if levels < 1:
+        raise ValueError("the ladder needs at least 1 level")
     kap = kappa(beta)
 
     measure_weight = None
@@ -266,8 +268,7 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
         for fine in nested(mesh, levels, refine_factor):
             sizes.append(len(fine.elements))
             yield hardy_pencil(fine, beta, alpha, lam,
-                               measure_weight=measure_weight,
-                               quad_points=quad_points, quad_subdiv=quad_subdiv)
+                               measure_weight=measure_weight)
 
     minima = ladder(pencils(), tol=tol, seed=seed)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,

@@ -196,7 +196,7 @@ def _one_sided_graded(delta, layers, grading):
     return np.concatenate([[0.0], t])
 
 
-def mesh_1d_with_level(interval, level, n_strip, grading=1.0, n_mid=None):
+def mesh_1d_with_level(interval, level, n_strip, grading=1.0):
     """Mesh of the full interval with nodes exactly at distance `level`
     from each endpoint; the two boundary strips are graded toward the
     endpoints.  Used to realize exhaustion strips conformingly."""
@@ -209,10 +209,9 @@ def mesh_1d_with_level(interval, level, n_strip, grading=1.0, n_mid=None):
     if level == half:
         nodes = np.concatenate([left, right[1:]])
     else:
-        if n_mid is None:
-            inner = b - a - 2 * level
-            n_mid = max(2, int(np.ceil(inner / max(level / n_strip * 4, 1e-12))))
-            n_mid = min(n_mid, 4 * n_strip)
+        inner = b - a - 2 * level
+        n_mid = max(2, int(np.ceil(inner / max(level / n_strip * 4, 1e-12))))
+        n_mid = min(n_mid, 4 * n_strip)
         mid = np.linspace(a + level, b - level, n_mid + 1)[1:-1]
         nodes = np.concatenate([left, mid, right])
     n = len(nodes) - 1
@@ -384,6 +383,8 @@ def build_trimesh(domain, h, grading=1.0):
         raise TypeError("build_trimesh needs a 2D domain")
     if not 0 < grading <= 1:
         raise InvalidGrading(f"grading must lie in (0, 1], got {grading}")
+    if not h > 0:
+        raise MeshGenerationFailure(f"h must be positive, got {h}")
     if h > domain.interior_diameter() / 4 + 1e-12:
         raise MeshGenerationFailure(
             f"h={h} too coarse: need h <= D_int/4 = {domain.interior_diameter() / 4}")

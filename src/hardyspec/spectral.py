@@ -44,8 +44,6 @@ class ProblemSpec:
     alpha: float = 0.0
     seed: int = 0
     tol: float = None
-    quad_points: int = 6
-    quad_subdiv: int = 4
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
@@ -65,6 +63,8 @@ class ProblemSpec:
             self.form = replace(self.form, beta=power)
         if self.k0 is None:
             self.k0 = self.ks[0]
+        if self.k0 < 1:
+            raise ValueError("k0 must be positive")
         if isinstance(self.domain, Torus):
             require_axisymmetric(self.form.a, self.form.q)
         if self.grading is None:
@@ -155,8 +155,6 @@ def persson_sequence(problem):
     for k in problem.ks:
         sub, measure_weight = strip_mesh(problem, k)
         pencil = assemble_pencil(sub, problem.form, 1.0,
-                                 quad_points=problem.quad_points,
-                                 quad_subdiv=problem.quad_subdiv,
                                  measure_weight=measure_weight)
         rep = smallest_eigenpairs(pencil, 1, tol=problem.tol, seed=problem.seed)
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
@@ -280,8 +278,6 @@ def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
     # nested bisection keeps the ladder monotone (1D strips only; curved
     # 2D strips would need re-restriction)
     pencils = (assemble_pencil(mesh, check_form, 1.0,
-                               quad_points=problem.quad_points,
-                               quad_subdiv=problem.quad_subdiv,
                                measure_weight=measure_weight)
                for mesh in nested(sub, levels + 1))
     dofs, minima = map(list, zip(*ladder(pencils, tol=problem.tol,

@@ -272,14 +272,24 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
             "q = -0.03*d^-1.5\nbeta = 0.5\ngamma = 0.5\n\n[numerics]\n"
             "k_min = 1000000000\nk_max = 1000000004\nstrip_elements = 96\n"
             "samples = 10000\n")
+    disc = "[domain]\nvariant = disc\n\n[form]\na = 1\nq = 0\n\n[numerics]\n"
+    hardy = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n{extra}\n"
+             "[numerics]\nn = 32\n")
     plain = diagnose.format(extra="")
     cases = [("diagnose", diagnose.format(extra="gamma = 1.5")),
              ("diagnose", diagnose.format(extra="beta = 1.0")),
              ("diagnose", diagnose.format(extra="beta = 0.5")),
              ("diagnose", plain.replace("k_max = 8", "k_max = 1")),
              ("diagnose", plain + "samples = 0\n"),
+             ("diagnose", plain + "k0 = 0\n"),
              ("diagnose", thin),
-             ("spectrum", torus)]
+             ("spectrum", torus),
+             ("spectrum", disc + "h = -0.1\n"),
+             ("spectrum", disc + "h = 0\n"),
+             ("spectrum", disc + "h = 0.25\ncount = 0\n"),
+             ("spectrum", disc + "h = 0.25\ncount = 100000\n"),
+             ("hardy", hardy.format(extra="lambda = -1")),
+             ("hardy", hardy.format(extra="") + "levels = 0\n")]
     for i, (command, text) in enumerate(cases):
         cfg = write(tmp_path, f"bad{i}.ini", text)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])

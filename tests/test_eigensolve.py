@@ -5,9 +5,11 @@ from numpy.testing import assert_allclose
 
 import scipy.linalg
 
+from hypothesis import assume, given, settings, strategies as st
+
 from hardyspec import (Disc, FormSpec, Interval, Pencil, assemble_pencil,
                        build_mesh_1d, build_trimesh, counting_function,
-                       refine_and_extrapolate, smallest_eigenpairs)
+                       smallest_eigenpairs)
 from hardyspec.eigensolve import _diag_spread, _factor
 from hardyspec.errors import FactorizationFailure
 from hardyspec.spectral import strip_mesh, ProblemSpec
@@ -129,47 +131,50 @@ def test_count_validation():
 
 def test_counting_function():
     p = _pencil(sp.diags([1.0, 2.0, 3.0]), sp.identity(3))
-    rep = smallest_eigenpairs(p, 3)
-    assert counting_function(rep, 2.5) == 2
-    assert counting_function(rep, 0.0) == 0
-    assert counting_function(rep, 3.0) == 3  # closed at the threshold
+    assert counting_function(p, 2.5) == 2
+    assert counting_function(p, 0.0) == 0
+    assert counting_function(p, 3.0) == 2  # strictly below the threshold
+    assert counting_function(p, 1e6) == 3  # every eigenvalue, none computed
 
 
-def test_rate_and_extrapolation():
-    def factory(level):
-        mesh = build_mesh_1d(IV, 128 * 2**level)
-        return assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
-    table = refine_and_extrapolate(factory, 4)
-    assert table.flag == "Converging"
-    assert all(1.9 <= r <= 2.1 for r in table.rates)
-    assert abs(table.extrapolated - np.pi**2) < 1e-6
+@st.composite
+def _power_pencils(draw):
+    """Small 1D or disc pencils of a |grad u|^2 + c d^p |u|^2."""
+    c = draw(st.floats(-0.3, 1.0).map(lambda x: round(x, 3)))
+    p = draw(st.floats(-1.5, 1.0).map(lambda x: round(x, 2)))
+    form = FormSpec(a=1.0, q=f"{c}*d^{p}")
+    if draw(st.booleans()):
+        mesh = build_mesh_1d(IV, 2 * draw(st.integers(2, 20)),
+                             draw(st.sampled_from((0.6, 0.8, 1.0))))
+    else:
+        mesh = build_trimesh(Disc((0, 0), 1.0), draw(st.sampled_from((0.3, 0.4, 0.5))),
+                             draw(st.sampled_from((0.5, 1.0))))
+    return assemble_pencil(mesh, form, 1.0)
 
 
-def test_extrapolation_exact_flag():
-    p = _pencil(sp.identity(30), sp.identity(30))
-    table = refine_and_extrapolate(lambda level: p, 3)
-    assert table.flag == "Exact"
-    assert table.extrapolated == 1.0
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(pencil=_power_pencils(), t=st.floats(-0.2, 1.2))
+def test_counting_matches_dense_eigh(pencil, t):
+    assert (pencil.K != pencil.K.T).nnz == 0
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    sigma = vals[0] + t * (vals[-1] - vals[0])
+    # a shift within rounding of an eigenvalue has no well-defined count
+    assume(np.min(np.abs(vals - sigma)) > 1e-9 * np.max(np.abs(vals)))
+    assert counting_function(pencil, sigma) == np.sum(vals < sigma)
 
 
-def test_supercritical_flagged_nonconvergent():
-    from hardyspec import refine_mesh_1d
-    prob = ProblemSpec(domain=IV, form=FormSpec(a=1.0, q="-0.3*d^-2", beta=0.0),
-                       gamma=0.5, ks=(2,))
-    sub, _ = strip_mesh(prob, 2)
-    meshes = [sub]
-    for _ in range(3):
-        meshes.append(refine_mesh_1d(meshes[-1]))
-    check = FormSpec(a=0.5, q="-0.3*d^-2")
-
-    def factory(level):
-        return assemble_pencil(meshes[level], check, 1.0)
-
-    table = refine_and_extrapolate(factory, 4)
-    assert table.flag == "NonConvergent"
-    assert table.extrapolated is None
-    # blow-down by more than a factor 10 across the ladder
-    assert table.values[-1] < 10 * table.values[0] < 0
+def test_negative_robin_sparse_path():
+    # a negative Robin end stores no floor: the search starts at the
+    # smallest diagonal Rayleigh quotient and is stepped down below it
+    mesh = build_mesh_1d(IV, 400, tags=("robin", "dirichlet"))
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0, sigma=(-3.0, 0.0)), 1.0)
+    assert pencil.meta["spectral_lower_bound"] is None
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    assert vals[0] < 0
+    rep = smallest_eigenpairs(pencil, 3)
+    assert rep.solver == "shift-invert-lanczos"
+    assert_allclose(rep.eigenvalues, vals[:3], rtol=1e-8)
+    assert counting_function(pencil, rep.sigma) == 0
 
 
 def test_slicing_spans_deep_spectra():
@@ -191,12 +196,6 @@ def test_slicing_spans_deep_spectra():
     assert np.max(np.abs(G - np.eye(4))) < 1e-8
 
 
-def test_levels_validation():
-    p = _pencil(sp.identity(10), sp.identity(10))
-    with pytest.raises(ValueError):
-        refine_and_extrapolate(lambda level: p, 2)
-
-
 def test_inertia_matches_sturm_on_graded_strips():
     # the strips of the 1D discreteness diagnosis: graded to the float64
     # floor, so the pencil scale spreads over more than 1e12
@@ -204,8 +203,7 @@ def test_inertia_matches_sturm_on_graded_strips():
                        gamma=0.5, ks=tuple(range(2, 17)))
     for k in prob.ks:
         sub, _ = strip_mesh(prob, k)
-        pencil = assemble_pencil(sub, prob.form, 1.0, quad_points=prob.quad_points,
-                                 quad_subdiv=prob.quad_subdiv)
+        pencil = assemble_pencil(sub, prob.form, 1.0)
         K, M = pencil.K, pencil.M
         assert _diag_spread(pencil) > 1e12
         mu = smallest_eigenpairs(pencil, 1, tol=prob.tol).eigenvalues[0]

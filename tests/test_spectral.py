@@ -269,16 +269,6 @@ def test_torus_refuses_cartesian_coefficients():
                 gamma=0.5, ks=(2,))
 
 
-def test_counting_lower_bound_flag():
-    from hardyspec import assemble_pencil, build_mesh_1d, smallest_eigenpairs
-    from hardyspec.eigensolve import counting_is_lower_bound
-    mesh = build_mesh_1d(IV, 100)
-    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
-    rep = smallest_eigenpairs(pencil, 3)
-    assert not counting_is_lower_bound(rep, 15.0)
-    assert counting_is_lower_bound(rep, 1e6)
-
-
 def test_reports_serialize():
     prob = _problem(1.0, "-0.1*d^-2", 0.0, 0.5, (2,), samples=500)
     doc = jsonable(check_pointwise_criterion(prob))
