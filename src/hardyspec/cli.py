@@ -14,10 +14,10 @@ import numpy as np
 
 from . import geometry, report
 from .coefficients import parse_coefficient, require_axisymmetric
-from .eigensolve import smallest_eigenpairs
+from .eigensolve import check_count, smallest_eigenpairs
 from .errors import ConfigError, HardySpecError
 from .forms import FormSpec, assemble_pencil, format_matrix_text
-from .hardy import CATALOGUE_METHODS, lambda_bound, verify_hardy
+from .hardy import CATALOGUE_METHODS, check_ladder, lambda_bound, verify_hardy
 from .meshing import (axisymmetric_reduce, build_mesh_1d, build_trimesh,
                       format_mesh_text)
 from .spectral import (ProblemSpec, check_form_nonnegativity,
@@ -194,19 +194,21 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             lam = bound.lam
         else:
             lam = form_sec.get_float("lambda", 0.0)
-        if dry_run:
-            result = {"dry_run": True, "beta": beta, "alpha": alpha, "lambda": lam}
-            status = 0
-        else:
-            try:
+        levels = num_sec.get_int("levels", 3)
+        try:
+            check_ladder(beta, lam, levels)
+            if not dry_run:
                 cert = verify_hardy(
                     domain, beta, alpha, lam,
                     n=num_sec.get_int("n", 256), h=num_sec.get_float("h"),
                     grading=num_sec.get_float("grading", 0.15),
-                    levels=num_sec.get_int("levels", 3), seed=seed,
-                    tol=num_sec.get_float("tol"))
-            except ValueError as exc:
-                raise ConfigError(f"invalid hardy parameters: {exc}") from exc
+                    levels=levels, seed=seed, tol=num_sec.get_float("tol"))
+        except ValueError as exc:
+            raise ConfigError(f"invalid hardy parameters: {exc}") from exc
+        if dry_run:
+            result = {"dry_run": True, "beta": beta, "alpha": alpha, "lambda": lam}
+            status = 0
+        else:
             result = cert
             status = _status_from_verdict(cert.verdict)
             csv_payload = ("hardy_table.csv",
@@ -240,17 +242,18 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         if extra_q is not None:
             form = FormSpec(a=form.a, q=form.q + extra_q, sigma=form.sigma,
                             beta=form.beta)
+        try:
+            check_count(count, mesh.n_nodes - len(mesh.dirichlet_nodes()))
+        except ValueError as exc:
+            raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
         if dry_run:
             result = {"dry_run": True, "nodes": mesh.n_nodes,
                       "elements": len(mesh.elements)}
             status = 0
         else:
             pencil = assemble_pencil(mesh, form, 1.0, measure_weight=measure_weight)
-            try:
-                rep = smallest_eigenpairs(pencil, count,
-                                          tol=num_sec.get_float("tol"), seed=seed)
-            except ValueError as exc:
-                raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
+            rep = smallest_eigenpairs(pencil, count,
+                                      tol=num_sec.get_float("tol"), seed=seed)
             result = rep
             status = 0
             csv_payload = ("spectrum_table.csv", ("index", "value", "residual"),

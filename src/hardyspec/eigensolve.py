@@ -3,15 +3,14 @@
 Every sparse pencil takes one certified path.  K - sigma M is factored
 with diagonal pivots only, so its negative pivots count the eigenvalues
 below sigma (Sylvester's law of inertia); that count is also the exact
-counting function N(lambda).  Inertia bisection raises a shift from a
-floor (a quadrature bound on the negative part of the form, stored at
-assembly; without one, the smallest diagonal Rayleigh quotient, stepped
-down until inertia finds nothing below it) to just below the spectrum,
-and shift-invert Lanczos (ARPACK) runs on that same factor.  For more than
-one eigenpair, an inertia count above the returned values shows that none
-was skipped, or the spectrum is sliced again above the confirmed clusters
-(Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).  Small pencils with
-moderate scale spread go to a dense solve.
+counting function N(lambda).  The first shift sits just below 0, where
+the bottom of a nonnegative form lies above it; while inertia finds
+eigenvalues below a shift it is stepped down, and then bisected up to just
+below the spectrum.  Shift-invert Lanczos (ARPACK) runs on that same
+factor.  For more than one eigenpair, an inertia count above the returned
+values shows that none was skipped, or the spectrum is sliced again above
+the confirmed clusters (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
+Small pencils with moderate scale spread go to a dense solve.
 """
 
 from dataclasses import dataclass, field
@@ -46,12 +45,6 @@ class SpectralReport:
 def _diag_spread(pencil):
     """max |K_ii| / M_ii: the scale of the top of the pencil spectrum."""
     return float(np.max(np.abs(pencil.K.diagonal()) / pencil.M.diagonal()))
-
-
-def _diag_upper(pencil):
-    """min K_ii / M_ii: a certified upper bound for the smallest eigenvalue
-    (the Rayleigh quotient of a coordinate vector)."""
-    return float(np.min(pencil.K.diagonal() / pencil.M.diagonal()))
 
 
 def _dense_solve(pencil, count):
@@ -92,19 +85,20 @@ def _factor(K, M, sigma):
 
 def _shift(K, M, lo, hi, found):
     """A factor at a shift with exactly `found` eigenvalues below it, within
-    the scale of hi of the next eigenvalue (hi bounds it from above), and
-    the shift.
+    the scale of hi of the next eigenvalue (hi, possibly infinite, bounds it
+    from above), and the shift.
 
-    Starts at lo, stepped down while inertia finds more eigenvalues below
-    it, then bisects on inertia counts, geometrically while the bracket
-    spans decades.  One factor is alive at a time.
+    Starts at lo, stepped down to -(1 + |lo|)^2 while inertia finds more
+    eigenvalues below it (eight tries reach -7e22 from -0.01), then
+    bisects on inertia counts, geometrically while the bracket spans
+    decades.  One factor is alive at a time.
     """
     for _ in range(8):
         lu, below, lo = _factor(K, M, lo)
         if below == found:
             break
         lu, hi = None, min(hi, lo)
-        lo = lo - 10.0 * (1.0 + abs(lo))
+        lo = -(1.0 + abs(lo)) ** 2
     else:
         raise NoConvergence(f"no shift below the spectrum down to {lo:g}")
     while hi - lo > 1.0 + abs(hi):
@@ -121,23 +115,23 @@ def _shift(K, M, lo, hi, found):
     return lu, lo
 
 
-def _slice(K, M, count, floor, upper, v0, tol, maxiter):
+def _slice(K, M, count, v0, tol, maxiter):
     """The count smallest eigenpairs, the shift below them and the number
     of Lanczos solves.
 
     Each window is solved by shift-invert Lanczos on the factor at a
-    certified shift, the first raised from floor toward the bottom of the
-    spectrum (upper bounds it from above).  One eigenpair is certified by
-    the empty count below that shift; for more, the inertia count just
-    above the wanted values must equal the eigenvalues accepted plus those
-    returned.  A larger count means Lanczos skipped some (a missed twin,
-    values lost far from the shift): the clusters that inertia confirms are
-    kept and the next window opens at a certified shift above them; when
-    none is confirmed, the window is solved again for as many eigenvalues
+    certified shift, the first started at -0.01: a nonnegative form needs
+    no step from there.  One eigenpair is certified by the empty count
+    below that shift; for more, the inertia count just above the wanted
+    values must equal the eigenvalues accepted plus those returned.  A
+    larger count means Lanczos skipped some (a missed twin, values lost far
+    from the shift): the clusters that inertia confirms are kept and the
+    next window opens at a certified shift above them; when none is
+    confirmed, the window is solved again for as many eigenvalues
     as inertia finds in it.
     """
     n = K.shape[0]
-    lu, sigma = _shift(K, M, floor, upper, 0)
+    lu, sigma = _shift(K, M, -0.01, np.inf, 0)
     sigma0 = sigma
     vals, vecs = np.empty(0), np.empty((n, 0))
     k = count
@@ -205,6 +199,14 @@ def _polish(K, M, lam, x):
     return lam, x
 
 
+def check_count(count, dof):
+    """Refuse a count of eigenpairs that a dof-unknown pencil cannot give."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if count > dof:
+        raise ValueError(f"requested {count} eigenpairs from a {dof}-dof pencil")
+
+
 def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x.
 
@@ -213,10 +215,7 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400):
     against tol, with one inverse-iteration polish when needed.
     """
     n = pencil.dof
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count > n:
-        raise ValueError(f"requested {count} eigenpairs from a {n}-dof pencil")
+    check_count(count, n)
     K, M = pencil.K, pencil.M
     if np.any(M.diagonal() <= 0):
         raise FactorizationFailure("denominator matrix has a nonpositive diagonal")
@@ -233,17 +232,9 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400):
         sigma = vals[0] - 0.01 * (1.0 + abs(vals[0]))
     else:
         solver = "shift-invert-lanczos"
-        upper = _diag_upper(pencil)
-        # without a stored floor the search starts at the upper bound and
-        # inertia steps it down below the spectrum
-        lower = pencil.meta.get("spectral_lower_bound")
-        if lower is None:
-            lower = upper
         v0 = np.random.RandomState(seed).standard_normal(n)
         try:
-            vals, vecs, sigma, solver_calls = _slice(
-                K, M, count, lower - 0.01 * (1.0 + abs(lower)), upper, v0,
-                tol, maxiter)
+            vals, vecs, sigma, solver_calls = _slice(K, M, count, v0, tol, maxiter)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(
                 f"Lanczos stalled after {maxiter} iterations", partial=exc) from exc

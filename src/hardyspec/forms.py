@@ -111,19 +111,13 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
     denominator = as_coefficient(denominator)
     mw = as_coefficient(measure_weight) if measure_weight is not None else None
 
-    K, M, qneg_ratio = _assemble(mesh, form, denominator, quad_points,
-                                 quad_subdiv, mw)
+    K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw)
     clamped = mesh.dirichlet_nodes()
     free = np.setdiff1d(np.arange(mesh.n_nodes), np.asarray(clamped, dtype=int))
     if len(free) == 0:
         raise ValueError("no free degrees of freedom after clamping")
     K = K[free][:, free].tocsr()
     M = M[free][:, free].tocsr()
-    # x'Kx >= -max(q_-/den) x'Mx elementwise under the shared quadrature,
-    # so -max ratio certifies a bound below the whole pencil spectrum
-    lower = -qneg_ratio
-    if _has_negative_sigma(form):
-        lower = None
     meta = {
         "dim": mesh.dim,
         "n_nodes": mesh.n_nodes,
@@ -134,19 +128,8 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
         "q": form.q.text,
         "denominator": denominator.text,
         "measure_weight": mw.text if mw is not None else None,
-        "spectral_lower_bound": lower,
     }
     return Pencil(K, M, free, meta)
-
-
-def _has_negative_sigma(form):
-    if form.sigma is None:
-        return False
-    if callable(form.sigma):
-        return True
-    if isinstance(form.sigma, (int, float)):
-        return form.sigma < 0
-    return any(s < 0 for s in form.sigma)
 
 
 def _element_rule(mesh, quad_points, quad_subdiv):
@@ -222,8 +205,7 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
     K = _scatter_blocks(conn, blocks_k, n)
     M = _scatter_blocks(conn, blocks_m, n)
     K = K + (_robin_1d if mesh.dim == 1 else _robin_2d)(mesh, form, n)
-    qneg_ratio = float(np.max(np.maximum(-q, 0.0) / den))
-    return K, M, qneg_ratio
+    return K, M
 
 
 def _robin_1d(mesh, form, n):
@@ -253,11 +235,7 @@ def _robin_2d(mesh, form, n):
     rows, cols, vals = [], [], []
     for i, j in robin_edges:
         length = float(np.linalg.norm(mesh.points[j] - mesh.points[i]))
-        if callable(form.sigma):
-            midpoint = 0.5 * (mesh.points[i] + mesh.points[j])
-            sig = float(form.sigma(midpoint))
-        else:
-            sig = float(form.sigma)
+        sig = float(form.sigma)
         # exact P1 edge mass: (|e|/6) [[2, 1], [1, 2]]
         block = sig * length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
         glob = (i, j)

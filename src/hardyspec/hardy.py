@@ -215,8 +215,7 @@ SEMANTICS = ("discrete minima over conforming subspaces bound the continuum "
              "continuum bound")
 
 
-def hardy_pencil(mesh, beta, alpha, lam, measure_weight=None,
-                 quad_points=6, quad_subdiv=4):
+def hardy_pencil(mesh, beta, alpha, lam, measure_weight=None):
     """Pencil of the Hardy quotient:
     numerator integral d^beta |grad u|^2 - lam integral d^alpha |u|^2,
     denominator integral d^(beta-2) |u|^2."""
@@ -224,8 +223,17 @@ def hardy_pencil(mesh, beta, alpha, lam, measure_weight=None,
         ("mul", ("num", -float(lam)), power_of_d(alpha).ast))
     form = FormSpec(a=power_of_d(beta), q=q, beta=beta)
     return assemble_pencil(mesh, form, power_of_d(beta - 2),
-                           quad_points=quad_points, quad_subdiv=quad_subdiv,
                            measure_weight=measure_weight)
+
+
+def check_ladder(beta, lam, levels):
+    """Refuse the parameters `verify_hardy` cannot certify."""
+    if beta >= 1:
+        raise ExponentOutOfRange(f"requires beta < 1, got {beta}")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if levels < 1:
+        raise ValueError("the ladder needs at least 1 level")
 
 
 def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
@@ -238,12 +246,7 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
     ladder level applies `refine_factor` nested bisections, so the discrete
     minima decrease monotonically toward the continuum infimum.
     """
-    if beta >= 1:
-        raise ExponentOutOfRange(f"requires beta < 1, got {beta}")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if levels < 1:
-        raise ValueError("the ladder needs at least 1 level")
+    check_ladder(beta, lam, levels)
     kap = kappa(beta)
 
     measure_weight = None

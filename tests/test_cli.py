@@ -295,6 +295,11 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        if i >= len(cases) - 4:     # counts and ladder parameters
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--dry-run"])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_identifier_exit_two(tmp_path, capsys):

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hardyspec import (Disc, FormSpec, Interval, Pencil, assemble_pencil,
                        build_mesh_1d, build_trimesh, counting_function,
                        smallest_eigenpairs)
-from hardyspec.eigensolve import _diag_spread, _factor
+from hardyspec import eigensolve
+from hardyspec.eigensolve import DENSE_CUTOFF, _diag_spread, _factor
 from hardyspec.errors import FactorizationFailure
 from hardyspec.spectral import strip_mesh, ProblemSpec
 
@@ -112,10 +113,7 @@ def test_shift_safety():
     for n, q in ((700, None), (300, "-0.1*d^-2")):
         mesh = build_mesh_1d(IV, n, 1.0 if q is None else 0.9)
         pencils.append(assemble_pencil(mesh, FormSpec(a=1.0, q=q or "0"), 1.0))
-    # the dense path, with a floor above its bottom eigenvalue 5.95361
-    small = _disc_pencil(0.3)
-    small.meta["spectral_lower_bound"] = 20.0
-    pencils.append(small)
+    pencils.append(_disc_pencil(0.3))     # the dense path
     for pencil in pencils:
         rep = smallest_eigenpairs(pencil, 2)
         assert rep.eigenvalues[0] > rep.sigma
@@ -163,12 +161,40 @@ def test_counting_matches_dense_eigh(pencil, t):
     assert counting_function(pencil, sigma) == np.sum(vals < sigma)
 
 
+@st.composite
+def _sparse_power_pencils(draw):
+    """1D or disc pencils of |grad u|^2 + c d^p |u|^2 above DENSE_CUTOFF."""
+    c = draw(st.floats(-50.0, 1.0).map(lambda x: round(x, 3)))
+    p = draw(st.floats(-1.5, 1.0).map(lambda x: round(x, 2)))
+    form = FormSpec(a=1.0, q=f"{c}*d^{p}")
+    if draw(st.booleans()):
+        mesh = build_mesh_1d(IV, 2 * draw(st.integers(61, 100)),
+                             round(draw(st.floats(0.9, 1.0)), 3))
+    else:
+        mesh = build_trimesh(Disc((0, 0), 1.0),
+                             draw(st.sampled_from((0.1, 0.125, 0.15))), 1.0)
+    pencil = assemble_pencil(mesh, form, 1.0)
+    assert pencil.dof > DENSE_CUTOFF
+    return pencil
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(pencil=_sparse_power_pencils())
+def test_sparse_path_matches_dense_bottom(pencil):
+    # past this spread the dense reference itself loses the bottom
+    assume(_diag_spread(pencil) <= 1e10)
+    bottom = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(),
+                               eigvals_only=True, subset_by_index=[0, 0])[0]
+    rep = smallest_eigenpairs(pencil, 1)
+    assert rep.solver == "shift-invert-lanczos"
+    assert abs(rep.eigenvalues[0] - bottom) <= 1e-8 * max(1.0, abs(bottom))
+    assert counting_function(pencil, rep.sigma) == 0
+
+
 def test_negative_robin_sparse_path():
-    # a negative Robin end stores no floor: the search starts at the
-    # smallest diagonal Rayleigh quotient and is stepped down below it
+    # a negative Robin end puts the bottom below 0, where the search starts
     mesh = build_mesh_1d(IV, 400, tags=("robin", "dirichlet"))
     pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0, sigma=(-3.0, 0.0)), 1.0)
-    assert pencil.meta["spectral_lower_bound"] is None
     vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
     assert vals[0] < 0
     rep = smallest_eigenpairs(pencil, 3)
@@ -196,9 +222,17 @@ def test_slicing_spans_deep_spectra():
     assert np.max(np.abs(G - np.eye(4))) < 1e-8
 
 
-def test_inertia_matches_sturm_on_graded_strips():
+def test_inertia_matches_sturm_on_graded_strips(monkeypatch):
     # the strips of the 1D discreteness diagnosis: graded to the float64
-    # floor, so the pencil scale spreads over more than 1e12
+    # floor, so the pencil scale spreads over more than 1e12; their bottoms
+    # lie above 0, so each solve needs the one factor at its first shift
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _factor(*args)
+
+    monkeypatch.setattr(eigensolve, "_factor", counted)
     prob = ProblemSpec(domain=IV, form=FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5),
                        gamma=0.5, ks=tuple(range(2, 17)))
     for k in prob.ks:
@@ -206,7 +240,9 @@ def test_inertia_matches_sturm_on_graded_strips():
         pencil = assemble_pencil(sub, prob.form, 1.0)
         K, M = pencil.K, pencil.M
         assert _diag_spread(pencil) > 1e12
+        calls.clear()
         mu = smallest_eigenpairs(pencil, 1, tol=prob.tol).eigenvalues[0]
+        assert len(calls) == 1, calls
         counts = []
         for sigma in (mu * (1 - 1e-6), mu * (1 + 1e-6)):
             oracle = _sturm_count(K.diagonal(), K.diagonal(1), M.diagonal(),
@@ -235,12 +271,15 @@ def test_slicing_matches_dense():
 
 
 def test_floor_above_spectrum_is_stepped_down():
-    pencil = _disc_pencil(0.1)
+    # the bottom is 5.80260 - 30, so the first shift, just below 0, lies
+    # above the spectrum
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.1, 1.0)
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=-30.0), 1.0)
     assert pencil.dof == 568
-    pencil.meta["spectral_lower_bound"] = 20.0   # wrong: the bottom is 5.80260
     rep = smallest_eigenpairs(pencil, 1)
-    assert rep.eigenvalues[0] == pytest.approx(5.80260, abs=1e-5)
+    assert rep.eigenvalues[0] == pytest.approx(5.80260 - 30.0, abs=1e-5)
     assert rep.eigenvalues[0] > rep.sigma
+    assert counting_function(pencil, rep.sigma) == 0
 
 
 def test_singular_shift():

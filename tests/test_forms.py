@@ -11,7 +11,7 @@ from hardyspec.coefficients import constant
 from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
                               SingularQuadrature)
 from hardyspec.forms import format_matrix_text
-from hardyspec.hardy import hardy_pencil
+from hardyspec.hardy import hardy_pencil, power_of_d
 
 IV = Interval(0, 1)
 
@@ -74,8 +74,9 @@ def test_quadrature_order_stability():
     from hardyspec.meshing import feasible_grading, grading_floor
     g = feasible_grading(0.15, 512, 0.5, grading_floor(IV, headroom=1))
     mesh = build_mesh_1d(IV, 1024, g)
-    p1 = hardy_pencil(mesh, 0.0, 0.0, 0.0, quad_points=6, quad_subdiv=4)
-    p2 = hardy_pencil(mesh, 0.0, 0.0, 0.0, quad_points=12, quad_subdiv=4)
+    form = FormSpec(a=power_of_d(0.0), q=0.0, beta=0.0)
+    p1 = assemble_pencil(mesh, form, power_of_d(-2.0), quad_points=6)
+    p2 = assemble_pencil(mesh, form, power_of_d(-2.0), quad_points=12)
     v1 = smallest_eigenpairs(p1, 1).eigenvalues[0]
     v2 = smallest_eigenpairs(p2, 1).eigenvalues[0]
     assert abs(v2 / v1 - 1) < 1e-6
