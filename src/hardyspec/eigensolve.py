@@ -207,12 +207,13 @@ def check_count(count, dof):
         raise ValueError(f"requested {count} eigenpairs from a {dof}-dof pencil")
 
 
-def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400):
+def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x.
 
     Deterministic for a fixed seed (the seed fixes the Lanczos start
-    vector).  Eigenvectors come back M-orthonormal; residuals are checked
-    against tol, with one inverse-iteration polish when needed.
+    vector, unless `v0` gives it).  Eigenvectors come back M-orthonormal;
+    residuals are checked against tol, with one inverse-iteration polish
+    when needed.
     """
     n = pencil.dof
     check_count(count, n)
@@ -232,7 +233,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400):
         sigma = vals[0] - 0.01 * (1.0 + abs(vals[0]))
     else:
         solver = "shift-invert-lanczos"
-        v0 = np.random.RandomState(seed).standard_normal(n)
+        if v0 is None:
+            v0 = np.random.RandomState(seed).standard_normal(n)
         try:
             vals, vecs, sigma, solver_calls = _slice(K, M, count, v0, tol, maxiter)
         except spla.ArpackNoConvergence as exc:
@@ -279,15 +281,28 @@ def counting_function(pencil, lam):
     return _factor(pencil.K, pencil.M, lam)[1]
 
 
-def ladder(pencils, tol=None, seed=0):
+def ladder(levels, tol=None, seed=0):
     """(dof, smallest eigenvalue) of each pencil of a refinement ladder.
 
-    Pencils are drawn from the iterable and solved one level at a time; no
-    earlier pencil, report or factor is kept while the next is built.
+    `levels` yields (pencil, parents) pairs, parents being the refinement
+    steps from the level before (see `meshing.nested`).  The seed starts
+    Lanczos on the first level only; each later level starts from the
+    eigenvector of the one before, prolonged by P1 interpolation.  On nested
+    meshes that is the coarse minimizer itself, so its Rayleigh quotient is
+    the coarse minimum up to quadrature and boundary snapping.  Pencils are
+    solved one level at a time; between levels only that eigenvector, on all
+    nodes, is kept.
     """
-    rows = []
-    for pencil in pencils:
-        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed)
+    rows, u = [], None
+    for pencil, parents in levels:
+        v0 = None
+        if u is not None:
+            for p in parents:
+                u = 0.5 * (u[p[:, 0]] + u[p[:, 1]])
+            v0 = u[pencil.free_nodes]
+        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed, v0=v0)
         rows.append((pencil.dof, float(rep.eigenvalues[0])))
+        u = np.zeros(pencil.meta["n_nodes"])     # zero at the clamped nodes
+        u[pencil.free_nodes] = rep.eigenvectors[:, 0]
         del pencil, rep
     return rows

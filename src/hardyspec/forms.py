@@ -122,8 +122,9 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
         "dim": mesh.dim,
         "n_nodes": mesh.n_nodes,
         "dof": len(free),
-        "quad_points": quad_points,
-        "quad_subdiv": quad_subdiv,
+        # the rule used: Gauss panels in 1D, the fixed 7-point rule on triangles
+        **({"quad_points": quad_points, "quad_subdiv": quad_subdiv}
+           if mesh.dim == 1 else {"quad_points": len(TRI_W)}),
         "a": form.a.text,
         "q": form.q.text,
         "denominator": denominator.text,

@@ -268,10 +268,10 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
     sizes = []
 
     def pencils():
-        for fine in nested(mesh, levels, refine_factor):
+        for fine, parents in nested(mesh, levels, refine_factor):
             sizes.append(len(fine.elements))
             yield hardy_pencil(fine, beta, alpha, lam,
-                               measure_weight=measure_weight)
+                               measure_weight=measure_weight), parents
 
     minima = ladder(pencils(), tol=tol, seed=seed)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,

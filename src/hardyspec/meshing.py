@@ -32,7 +32,9 @@ class StripSpec:
 class _Mesh:
     """The interface both mesh types share: nodes as `points` (n, dim) with
     their boundary distances `node_d`, `elements` (m, dim + 1) of node
-    indices, `node_tags` and the generating `domain`."""
+    indices, `node_tags` and the generating `domain`.  A refined mesh also
+    has `parents` (n, 2): the coarse nodes whose mean is each node's P1
+    value, (i, i) for a kept node i."""
 
     def __post_init__(self):
         if self.node_d is None:
@@ -56,6 +58,7 @@ class Mesh1D(_Mesh):
     node_tags: dict                   # node index -> DIRICHLET | ROBIN
     domain: Interval
     node_d: np.ndarray = field(default=None)
+    parents: np.ndarray = field(default=None)
 
     dim = 1
 
@@ -78,6 +81,7 @@ class TriMesh(_Mesh):
     node_tags: dict                   # node index -> tag (dirichlet clamps)
     domain: object
     node_d: np.ndarray = field(default=None)
+    parents: np.ndarray = field(default=None)
 
     dim = 2
 
@@ -231,7 +235,10 @@ def refine_mesh_1d(mesh):
     elements = np.column_stack([a, m, m, b]).reshape(-1, 2)
     index = np.searchsorted(nodes, old)
     tags = {int(index[i]): t for i, t in mesh.node_tags.items()}
-    return Mesh1D(nodes, elements, tags, mesh.domain)
+    parents = np.empty((len(nodes), 2), dtype=int)
+    parents[index] = np.arange(len(old))[:, None]
+    parents[m] = mesh.elements
+    return Mesh1D(nodes, elements, tags, mesh.domain, parents=parents)
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +446,24 @@ def refine_trimesh(mesh):
         tags[m] = tag
     for i, t in mesh.node_tags.items():
         tags.setdefault(i, t)
-    return TriMesh(np.vstack([mesh.points, mids]), tris, edges, tags, mesh.domain)
+    parents = np.vstack([np.repeat(np.arange(n), 2).reshape(-1, 2),
+                         np.column_stack([e0, e1])])
+    return TriMesh(np.vstack([mesh.points, mids]), tris, edges, tags, mesh.domain,
+                   parents=parents)
 
 
 def nested(mesh, levels, steps=1):
-    """The mesh and its nested refinements: `levels` meshes, each `steps`
-    uniform refinements finer than the one before.  Built lazily, so a
-    ladder holds one level at a time."""
+    """The mesh and its nested refinements: `levels` (mesh, parents) pairs,
+    each mesh `steps` uniform refinements finer than the one before, and
+    parents the list of those steps' `parents` arrays (empty at the first
+    level).  Built lazily, so a ladder holds one level at a time."""
     for level in range(levels):
+        parents = []
         if level:
             for _ in range(steps):
                 mesh = refine_mesh_1d(mesh) if mesh.dim == 1 else refine_trimesh(mesh)
-        yield mesh
+                parents.append(mesh.parents)
+        yield mesh, parents
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,9 @@ def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
                          if not (t == DIRICHLET and sub.node_d[i] > 1e-9)}
     # nested bisection keeps the ladder monotone (1D strips only; curved
     # 2D strips would need re-restriction)
-    pencils = (assemble_pencil(mesh, check_form, 1.0,
-                               measure_weight=measure_weight)
-               for mesh in nested(sub, levels + 1))
+    pencils = ((assemble_pencil(mesh, check_form, 1.0,
+                                measure_weight=measure_weight), parents)
+               for mesh, parents in nested(sub, levels + 1))
     dofs, minima = map(list, zip(*ladder(pencils, tol=problem.tol,
                                          seed=problem.seed)))
 

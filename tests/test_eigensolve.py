@@ -7,12 +7,13 @@ import scipy.linalg
 
 from hypothesis import assume, given, settings, strategies as st
 
-from hardyspec import (Disc, FormSpec, Interval, Pencil, assemble_pencil,
-                       build_mesh_1d, build_trimesh, counting_function,
-                       smallest_eigenpairs)
+from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec,
+                       assemble_pencil, build_mesh_1d, build_trimesh,
+                       counting_function, restrict_to_strip, smallest_eigenpairs)
 from hardyspec import eigensolve
-from hardyspec.eigensolve import DENSE_CUTOFF, _diag_spread, _factor
-from hardyspec.errors import FactorizationFailure
+from hardyspec.eigensolve import DENSE_CUTOFF, _diag_spread, _factor, ladder
+from hardyspec.errors import FactorizationFailure, NoConvergence
+from hardyspec.meshing import nested
 from hardyspec.spectral import strip_mesh, ProblemSpec
 
 IV = Interval(0, 1)
@@ -291,3 +292,46 @@ def test_singular_shift():
     Z = sp.diags([1.0, 0.0]).tocsc()
     with pytest.raises(FactorizationFailure):
         _factor(Z, Z, 0.5)
+
+
+def test_no_convergence_carries_partial_eigenvalues():
+    # one ARPACK iteration converges 4 of 5 wanted values on this pencil;
+    # 3 wanted values would all converge within it
+    pencil = _disc_pencil(0.1)
+    assert pencil.dof == 568
+    with pytest.raises(NoConvergence) as caught:
+        smallest_eigenpairs(pencil, 5, maxiter=1)
+    partial = caught.value.partial.eigenvalues
+    assert 0 < len(partial) < 5
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True,
+                             subset_by_index=[0, 9])
+    for lam in partial:
+        assert np.min(np.abs(vals - lam)) <= 1e-8 * lam
+
+
+@st.composite
+def _ladder_meshes(draw):
+    """Small boundary strips of a graded interval, or small discs; the
+    ladders built on them cross DENSE_CUTOFF."""
+    if draw(st.booleans()):
+        mesh = build_mesh_1d(IV, 2 * draw(st.integers(40, 60)),
+                             draw(st.sampled_from((0.8, 0.9, 1.0))))
+        return restrict_to_strip(mesh, StripSpec(0.0, draw(st.sampled_from((0.25, 0.5)))))
+    return build_trimesh(Disc((0, 0), 1.0), draw(st.sampled_from((0.3, 0.4, 0.5))),
+                         draw(st.sampled_from((0.5, 1.0))))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(mesh=_ladder_meshes(), c=st.floats(-5.0, 1.0).map(lambda x: round(x, 3)),
+       p=st.floats(-1.5, 1.0).map(lambda x: round(x, 2)))
+def test_warm_ladder_matches_cold_and_decreases(mesh, c, p):
+    form = FormSpec(a=1.0, q=f"{c}*d^{p}")
+    levels = [(assemble_pencil(fine, form, 1.0), parents)
+              for fine, parents in nested(mesh, 3, 1)]
+    warm = [mu for _, mu in ladder(levels)]
+    cold = [smallest_eigenpairs(pencil, 1).eigenvalues[0] for pencil, _ in levels]
+    assert levels[-1][0].dof > DENSE_CUTOFF
+    for w, mu in zip(warm, cold):
+        assert abs(w - mu) <= 1e-8 * max(1.0, abs(mu))
+    for coarse, fine in zip(warm, warm[1:]):
+        assert fine <= coarse + 1e-8 * max(1.0, abs(coarse))

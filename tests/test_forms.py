@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from hardyspec import (ConvexPolygon, FormSpec, Interval, Mesh1D,
+from hardyspec import (ConvexPolygon, Disc, FormSpec, Interval, Mesh1D,
                        build_mesh_1d, build_trimesh, assemble_pencil,
                        ims_identity_residual, ims_partition, parse_coefficient,
                        refine_mesh_1d, smallest_eigenpairs)
@@ -80,6 +80,15 @@ def test_quadrature_order_stability():
     v1 = smallest_eigenpairs(p1, 1).eigenvalues[0]
     v2 = smallest_eigenpairs(p2, 1).eigenvalues[0]
     assert abs(v2 / v1 - 1) < 1e-6
+
+
+def test_pencil_meta_records_the_rule_used():
+    disc = build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5)
+    meta = assemble_pencil(disc, FormSpec(a=1.0, q=0.0), 1.0).meta
+    assert meta["quad_points"] == 7 and "quad_subdiv" not in meta
+    meta = assemble_pencil(build_mesh_1d(IV, 8), FormSpec(a=1.0, q=0.0), 1.0,
+                           quad_points=3, quad_subdiv=2).meta
+    assert (meta["quad_points"], meta["quad_subdiv"]) == (3, 2)
 
 
 def test_monotone_under_nested_refinement():

@@ -8,7 +8,10 @@ from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, StripSpec,
                        refine_trimesh, restrict_to_strip)
 from hardyspec.errors import (InvalidGrading, MeshGenerationFailure,
                               NotATorus, StripTooThin)
-from hardyspec.meshing import DIRICHLET, TriMesh, format_mesh_text
+from hardyspec.eigensolve import smallest_eigenpairs
+from hardyspec.forms import FormSpec, assemble_pencil
+from hardyspec.hardy import hardy_pencil
+from hardyspec.meshing import DIRICHLET, TriMesh, format_mesh_text, nested
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -264,6 +267,64 @@ def test_refine_trimesh_matches_dict_oracle():
             assert new.boundary_edges == old.boundary_edges
             assert list(new.node_tags.items()) == list(old.node_tags.items())
             assert np.array_equal(new.node_d, old.node_d)
+
+
+def _lift(u, parents):
+    for p in parents:
+        u = 0.5 * (u[p[:, 0]] + u[p[:, 1]])
+    return u
+
+
+def test_parents_lift_linear_functions():
+    torus_disc = axisymmetric_reduce(Torus(3.0, 1.0))[0]
+    meshes = [build_mesh_1d(Interval(0, 1), 32, 0.5),
+              build_trimesh(Disc((0.3, -0.2), 0.7), 0.15, 0.5),
+              restrict_to_strip(build_trimesh(torus_disc, 0.1, 1.0),
+                                StripSpec(0.0, 0.3))]
+    for coarse in meshes:
+        f = lambda pts: 0.3 + pts @ np.array([1.7, -0.9][:coarse.dim])
+        fine, parents = list(nested(coarse, 2, 2))[1]
+        _, (mid, [p1]), (_, [p2]) = nested(coarse, 3, 1)
+        assert np.array_equal(parents[0], p1) and np.array_equal(parents[1], p2)
+        kept = p1[:, 0] == p1[:, 1]
+        assert sorted(p1[kept, 0]) == list(range(coarse.n_nodes))
+        lifted = _lift(f(coarse.points), parents)
+        # midpoints snapped onto the circle, and the midpoints next to them,
+        # leave the coarse function's plane
+        snapped = lambda mesh, n: ((np.arange(mesh.n_nodes) >= n)
+                                   & (mesh.node_d < 1e-12) & (mesh.dim == 2))
+        skip = (_lift(snapped(mid, coarse.n_nodes), [p2]) > 0) | snapped(fine, mid.n_nodes)
+        assert_allclose(lifted[~skip], f(fine.points)[~skip], rtol=0, atol=1e-14)
+
+
+def _prolonged_quotient(mesh, make_pencil):
+    """(coarse minimum, Rayleigh quotient of its prolonged eigenvector on
+    the level two refinements finer, that level's minimum)."""
+    (coarse, _), (fine, parents) = nested(mesh, 2, 2)
+    pc, pf = make_pencil(coarse), make_pencil(fine)
+    rep = smallest_eigenpairs(pc, 1)
+    u = np.zeros(coarse.n_nodes)
+    u[pc.free_nodes] = rep.eigenvectors[:, 0]
+    quotient = pf.rayleigh(_lift(u, parents)[pf.free_nodes])
+    return rep.eigenvalues[0], quotient, smallest_eigenpairs(pf, 1).eigenvalues[0]
+
+
+def test_prolonged_eigenvector_keeps_its_quotient():
+    # polygon, polynomial coefficients: the prolonged vector is the coarse
+    # function and every integral is exact, so its quotient is the minimum
+    square = ConvexPolygon(UNIT_SQUARE)
+    form = FormSpec(a="1+x^2", q="x*y")
+    mu, quotient, _ = _prolonged_quotient(
+        build_trimesh(square, 0.125, 0.5),
+        lambda mesh: assemble_pencil(mesh, form, "2+y"))
+    assert quotient == pytest.approx(mu, rel=1e-10)
+    # the Hardy disc moves its boundary midpoints and integrates d^-2 by
+    # quadrature: the quotient stays near the coarse minimum, above the fine one
+    mu, quotient, fine_mu = _prolonged_quotient(
+        build_trimesh(Disc((0, 0), 1.0), 0.125, 0.5),
+        lambda mesh: hardy_pencil(mesh, 0.0, 0.0, 1.0))
+    assert fine_mu < quotient
+    assert quotient == pytest.approx(mu, rel=2e-2)
 
 
 def test_axisymmetric_reduce():
