@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, NoConvergence
+from .meshing import nested
 
 DENSE_CUTOFF = 120
 
@@ -211,9 +212,11 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
     """The `count` algebraically smallest eigenpairs of K x = lambda M x.
 
     Deterministic for a fixed seed (the seed fixes the Lanczos start
-    vector, unless `v0` gives it).  Eigenvectors come back M-orthonormal;
-    residuals are checked against tol, with one inverse-iteration polish
-    when needed.
+    vector).  A given `v0` leads the start vector, with a seeded random
+    part of 1e-3 of its norm: a prolonged eigenvector is zero on every mesh
+    component it did not reach, and Lanczos would never find an eigenvalue
+    there.  Eigenvectors come back M-orthonormal; residuals are checked
+    against tol, with one inverse-iteration polish when needed.
     """
     n = pencil.dof
     check_count(count, n)
@@ -233,10 +236,11 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
         sigma = vals[0] - 0.01 * (1.0 + abs(vals[0]))
     else:
         solver = "shift-invert-lanczos"
-        if v0 is None:
-            v0 = np.random.RandomState(seed).standard_normal(n)
+        start = np.random.RandomState(seed).standard_normal(n)
+        if v0 is not None:
+            start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)
         try:
-            vals, vecs, sigma, solver_calls = _slice(K, M, count, v0, tol, maxiter)
+            vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(
                 f"Lanczos stalled after {maxiter} iterations", partial=exc) from exc
@@ -281,20 +285,20 @@ def counting_function(pencil, lam):
     return _factor(pencil.K, pencil.M, lam)[1]
 
 
-def ladder(levels, tol=None, seed=0):
-    """(dof, smallest eigenvalue) of each pencil of a refinement ladder.
+def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0):
+    """(dof, smallest eigenvalue) of `make_pencil` on each of the `levels`
+    meshes of `meshing.nested(mesh, levels, steps)`.
 
-    `levels` yields (pencil, parents) pairs, parents being the refinement
-    steps from the level before (see `meshing.nested`).  The seed starts
-    Lanczos on the first level only; each later level starts from the
-    eigenvector of the one before, prolonged by P1 interpolation.  On nested
-    meshes that is the coarse minimizer itself, so its Rayleigh quotient is
-    the coarse minimum up to quadrature and boundary snapping.  Pencils are
-    solved one level at a time; between levels only that eigenvector, on all
-    nodes, is kept.
+    The seed starts Lanczos on the first level only; each later level starts
+    from the eigenvector of the one before, prolonged by P1 interpolation
+    through the parents of each refinement step.  On nested meshes that is
+    the coarse minimizer itself, so its Rayleigh quotient is the coarse
+    minimum up to quadrature and boundary snapping.  Levels are solved one
+    at a time; between levels only that eigenvector, on all nodes, is kept.
     """
     rows, u = [], None
-    for pencil, parents in levels:
+    for fine, parents in nested(mesh, levels, steps):
+        pencil = make_pencil(fine)
         v0 = None
         if u is not None:
             for p in parents:
@@ -302,7 +306,7 @@ def ladder(levels, tol=None, seed=0):
             v0 = u[pencil.free_nodes]
         rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed, v0=v0)
         rows.append((pencil.dof, float(rep.eigenvalues[0])))
-        u = np.zeros(pencil.meta["n_nodes"])     # zero at the clamped nodes
+        u = np.zeros(fine.n_nodes)     # zero at the clamped nodes
         u[pencil.free_nodes] = rep.eigenvectors[:, 0]
         del pencil, rep
     return rows

@@ -20,7 +20,7 @@ from .errors import ExponentOutOfRange, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
 from .geometry import Torus, superharmonicity_scan
 from .meshing import (axisymmetric_reduce, build_mesh_1d, build_trimesh,
-                      feasible_grading, grading_floor, nested)
+                      feasible_grading, grading_floor)
 
 CERT_TOL = 1e-4          # absolute slack on the certified margin
 LAMBDA0 = 0.94           # pinned lower bound for the Avkhadiev-Wirths constant
@@ -267,13 +267,11 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
 
     sizes = []
 
-    def pencils():
-        for fine, parents in nested(mesh, levels, refine_factor):
-            sizes.append(len(fine.elements))
-            yield hardy_pencil(fine, beta, alpha, lam,
-                               measure_weight=measure_weight), parents
+    def pencil(fine):
+        sizes.append(len(fine.elements))
+        return hardy_pencil(fine, beta, alpha, lam, measure_weight=measure_weight)
 
-    minima = ladder(pencils(), tol=tol, seed=seed)
+    minima = ladder(mesh, levels, refine_factor, pencil, tol=tol, seed=seed)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,
              "margin": mu - kap}
             for level, (size, (dof, mu)) in enumerate(zip(sizes, minima))]

@@ -32,9 +32,10 @@ class StripSpec:
 class _Mesh:
     """The interface both mesh types share: nodes as `points` (n, dim) with
     their boundary distances `node_d`, `elements` (m, dim + 1) of node
-    indices, `node_tags` and the generating `domain`.  A refined mesh also
-    has `parents` (n, 2): the coarse nodes whose mean is each node's P1
-    value, (i, i) for a kept node i."""
+    indices, `node_tags` and the generating `domain`.  A mesh made by
+    refinement also has `parents` (n, 2): for each node, the two nodes of
+    the mesh it was refined from whose mean is its P1 value, (i, i) for a
+    kept node i; other meshes have None."""
 
     def __post_init__(self):
         if self.node_d is None:
@@ -456,7 +457,8 @@ def nested(mesh, levels, steps=1):
     """The mesh and its nested refinements: `levels` (mesh, parents) pairs,
     each mesh `steps` uniform refinements finer than the one before, and
     parents the list of those steps' `parents` arrays (empty at the first
-    level).  Built lazily, so a ladder holds one level at a time."""
+    level), which `eigensolve.ladder` prolongs through.  Built lazily, so a
+    ladder holds one level at a time."""
     for level in range(levels):
         parents = []
         if level:

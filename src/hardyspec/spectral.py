@@ -21,7 +21,7 @@ from .geometry import Interval, Torus
 from .hardy import kappa
 from .meshing import (DIRICHLET, StripSpec, axisymmetric_reduce, build_trimesh,
                       feasible_grading, grading_floor, mesh_1d_with_level,
-                      nested, restrict_to_strip)
+                      restrict_to_strip)
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
@@ -275,13 +275,13 @@ def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
     if bc == "free_inner":
         sub.node_tags = {i: t for i, t in sub.node_tags.items()
                          if not (t == DIRICHLET and sub.node_d[i] > 1e-9)}
+    def pencil(mesh):
+        return assemble_pencil(mesh, check_form, 1.0, measure_weight=measure_weight)
+
     # nested bisection keeps the ladder monotone (1D strips only; curved
     # 2D strips would need re-restriction)
-    pencils = ((assemble_pencil(mesh, check_form, 1.0,
-                                measure_weight=measure_weight), parents)
-               for mesh, parents in nested(sub, levels + 1))
-    dofs, minima = map(list, zip(*ladder(pencils, tol=problem.tol,
-                                         seed=problem.seed)))
+    dofs, minima = map(list, zip(*ladder(sub, levels + 1, 1, pencil,
+                                         tol=problem.tol, seed=problem.seed)))
 
     final = minima[-1]
     verdict = "PASS" if final >= -FORM_TOL else "FAIL"

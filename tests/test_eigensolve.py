@@ -13,7 +13,6 @@ from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec,
 from hardyspec import eigensolve
 from hardyspec.eigensolve import DENSE_CUTOFF, _diag_spread, _factor, ladder
 from hardyspec.errors import FactorizationFailure, NoConvergence
-from hardyspec.meshing import nested
 from hardyspec.spectral import strip_mesh, ProblemSpec
 
 IV = Interval(0, 1)
@@ -321,17 +320,37 @@ def _ladder_meshes(draw):
                          draw(st.sampled_from((0.5, 1.0))))
 
 
+def _warm_and_cold(mesh, form):
+    """Minima of a three-level ladder on mesh, warm and cold started."""
+    pencils = []
+
+    def pencil(fine):
+        pencils.append(assemble_pencil(fine, form, 1.0))
+        return pencils[-1]
+    warm = [mu for _, mu in ladder(mesh, 3, 1, pencil)]
+    cold = [smallest_eigenpairs(pc, 1).eigenvalues[0] for pc in pencils]
+    assert pencils[-1].dof > DENSE_CUTOFF
+    return warm, cold
+
+
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
 @given(mesh=_ladder_meshes(), c=st.floats(-5.0, 1.0).map(lambda x: round(x, 3)),
-       p=st.floats(-1.5, 1.0).map(lambda x: round(x, 2)))
-def test_warm_ladder_matches_cold_and_decreases(mesh, c, p):
-    form = FormSpec(a=1.0, q=f"{c}*d^{p}")
-    levels = [(assemble_pencil(fine, form, 1.0), parents)
-              for fine, parents in nested(mesh, 3, 1)]
-    warm = [mu for _, mu in ladder(levels)]
-    cold = [smallest_eigenpairs(pencil, 1).eigenvalues[0] for pencil, _ in levels]
-    assert levels[-1][0].dof > DENSE_CUTOFF
+       p=st.floats(-1.5, 1.0).map(lambda x: round(x, 2)),
+       b=st.floats(-50.0, 0.0).map(lambda x: round(x, 1)))
+def test_warm_ladder_matches_cold_and_decreases(mesh, c, p, b):
+    warm, cold = _warm_and_cold(mesh, FormSpec(a=1.0, q=f"{c}*d^{p}+{b}*x^6"))
     for w, mu in zip(warm, cold):
         assert abs(w - mu) <= 1e-8 * max(1.0, abs(mu))
     for coarse, fine in zip(warm, warm[1:]):
         assert fine <= coarse + 1e-8 * max(1.0, abs(coarse))
+
+
+def test_warm_ladder_finds_a_minimum_that_changes_component():
+    # both ends of the interval form the strip, two blocks of the pencil; the
+    # right end's potential -430 x^6 holds the minimum of the dense first
+    # level (38 dof), the left end's supercritical -d^-2 (1-x)^6 / 2 that of
+    # the sparse last one, where the prolonged eigenvector is zero
+    strip = restrict_to_strip(build_mesh_1d(IV, 80, 1.0), StripSpec(0.0, 0.25))
+    warm, cold = _warm_and_cold(strip, FormSpec(a=1.0, q="-0.5*d^-2*(1-x)^6-430*x^6"))
+    assert cold[0] < -30 and cold[2] < -140
+    assert_allclose(warm, cold, rtol=1e-10)
