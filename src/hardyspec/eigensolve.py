@@ -1,6 +1,6 @@
 """Smallest eigenpairs of sparse symmetric pencils K x = lambda M x.
 
-Every sparse pencil takes one certified path.  K - sigma M is factored
+One certified path serves every count below dof.  K - sigma M is factored
 with diagonal pivots only, so its negative pivots count the eigenvalues
 below sigma (Sylvester's law of inertia); that count is also the exact
 counting function N(lambda).  The first shift sits just below 0, where
@@ -10,20 +10,16 @@ below the spectrum.  Shift-invert Lanczos (ARPACK) runs on that same
 factor.  For more than one eigenpair, an inertia count above the returned
 values shows that none was skipped, or the spectrum is sliced again above
 the confirmed clusters (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
-Small pencils with moderate scale spread go to a dense solve.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, NoConvergence
 from .meshing import nested
-
-DENSE_CUTOFF = 120
 
 
 @dataclass
@@ -37,24 +33,10 @@ class SpectralReport:
     tol: float
     sigma: float                   # shift used (below the returned spectrum)
     seed: int
-    solver: str                    # "dense" or "shift-invert-lanczos"
+    solver: str                    # "shift-invert-lanczos"; "dense" if count == dof
     iterations: int                # number of shift-invert solves
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
-
-
-def _diag_spread(pencil):
-    """max |K_ii| / M_ii: the scale of the top of the pencil spectrum."""
-    return float(np.max(np.abs(pencil.K.diagonal()) / pencil.M.diagonal()))
-
-
-def _dense_solve(pencil, count):
-    # diagonal prescaling keeps LAPACK's Cholesky of M well behaved
-    s = 1.0 / np.sqrt(pencil.M.diagonal())
-    K = pencil.K.toarray() * s[:, None] * s[None, :]
-    M = pencil.M.toarray() * s[:, None] * s[None, :]
-    vals, vecs = scipy.linalg.eigh(K, M, subset_by_index=[0, count - 1])
-    return vals, vecs * s[:, None]
 
 
 def _factor(K, M, sigma):
@@ -127,9 +109,9 @@ def _slice(K, M, count, v0, tol, maxiter):
     values must equal the eigenvalues accepted plus those returned.  A
     larger count means Lanczos skipped some (a missed twin, values lost far
     from the shift): the clusters that inertia confirms are kept and the
-    next window opens at a certified shift above them; when none is
-    confirmed, the window is solved again for as many eigenvalues
-    as inertia finds in it.
+    next window opens at a certified shift above them.  One cluster with
+    nothing below it is kept whole; otherwise the window is solved again
+    for as many eigenvalues as inertia finds in it.
     """
     n = K.shape[0]
     lu, sigma = _shift(K, M, -0.01, np.inf, 0)
@@ -170,7 +152,10 @@ def _slice(K, M, count, v0, tol, maxiter):
                     m, cut, first = j + 1, cut_j, mid + 1
                 else:
                     bound, last = (cut_j, below_j), mid
-            if m == 0:
+            # one cluster wider than Lanczos returns: certified by the count below it
+            if m == 0 and not ends and _factor(K, M, got[0] - pad[0])[1] == len(vals):
+                m = need
+            elif m == 0:
                 k = max(need, bound[1] - len(vals))
                 continue
         vals = np.concatenate([vals, got[:m]])
@@ -180,6 +165,12 @@ def _slice(K, M, count, v0, tol, maxiter):
         lu, sigma = _shift(K, M, cut, bound[0], len(vals))
         k = count - len(vals)
     raise NoConvergence(f"spectrum slicing did not certify {count} eigenvalues")
+
+
+def _residual(K, M, lam, x):
+    """K x - lam M x and its norm relative to ||M x||."""
+    r = K @ x - lam * (M @ x)
+    return r, np.linalg.norm(r) / max(np.linalg.norm(M @ x), 1e-300)
 
 
 def _polish(K, M, lam, x):
@@ -192,10 +183,7 @@ def _polish(K, M, lam, x):
         return lam, x
     y = y / ny
     lam_y = float(y @ (K @ y)) / float(y @ (M @ y))
-    def resid(l, v):
-        r = K @ v - l * (M @ v)
-        return np.linalg.norm(r) / max(np.linalg.norm(M @ v), 1e-300)
-    if resid(lam_y, y) < resid(lam, x):
+    if _residual(K, M, lam_y, y)[1] < _residual(K, M, lam, x)[1]:
         return lam_y, y
     return lam, x
 
@@ -225,15 +213,11 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
         raise FactorizationFailure("denominator matrix has a nonpositive diagonal")
     if tol is None:
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
-    solver_calls = 0
-
-    # dense transformation methods lose the bottom of a pencil whose top
-    # is more than ~1/eps above it; such pencils must go through shift-invert
-    dense_feasible = _diag_spread(pencil) <= 1e12
-    if n <= max(DENSE_CUTOFF, count + 2) and (dense_feasible or n <= count + 2):
-        vals, vecs = _dense_solve(pencil, count)
-        solver = "dense"
-        sigma = vals[0] - 0.01 * (1.0 + abs(vals[0]))
+    if count == n:
+        # ARPACK needs count < dof: the whole spectrum is one full solve
+        sigma = _shift(K, M, -0.01, np.inf, 0)[1]
+        vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
+        solver, solver_calls = "dense", 0
     else:
         solver = "shift-invert-lanczos"
         start = np.random.RandomState(seed).standard_normal(n)
@@ -247,32 +231,24 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
 
     # normalize in the M inner product
     for j in range(vecs.shape[1]):
-        nj = np.sqrt(abs(vecs[:, j] @ (M @ vecs[:, j])))
-        vecs[:, j] /= nj
+        vecs[:, j] /= np.sqrt(abs(vecs[:, j] @ (M @ vecs[:, j])))
 
-    vals = np.asarray(vals, dtype=float)
     residuals = np.empty(count)
     backward = np.empty(count)
-    normK = spla.norm(K, 1) if sp.issparse(K) else np.linalg.norm(K, 1)
-    normM = spla.norm(M, 1) if sp.issparse(M) else np.linalg.norm(M, 1)
+    normK, normM = spla.norm(K, 1), spla.norm(M, 1)
     for j in range(count):
         x = vecs[:, j]
-        r = K @ x - vals[j] * (M @ x)
-        res = np.linalg.norm(r) / max(np.linalg.norm(M @ x), 1e-300)
-        if res > tol and solver != "dense":
+        r, res = _residual(K, M, vals[j], x)
+        if res > tol:
             vals[j], vecs[:, j] = _polish(K, M, vals[j], x)
-            x = vecs[:, j]
-            r = K @ x - vals[j] * (M @ x)
-            res = np.linalg.norm(r) / max(np.linalg.norm(M @ x), 1e-300)
+            r, res = _residual(K, M, vals[j], x)
         residuals[j] = res
         backward[j] = np.linalg.norm(r) / max((normK + abs(vals[j]) * normM)
                                               * np.linalg.norm(x), 1e-300)
 
     order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-    residuals = residuals[order]
-    backward = backward[order]
+    vals, vecs = vals[order], vecs[:, order]
+    residuals, backward = residuals[order], backward[order]
     converged = bool(np.all((residuals <= tol) | (backward <= tol)))
     return SpectralReport(vals, residuals, backward, vecs, n, tol,
                           float(sigma), seed, solver, solver_calls,

@@ -11,8 +11,9 @@ from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec,
                        assemble_pencil, build_mesh_1d, build_trimesh,
                        counting_function, restrict_to_strip, smallest_eigenpairs)
 from hardyspec import eigensolve
-from hardyspec.eigensolve import DENSE_CUTOFF, _diag_spread, _factor, ladder
+from hardyspec.eigensolve import _factor, ladder
 from hardyspec.errors import FactorizationFailure, NoConvergence
+from hardyspec.meshing import nested
 from hardyspec.spectral import strip_mesh, ProblemSpec
 
 IV = Interval(0, 1)
@@ -40,6 +41,11 @@ def _sturm_count(kd, ko, md, mo, sigma):
     return count
 
 
+def _diag_spread(pencil):
+    """max |K_ii| / M_ii: the scale of the top of the pencil spectrum."""
+    return float(np.max(np.abs(pencil.K.diagonal()) / pencil.M.diagonal()))
+
+
 def _disc_pencil(h):
     mesh = build_trimesh(Disc((0, 0), 1.0), h, 1.0)
     return assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
@@ -52,15 +58,49 @@ def _pencil(K, M):
 
 
 def test_identity_pencil():
-    p = _pencil(sp.identity(40), sp.identity(40))
-    rep = smallest_eigenpairs(p, 3)
-    assert_allclose(rep.eigenvalues, 1.0)
+    # a 200-fold eigenvalue is more than Lanczos can return in one window
+    for n in (40, 200):
+        p = _pencil(sp.identity(n), sp.identity(n))
+        rep = smallest_eigenpairs(p, 3)
+        assert_allclose(rep.eigenvalues, 1.0)
+        assert counting_function(p, rep.sigma) == 0
 
 
 def test_diagonal_pencil():
     p = _pencil(sp.diags([1.0, 2.0, 3.0]), sp.identity(3))
     rep = smallest_eigenpairs(p, 2)
     assert_allclose(rep.eigenvalues, [1.0, 2.0])
+
+
+def test_whole_spectrum_is_one_full_solve():
+    for pencil in (_pencil(sp.diags([1.0, 2.0, 3.0]), sp.identity(3)), _disc_pencil(0.3)):
+        n = pencil.dof
+        vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+        rep = smallest_eigenpairs(pencil, n)
+        assert rep.solver == "dense"
+        assert_allclose(rep.eigenvalues, vals, rtol=1e-8)
+        assert counting_function(pencil, rep.sigma) == 0
+        G = rep.eigenvectors.T @ (pencil.M @ rep.eigenvectors)
+        assert np.max(np.abs(G - np.eye(n))) < 1e-8
+        rep = smallest_eigenpairs(pencil, n - 1)
+        assert rep.solver == "shift-invert-lanczos"
+        assert_allclose(rep.eigenvalues, vals[:-1], rtol=1e-8)
+        assert counting_function(pencil, rep.sigma) == 0
+
+
+def test_graded_bottom_is_bracketed_by_sturm_counts():
+    # the grading spreads this 31-dof pencil's scale over 2e8; each returned
+    # eigenvalue must sit between the Sturm counts just below and above it
+    mesh = build_mesh_1d(IV, 32, 0.6)
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
+    assert pencil.dof == 31
+    K, M = pencil.K, pencil.M
+    rep = smallest_eigenpairs(pencil, 2)
+    for j, lam in enumerate(rep.eigenvalues):
+        for sigma, expected in ((lam * (1 - 1e-10), j), (lam * (1 + 1e-10), j + 1)):
+            assert _sturm_count(K.diagonal(), K.diagonal(1), M.diagonal(),
+                                M.diagonal(1), sigma) == expected
+    assert np.all(rep.residuals <= rep.tol)
 
 
 def test_laplacian_five_modes():
@@ -113,7 +153,7 @@ def test_shift_safety():
     for n, q in ((700, None), (300, "-0.1*d^-2")):
         mesh = build_mesh_1d(IV, n, 1.0 if q is None else 0.9)
         pencils.append(assemble_pencil(mesh, FormSpec(a=1.0, q=q or "0"), 1.0))
-    pencils.append(_disc_pencil(0.3))     # the dense path
+    pencils.append(_disc_pencil(0.3))     # 64 dof
     for pencil in pencils:
         rep = smallest_eigenpairs(pencil, 2)
         assert rep.eigenvalues[0] > rep.sigma
@@ -163,7 +203,7 @@ def test_counting_matches_dense_eigh(pencil, t):
 
 @st.composite
 def _sparse_power_pencils(draw):
-    """1D or disc pencils of |grad u|^2 + c d^p |u|^2 above DENSE_CUTOFF."""
+    """1D or disc pencils of |grad u|^2 + c d^p |u|^2 with 121 to 568 dof."""
     c = draw(st.floats(-50.0, 1.0).map(lambda x: round(x, 3)))
     p = draw(st.floats(-1.5, 1.0).map(lambda x: round(x, 2)))
     form = FormSpec(a=1.0, q=f"{c}*d^{p}")
@@ -173,13 +213,11 @@ def _sparse_power_pencils(draw):
     else:
         mesh = build_trimesh(Disc((0, 0), 1.0),
                              draw(st.sampled_from((0.1, 0.125, 0.15))), 1.0)
-    pencil = assemble_pencil(mesh, form, 1.0)
-    assert pencil.dof > DENSE_CUTOFF
-    return pencil
+    return assemble_pencil(mesh, form, 1.0)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-@given(pencil=_sparse_power_pencils())
+@given(pencil=st.one_of(_power_pencils(), _sparse_power_pencils()))
 def test_sparse_path_matches_dense_bottom(pencil):
     # past this spread the dense reference itself loses the bottom
     assume(_diag_spread(pencil) <= 1e10)
@@ -311,7 +349,7 @@ def test_no_convergence_carries_partial_eigenvalues():
 @st.composite
 def _ladder_meshes(draw):
     """Small boundary strips of a graded interval, or small discs; the
-    ladders built on them cross DENSE_CUTOFF."""
+    three-level ladders built on them end at 158 to 3921 dof."""
     if draw(st.booleans()):
         mesh = build_mesh_1d(IV, 2 * draw(st.integers(40, 60)),
                              draw(st.sampled_from((0.8, 0.9, 1.0))))
@@ -329,7 +367,6 @@ def _warm_and_cold(mesh, form):
         return pencils[-1]
     warm = [mu for _, mu in ladder(mesh, 3, 1, pencil)]
     cold = [smallest_eigenpairs(pc, 1).eigenvalues[0] for pc in pencils]
-    assert pencils[-1].dof > DENSE_CUTOFF
     return warm, cold
 
 
@@ -347,10 +384,19 @@ def test_warm_ladder_matches_cold_and_decreases(mesh, c, p, b):
 
 def test_warm_ladder_finds_a_minimum_that_changes_component():
     # both ends of the interval form the strip, two blocks of the pencil; the
-    # right end's potential -430 x^6 holds the minimum of the dense first
-    # level (38 dof), the left end's supercritical -d^-2 (1-x)^6 / 2 that of
-    # the sparse last one, where the prolonged eigenvector is zero
+    # right end's potential -430 x^6 holds the minimum of the first level
+    # (38 dof), the left end's supercritical -d^-2 (1-x)^6 / 2 that of the
+    # last one (158 dof), where the prolonged eigenvector is nearly zero
     strip = restrict_to_strip(build_mesh_1d(IV, 80, 1.0), StripSpec(0.0, 0.25))
-    warm, cold = _warm_and_cold(strip, FormSpec(a=1.0, q="-0.5*d^-2*(1-x)^6-430*x^6"))
+    form = FormSpec(a=1.0, q="-0.5*d^-2*(1-x)^6-430*x^6")
+    warm, cold = _warm_and_cold(strip, form)
     assert cold[0] < -30 and cold[2] < -140
     assert_allclose(warm, cold, rtol=1e-10)
+    # a start exactly zero on the left end: only the random part reaches it
+    fine = list(nested(strip, 3, 1))[-1][0]
+    pencil = assemble_pencil(fine, form, 1.0)
+    assert pencil.dof == 158
+    v = (fine.points[pencil.free_nodes, 0] > 0.5).astype(float)
+    mu = smallest_eigenpairs(pencil, 1, v0=v).eigenvalues[0]
+    assert mu == pytest.approx(-148.895, abs=1e-3)
+    assert mu == pytest.approx(cold[2], rel=1e-10)
