@@ -11,13 +11,23 @@ Identifiers name coordinates (x1, x2, x3 with aliases x, y; r and z for
 axisymmetric problems) or the boundary distance d; `environment` binds them.
 Exponents are numeric literals, so d^-1.5 parses as a power with a fixed
 real exponent.
+
+The expression tree is private to this module.  Its leaves are
+("num", value) and ("var", name); every other node is (kind, *children),
+and each kind is one entry of `_OPS`, which evaluation, variable listing,
+printing and the parser's function lookup all read.  A new function is one
+table entry.  Other modules build coefficients with `parse_coefficient`,
+`constant`, `power_of_d` and the small algebra on `Coefficient`, and ask
+`d_power` whether one is exactly d^beta.
 """
 
+import functools
+import operator
 import re
 
 import numpy as np
 
-from .errors import NotAxisymmetric, ParseError, UnknownVariable
+from .errors import DivisionByZero, NotAxisymmetric, ParseError, UnknownVariable
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
@@ -26,8 +36,36 @@ _TOKEN_RE = re.compile(r"""
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
-_FUNCTIONS = {"min", "max", "abs", "pos", "neg"}
-_ARITY = {"abs": (1, 1), "pos": (1, 1), "neg": (1, 1), "min": (2, None), "max": (2, None)}
+
+def _fold(binary):
+    """The n-ary form of a binary function, as a left fold."""
+    return lambda *args: functools.reduce(binary, args)
+
+
+# Every node kind but the leaves: the operation on its evaluated children,
+# its printed form (opening, separator between children, closing) and its
+# arity (fewest, most children; None for no limit).  Binary operators are
+# keyed by their token, and a power's exponent child is a "num" leaf.  A
+# function is an entry whose printed form opens with its name.
+_OPS = {
+    "+": (operator.add, ("(", " + ", ")"), (2, 2)),
+    "-": (operator.sub, ("(", " - ", ")"), (2, 2)),
+    "*": (operator.mul, ("(", " * ", ")"), (2, 2)),
+    "/": (operator.truediv, ("(", " / ", ")"), (2, 2)),
+    "^": (np.power, ("", "^", ""), (2, 2)),
+    "minus": (operator.neg, ("(-", "", ")"), (1, 1)),
+    "abs": (np.abs, ("abs(", ", ", ")"), (1, 1)),
+    "pos": (lambda a: np.maximum(a, 0.0), ("pos(", ", ", ")"), (1, 1)),
+    "neg": (lambda a: np.maximum(-a, 0.0), ("neg(", ", ", ")"), (1, 1)),
+    "min": (_fold(np.minimum), ("min(", ", ", ")"), (2, None)),
+    "max": (_fold(np.maximum), ("max(", ", ", ")"), (2, None)),
+}
+
+
+def _function(name):
+    """The table entry of a function name, or None."""
+    entry = _OPS.get(name)
+    return entry if entry is not None and entry[1][0] == name + "(" else None
 
 
 def _tokenize(text):
@@ -74,38 +112,33 @@ class _Parser:
                              expected=("end of input",))
         return node
 
-    def expr(self):
-        node = self.term()
+    def chain(self, operand, ops):
+        """operand (op operand)* for the one-character tokens in ops,
+        grouped to the left."""
+        node = operand()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = ("add" if value == "+" else "sub", node, rhs)
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self.advance()
+            node = (value, node, operand())
+
+    def expr(self):
+        return self.chain(self.term, "+-")
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = ("mul" if value == "*" else "div", node, rhs)
-            else:
-                return node
+        return self.chain(self.factor, "*/")
 
     def factor(self):
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return ("neg", self.factor())
+            return ("minus", self.factor())
         node = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return ("pow", node, self.signed_number())
+            return ("^", node, ("num", self.signed_number()))
         return node
 
     def signed_number(self):
@@ -128,24 +161,21 @@ class _Parser:
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
-                if value not in _FUNCTIONS:
+                entry = _function(value)
+                if entry is None:
                     raise ParseError(f"unknown function {value!r}", pos,
-                                     expected=tuple(sorted(_FUNCTIONS)))
+                                     expected=tuple(sorted(filter(_function, _OPS))))
                 self.advance()
                 args = [self.expr()]
-                while True:
-                    k2, v2, _ = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.expr())
                 self.expect_op(")")
-                lo, hi = _ARITY[value]
+                lo, hi = entry[2]
                 if len(args) < lo or (hi is not None and len(args) > hi):
                     raise ParseError(f"{value} takes {lo}{'+' if hi is None else ''} "
                                      f"argument(s), got {len(args)}", pos)
-                return ("call", value, tuple(args))
+                return (value, *args)
             return ("var", value)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -192,64 +222,35 @@ def require_axisymmetric(*coefficients):
 
 
 def _eval(node, env):
-    op = node[0]
-    if op == "num":
+    kind = node[0]
+    if kind == "num":
         return node[1]
-    if op == "var":
+    if kind == "var":
         try:
             return env[node[1]]
         except KeyError:
             raise UnknownVariable(f"unknown variable {node[1]!r}; available: "
                                   f"{sorted(env)}") from None
-    if op == "add":
-        return _eval(node[1], env) + _eval(node[2], env)
-    if op == "sub":
-        return _eval(node[1], env) - _eval(node[2], env)
-    if op == "mul":
-        return _eval(node[1], env) * _eval(node[2], env)
-    if op == "div":
-        return _eval(node[1], env) / _eval(node[2], env)
-    if op == "neg":
-        return -_eval(node[1], env)
-    if op == "pow":
-        return np.power(_eval(node[1], env), node[2])
-    if op == "call":
-        args = [_eval(a, env) for a in node[2]]
-        name = node[1]
-        if name == "abs":
-            return np.abs(args[0])
-        if name == "pos":
-            return np.maximum(args[0], 0.0)
-        if name == "neg":
-            return np.maximum(-args[0], 0.0)
-        if name == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if name == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-    raise AssertionError(f"bad node {node!r}")
+    return _OPS[kind][0](*[_eval(child, env) for child in node[1:]])
 
 
 def _variables(node, acc):
-    op = node[0]
-    if op == "var":
+    if node[0] == "var":
         acc.add(node[1])
-    elif op in ("add", "sub", "mul", "div"):
-        _variables(node[1], acc)
-        _variables(node[2], acc)
-    elif op in ("neg",):
-        _variables(node[1], acc)
-    elif op == "pow":
-        _variables(node[1], acc)
-    elif op == "call":
-        for a in node[2]:
-            _variables(a, acc)
+    elif node[0] != "num":
+        for child in node[1:]:
+            _variables(child, acc)
     return acc
+
+
+def _un_parse(node):
+    kind = node[0]
+    if kind == "num":
+        return repr(node[1])
+    if kind == "var":
+        return node[1]
+    opening, separator, closing = _OPS[kind][1]
+    return opening + separator.join(map(_un_parse, node[1:])) + closing
 
 
 class Coefficient:
@@ -257,17 +258,19 @@ class Coefficient:
 
     def __init__(self, ast, text=None):
         self.ast = ast
-        self.text = text if text is not None else un_parse(ast)
+        self.text = text if text is not None else _un_parse(ast)
 
     def __repr__(self):
         return f"Coefficient({self.text!r})"
 
-    def __call__(self, **env):
-        return self.evaluate(env)
-
     def evaluate(self, env):
         """Evaluate on an environment of coordinate arrays (broadcasting)."""
-        return np.asarray(_eval(self.ast, env), dtype=float)
+        try:
+            value = _eval(self.ast, env)
+        except ZeroDivisionError:
+            raise DivisionByZero(f"coefficient {self.text!r} divides by a "
+                                 "constant zero") from None
+        return np.asarray(value, dtype=float)
 
     def variables(self):
         return _variables(self.ast, set())
@@ -275,46 +278,32 @@ class Coefficient:
     def is_zero(self):
         return self.ast == ("num", 0.0)
 
+    def d_power(self):
+        """beta when the coefficient is exactly d^beta, counting 1 as
+        beta = 0 and d as beta = 1; None otherwise."""
+        if self.ast == ("num", 1.0):
+            return 0.0
+        if self.ast == ("var", "d"):
+            return 1.0
+        if self.ast[0] == "^" and self.ast[1] == ("var", "d"):
+            return self.ast[2][1]
+        return None
+
     # small algebra for composing reduced problems
     def __add__(self, other):
-        other = as_coefficient(other)
-        return Coefficient(("add", self.ast, other.ast))
+        return Coefficient(("+", self.ast, as_coefficient(other).ast))
 
     def __mul__(self, other):
-        other = as_coefficient(other)
-        return Coefficient(("mul", self.ast, other.ast))
+        return Coefficient(("*", self.ast, as_coefficient(other).ast))
 
     def __neg__(self):
-        return Coefficient(("neg", self.ast))
+        return Coefficient(("minus", self.ast))
 
     def positive_part(self):
-        return Coefficient(("call", "pos", (self.ast,)))
+        return Coefficient(("pos", self.ast))
 
     def negative_part(self):
-        return Coefficient(("call", "neg", (self.ast,)))
-
-
-def un_parse(node):
-    op = node[0]
-    if op == "num":
-        return repr(node[1])
-    if op == "var":
-        return node[1]
-    if op == "add":
-        return f"({un_parse(node[1])} + {un_parse(node[2])})"
-    if op == "sub":
-        return f"({un_parse(node[1])} - {un_parse(node[2])})"
-    if op == "mul":
-        return f"({un_parse(node[1])} * {un_parse(node[2])})"
-    if op == "div":
-        return f"({un_parse(node[1])} / {un_parse(node[2])})"
-    if op == "neg":
-        return f"(-{un_parse(node[1])})"
-    if op == "pow":
-        return f"{un_parse(node[1])}^{node[2]!r}"
-    if op == "call":
-        return f"{node[1]}({', '.join(un_parse(a) for a in node[2])})"
-    raise AssertionError(node)
+        return Coefficient(("neg", self.ast))
 
 
 def parse_coefficient(text):
@@ -327,6 +316,13 @@ def parse_coefficient(text):
 
 def constant(value):
     return Coefficient(("num", float(value)))
+
+
+def power_of_d(exponent):
+    """d^exponent; the constant 1 at exponent 0."""
+    if exponent == 0:
+        return constant(1.0)
+    return Coefficient(("^", ("var", "d"), ("num", float(exponent))))
 
 
 def as_coefficient(obj):

@@ -56,6 +56,10 @@ class UnknownVariable(HardySpecError, NameError):
     """A coefficient names a variable its evaluation point does not bind."""
 
 
+class DivisionByZero(HardySpecError, ZeroDivisionError):
+    """A coefficient divides by a subexpression that is the constant zero."""
+
+
 class NotAxisymmetric(HardySpecError):
     """A torus coefficient names a Cartesian coordinate."""
 

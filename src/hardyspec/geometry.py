@@ -56,9 +56,6 @@ class Domain:
 
     # -- membership and distance --------------------------------------------
 
-    def contains(self, p, tol=1e-12):
-        return bool(self.distance_many(np.asarray([_as_point(p, self.dim)])) >= -tol)
-
     def distance(self, p, tol=1e-12):
         """Exact distance from an inside point to the boundary."""
         p = _as_point(p, self.dim)

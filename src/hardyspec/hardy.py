@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import Coefficient, constant
+from .coefficients import constant, power_of_d
 from .eigensolve import ladder
 from .errors import ExponentOutOfRange, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
@@ -23,6 +23,7 @@ from .meshing import (axisymmetric_reduce, build_mesh_1d, build_trimesh,
                       feasible_grading, grading_floor)
 
 CERT_TOL = 1e-4          # absolute slack on the certified margin
+REFINE_FACTOR = 2        # nested bisections between ladder levels
 LAMBDA0 = 0.94           # pinned lower bound for the Avkhadiev-Wirths constant
 
 CATALOGUE_METHODS = ("none", "brezis_marcus", "fmt_dint", "avkhadiev_wirths",
@@ -98,16 +99,18 @@ class HardyBoundSpec:
     notes: dict = field(default_factory=dict)
 
 
-def _require_superharmonic(domain, method, resolution):
-    """Convexity implies -lap(d) >= 0; otherwise certify it by scanning."""
+def _require_superharmonic(domain, method, resolution, region="full"):
+    """Convexity implies -lap(d) >= 0; otherwise certify it by scanning the
+    domain, or the strip of a ("tubular", delta) region."""
     if domain.is_convex:
         return {"superharmonic": "convex variant"}
-    report = superharmonicity_scan(domain, resolution=resolution)
+    report = superharmonicity_scan(domain, region=region, resolution=resolution)
+    scan = "scan" if region == "full" else "strip scan"
     if report.verdict != "PASS":
         raise MethodNotApplicable(
-            f"{method} requires -laplacian(d) >= 0; scan found "
+            f"{method} requires -laplacian(d) >= 0; {scan} found "
             f"{report.min_value:.3e} at {report.argmin}")
-    return {"superharmonic": f"scan PASS (min {report.min_value:.6g})"}
+    return {"superharmonic": f"{scan} PASS (min {report.min_value:.6g})"}
 
 
 def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None,
@@ -167,16 +170,8 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None,
     if delta > (1 - beta) / 2:
         raise MethodNotApplicable(
             f"tubular needs delta <= (1-beta)/2 = {(1 - beta) / 2}")
-    if domain.is_convex:
-        notes["superharmonic"] = "convex variant"
-    else:
-        report = superharmonicity_scan(domain, region=("tubular", delta),
-                                       resolution=scan_resolution)
-        if report.verdict != "PASS":
-            raise MethodNotApplicable(
-                f"tubular requires -laplacian(d) >= 0 on the strip; scan found "
-                f"{report.min_value:.3e}")
-        notes["superharmonic"] = f"strip scan PASS (min {report.min_value:.6g})"
+    notes.update(_require_superharmonic(domain, method, scan_resolution,
+                                        region=("tubular", delta)))
     notes["delta"] = delta
     lam = c * delta
     return HardyBoundSpec(beta, alpha, kappa(beta), method, lam, notes)
@@ -185,12 +180,6 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None,
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
-
-def power_of_d(exponent):
-    if exponent == 0:
-        return constant(1.0)
-    return Coefficient(("pow", ("var", "d"), float(exponent)))
-
 
 @dataclass
 class HardyCertificate:
@@ -219,8 +208,7 @@ def hardy_pencil(mesh, beta, alpha, lam, measure_weight=None):
     """Pencil of the Hardy quotient:
     numerator integral d^beta |grad u|^2 - lam integral d^alpha |u|^2,
     denominator integral d^(beta-2) |u|^2."""
-    q = constant(0.0) if lam == 0 else Coefficient(
-        ("mul", ("num", -float(lam)), power_of_d(alpha).ast))
+    q = constant(0.0) if lam == 0 else constant(-lam) * power_of_d(alpha)
     form = FormSpec(a=power_of_d(beta), q=q, beta=beta)
     return assemble_pencil(mesh, form, power_of_d(beta - 2),
                            measure_weight=measure_weight)
@@ -237,13 +225,12 @@ def check_ladder(beta, lam, levels):
 
 
 def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
-                 grading=0.15, levels=3, refine_factor=2, cert_tol=CERT_TOL,
-                 seed=0, tol=None):
+                 grading=0.15, levels=3, seed=0, tol=None):
     """Certify the weighted Hardy inequality on a refinement ladder.
 
     1D and 2D domains mesh directly; a torus reduces to its cross-section
     disc with the cylindrical radius folded into all three integrals.  Each
-    ladder level applies `refine_factor` nested bisections, so the discrete
+    ladder level applies REFINE_FACTOR nested bisections, so the discrete
     minima decrease monotonically toward the continuum infimum.
     """
     check_ladder(beta, lam, levels)
@@ -256,7 +243,7 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
 
     if mesh_domain.dim == 1:
         # steepest float64-feasible grading at this depth (with bisection room)
-        floor = grading_floor(mesh_domain, headroom=refine_factor * (levels - 1))
+        floor = grading_floor(mesh_domain, headroom=REFINE_FACTOR * (levels - 1))
         grading = feasible_grading(grading, n // 2,
                                    mesh_domain.interior_diameter() / 2, floor)
         mesh = build_mesh_1d(mesh_domain, n, grading)
@@ -271,12 +258,12 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
         sizes.append(len(fine.elements))
         return hardy_pencil(fine, beta, alpha, lam, measure_weight=measure_weight)
 
-    minima = ladder(mesh, levels, refine_factor, pencil, tol=tol, seed=seed)
+    minima = ladder(mesh, levels, REFINE_FACTOR, pencil, tol=tol, seed=seed)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,
              "margin": mu - kap}
             for level, (size, (dof, mu)) in enumerate(zip(sizes, minima))]
 
-    certified = all(r["margin"] >= -cert_tol for r in rows)
+    certified = all(r["margin"] >= -CERT_TOL for r in rows)
     return HardyCertificate(repr(domain), beta, alpha, lam, kap, rows,
                             "CERTIFIED" if certified else "INCONCLUSIVE",
-                            cert_tol, SEMANTICS)
+                            CERT_TOL, SEMANTICS)

@@ -496,25 +496,21 @@ def restrict_to_strip(mesh, strip):
             "4 element layers")
 
     kept_elems = elems[kept]
-    dropped_nodes = set(elems[~keep].ravel().tolist())
     used = np.unique(kept_elems)
-    renum = {int(old): new for new, old in enumerate(used)}
-    new_elems = np.searchsorted(used, kept_elems)
+    # new number of each old node, -1 for the nodes the strip drops
+    index = np.full(mesh.n_nodes, -1)
+    index[used] = np.arange(len(used))
+    new_elems = index[kept_elems]
 
     node_d = mesh.node_d[used]
-    tags = {}
-    for old, t in mesh.node_tags.items():
-        if old in renum:
-            tags[renum[old]] = t
-    for new, old in enumerate(used):
-        interface = int(old) in dropped_nodes or node_d[new] >= strip.delta_in - 1e-12
-        if interface:
-            tags[new] = DIRICHLET
+    tags = {int(index[old]): t for old, t in mesh.node_tags.items() if index[old] >= 0}
+    interface = np.isin(used, elems[~keep]) | (node_d >= strip.delta_in - 1e-12)
+    tags.update(dict.fromkeys(np.flatnonzero(interface).tolist(), DIRICHLET))
 
     if isinstance(mesh, Mesh1D):
         return Mesh1D(mesh.nodes[used], new_elems, tags, mesh.domain, node_d)
-    edges = [(renum[i], renum[j], t) for i, j, t in mesh.boundary_edges
-             if i in renum and j in renum]
+    edges = [(int(index[i]), int(index[j]), t) for i, j, t in mesh.boundary_edges
+             if index[i] >= 0 and index[j] >= 0]
     return TriMesh(mesh.points[used], new_elems, edges, tags, mesh.domain, node_d)
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import (Coefficient, as_coefficient, environment,
-                           require_axisymmetric)
+from .coefficients import constant, environment, require_axisymmetric
 from .eigensolve import ladder, smallest_eigenpairs
 from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
@@ -55,7 +54,7 @@ class ProblemSpec:
             raise ValueError("exhaustion indices must be positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        power = _power_form_exponent(self.form)
+        power = self.form.a.d_power()
         if power is not None:
             if self.form.beta not in (None, power):
                 raise ValueError(f"beta = {self.form.beta:g} contradicts "
@@ -130,18 +129,6 @@ class PerssonSequence:
         return np.array([e["mu"] for e in self.entries])
 
 
-def _power_form_exponent(form):
-    """beta when the diffusion is exactly d^beta (or 1), else None."""
-    ast = form.a.ast
-    if ast == ("num", 1.0):
-        return 0.0
-    if ast[0] == "pow" and ast[1] == ("var", "d"):
-        return float(ast[2])
-    if ast == ("var", "d"):
-        return 1.0
-    return None
-
-
 def persson_sequence(problem):
     """Strip minima mu_k = min of the form over functions supported in
     {d < 1/k}, for each k in the problem's range.
@@ -169,7 +156,7 @@ def persson_sequence(problem):
 
     beta = problem.beta
     bound = None
-    if _power_form_exponent(problem.form) is not None and q_nonneg:
+    if problem.form.a.d_power() is not None and q_nonneg:
         bound = [kappa(beta) * k ** (2 - beta) for k in problem.ks]
 
     mus = np.array([e["mu"] for e in entries])
@@ -225,7 +212,7 @@ def _halton_points(domain, lo, hi, n_keep, d_max):
     return np.vstack(out)[:n_keep]
 
 
-def check_pointwise_criterion(problem, lam=None, alpha=None, samples=None):
+def check_pointwise_criterion(problem):
     """Pointwise domination of the negative part of the potential:
 
         q_-(x) <= (1 - gamma) [kappa(beta) d^(beta-2) + lam d^alpha]
@@ -233,14 +220,11 @@ def check_pointwise_criterion(problem, lam=None, alpha=None, samples=None):
     sampled on a deterministic low-discrepancy set of the strip
     {0 < d < 1/k0}.
     """
-    lam = problem.lam if lam is None else lam
-    alpha = problem.alpha if alpha is None else alpha
-    samples = problem.samples if samples is None else samples
-    beta = problem.beta
+    lam, alpha, beta = problem.lam, problem.alpha, problem.beta
     kap = kappa(beta)
 
     lo, hi = problem.domain.box()
-    pts = _halton_points(problem.domain, lo, hi, samples, 1.0 / problem.k0)
+    pts = _halton_points(problem.domain, lo, hi, problem.samples, 1.0 / problem.k0)
     d = problem.domain.distance_many(pts)
 
     env = environment(pts, d)
@@ -267,9 +251,8 @@ def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
     """
     k = problem.k0 if k is None else k
     q_minus = problem.form.q.negative_part()
-    scaled_a = Coefficient(("mul", ("num", 1.0 - problem.gamma),
-                            as_coefficient(problem.form.a).ast))
-    check_form = FormSpec(a=scaled_a, q=-q_minus, beta=problem.form.beta)
+    check_form = FormSpec(a=constant(1.0 - problem.gamma) * problem.form.a,
+                          q=-q_minus, beta=problem.form.beta)
 
     sub, measure_weight = strip_mesh(problem, k)
     if bc == "free_inner":

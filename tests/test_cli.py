@@ -283,6 +283,8 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
              ("diagnose", plain + "samples = 0\n"),
              ("diagnose", plain + "k0 = 0\n"),
              ("diagnose", thin),
+             ("diagnose", plain.replace("q = 0", "q = -0.1/(1-1)*d^-2")),
+             ("spectrum", disc.replace("q = 0", "q = 1/0") + "h = 0.25\n"),
              ("spectrum", torus),
              ("spectrum", disc + "h = -0.1\n"),
              ("spectrum", disc + "h = 0\n"),
@@ -356,13 +358,15 @@ count = 1
 mode = {mode}
 """
     vals = {}
-    for mode in (0, 1):
+    for mode in (0, 1, 2):
         cfg = write(tmp_path, f"t{mode}.ini", base.format(mode=mode))
         status, doc = run("spectrum", cfg, out_dir=str(tmp_path / f"o{mode}"))
         assert status == 0
         vals[mode] = doc["result"]["eigenvalues"][0]
     # the azimuthal barrier raises the ground energy
-    assert vals[1] > vals[0]
+    assert vals[2] > vals[1] > vals[0]
+    # the reduced potential q + a m^2/r^2, printed from its expression tree
+    assert doc["result"]["mesh_info"]["q"] == "(0.0 + (1.0 * (4.0 / r^2.0)))"
 
 
 def test_cli_main_entry(tmp_path):

@@ -1,15 +1,20 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from hardyspec import parse_coefficient
-from hardyspec.coefficients import constant
+import hardyspec
+from hardyspec import Coefficient, parse_coefficient
+from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import ParseError
 
 
 def test_power_literal():
     c = parse_coefficient("d^-1.5")
-    assert c.ast == ("pow", ("var", "d"), -1.5)
+    assert c.d_power() == -1.5
     assert_allclose(c.evaluate({"d": np.array([4.0])}), [4.0**-1.5])
 
 
@@ -117,3 +122,49 @@ def test_algebra_composition():
 def test_scientific_notation():
     c = parse_coefficient("1e-3*d + 2.5E2")
     assert_allclose(c.evaluate({"d": np.array([1000.0])}), [251.0])
+
+
+LEAVES = ("d", "x", "2.5", "d^-1.5", "2^-1", "-d^2", "(1 + d)^2", "1/(d + 2)",
+          "abs(x - 1)", "min(d, x, 0.3)", "max(x, -d)", "pos(x)*neg(x - 1)")
+
+
+def _compose(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(pairs.map(lambda ab: ab[0] + ab[1]),
+                     pairs.map(lambda ab: ab[0] * ab[1]),
+                     children.map(lambda c: -c),
+                     children.map(Coefficient.positive_part),
+                     children.map(Coefficient.negative_part))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.recursive(
+    st.one_of(st.sampled_from(LEAVES).map(parse_coefficient),
+              st.floats(-100, 100).map(constant),
+              st.sampled_from((-2.5, -1, 0, 0.5, 1, 2)).map(power_of_d)),
+    _compose, max_leaves=8))
+def test_printed_text_reparses_bitwise(c):
+    again = parse_coefficient(c.text)
+    env = {"d": np.linspace(0.05, 1, 9), "x": np.linspace(-1, 2, 9)}
+    assert again.evaluate(env).tobytes() == c.evaluate(env).tobytes()
+    assert again.variables() == c.variables()
+
+
+def test_d_power():
+    assert parse_coefficient("1").d_power() == 0.0
+    assert parse_coefficient("d").d_power() == 1.0
+    assert parse_coefficient("d^0.5").d_power() == 0.5
+    assert power_of_d(-2).d_power() == -2.0
+    for text in ("2*d^0.5", "d^0.5 + 0", "x^2", "(d)^-1 * 1"):
+        assert parse_coefficient(text).d_power() is None
+
+
+def test_only_coefficients_reads_the_expression_tree():
+    """The expression tree is private to coefficients.py: no other module
+    reads `.ast` or hands Coefficient a tree of its own."""
+    package = pathlib.Path(hardyspec.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "coefficients.py":
+            text = path.read_text()
+            assert not re.search(r"\.ast\b", text), path.name
+            assert not re.search(r"Coefficient\(\s*\(", text), path.name

@@ -7,11 +7,11 @@ from hardyspec import (ConvexPolygon, Disc, FormSpec, Interval, Mesh1D,
                        build_mesh_1d, build_trimesh, assemble_pencil,
                        ims_identity_residual, ims_partition, parse_coefficient,
                        refine_mesh_1d, smallest_eigenpairs)
-from hardyspec.coefficients import constant
+from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
                               SingularQuadrature)
 from hardyspec.forms import format_matrix_text
-from hardyspec.hardy import hardy_pencil, power_of_d
+from hardyspec.hardy import hardy_pencil
 
 IV = Interval(0, 1)
 

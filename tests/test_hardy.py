@@ -102,6 +102,15 @@ def test_tubular_bound():
     assert abs(spec.lam - 6.0 * 0.25) < 1e-12
     with pytest.raises(MethodNotApplicable):
         lambda_bound(IV, "tubular", alpha=0.0, beta=0.0, delta=0.9)
+    # non-convex domains: the strip scan passes the fat torus and refuses
+    # the thin torus and the annulus, whose -laplacian(d) < 0 near the
+    # inner boundary
+    spec = lambda_bound(Torus(3, 1), "tubular", alpha=0.0, beta=0.0, delta=0.25)
+    assert abs(spec.lam - 1.5) < 1e-12
+    assert "strip scan PASS" in spec.notes["superharmonic"]
+    for domain in (Torus(1.8, 1), Annulus((0, 0), 0.5, 1.0)):
+        with pytest.raises(MethodNotApplicable):
+            lambda_bound(domain, "tubular", alpha=0.0, beta=0.0, delta=0.25)
 
 
 def test_unknown_method():
