@@ -42,6 +42,14 @@ def _fold(binary):
     return lambda *args: functools.reduce(binary, args)
 
 
+def _power(base, exponent):
+    """base^exponent; a constant zero base with a negative exponent divides
+    by zero, as `/` does (np.power would only warn and give inf)."""
+    if exponent < 0 and np.ndim(base) == 0 and base == 0:
+        raise ZeroDivisionError
+    return np.power(base, exponent)
+
+
 # Every node kind but the leaves: the operation on its evaluated children,
 # its printed form (opening, separator between children, closing) and its
 # arity (fewest, most children; None for no limit).  Binary operators are
@@ -52,7 +60,7 @@ _OPS = {
     "-": (operator.sub, ("(", " - ", ")"), (2, 2)),
     "*": (operator.mul, ("(", " * ", ")"), (2, 2)),
     "/": (operator.truediv, ("(", " / ", ")"), (2, 2)),
-    "^": (np.power, ("", "^", ""), (2, 2)),
+    "^": (_power, ("", "^", ""), (2, 2)),
     "minus": (operator.neg, ("(-", "", ")"), (1, 1)),
     "abs": (np.abs, ("abs(", ", ", ")"), (1, 1)),
     "pos": (lambda a: np.maximum(a, 0.0), ("pos(", ", ", ")"), (1, 1)),

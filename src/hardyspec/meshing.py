@@ -550,16 +550,15 @@ def format_mesh_text(mesh):
     """Plain-text mesh format: a header line `dim n_nodes n_elements
     n_boundary`, then node coordinate lines, element index lines, and tagged
     boundary lines (node index + tag in 1D, edge indices + tag in 2D)."""
-    lines = []
     if mesh.dim == 1:
         bnd = sorted(mesh.node_tags.items())
-        lines.append(f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}")
-        lines.extend(repr(float(x)) for x in mesh.nodes)
-        lines.extend(f"{i} {j}" for i, j in mesh.elements)
-        lines.extend(f"{i} {tag}" for i, tag in bnd)
+        lines = [f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}"]
+        lines += map(repr, mesh.nodes.tolist())
+        lines += [f"{i} {j}" for i, j in mesh.elements.tolist()]
+        lines += [f"{i} {tag}" for i, tag in bnd]
     else:
-        lines.append(f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}")
-        lines.extend(f"{repr(float(x))} {repr(float(y))}" for x, y in mesh.points)
-        lines.extend(f"{a} {b} {c}" for a, b, c in mesh.elements)
-        lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
+        lines = [f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}"]
+        lines += [f"{x!r} {y!r}" for x, y in mesh.points.tolist()]
+        lines += [f"{a} {b} {c}" for a, b, c in mesh.elements.tolist()]
+        lines += [f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges]
     return "\n".join(lines) + "\n"

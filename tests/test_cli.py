@@ -276,6 +276,11 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
     hardy = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n{extra}\n"
              "[numerics]\nn = 32\n")
     plain = diagnose.format(extra="")
+    # a constant zero divisor, by "/" or by a negative power
+    zero = [("diagnose", plain.replace("q = 0", "q = -0.1/(1-1)*d^-2")),
+            ("diagnose", plain.replace("q = 0", "q = -(0^-1)*d^-2")),
+            ("spectrum", disc.replace("q = 0", "q = 1/0") + "h = 0.25\n"),
+            ("spectrum", disc.replace("q = 0", "q = 0^-1") + "h = 0.25\n")]
     cases = [("diagnose", diagnose.format(extra="gamma = 1.5")),
              ("diagnose", diagnose.format(extra="beta = 1.0")),
              ("diagnose", diagnose.format(extra="beta = 0.5")),
@@ -283,8 +288,7 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
              ("diagnose", plain + "samples = 0\n"),
              ("diagnose", plain + "k0 = 0\n"),
              ("diagnose", thin),
-             ("diagnose", plain.replace("q = 0", "q = -0.1/(1-1)*d^-2")),
-             ("spectrum", disc.replace("q = 0", "q = 1/0") + "h = 0.25\n"),
+             *zero,
              ("spectrum", torus),
              ("spectrum", disc + "h = -0.1\n"),
              ("spectrum", disc + "h = 0\n"),
@@ -296,7 +300,10 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
         cfg = write(tmp_path, f"bad{i}.ini", text)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if (command, text) in zero:
+            assert "divides by a constant zero" in err
         if i >= len(cases) - 4:     # counts and ladder parameters
             code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                          "--dry-run"])

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from hardyspec import (ConvexPolygon, Disc, FormSpec, Interval, Mesh1D,
-                       build_mesh_1d, build_trimesh, assemble_pencil,
-                       ims_identity_residual, ims_partition, parse_coefficient,
-                       refine_mesh_1d, smallest_eigenpairs)
+from hardyspec import (ConvexPolygon, Disc, FormSpec, Interval, Mesh1D, Torus,
+                       axisymmetric_reduce, build_mesh_1d, build_trimesh,
+                       assemble_pencil, ims_identity_residual, ims_partition,
+                       parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
 from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
                               SingularQuadrature)
@@ -144,15 +147,59 @@ def test_robin_edges_2d():
     assert 0 < rep.eigenvalues[0] <= 4.0
 
 
-def test_pencil_export_format():
-    mesh = build_mesh_1d(IV, 4)
-    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
-    text = format_matrix_text(pencil.K)
-    lines = text.strip().split("\n")
-    n, m, nnz = map(int, lines[0].split())
-    assert (n, m) == (3, 3) and nnz == len(lines) - 1
-    rows = [tuple(map(float, ln.split()[:2])) for ln in lines[1:]]
-    assert rows == sorted(rows)
+def _matrix_text_oracle(mat):
+    """Oracle: the entry-by-entry formatting of numpy scalars that
+    format_matrix_text replaced."""
+    coo = sp.coo_matrix(mat)
+    order = np.lexsort((coo.col, coo.row))
+    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    lines.extend(f"{coo.row[k]} {coo.col[k]} {coo.data[k]!r}" for k in order)
+    return "\n".join(lines) + "\n"
+
+
+def _sorted_entries(mat):
+    """Rows, columns and value bit patterns, sorted by row then column."""
+    coo = sp.coo_matrix(mat)
+    order = np.lexsort((coo.col, coo.row))
+    return coo.row[order], coo.col[order], coo.data[order].view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def export_matrices():
+    """K and M of a graded 1D pencil, a disc pencil and a torus cross-section
+    pencil with its measure weight, and a hand-built matrix of awkward values
+    (signed zero, a subnormal, exponent forms, an inexact sum, negatives)."""
+    graded = assemble_pencil(build_mesh_1d(IV, 64, 0.5),
+                             FormSpec(a="d^0.5", q="-0.03*d^-1.5"), 1.0)
+    disc = assemble_pencil(build_trimesh(Disc((0, 0), 1.0), 0.1, 0.5),
+                           FormSpec(a=1.0, q=0.0), 1.0)
+    cross, weight, potential = axisymmetric_reduce(Torus(3.0, 1.0), 1)
+    torus = assemble_pencil(build_trimesh(cross, 0.25, 1.0),
+                            FormSpec(a=1.0, q=potential), 1.0, measure_weight=weight)
+    values = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -3.25, -1e-300, 0.0]
+    hand = sp.coo_matrix((values, ([2, 0, 3, 1, 0, 2, 3, 1], [1, 4, 0, 1, 2, 3, 4, 0])),
+                         shape=(4, 5))
+    return [mat for p in (graded, disc, torus) for mat in (p.K, p.M)] + [hand]
+
+
+def test_matrix_text_matches_oracle(export_matrices):
+    for mat in export_matrices:
+        assert format_matrix_text(mat) == _matrix_text_oracle(mat)
+
+
+def test_pencil_export_format(export_matrices):
+    # the text reads back, np.float64(...) stripped, to the same matrix
+    # bit for bit, in row-then-column order
+    for mat in export_matrices:
+        head, *body = format_matrix_text(mat).rstrip("\n").split("\n")
+        n, m, nnz = map(int, head.split())
+        assert (n, m) == mat.shape and nnz == len(body) == mat.nnz
+        rows, cols, vals = zip(*(ln.split(" ") for ln in body))
+        vals = [float(re.fullmatch(r"np\.float64\((.*)\)", v).group(1)) for v in vals]
+        back = (np.array(rows, dtype=int), np.array(cols, dtype=int),
+                np.array(vals).view(np.int64))
+        for got, want in zip(back, _sorted_entries(mat)):
+            assert np.array_equal(got, want)
 
 
 # -- IMS partition -----------------------------------------------------------

@@ -374,14 +374,51 @@ def test_axisymmetric_reduction_self_consistent():
     assert 1.8 <= rate <= 2.2
 
 
-def test_mesh_text_format():
-    mesh = build_mesh_1d(Interval(0, 1), 4, 1.0)
-    text = format_mesh_text(mesh)
-    lines = text.strip().split("\n")
-    dim, n_nodes, n_el, n_bnd = map(int, lines[0].split())
-    assert (dim, n_nodes, n_el, n_bnd) == (1, 5, 4, 2)
-    assert float(lines[1]) == 0.0
-    tri = build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 1.0)
-    text2 = format_mesh_text(tri)
-    head = text2.split("\n", 1)[0].split()
-    assert head[0] == "2"
+def _mesh_text_oracle(mesh):
+    """Oracle: the row-by-row formatting of numpy values that
+    format_mesh_text replaced."""
+    lines = []
+    if mesh.dim == 1:
+        bnd = sorted(mesh.node_tags.items())
+        lines.append(f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}")
+        lines.extend(repr(float(x)) for x in mesh.nodes)
+        lines.extend(f"{i} {j}" for i, j in mesh.elements)
+        lines.extend(f"{i} {tag}" for i, tag in bnd)
+    else:
+        lines.append(f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}")
+        lines.extend(f"{repr(float(x))} {repr(float(y))}" for x, y in mesh.points)
+        lines.extend(f"{a} {b} {c}" for a, b, c in mesh.elements)
+        lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def export_meshes():
+    return [build_mesh_1d(Interval(0, 1), 4, 1.0),
+            build_mesh_1d(Interval(0, 1), 64, 0.5),
+            build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 1.0),
+            build_trimesh(Disc((0, 0), 1.0), 0.1, 0.5)]
+
+
+def test_mesh_text_matches_oracle(export_meshes):
+    for mesh in export_meshes:
+        assert format_mesh_text(mesh) == _mesh_text_oracle(mesh)
+
+
+def test_mesh_text_format(export_meshes):
+    # the text reads back to the same points (bit for bit), elements and
+    # tagged boundary
+    for mesh in export_meshes:
+        head, *body = format_mesh_text(mesh).rstrip("\n").split("\n")
+        dim, n_nodes, n_el, n_bnd = map(int, head.split())
+        assert (dim, n_nodes) == (mesh.dim, mesh.n_nodes)
+        assert len(body) == n_nodes + n_el + n_bnd
+        rows = [ln.split(" ") for ln in body]
+        points = np.array(rows[:n_nodes], dtype=float)
+        assert np.array_equal(points.view(np.int64),
+                              np.ascontiguousarray(mesh.points).view(np.int64))
+        assert np.array_equal(np.array(rows[n_nodes:n_nodes + n_el], dtype=int),
+                              mesh.elements)
+        boundary = [(*map(int, r[:-1]), r[-1]) for r in rows[n_nodes + n_el:]]
+        assert boundary == (sorted(mesh.node_tags.items()) if dim == 1
+                            else mesh.boundary_edges)
