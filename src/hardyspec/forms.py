@@ -268,20 +268,30 @@ def _scatter_blocks(conn, blocks, n):
     return _symmetric_csr(rows, cols, vals, n)
 
 
+_TEXT_BLOCK = 1 << 14          # entries per joined block of pencil text
+
+
 def format_matrix_text(mat):
-    """Coordinate text format: one `row col value` line, sorted by row, col."""
+    """Coordinate text format: a `rows cols nnz` header, then one
+    `row col np.float64(value)` line per entry, sorted by row, col."""
     coo = sp.coo_matrix(mat)
     order = np.lexsort((coo.col, coo.row))
+    rows, cols = coo.row[order], coo.col[order]
     # Each distinct value is printed once; np.unique runs on the bit
     # patterns, so -0.0 and 0.0 keep their own text.  The value keeps
     # numpy's scalar form np.float64(x) until the pencil digests in
     # bench/references.json are re-recorded (ROADMAP item 1).
     bits, which = np.unique(coo.data[order].view(np.int64), return_inverse=True)
-    values = [f"np.float64({x!r})" for x in bits.view(np.float64).tolist()]
-    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    lines += [f"{i} {j} {values[k]}" for i, j, k in
-              zip(coo.row[order].tolist(), coo.col[order].tolist(), which.tolist())]
-    return "\n".join(lines) + "\n"
+    values = [f"np.float64({x!r})\n" for x in bits.view(np.float64).tolist()]
+    # Joined block by block, so that the lists holding one Python object
+    # per entry exist for one block at a time, not for the whole matrix.
+    parts = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
+    for start in range(0, coo.nnz, _TEXT_BLOCK):
+        block = slice(start, start + _TEXT_BLOCK)
+        parts.append("".join([f"{i} {j} {values[k]}" for i, j, k in
+                              zip(rows[block].tolist(), cols[block].tolist(),
+                                  which[block].tolist())]))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hardyspec import (ConvexPolygon, Disc, FormSpec, Interval, Mesh1D, Torus,
                        axisymmetric_reduce, build_mesh_1d, build_trimesh,
                        assemble_pencil, ims_identity_residual, ims_partition,
                        parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
+from hardyspec import forms
 from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
                               SingularQuadrature)
@@ -182,9 +183,12 @@ def export_matrices():
     return [mat for p in (graded, disc, torus) for mat in (p.K, p.M)] + [hand]
 
 
-def test_matrix_text_matches_oracle(export_matrices):
-    for mat in export_matrices:
-        assert format_matrix_text(mat) == _matrix_text_oracle(mat)
+def test_matrix_text_matches_oracle(export_matrices, monkeypatch):
+    # also in blocks of 5 entries, so that block ends fall inside every matrix
+    for block in (forms._TEXT_BLOCK, 5):
+        monkeypatch.setattr(forms, "_TEXT_BLOCK", block)
+        for mat in export_matrices + [sp.coo_matrix((3, 2))]:
+            assert format_matrix_text(mat) == _matrix_text_oracle(mat)
 
 
 def test_pencil_export_format(export_matrices):
