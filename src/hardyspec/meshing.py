@@ -550,15 +550,17 @@ def format_mesh_text(mesh):
     """Plain-text mesh format: a header line `dim n_nodes n_elements
     n_boundary`, then node coordinate lines, element index lines, and tagged
     boundary lines (node index + tag in 1D, edge indices + tag in 2D)."""
+    # Arrays are read as column lists (zip(*a.T.tolist())), so that no
+    # small list is made per row: that keeps the peak memory of a run down.
     if mesh.dim == 1:
         bnd = sorted(mesh.node_tags.items())
         lines = [f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}"]
         lines += map(repr, mesh.nodes.tolist())
-        lines += [f"{i} {j}" for i, j in mesh.elements.tolist()]
+        lines += [f"{i} {j}" for i, j in zip(*mesh.elements.T.tolist())]
         lines += [f"{i} {tag}" for i, tag in bnd]
     else:
         lines = [f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}"]
-        lines += [f"{x!r} {y!r}" for x, y in mesh.points.tolist()]
-        lines += [f"{a} {b} {c}" for a, b, c in mesh.elements.tolist()]
+        lines += [f"{x!r} {y!r}" for x, y in zip(*mesh.points.T.tolist())]
+        lines += [f"{a} {b} {c}" for a, b, c in zip(*mesh.elements.T.tolist())]
         lines += [f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges]
     return "\n".join(lines) + "\n"
