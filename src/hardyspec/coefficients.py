@@ -42,6 +42,14 @@ def _fold(binary):
     return lambda *args: functools.reduce(binary, args)
 
 
+def _divide(numerator, divisor):
+    """numerator / divisor, raising for a constant zero divisor: numpy
+    scalars (from abs, min, max, pos, neg) would only warn and give inf."""
+    if np.ndim(divisor) == 0 and divisor == 0:
+        raise ZeroDivisionError
+    return numerator / divisor
+
+
 def _power(base, exponent):
     """base^exponent; a constant zero base with a negative exponent divides
     by zero, as `/` does (np.power would only warn and give inf)."""
@@ -59,7 +67,7 @@ _OPS = {
     "+": (operator.add, ("(", " + ", ")"), (2, 2)),
     "-": (operator.sub, ("(", " - ", ")"), (2, 2)),
     "*": (operator.mul, ("(", " * ", ")"), (2, 2)),
-    "/": (operator.truediv, ("(", " / ", ")"), (2, 2)),
+    "/": (_divide, ("(", " / ", ")"), (2, 2)),
     "^": (_power, ("", "^", ""), (2, 2)),
     "minus": (operator.neg, ("(-", "", ")"), (1, 1)),
     "abs": (np.abs, ("abs(", ", ", ")"), (1, 1)),

@@ -112,8 +112,9 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
     mw = as_coefficient(measure_weight) if measure_weight is not None else None
 
     K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw)
-    clamped = mesh.dirichlet_nodes()
-    free = np.setdiff1d(np.arange(mesh.n_nodes), np.asarray(clamped, dtype=int))
+    is_free = np.ones(mesh.n_nodes, dtype=bool)
+    is_free[mesh.dirichlet_nodes()] = False
+    free = np.flatnonzero(is_free)
     if len(free) == 0:
         raise ValueError("no free degrees of freedom after clamping")
     K = K[free][:, free].tocsr()
@@ -134,13 +135,17 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
 
 
 def _element_rule(mesh, quad_points, quad_subdiv):
-    """Per-element quadrature and P1 data: connectivity (m, nloc), points
-    (m, nq, dim), weights (m, nq), basis values at the points (m or 1, nq,
-    nloc) and the constant basis gradients (m, nloc, dim).
+    """Per-element quadrature and P1 data: connectivity (m, nloc), points,
+    weights, basis values at the points, constant basis gradients
+    (m, nloc, dim) and the quadrature axis the integrals sum over.
 
-    1D elements take quad_subdiv Gauss panels of quad_points, with basis
-    values at the points as rounded (graded elements span a few ulps of x);
-    triangles take the 7-point rule, sharing the reference basis.
+    1D: quad_subdiv Gauss panels of quad_points, element-major: points
+    (m, nq, 1), weights (m, nq), basis (m, nq, 2) as rounded (graded
+    elements span a few ulps of x), axis 1.  Triangles: the 7-point rule,
+    quadrature-major: points (7, m, 2), weights (7, m), the reference basis
+    (7, 1, 3), axis 0.  numpy sums the 7 rows of a (7, m) array in order,
+    bitwise as it sums each row of an (m, 7) one; 8 or more contiguous
+    terms it sums pairwise, so 1D stays element-major.
     """
     if mesh.dim == 1:
         t, w = gauss_panels(quad_points, quad_subdiv)
@@ -150,25 +155,25 @@ def _element_rule(mesh, quad_points, quad_subdiv):
         phi_r = (pts - x0) / h
         basis = np.stack([1.0 - phi_r, phi_r], axis=2)
         grads = np.stack([-1.0 / h, 1.0 / h], axis=1)          # (m, 2, 1)
-        return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads
-    bary, w = TRI_BARY, TRI_W
+        return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads, 1
+    bary, w = TRI_BARY[:, :, None, None], TRI_W
     v = mesh.points[mesh.elements]                              # (m, 3, 2)
     area = mesh.areas()
     if np.any(area <= 0):
         raise ValueError("mesh has an inverted triangle")
     # the explicit three-term sum is bitwise the einsum over k, and faster
-    pts = (bary[:, 0, None] * v[:, None, 0] + bary[:, 1, None] * v[:, None, 1]
-           + bary[:, 2, None] * v[:, None, 2])                  # (m, nq, 2)
+    pts = (bary[:, 0] * v[:, 0] + bary[:, 1] * v[:, 1]
+           + bary[:, 2] * v[:, 2])                              # (7, m, 2)
     # grad lambda_i = (b_i, c_i) / (2 area)
     x, y = v[:, :, 0], v[:, :, 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
-    return mesh.elements, pts, w[None, :] * area[:, None], bary[None], grads
+    return mesh.elements, pts, w[:, None] * area, TRI_BARY[:, None], grads, 0
 
 
 def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
-    conn, pts, wts, basis, grads = _element_rule(mesh, quad_points, quad_subdiv)
+    conn, pts, wts, basis, grads, axis = _element_rule(mesh, quad_points, quad_subdiv)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
     if np.any(d <= 0):
@@ -189,24 +194,26 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
         if np.any(scale <= 0):
             raise NonpositiveWeight("measure weight is not positive at a quadrature point")
         wa, wq, wden = wa * scale, wq * scale, wden * scale
-    wa = wa.sum(axis=1)                                # (m,)
+    wa = wa.sum(axis=axis)                             # (m,)
 
-    m, nloc = grads.shape[:2]
-    blocks_k = np.empty((m, nloc, nloc))
-    blocks_m = np.empty((m, nloc, nloc))
-    for i in range(nloc):
-        for j in range(i, nloc):
+    # Upper-triangle triplets of each local pair (i, j); mirroring them keeps
+    # K exactly equal to its transpose.  One i's weighted basis products are
+    # alive at a time, which bounds the peak memory.
+    rows, cols, k_vals, m_vals = [], [], [], []
+    for i in range(conn.shape[1]):
+        wq_i, wden_i = wq * basis[..., i], wden * basis[..., i]
+        for j in range(i, conn.shape[1]):
             gij = (grads[:, i, :] * grads[:, j, :]).sum(axis=1)
-            pot = (wq * basis[:, :, i] * basis[:, :, j]).sum(axis=1)
-            mass = (wden * basis[:, :, i] * basis[:, :, j]).sum(axis=1)
-            blocks_k[:, i, j] = wa * gij + pot
-            blocks_k[:, j, i] = blocks_k[:, i, j]
-            blocks_m[:, i, j] = mass
-            blocks_m[:, j, i] = mass
+            k_vals.append(wa * gij + (wq_i * basis[..., j]).sum(axis=axis))
+            m_vals.append((wden_i * basis[..., j]).sum(axis=axis))
+            rows.append(np.minimum(conn[:, i], conn[:, j]))
+            cols.append(np.maximum(conn[:, i], conn[:, j]))
+        del wq_i, wden_i
 
     n = mesh.n_nodes
-    K = _scatter_blocks(conn, blocks_k, n)
-    M = _scatter_blocks(conn, blocks_m, n)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    K = _symmetric_csr(rows, cols, np.concatenate(k_vals), n)
+    M = _symmetric_csr(rows, cols, np.concatenate(m_vals), n)
     K = K + (_robin_1d if mesh.dim == 1 else _robin_2d)(mesh, form, n)
     return K, M
 
@@ -248,24 +255,6 @@ def _robin_2d(mesh, form, n):
                 cols.append(glob[b_loc])
                 vals.append(block[a_loc, b_loc])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _scatter_blocks(conn, blocks, n):
-    """Scatter symmetric element blocks; only the upper triangle is stored
-    and mirrored, which keeps K exactly equal to its transpose."""
-    nloc = conn.shape[1]
-    rows, cols, vals = [], [], []
-    for i in range(nloc):
-        for j in range(i, nloc):
-            gi = conn[:, i]
-            gj = conn[:, j]
-            rows.append(np.minimum(gi, gj))
-            cols.append(np.maximum(gi, gj))
-            vals.append(blocks[:, i, j])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return _symmetric_csr(rows, cols, vals, n)
 
 
 _TEXT_BLOCK = 1 << 14          # entries per joined block of pencil text
@@ -362,13 +351,13 @@ def ims_identity_residual(mesh, partition, u, a, quad_points=4):
     a = as_coefficient(a)
     u = np.asarray(u, dtype=float)
 
-    conn, pts, _, basis, grads = _element_rule(mesh, quad_points, 1)
+    conn, pts, _, basis, grads, axis = _element_rule(mesh, quad_points, 1)
     flat = pts.reshape(-1, mesh.dim)
     d = np.maximum(mesh.domain.distance_many(flat), 0.0).reshape(pts.shape[:2])
     grad_d = mesh.domain.calculus_many(flat)[0].reshape(pts.shape)
     u_loc = u[conn]
-    u_q = (basis * u_loc[:, None, :]).sum(axis=2)
-    grad_u = np.einsum("mk,mkj->mj", u_loc, grads)[:, None, :]   # constant per element
+    u_q = (basis * np.expand_dims(u_loc, axis)).sum(axis=2)
+    grad_u = np.expand_dims(np.einsum("mk,mkj->mj", u_loc, grads), axis)  # per element
     a_q = _eval_on(a, environment(pts, d), d.shape)
 
     phi1, phi2 = partition.values_at(d)

@@ -165,6 +165,13 @@ class Interval(Domain):
         return self.b - self.a
 
 
+def _radius(pts, center):
+    """Distance of 2D points from center: bitwise the row-wise
+    np.linalg.norm, and about twice as fast."""
+    x, y = (np.asarray(pts, dtype=float).reshape(-1, 2) - center).T
+    return np.sqrt(x * x + y * y)
+
+
 class Disc(Domain):
     dim = 2
     is_convex = True
@@ -178,11 +185,8 @@ class Disc(Domain):
     def __repr__(self):
         return f"Disc(center={self.center.tolist()}, radius={self.radius})"
 
-    def _rho(self, pts):
-        return np.linalg.norm(np.asarray(pts, dtype=float).reshape(-1, 2) - self.center, axis=1)
-
     def distance_many(self, pts):
-        return self.radius - self._rho(pts)
+        return self.radius - _radius(pts, self.center)
 
     def box(self):
         return self.center - self.radius, self.center + self.radius
@@ -220,11 +224,8 @@ class Annulus(Domain):
     def __repr__(self):
         return f"Annulus(center={self.center.tolist()}, r_in={self.r_in}, r_out={self.r_out})"
 
-    def _rho(self, pts):
-        return np.linalg.norm(np.asarray(pts, dtype=float).reshape(-1, 2) - self.center, axis=1)
-
     def distance_many(self, pts):
-        rho = self._rho(pts)
+        rho = _radius(pts, self.center)
         return np.minimum(rho - self.r_in, self.r_out - rho)
 
     def box(self):

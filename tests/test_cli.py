@@ -280,7 +280,11 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
     zero = [("diagnose", plain.replace("q = 0", "q = -0.1/(1-1)*d^-2")),
             ("diagnose", plain.replace("q = 0", "q = -(0^-1)*d^-2")),
             ("spectrum", disc.replace("q = 0", "q = 1/0") + "h = 0.25\n"),
-            ("spectrum", disc.replace("q = 0", "q = 0^-1") + "h = 0.25\n")]
+            ("spectrum", disc.replace("q = 0", "q = 0^-1") + "h = 0.25\n"),
+            # a zero divisor that a function returns as a numpy scalar
+            ("diagnose", plain.replace("q = 0", "q = -0.1/max(0, 0)*d^-2")),
+            ("spectrum", disc.replace("q = 0", "q = 1/abs(0)") + "h = 0.25\n"),
+            ("spectrum", disc.replace("q = 0", "q = 1/pos(0)") + "h = 0.25\n")]
     cases = [("diagnose", diagnose.format(extra="gamma = 1.5")),
              ("diagnose", diagnose.format(extra="beta = 1.0")),
              ("diagnose", diagnose.format(extra="beta = 0.5")),

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import hardyspec
 from hardyspec import Coefficient, parse_coefficient
 from hardyspec.coefficients import constant, power_of_d
-from hardyspec.errors import ParseError
+from hardyspec.errors import DivisionByZero, ParseError
 
 
 def test_power_literal():
@@ -67,6 +67,19 @@ def test_pos_minus_neg_recovers_value():
     q_val = q.evaluate(env)
     split = q.positive_part().evaluate(env) - q.negative_part().evaluate(env)
     assert_allclose(split, q_val, rtol=0, atol=0)
+
+
+def test_constant_zero_divisor_raises():
+    # abs, min, max, pos and neg return numpy scalars, which numpy divides
+    # by zero with only a warning; a constant zero divisor raises for all
+    env = {"d": np.array([0.25, 0.5])}
+    for text in ("1/0", "1/abs(0)", "1/max(0, 0)", "1/min(0, 0, 1)", "1/pos(0)",
+                 "1/neg(0)", "1/pos(-2)", "d/(1 - abs(-1))", "1/(-0)"):
+        with pytest.raises(DivisionByZero, match="divides by a constant zero"):
+            parse_coefficient(text).evaluate(env)
+    assert_allclose(parse_coefficient("1/abs(-4)").evaluate(env), 0.25)
+    assert_allclose(parse_coefficient("1/max(0, 2)").evaluate(env), 0.5)
+    assert_allclose(parse_coefficient("1/pos(d)").evaluate(env), [4.0, 2.0])
 
 
 def test_unknown_function():

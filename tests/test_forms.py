@@ -6,10 +6,11 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from hardyspec import (ConvexPolygon, Disc, FormSpec, Interval, Mesh1D, Torus,
-                       axisymmetric_reduce, build_mesh_1d, build_trimesh,
-                       assemble_pencil, ims_identity_residual, ims_partition,
-                       parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
+from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, Mesh1D,
+                       Torus, TriMesh, axisymmetric_reduce, build_mesh_1d,
+                       build_trimesh, assemble_pencil, ims_identity_residual,
+                       ims_partition, parse_coefficient, refine_mesh_1d,
+                       smallest_eigenpairs)
 from hardyspec import forms
 from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
@@ -148,6 +149,136 @@ def test_robin_edges_2d():
     assert 0 < rep.eigenvalues[0] <= 4.0
 
 
+def _element_rule_oracle(mesh, quad_points, quad_subdiv):
+    """Oracle: the element-major rule that _element_rule replaced, points
+    (m, nq, dim), weights (m, nq) and basis (m or 1, nq, nloc)."""
+    if mesh.dim == 1:
+        t, w = forms.gauss_panels(quad_points, quad_subdiv)
+        x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
+        h = mesh.element_sizes()[:, None]
+        pts = x0 + t[None, :] * h
+        phi_r = (pts - x0) / h
+        basis = np.stack([1.0 - phi_r, phi_r], axis=2)
+        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)
+        return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads
+    bary, w = forms.TRI_BARY, forms.TRI_W
+    v = mesh.points[mesh.elements]
+    area = mesh.areas()
+    pts = (bary[:, 0, None] * v[:, None, 0] + bary[:, 1, None] * v[:, None, 1]
+           + bary[:, 2, None] * v[:, None, 2])
+    x, y = v[:, :, 0], v[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
+    return mesh.elements, pts, w[None, :] * area[:, None], bary[None], grads
+
+
+def _scatter_blocks_oracle(conn, blocks, n):
+    """Oracle: the scatter of (m, nloc, nloc) element blocks that the pair
+    loop of _assemble replaced."""
+    nloc = conn.shape[1]
+    rows, cols, vals = [], [], []
+    for i in range(nloc):
+        for j in range(i, nloc):
+            gi = conn[:, i]
+            gj = conn[:, j]
+            rows.append(np.minimum(gi, gj))
+            cols.append(np.maximum(gi, gj))
+            vals.append(blocks[:, i, j])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return forms._symmetric_csr(rows, cols, vals, n)
+
+
+def _assemble_oracle(mesh, form, denominator, quad_points, quad_subdiv, mw):
+    """Oracle: the element-block assembly that _assemble replaced, without
+    its sign checks."""
+    conn, pts, wts, basis, grads = _element_rule_oracle(mesh, quad_points, quad_subdiv)
+    shape = wts.shape
+    d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
+    env = forms.environment(pts, d)
+    a = forms._eval_on(form.a, env, shape)
+    q = forms._eval_on(form.q, env, shape)
+    den = forms._eval_on(denominator, env, shape)
+    wa, wq, wden = wts * a, wts * q, wts * den
+    if mw is not None:
+        scale = forms._eval_on(mw, env, shape)
+        wa, wq, wden = wa * scale, wq * scale, wden * scale
+    wa = wa.sum(axis=1)
+
+    m, nloc = grads.shape[:2]
+    blocks_k = np.empty((m, nloc, nloc))
+    blocks_m = np.empty((m, nloc, nloc))
+    for i in range(nloc):
+        for j in range(i, nloc):
+            gij = (grads[:, i, :] * grads[:, j, :]).sum(axis=1)
+            pot = (wq * basis[:, :, i] * basis[:, :, j]).sum(axis=1)
+            mass = (wden * basis[:, :, i] * basis[:, :, j]).sum(axis=1)
+            blocks_k[:, i, j] = wa * gij + pot
+            blocks_k[:, j, i] = blocks_k[:, i, j]
+            blocks_m[:, i, j] = mass
+            blocks_m[:, j, i] = mass
+
+    n = mesh.n_nodes
+    K = _scatter_blocks_oracle(conn, blocks_k, n)
+    M = _scatter_blocks_oracle(conn, blocks_m, n)
+    K = K + (forms._robin_1d if mesh.dim == 1 else forms._robin_2d)(mesh, form, n)
+    return K, M
+
+
+def _same_bytes(got, want):
+    return all(getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+               for attr in ("indptr", "indices", "data"))
+
+
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """Every _assemble call also runs the oracle and requires K and M equal
+    to it byte for byte; yields the list of meshes assembled."""
+    meshes = []
+    assemble = forms._assemble
+
+    def checked(mesh, *args):
+        K, M = assemble(mesh, *args)
+        K0, M0 = _assemble_oracle(mesh, *args)
+        assert _same_bytes(K, K0) and _same_bytes(M, M0)
+        meshes.append(mesh)
+        return K, M
+
+    monkeypatch.setattr(forms, "_assemble", checked)
+    return meshes
+
+
+def test_assembly_matches_oracle_bitwise(oracle_checked):
+    disc = build_trimesh(Disc((0, 0), 1.0), 0.2, 0.5)
+    hardy_pencil(disc, 0.0, 0.0, 0.0)
+    hardy_pencil(disc, 0.5, -0.5, 0.3)
+    cross, weight, potential = axisymmetric_reduce(Torus(3.0, 1.0), 2)
+    torus = build_trimesh(cross, 0.25, 0.5)
+    assemble_pencil(torus, FormSpec(a=1.0, q=potential), 1.0, measure_weight=weight)
+    hardy_pencil(torus, 0.5, 0.0, 0.0, measure_weight=weight)
+    hardy_pencil(build_trimesh(Annulus((0.5, -0.5), 0.5, 1.5), 0.2, 0.5), 0.0, 0.0, 0.0)
+    polygon = build_trimesh(ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]),
+                            0.15, 0.7)
+    assemble_pencil(polygon, FormSpec(a="1 + x^2*y", q="x - 3*y*d^-1"), "2 + y - x*d")
+    square = build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.125, 1.0)
+    square.boundary_edges = [(i, j, "robin") for i, j, _ in square.boundary_edges]
+    square.node_tags = {}
+    assemble_pencil(square, FormSpec(a="1 + x", q="y", sigma=1.5), 1.0)
+    graded = build_mesh_1d(IV, 64, 0.5, tags=("robin", "robin"))
+    assemble_pencil(graded, FormSpec(a="d^0.5", q="-0.03*d^-1.5", sigma=(0.5, 2.0)),
+                    "d^-1", quad_points=5, quad_subdiv=3)
+    hardy_pencil(build_mesh_1d(IV, 48, 0.3), 0.5, 0.0, 0.1)
+    # four triangles about the centre of a square, every node free
+    few = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.4, 0.6]]),
+                  np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+                  [(0, 1, "robin"), (1, 2, "robin"), (2, 3, "robin"), (3, 0, "robin")],
+                  {}, ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    assemble_pencil(few, FormSpec(a="1 + d", q="x*y", sigma=0.5), "1 + d")
+    assert len(oracle_checked) == 10
+
+
 def _matrix_text_oracle(mat):
     """Oracle: the entry-by-entry formatting of numpy scalars that
     format_matrix_text replaced."""
@@ -271,6 +402,45 @@ def test_identity_residual_2d():
     rng = np.random.RandomState(3)
     u = rng.standard_normal(mesh.n_nodes)
     assert ims_identity_residual(mesh, part, u, 1.0) <= 1e-10
+
+
+def _identity_residual_oracle(mesh, partition, u, a, quad_points=4):
+    """Oracle: ims_identity_residual on the element-major rule it replaced."""
+    a = forms.as_coefficient(a)
+    conn, pts, _, basis, grads = _element_rule_oracle(mesh, quad_points, 1)
+    flat = pts.reshape(-1, mesh.dim)
+    d = np.maximum(mesh.domain.distance_many(flat), 0.0).reshape(pts.shape[:2])
+    grad_d = mesh.domain.calculus_many(flat)[0].reshape(pts.shape)
+    u_loc = u[conn]
+    u_q = (basis * u_loc[:, None, :]).sum(axis=2)
+    grad_u = np.einsum("mk,mkj->mj", u_loc, grads)[:, None, :]
+    a_q = forms._eval_on(a, forms.environment(pts, d), d.shape)
+    phi1, phi2 = partition.values_at(d)
+    g1, g2 = partition.gradients_at(d, grad_d)
+    worst = 0.0
+    for phi, g in ((phi1, g1), (phi2, g2)):
+        full = phi[..., None] * grad_u + u_q[..., None] * g
+        lhs = a_q * (full**2).sum(axis=-1)
+        rhs = (a_q * phi**2 * (grad_u**2).sum(axis=-1)
+               + a_q * (g**2).sum(axis=-1) * u_q**2
+               + a_q * (2 * phi * u_q) * (g * grad_u).sum(axis=-1))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def test_identity_residual_matches_oracle():
+    rng = np.random.RandomState(11)
+    a = parse_coefficient("1 + d^2")
+    meshes = [build_mesh_1d(IV, 128, 0.9),
+              build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.05, 1.0),
+              build_trimesh(Disc((0, 0), 1.0), 0.06, 0.5)]
+    for mesh in meshes:
+        part = ims_partition(mesh, 0.1, 0.4)
+        u = rng.standard_normal(mesh.n_nodes)
+        for quad_points in (3, 4):
+            got = ims_identity_residual(mesh, part, u, a, quad_points)
+            assert got == _identity_residual_oracle(mesh, part, u, a, quad_points)
+            assert 0 < got <= 1e-10
 
 
 def test_measure_weight():
