@@ -157,17 +157,16 @@ def _element_rule(mesh, quad_points, quad_subdiv):
         grads = np.stack([-1.0 / h, 1.0 / h], axis=1)          # (m, 2, 1)
         return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads, 1
     bary, w = TRI_BARY[:, :, None, None], TRI_W
-    v = mesh.points[mesh.elements]                              # (m, 3, 2)
+    v = mesh.points[mesh.elements.T]                            # (3, m, 2)
     area = mesh.areas()
     if np.any(area <= 0):
         raise ValueError("mesh has an inverted triangle")
     # the explicit three-term sum is bitwise the einsum over k, and faster
-    pts = (bary[:, 0] * v[:, 0] + bary[:, 1] * v[:, 1]
-           + bary[:, 2] * v[:, 2])                              # (7, m, 2)
+    pts = bary[:, 0] * v[0] + bary[:, 1] * v[1] + bary[:, 2] * v[2]  # (7, m, 2)
     # grad lambda_i = (b_i, c_i) / (2 area)
     x, y = v[:, :, 0], v[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
+    c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
     grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
     return mesh.elements, pts, w[:, None] * area, TRI_BARY[:, None], grads, 0
 
@@ -198,12 +197,15 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
 
     # Upper-triangle triplets of each local pair (i, j); mirroring them keeps
     # K exactly equal to its transpose.  One i's weighted basis products are
-    # alive at a time, which bounds the peak memory.
+    # alive at a time, which bounds the peak memory.  The gradients are laid
+    # out (dim, nloc, m), so that their dot products also sum over rows:
+    # bitwise the same, and faster.
+    g = np.ascontiguousarray(grads.transpose(2, 1, 0))
     rows, cols, k_vals, m_vals = [], [], [], []
     for i in range(conn.shape[1]):
         wq_i, wden_i = wq * basis[..., i], wden * basis[..., i]
         for j in range(i, conn.shape[1]):
-            gij = (grads[:, i, :] * grads[:, j, :]).sum(axis=1)
+            gij = (g[:, i] * g[:, j]).sum(axis=0)
             k_vals.append(wa * gij + (wq_i * basis[..., j]).sum(axis=axis))
             m_vals.append((wden_i * basis[..., j]).sum(axis=axis))
             rows.append(np.minimum(conn[:, i], conn[:, j]))
