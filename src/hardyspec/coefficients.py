@@ -43,8 +43,7 @@ def _fold(binary):
 
 
 def _divide(numerator, divisor):
-    """numerator / divisor, raising for a constant zero divisor: numpy
-    scalars (from abs, min, max, pos, neg) would only warn and give inf."""
+    """numerator / divisor; a 0-d zero divisor raises (numpy would give inf)."""
     if np.ndim(divisor) == 0 and divisor == 0:
         raise ZeroDivisionError
     return numerator / divisor

@@ -142,10 +142,9 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     1D: quad_subdiv Gauss panels of quad_points, element-major: points
     (m, nq, 1), weights (m, nq), basis (m, nq, 2) as rounded (graded
     elements span a few ulps of x), axis 1.  Triangles: the 7-point rule,
-    quadrature-major: points (7, m, 2), weights (7, m), the reference basis
-    (7, 1, 3), axis 0.  numpy sums the 7 rows of a (7, m) array in order,
-    bitwise as it sums each row of an (m, 7) one; 8 or more contiguous
-    terms it sums pairwise, so 1D stays element-major.
+    quadrature-major: points (7, m, 2), weights (7, m), reference basis
+    (7, 1, 3), axis 0.  numpy sums the 7 rows in order, bitwise as each
+    row of an (m, 7) array; 8 or more contiguous terms it sums pairwise.
     """
     if mesh.dim == 1:
         t, w = gauss_panels(quad_points, quad_subdiv)
@@ -195,12 +194,10 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
         wa, wq, wden = wa * scale, wq * scale, wden * scale
     wa = wa.sum(axis=axis)                             # (m,)
 
-    # Upper-triangle triplets of each local pair (i, j); mirroring them keeps
-    # K exactly equal to its transpose.  One i's weighted basis products are
-    # alive at a time, which bounds the peak memory.  The gradients are laid
-    # out (dim, nloc, m), so that their dot products also sum over rows:
-    # bitwise the same, and faster.
-    g = np.ascontiguousarray(grads.transpose(2, 1, 0))
+    # Upper-triangle triplets of each local pair (i, j), mirrored so that K
+    # equals its transpose exactly.  One i's weighted basis products live at
+    # a time, for peak memory; gradient dot products sum over rows, faster.
+    g = np.ascontiguousarray(grads.transpose(2, 1, 0))      # (dim, nloc, m)
     rows, cols, k_vals, m_vals = [], [], [], []
     for i in range(conn.shape[1]):
         wq_i, wden_i = wq * basis[..., i], wden * basis[..., i]

@@ -25,10 +25,10 @@ def test_disc_distance():
 def test_radial_distances_match_norm_oracle():
     # bitwise the row-wise np.linalg.norm that the radius used to be
     rng = np.random.default_rng(5)
-    pts = np.concatenate([rng.uniform(-3.0, 4.0, (2000, 2)),
-                          rng.normal(0.5, 1e-9, (200, 2)),
-                          [[0.5, -0.25], [2.5, -0.25], [0.5, 1e-300]]])
     center = np.array([0.5, -0.25])
+    pts = np.concatenate([rng.uniform(-3.0, 4.0, (2000, 2)),
+                          rng.normal(center, 1e-9, (200, 2)),
+                          [center, [2.5, -0.25], [0.5, 1e-300]]])
     rho = np.linalg.norm(pts - center, axis=1)
     got = Disc(center, 2.0).distance_many(pts)
     assert np.array_equal(got.view(np.int64), (2.0 - rho).view(np.int64))
