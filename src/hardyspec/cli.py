@@ -17,9 +17,9 @@ from .coefficients import parse_coefficient, require_axisymmetric
 from .eigensolve import check_count, smallest_eigenpairs
 from .errors import ConfigError, HardySpecError
 from .forms import FormSpec, assemble_pencil, format_matrix_text
-from .hardy import CATALOGUE_METHODS, check_ladder, lambda_bound, verify_hardy
-from .meshing import (axisymmetric_reduce, build_mesh_1d, build_trimesh,
-                      format_mesh_text)
+from .hardy import (CATALOGUE_METHODS, check_ladder, lambda_bound, ladder_mesh,
+                    verify_hardy)
+from .meshing import build_mesh_1d, build_trimesh, format_mesh_text
 from .spectral import (ProblemSpec, check_form_nonnegativity,
                        check_pointwise_criterion, discreteness_diagnostic,
                        persson_sequence, strip_mesh)
@@ -195,18 +195,20 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         else:
             lam = form_sec.get_float("lambda", 0.0)
         levels = num_sec.get_int("levels", 3)
+        ladder = dict(n=num_sec.get_int("n", 256), h=num_sec.get_float("h"),
+                      grading=num_sec.get_float("grading", 0.15), levels=levels)
         try:
             check_ladder(beta, lam, levels)
-            if not dry_run:
-                cert = verify_hardy(
-                    domain, beta, alpha, lam,
-                    n=num_sec.get_int("n", 256), h=num_sec.get_float("h"),
-                    grading=num_sec.get_float("grading", 0.15),
-                    levels=levels, seed=seed, tol=num_sec.get_float("tol"))
+            if dry_run:
+                mesh = ladder_mesh(domain, **ladder)
+            else:
+                cert = verify_hardy(domain, beta, alpha, lam, seed=seed,
+                                    tol=num_sec.get_float("tol"), **ladder)
         except ValueError as exc:
             raise ConfigError(f"invalid hardy parameters: {exc}") from exc
         if dry_run:
-            result = {"dry_run": True, "beta": beta, "alpha": alpha, "lambda": lam}
+            result = {"dry_run": True, "beta": beta, "alpha": alpha, "lambda": lam,
+                      "nodes": mesh.n_nodes, "elements": len(mesh.elements)}
             status = 0
         else:
             result = cert
@@ -218,31 +220,29 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
     elif command == "spectrum":
         form = _build_form(form_sec)
         count = num_sec.get_int("count", 5)
-        measure_weight = None
-        mesh_domain = domain
-        extra_q = None
+        section = domain.section
         if isinstance(domain, geometry.Torus):
             require_axisymmetric(form.a, form.q)
+            # azimuthal mode m adds the potential a m^2 / r^2
             mode = num_sec.get_int("mode", 0)
-            mesh_domain, measure_weight, potential = axisymmetric_reduce(domain, mode)
-            if not potential.is_zero():
-                extra_q = form.a * potential
-        if mesh_domain.dim == 1:
-            tags = (form_sec.get("bc_left", "dirichlet"),
-                    form_sec.get("bc_right", "dirichlet"))
-            if any(t not in ("dirichlet", "robin") for t in tags):
-                raise ConfigError("[form] bc_left/bc_right must be "
-                                  "dirichlet or robin")
-            mesh = build_mesh_1d(mesh_domain, num_sec.get_int("n", 256),
-                                 num_sec.get_float("grading", 1.0), tags=tags)
-        else:
-            mesh = build_trimesh(mesh_domain,
-                                 num_sec.get_float("h", mesh_domain.interior_diameter() / 16),
-                                 num_sec.get_float("grading", 1.0))
-        if extra_q is not None:
-            form = FormSpec(a=form.a, q=form.q + extra_q, sigma=form.sigma,
-                            beta=form.beta)
+            if mode < 0:
+                raise ConfigError(f"[numerics] mode = {mode} must be nonnegative")
+            if mode:
+                form = FormSpec(a=form.a, sigma=form.sigma, beta=form.beta,
+                                q=form.q + form.a * parse_coefficient(f"{mode**2}/r^2"))
         try:
+            if section.dim == 1:
+                tags = (form_sec.get("bc_left", "dirichlet"),
+                        form_sec.get("bc_right", "dirichlet"))
+                if any(t not in ("dirichlet", "robin") for t in tags):
+                    raise ConfigError("[form] bc_left/bc_right must be "
+                                      "dirichlet or robin")
+                mesh = build_mesh_1d(section, num_sec.get_int("n", 256),
+                                     num_sec.get_float("grading", 1.0), tags=tags)
+            else:
+                mesh = build_trimesh(section,
+                                     num_sec.get_float("h", section.interior_diameter() / 16),
+                                     num_sec.get_float("grading", 1.0))
             check_count(count, mesh.n_nodes - len(mesh.dirichlet_nodes()))
         except ValueError as exc:
             raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
@@ -251,7 +251,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
                       "elements": len(mesh.elements)}
             status = 0
         else:
-            pencil = assemble_pencil(mesh, form, 1.0, measure_weight=measure_weight)
+            pencil = assemble_pencil(mesh, form, 1.0)
             rep = smallest_eigenpairs(pencil, count,
                                       tol=num_sec.get_float("tol"), seed=seed)
             result = rep
@@ -274,8 +274,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         if dry_run:
             sizes = {}
             for k in problem.ks[:1] + problem.ks[-1:]:
-                sub, _ = strip_mesh(problem, k)
-                sizes[str(k)] = sub.n_nodes
+                sizes[str(k)] = strip_mesh(problem, k).n_nodes
             result = {"dry_run": True, "strip_nodes": sizes, "ks": list(problem.ks)}
             status = 0
         elif command == "persson":

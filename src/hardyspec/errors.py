@@ -33,10 +33,6 @@ class StripTooThin(HardySpecError):
     pass
 
 
-class NotATorus(HardySpecError):
-    pass
-
-
 # -- coefficient parsing ----------------------------------------------------
 
 class ParseError(HardySpecError):

@@ -99,17 +99,18 @@ def _symmetric_csr(rows, cols, vals, n):
     return upper + sp.triu(upper, k=1).T.tocsr()
 
 
-def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4,
-                    measure_weight=None):
+def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     """Assemble the (K, M) pencil of the form against a weighted mass.
 
     K carries the diffusion, potential and boundary sigma terms; M carries
     the denominator weight.  Rows/columns of clamped (dirichlet) nodes are
-    eliminated.  measure_weight multiplies every volume integrand (used by
-    the axisymmetric reduction, where it is the cylindrical radius).
+    eliminated.  The mesh domain's measure_weight, when it has one,
+    multiplies every volume integrand (the cylindrical radius on a torus
+    cross-section).
     """
     denominator = as_coefficient(denominator)
-    mw = as_coefficient(measure_weight) if measure_weight is not None else None
+    mw = mesh.domain.measure_weight
+    mw = as_coefficient(mw) if mw is not None else None
 
     K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw)
     is_free = np.ones(mesh.n_nodes, dtype=bool)

@@ -53,6 +53,15 @@ class Domain:
 
     dim = None
     is_convex = False
+    # a coefficient text that weighs every volume integral of the domain's
+    # pencils (the cylindrical radius on a torus cross-section); None is 1
+    measure_weight = None
+
+    @property
+    def section(self):
+        """The domain whose pencils stand for this one's: itself, except
+        for a torus, whose problems reduce to its (r, z) cross-section."""
+        return self
 
     # -- membership and distance --------------------------------------------
 
@@ -361,6 +370,10 @@ class Torus(Domain):
     def __repr__(self):
         return f"Torus(c={self.c}, R={self.R})"
 
+    @property
+    def section(self):
+        return TorusSection((self.c, 0.0), self.R)
+
     def cross_section(self, pts):
         """Cylindrical (r, z) coordinates of 3D points, shape (N, 2)."""
         p = np.asarray(pts, dtype=float).reshape(-1, 3)
@@ -404,6 +417,24 @@ class Torus(Domain):
         return 2 * (self.c + self.R)
 
 
+class TorusSection(Disc):
+    """The (r, z) cross-section of a solid torus, on which its axisymmetric
+    problems are posed.  Every volume integral carries the measure weight r,
+    and -laplacian(d) is the torus's own, (2r - c) / (r rho): for azimuthal
+    mode m, the 3D energy of u = v(r, z) e^{i m theta} is, up to the angular
+    factor, the integral of (a |grad v|^2 + (a m^2/r^2 + q) |v|^2) r dr dz,
+    and the 3D boundary distance is the disc's own."""
+
+    measure_weight = "r"
+
+    def calculus_many(self, pts):
+        grad, _, ridge = super().calculus_many(pts)
+        r, z = np.asarray(pts, dtype=float).reshape(-1, 2).T
+        c = self.center[0]
+        rho = np.maximum(np.hypot(r - c, z), RIDGE_TOL)
+        return grad, (2 * r - c) / (r * rho), ridge
+
+
 def _scan_grid(domain, resolution):
     """Uniform grid with resolution + 1 points per axis over the box."""
     lo, hi = domain.box()
@@ -421,7 +452,8 @@ def _region_mask(region, d):
 
 
 def superharmonicity_scan(domain, region="full", resolution=200, tol=GEOM_TOL):
-    """Scan -laplacian(d) over a uniform grid and certify its sign.
+    """Scan -laplacian(d) over a uniform grid of the domain's section and
+    certify its sign.
 
     A full scan covers the closed domain (the closed forms extend
     continuously to the boundary); a ("tubular", delta) scan keeps the
@@ -430,15 +462,11 @@ def superharmonicity_scan(domain, region="full", resolution=200, tol=GEOM_TOL):
     """
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    if isinstance(domain, Torus):
-        # scanned on the box of its (r, z) cross-section, lifted to (r, 0, z)
-        pts = _scan_grid(Disc((domain.c, 0.0), domain.R), resolution)
-        lifted = np.insert(pts, 1, 0.0, axis=1)
-    else:
-        pts = lifted = _scan_grid(domain, resolution)
-    d = domain.distance_many(lifted)
+    domain = domain.section
+    pts = _scan_grid(domain, resolution)
+    d = domain.distance_many(pts)
     keep = (d >= -1e-12) & _region_mask(region, d)
-    _, neg_lap, ridge = domain.calculus_many(lifted[keep])
+    _, neg_lap, ridge = domain.calculus_many(pts[keep])
     values = neg_lap[~ridge]
     if values.size == 0:
         raise EmptyRegion("no grid point falls in the requested region")

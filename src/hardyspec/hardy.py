@@ -18,9 +18,8 @@ from .coefficients import constant, power_of_d
 from .eigensolve import ladder
 from .errors import ExponentOutOfRange, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
-from .geometry import Torus, superharmonicity_scan
-from .meshing import (axisymmetric_reduce, build_mesh_1d, build_trimesh,
-                      feasible_grading, grading_floor)
+from .geometry import superharmonicity_scan
+from .meshing import build_mesh_1d, build_trimesh, feasible_grading, grading_floor
 
 CERT_TOL = 1e-4          # absolute slack on the certified margin
 REFINE_FACTOR = 2        # nested bisections between ladder levels
@@ -99,12 +98,12 @@ class HardyBoundSpec:
     notes: dict = field(default_factory=dict)
 
 
-def _require_superharmonic(domain, method, resolution, region="full"):
+def _require_superharmonic(domain, method, region="full"):
     """Convexity implies -lap(d) >= 0; otherwise certify it by scanning the
     domain, or the strip of a ("tubular", delta) region."""
     if domain.is_convex:
         return {"superharmonic": "convex variant"}
-    report = superharmonicity_scan(domain, region=region, resolution=resolution)
+    report = superharmonicity_scan(domain, region=region)
     scan = "scan" if region == "full" else "strip scan"
     if report.verdict != "PASS":
         raise MethodNotApplicable(
@@ -113,8 +112,7 @@ def _require_superharmonic(domain, method, resolution, region="full"):
     return {"superharmonic": f"{scan} PASS (min {report.min_value:.6g})"}
 
 
-def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None,
-                 scan_resolution=200):
+def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None):
     """Geometric lower bound for the remainder constant lambda.
 
     Catalogue entries (diameter, interior-diameter and volume bounds) need a
@@ -157,7 +155,7 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None,
         c = fmt_constant(alpha, beta)
         if c is None:
             raise MethodNotApplicable(f"fmt_weighted needs alpha > beta - 2")
-        notes.update(_require_superharmonic(domain, method, scan_resolution))
+        notes.update(_require_superharmonic(domain, method))
         lam = c * domain.interior_diameter() ** (beta - (alpha + 2))
         return HardyBoundSpec(beta, alpha, kappa(beta), method, lam, notes)
 
@@ -170,8 +168,7 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None,
     if delta > (1 - beta) / 2:
         raise MethodNotApplicable(
             f"tubular needs delta <= (1-beta)/2 = {(1 - beta) / 2}")
-    notes.update(_require_superharmonic(domain, method, scan_resolution,
-                                        region=("tubular", delta)))
+    notes.update(_require_superharmonic(domain, method, region=("tubular", delta)))
     notes["delta"] = delta
     lam = c * delta
     return HardyBoundSpec(beta, alpha, kappa(beta), method, lam, notes)
@@ -204,14 +201,13 @@ SEMANTICS = ("discrete minima over conforming subspaces bound the continuum "
              "continuum bound")
 
 
-def hardy_pencil(mesh, beta, alpha, lam, measure_weight=None):
+def hardy_pencil(mesh, beta, alpha, lam):
     """Pencil of the Hardy quotient:
     numerator integral d^beta |grad u|^2 - lam integral d^alpha |u|^2,
     denominator integral d^(beta-2) |u|^2."""
     q = constant(0.0) if lam == 0 else constant(-lam) * power_of_d(alpha)
     form = FormSpec(a=power_of_d(beta), q=q, beta=beta)
-    return assemble_pencil(mesh, form, power_of_d(beta - 2),
-                           measure_weight=measure_weight)
+    return assemble_pencil(mesh, form, power_of_d(beta - 2))
 
 
 def check_ladder(beta, lam, levels):
@@ -224,39 +220,40 @@ def check_ladder(beta, lam, levels):
         raise ValueError("the ladder needs at least 1 level")
 
 
+def ladder_mesh(domain, n, h, grading, levels):
+    """The first mesh of the `verify_hardy` ladder, on the domain's section:
+    n elements in 1D, graded as steeply as float64 allows with room for the
+    ladder's bisections; target edge length h (default D_int/16) in 2D."""
+    section = domain.section
+    if section.dim == 1:
+        floor = grading_floor(section, headroom=REFINE_FACTOR * (levels - 1))
+        grading = feasible_grading(grading, n // 2, section.interior_diameter() / 2,
+                                   floor)
+        return build_mesh_1d(section, n, grading)
+    if h is None:
+        h = section.interior_diameter() / 16
+    return build_trimesh(section, h, grading)
+
+
 def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
                  grading=0.15, levels=3, seed=0, tol=None):
     """Certify the weighted Hardy inequality on a refinement ladder.
 
-    1D and 2D domains mesh directly; a torus reduces to its cross-section
-    disc with the cylindrical radius folded into all three integrals.  Each
-    ladder level applies REFINE_FACTOR nested bisections, so the discrete
-    minima decrease monotonically toward the continuum infimum.
+    The ladder starts from `ladder_mesh`, so a torus is certified on its
+    cross-section disc with the cylindrical radius folded into all three
+    integrals.  Each ladder level applies REFINE_FACTOR nested bisections,
+    so the discrete minima decrease monotonically toward the continuum
+    infimum.
     """
     check_ladder(beta, lam, levels)
     kap = kappa(beta)
-
-    measure_weight = None
-    mesh_domain = domain
-    if isinstance(domain, Torus):
-        mesh_domain, measure_weight, _ = axisymmetric_reduce(domain, 0)
-
-    if mesh_domain.dim == 1:
-        # steepest float64-feasible grading at this depth (with bisection room)
-        floor = grading_floor(mesh_domain, headroom=REFINE_FACTOR * (levels - 1))
-        grading = feasible_grading(grading, n // 2,
-                                   mesh_domain.interior_diameter() / 2, floor)
-        mesh = build_mesh_1d(mesh_domain, n, grading)
-    else:
-        if h is None:
-            h = mesh_domain.interior_diameter() / 16
-        mesh = build_trimesh(mesh_domain, h, grading)
+    mesh = ladder_mesh(domain, n, h, grading, levels)
 
     sizes = []
 
     def pencil(fine):
         sizes.append(len(fine.elements))
-        return hardy_pencil(fine, beta, alpha, lam, measure_weight=measure_weight)
+        return hardy_pencil(fine, beta, alpha, lam)
 
     minima = ladder(mesh, levels, REFINE_FACTOR, pencil, tol=tol, seed=seed)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,

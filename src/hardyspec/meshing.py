@@ -8,9 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coefficients
-from .errors import InvalidGrading, MeshGenerationFailure, NotATorus, StripTooThin
-from .geometry import Annulus, ConvexPolygon, Disc, Interval, Torus
+from .errors import InvalidGrading, MeshGenerationFailure, StripTooThin
+from .geometry import Annulus, ConvexPolygon, Disc, Interval
 
 DIRICHLET = "dirichlet"
 ROBIN = "robin"
@@ -87,10 +86,8 @@ class TriMesh(_Mesh):
     dim = 2
 
     def areas(self):
-        p = self.points
-        t = self.elements
-        v1 = p[t[:, 1]] - p[t[:, 0]]
-        v2 = p[t[:, 2]] - p[t[:, 0]]
+        v = self.points[self.elements.T]            # (3, m, 2), vertex-major
+        v1, v2 = v[1] - v[0], v[2] - v[0]
         return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
 
     def element_sizes(self):
@@ -299,14 +296,15 @@ def _boundary_polyline(domain, spacing):
     raise MeshGenerationFailure(f"no boundary template for {type(domain).__name__}")
 
 
-def _layer_depths(depth, h, grading, stop_factor=1.3):
+def _layer_depths(depth, h, grading):
     """Distance-from-boundary levels: sizes doubling up to h, stopping once
-    the remaining core is about one element deep.  Graded meshes start at
-    half of grading*h so that skewed corner cells keep their diameter under
-    sqrt(2) * grading * h (radial + tangential legs total 1.25 grading h)."""
+    the remaining core is at most 1.3 h deep, about one element.  Graded
+    meshes start at half of grading*h so that skewed corner cells keep their
+    diameter under sqrt(2) * grading * h (radial + tangential legs total
+    1.25 grading h)."""
     levels = [0.0]
     size = grading * h * (0.5 if grading < 1 else 1.0)
-    while depth - levels[-1] > stop_factor * h:
+    while depth - levels[-1] > 1.3 * h:
         levels.append(levels[-1] + size)
         size = min(2 * size, h)
     return np.asarray(levels)
@@ -512,34 +510,6 @@ def restrict_to_strip(mesh, strip):
     edges = [(int(index[i]), int(index[j]), t) for i, j, t in mesh.boundary_edges
              if index[i] >= 0 and index[j] >= 0]
     return TriMesh(mesh.points[used], new_elems, edges, tags, mesh.domain, node_d)
-
-
-# ---------------------------------------------------------------------------
-# axisymmetric reduction
-# ---------------------------------------------------------------------------
-
-def axisymmetric_reduce(torus, mode=0):
-    """Reduce the solid torus to its cross-section disc in (r, z).
-
-    Returns (disc, measure weight r, azimuthal potential mode^2/r^2); for
-    azimuthal mode m the 3D energy of u = v(r,z) e^{i m theta} equals (up to
-    the constant angular factor) the weighted 2D energy
-
-        integral of (a |grad v|^2 + (a m^2/r^2 + q) |v|^2) r dr dz,
-
-    and the 3D boundary distance coincides with the disc's own distance.
-    """
-    if not isinstance(torus, Torus):
-        raise NotATorus(f"expected a torus, got {type(torus).__name__}")
-    if mode < 0 or int(mode) != mode:
-        raise ValueError("mode must be a nonnegative integer")
-    disc = Disc(center=(torus.c, 0.0), radius=torus.R)
-    weight = coefficients.parse_coefficient("r")
-    if mode == 0:
-        potential = coefficients.constant(0.0)
-    else:
-        potential = coefficients.parse_coefficient(f"{int(mode)**2}/r^2")
-    return disc, weight, potential
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval, Torus
 from .hardy import kappa
-from .meshing import (DIRICHLET, StripSpec, axisymmetric_reduce, build_trimesh,
-                      feasible_grading, grading_floor, mesh_1d_with_level,
-                      restrict_to_strip)
+from .meshing import (DIRICHLET, StripSpec, build_trimesh, feasible_grading,
+                      grading_floor, mesh_1d_with_level, restrict_to_strip)
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
@@ -54,6 +53,8 @@ class ProblemSpec:
             raise ValueError("exhaustion indices must be positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.strip_elements < 1:
+            raise ValueError("strip_elements must be at least 1")
         power = self.form.a.d_power()
         if power is not None:
             if self.form.beta not in (None, power):
@@ -71,13 +72,13 @@ class ProblemSpec:
 
     def _degenerate_data(self):
         """Boundary grading is warranted when the diffusion degenerates or
-        the potential has a negative part; probed on a small d-sample."""
+        the potential has a negative part; probed on a small d-sample, with
+        every coordinate of the domain's section equal to d."""
         if self.form.beta not in (None, 0.0):
             return True
         probe = np.array([1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.45])
-        env = {name: probe for name in
-               self.form.q.variables() | self.form.a.variables()}
-        env["d"] = probe
+        env = environment(np.repeat(probe[:, None], self.domain.section.dim, axis=1),
+                          probe)
         if np.any(np.asarray(self.form.q.evaluate(env)) < 0):
             return True
         a_vals = np.asarray(self.form.a.evaluate(env))
@@ -89,13 +90,11 @@ class ProblemSpec:
 
 
 def strip_mesh(problem, k):
-    """Mesh of the strip {0 < d < 1/k} with the inner interface clamped.
-    The grading floor leaves room for several nested bisections."""
+    """Mesh of the strip {0 < d < 1/k} of the domain's section with the
+    inner interface clamped.  The grading floor leaves room for several
+    nested bisections."""
     delta = 1.0 / k
-    domain = problem.domain
-    measure_weight = None
-    if isinstance(domain, Torus):
-        domain, measure_weight, _ = axisymmetric_reduce(domain, 0)
+    domain = problem.domain.section
     if isinstance(domain, Interval):
         if delta > (domain.b - domain.a) / 2:
             raise StripTooThin(f"1/k = {delta} exceeds sup d")
@@ -108,7 +107,7 @@ def strip_mesh(problem, k):
         # knob refines tangentially as well, which balloons strip pencils
         h = max(delta / 8, domain.interior_diameter() / 256)
         mesh = build_trimesh(domain, h, 1.0)
-    return restrict_to_strip(mesh, StripSpec(0.0, delta)), measure_weight
+    return restrict_to_strip(mesh, StripSpec(0.0, delta))
 
 
 @dataclass
@@ -140,9 +139,8 @@ def persson_sequence(problem):
     entries = []
     q_nonneg = True
     for k in problem.ks:
-        sub, measure_weight = strip_mesh(problem, k)
-        pencil = assemble_pencil(sub, problem.form, 1.0,
-                                 measure_weight=measure_weight)
+        sub = strip_mesh(problem, k)
+        pencil = assemble_pencil(sub, problem.form, 1.0)
         rep = smallest_eigenpairs(pencil, 1, tol=problem.tol, seed=problem.seed)
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
                         "mu": float(rep.eigenvalues[0])})
@@ -254,12 +252,12 @@ def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
     check_form = FormSpec(a=constant(1.0 - problem.gamma) * problem.form.a,
                           q=-q_minus, beta=problem.form.beta)
 
-    sub, measure_weight = strip_mesh(problem, k)
+    sub = strip_mesh(problem, k)
     if bc == "free_inner":
         sub.node_tags = {i: t for i, t in sub.node_tags.items()
                          if not (t == DIRICHLET and sub.node_d[i] > 1e-9)}
     def pencil(mesh):
-        return assemble_pencil(mesh, check_form, 1.0, measure_weight=measure_weight)
+        return assemble_pencil(mesh, check_form, 1.0)
 
     # nested bisection keeps the ladder monotone (1D strips only; curved
     # 2D strips would need re-restriction)

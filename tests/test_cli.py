@@ -276,6 +276,18 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
     hardy = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n{extra}\n"
              "[numerics]\nn = 32\n")
     plain = diagnose.format(extra="")
+    # refused alike in a run and under --dry-run
+    checked = [("spectrum", disc + "h = 0.25\ncount = 0\n"),
+               ("spectrum", disc + "h = 0.25\ncount = 100000\n"),
+               ("spectrum", "[domain]\nvariant = interval\n\n[numerics]\nn = 1\n"),
+               ("spectrum", "[domain]\nvariant = torus\n\n[numerics]\nh = 0.25\n"
+                            "mode = -1\n"),
+               ("diagnose", plain + "strip_elements = 0\n"),
+               ("hardy", hardy.format(extra="lambda = -1")),
+               ("hardy", hardy.format(extra="") + "levels = 0\n"),
+               # an odd graded ladder mesh, and a zero edge length
+               ("hardy", hardy.format(extra="").replace("n = 32", "n = 3")),
+               ("hardy", hardy.format(extra="").replace("interval", "disc") + "h = 0\n")]
     # a constant zero divisor, by "/" or by a negative power
     zero = [("diagnose", plain.replace("q = 0", "q = -0.1/(1-1)*d^-2")),
             ("diagnose", plain.replace("q = 0", "q = -(0^-1)*d^-2")),
@@ -296,10 +308,7 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
              ("spectrum", torus),
              ("spectrum", disc + "h = -0.1\n"),
              ("spectrum", disc + "h = 0\n"),
-             ("spectrum", disc + "h = 0.25\ncount = 0\n"),
-             ("spectrum", disc + "h = 0.25\ncount = 100000\n"),
-             ("hardy", hardy.format(extra="lambda = -1")),
-             ("hardy", hardy.format(extra="") + "levels = 0\n")]
+             *checked]
     for i, (command, text) in enumerate(cases):
         cfg = write(tmp_path, f"bad{i}.ini", text)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -308,7 +317,7 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
         assert err.startswith("error: ")
         if (command, text) in zero:
             assert "divides by a constant zero" in err
-        if i >= len(cases) - 4:     # counts and ladder parameters
+        if (command, text) in checked:
             code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                          "--dry-run"])
             assert code == 2

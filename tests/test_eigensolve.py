@@ -247,7 +247,7 @@ def test_slicing_spans_deep_spectra():
     # return genuine pairs rather than skipping to the positive cluster
     prob = ProblemSpec(domain=IV, form=FormSpec(a=1.0, q="-0.3*d^-2", beta=0.0),
                        gamma=0.5, ks=(2,))
-    sub, _ = strip_mesh(prob, 2)
+    sub = strip_mesh(prob, 2)
     pencil = assemble_pencil(sub, FormSpec(a=0.5, q="-0.3*d^-2"), 1.0)
     rep = smallest_eigenpairs(pencil, 4)
     v = rep.eigenvalues
@@ -274,7 +274,7 @@ def test_inertia_matches_sturm_on_graded_strips(monkeypatch):
     prob = ProblemSpec(domain=IV, form=FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5),
                        gamma=0.5, ks=tuple(range(2, 17)))
     for k in prob.ks:
-        sub, _ = strip_mesh(prob, k)
+        sub = strip_mesh(prob, k)
         pencil = assemble_pencil(sub, prob.form, 1.0)
         K, M = pencil.K, pencil.M
         assert _diag_spread(pencil) > 1e12

@@ -7,10 +7,9 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, Mesh1D,
-                       Torus, TriMesh, axisymmetric_reduce, build_mesh_1d,
-                       build_trimesh, assemble_pencil, ims_identity_residual,
-                       ims_partition, parse_coefficient, refine_mesh_1d,
-                       smallest_eigenpairs)
+                       Torus, TriMesh, build_mesh_1d, build_trimesh,
+                       assemble_pencil, ims_identity_residual, ims_partition,
+                       parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
 from hardyspec import forms
 from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
@@ -254,10 +253,10 @@ def test_assembly_matches_oracle_bitwise(oracle_checked):
     disc = build_trimesh(Disc((0, 0), 1.0), 0.2, 0.5)
     hardy_pencil(disc, 0.0, 0.0, 0.0)
     hardy_pencil(disc, 0.5, -0.5, 0.3)
-    cross, weight, potential = axisymmetric_reduce(Torus(3.0, 1.0), 2)
-    torus = build_trimesh(cross, 0.25, 0.5)
-    assemble_pencil(torus, FormSpec(a=1.0, q=potential), 1.0, measure_weight=weight)
-    hardy_pencil(torus, 0.5, 0.0, 0.0, measure_weight=weight)
+    # the torus cross-section: measure weight r, azimuthal mode 2
+    torus = build_trimesh(Torus(3.0, 1.0).section, 0.25, 0.5)
+    assemble_pencil(torus, FormSpec(a=1.0, q="4/r^2"), 1.0)
+    hardy_pencil(torus, 0.5, 0.0, 0.0)
     hardy_pencil(build_trimesh(Annulus((0.5, -0.5), 0.5, 1.5), 0.2, 0.5), 0.0, 0.0, 0.0)
     polygon = build_trimesh(ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]),
                             0.15, 0.7)
@@ -305,9 +304,8 @@ def export_matrices():
                              FormSpec(a="d^0.5", q="-0.03*d^-1.5"), 1.0)
     disc = assemble_pencil(build_trimesh(Disc((0, 0), 1.0), 0.1, 0.5),
                            FormSpec(a=1.0, q=0.0), 1.0)
-    cross, weight, potential = axisymmetric_reduce(Torus(3.0, 1.0), 1)
-    torus = assemble_pencil(build_trimesh(cross, 0.25, 1.0),
-                            FormSpec(a=1.0, q=potential), 1.0, measure_weight=weight)
+    torus = assemble_pencil(build_trimesh(Torus(3.0, 1.0).section, 0.25, 1.0),
+                            FormSpec(a=1.0, q="1/r^2"), 1.0)
     values = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -3.25, -1e-300, 0.0]
     hand = sp.coo_matrix((values, ([2, 0, 3, 1, 0, 2, 3, 1], [1, 4, 0, 1, 2, 3, 4, 0])),
                          shape=(4, 5))
@@ -444,12 +442,14 @@ def test_identity_residual_matches_oracle():
 
 
 def test_measure_weight():
-    # folding a weight w(x) = x into a 1D form shifts the bottom eigenvalue
-    # toward the weighted oracle computed densely
-    iv = Interval(1, 2)
-    mesh = build_mesh_1d(iv, 200)
-    w = parse_coefficient("x")
-    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0, measure_weight=w)
+    # a domain whose measure weight is w(x) = x folds it into a 1D form,
+    # which shifts the bottom eigenvalue toward the weighted oracle
+    # computed densely
+    class WeightedInterval(Interval):
+        measure_weight = "x"
+
+    mesh = build_mesh_1d(WeightedInterval(1, 2), 200)
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
     rep = smallest_eigenpairs(pencil, 1)
     # dense oracle from the same discretization assembled manually
     import scipy.sparse as sp

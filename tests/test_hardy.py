@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hardyspec import (Annulus, Disc, Interval, Torus,
+from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
                        hardy_constants, kappa, lambda_bound, verify_hardy)
 from hardyspec.errors import ExponentOutOfRange, MethodNotApplicable
 from hardyspec.hardy import fmt_constant, tubular_constant
@@ -88,13 +89,11 @@ def test_convexity_gate():
 
 def test_superharmonic_gate():
     # the fat torus passes the scan, the thin one fails it
-    spec = lambda_bound(Torus(3, 1), "fmt_weighted", alpha=0.0, beta=0.0,
-                        scan_resolution=64)
+    spec = lambda_bound(Torus(3, 1), "fmt_weighted", alpha=0.0, beta=0.0)
     assert spec.lam > 0
     assert "scan PASS" in spec.notes["superharmonic"]
     with pytest.raises(MethodNotApplicable):
-        lambda_bound(Torus(1.8, 1), "fmt_weighted", alpha=0.0, beta=0.0,
-                     scan_resolution=64)
+        lambda_bound(Torus(1.8, 1), "fmt_weighted", alpha=0.0, beta=0.0)
 
 
 def test_tubular_bound():
@@ -177,3 +176,25 @@ def test_torus_certification():
     assert cert.verdict == "CERTIFIED"
     assert all(lv["minimum"] >= 0.25 - 1e-4 for lv in cert.levels)
     _assert_nested_ladder(cert.levels, dim=2, refine_factor=2)
+
+
+# The paper's inequality as an oracle.  Where -laplacian(d) >= 0 (intervals,
+# convex polygons, discs, and a torus with c > 2R), the field
+# d^(beta-1) grad d gives  integral d^beta |grad u|^2 >= kappa(beta)
+# integral d^(beta-2) u^2,  and a conforming minimum bounds the infimum from
+# above: no level may fall below kappa(beta), with no slack.
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(beta=st.floats(-0.5, 0.9), n=st.sampled_from((32, 64)))
+def test_hardy_inequality_oracle_interval(beta, n):
+    cert = verify_hardy(IV, beta, n=n, levels=2)
+    assert all(lv["minimum"] >= kappa(beta) for lv in cert.levels)
+
+
+@pytest.mark.parametrize("beta", (0.0, 0.5))
+@pytest.mark.parametrize("domain", (UNIT_DISC,
+                                    ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                                    Torus(3.0, 1.0)), ids=("disc", "square", "torus"))
+def test_hardy_inequality_oracle_2d(domain, beta):
+    cert = verify_hardy(domain, beta, h=0.25, grading=0.5, levels=2)
+    assert all(lv["minimum"] >= kappa(beta) for lv in cert.levels)

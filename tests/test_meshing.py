@@ -3,11 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, StripSpec,
-                       Torus, axisymmetric_reduce, build_mesh_1d,
-                       build_trimesh, mesh_1d_with_level, refine_mesh_1d,
-                       refine_trimesh, restrict_to_strip)
-from hardyspec.errors import (InvalidGrading, MeshGenerationFailure,
-                              NotATorus, StripTooThin)
+                       Torus, TorusSection, build_mesh_1d, build_trimesh,
+                       mesh_1d_with_level, refine_mesh_1d, refine_trimesh,
+                       restrict_to_strip)
+from hardyspec.errors import InvalidGrading, MeshGenerationFailure, StripTooThin
 from hardyspec.eigensolve import smallest_eigenpairs
 from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
@@ -91,6 +90,11 @@ def test_areas_positive_and_boundary_distance():
                    (ConvexPolygon([(0, 0), (2, 0), (3, 1), (1, 2)]), 0.2)):
         mesh = build_trimesh(dom, h, 1.0)
         assert np.all(mesh.areas() > 0)
+        # bitwise the areas from edge vectors gathered column by column
+        p, t = mesh.points, mesh.elements
+        v1, v2 = p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]]
+        oracle = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        assert mesh.areas().tobytes() == oracle.tobytes()
         boundary_nodes = sorted({i for i, j, _ in mesh.boundary_edges}
                                 | {j for _, j, _ in mesh.boundary_edges})
         assert np.all(mesh.node_d[boundary_nodes] < 1e-12)
@@ -276,7 +280,7 @@ def _lift(u, parents):
 
 
 def test_parents_lift_linear_functions():
-    torus_disc = axisymmetric_reduce(Torus(3.0, 1.0))[0]
+    torus_disc = Torus(3.0, 1.0).section
     meshes = [build_mesh_1d(Interval(0, 1), 32, 0.5),
               build_trimesh(Disc((0.3, -0.2), 0.7), 0.15, 0.5),
               restrict_to_strip(build_trimesh(torus_disc, 0.1, 1.0),
@@ -329,20 +333,25 @@ def test_prolonged_eigenvector_keeps_its_quotient():
 
 def test_axisymmetric_reduce():
     torus = Torus(3.0, 1.0)
-    disc, weight, potential = axisymmetric_reduce(torus, 0)
-    assert isinstance(disc, Disc)
+    disc = torus.section
+    assert isinstance(disc, TorusSection) and isinstance(disc, Disc)
     assert_allclose(disc.center, [3.0, 0.0])
     assert disc.radius == 1.0
-    assert potential.is_zero()
-    assert_allclose(weight.evaluate({"r": np.array([2.5])}), [2.5])
-
-    _, _, pot2 = axisymmetric_reduce(torus, 2)
-    assert_allclose(pot2.evaluate({"r": np.array([2.0])}), [1.0])  # 4 / r^2
+    assert disc.measure_weight == "r" and torus.measure_weight is None
+    # other domains are their own section, without a measure weight
+    plain = Disc((3.0, 0.0), 1.0)
+    assert plain.section is plain and plain.measure_weight is None
+    # -laplacian(d) of the section is the torus's own at (r, 0, z)
+    rz = np.array([[2.5, 0.3], [3.6, -0.4], [2.1, 0.0]])
+    assert np.array_equal(disc.calculus_many(rz)[1],
+                          torus.calculus_many(np.insert(rz, 1, 0.0, axis=1))[1])
+    assert np.array_equal(disc.calculus_many(rz)[0],
+                          plain.calculus_many(rz)[0])
 
 
 def test_axisymmetric_distance_consistency():
     torus = Torus(3.0, 1.0)
-    disc, _, _ = axisymmetric_reduce(torus, 0)
+    disc = torus.section
     assert disc.distance([3.5, 0.0]) == pytest.approx(torus.distance([3.5, 0, 0]))
     rng = np.random.RandomState(0)
     pts = rng.uniform([2.2, -0.7], [3.8, 0.7], size=(50, 2))
@@ -352,23 +361,16 @@ def test_axisymmetric_distance_consistency():
         assert disc.distance([r, z]) == pytest.approx(torus.distance(p3), abs=1e-12)
 
 
-def test_not_a_torus():
-    with pytest.raises(NotATorus):
-        axisymmetric_reduce(Disc((0, 0), 1.0), 0)
-
-
 def test_axisymmetric_reduction_self_consistent():
     # the weighted cross-section problem converges at the P1 rate, so the
     # reduction is internally consistent across nested resolutions
     from hardyspec import FormSpec, assemble_pencil, smallest_eigenpairs
-    disc, weight, _ = axisymmetric_reduce(Torus(3.0, 1.0), 0)
-    mesh = build_trimesh(disc, 0.25, 1.0)
+    mesh = build_trimesh(Torus(3.0, 1.0).section, 0.25, 1.0)
     vals = []
     for level in range(3):
         if level:
             mesh = refine_trimesh(mesh)
-        pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0,
-                                 measure_weight=weight)
+        pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
         vals.append(smallest_eigenpairs(pencil, 1).eigenvalues[0])
     rate = np.log2((vals[0] - vals[1]) / (vals[1] - vals[2]))
     assert 1.8 <= rate <= 2.2

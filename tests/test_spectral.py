@@ -223,8 +223,8 @@ def test_persson_2d_strip_matches_annulus():
     disc = Disc((0, 0), 1.0)
     prob = ProblemSpec(domain=disc, form=FormSpec(a=1.0, q=0.0, beta=0.0),
                        gamma=0.5, ks=(2,), grading=1.0)
-    sub, mw = strip_mesh(prob, 2)
-    assert mw is None
+    sub = strip_mesh(prob, 2)
+    assert sub.domain.measure_weight is None
     pencil = assemble_pencil(sub, prob.form, 1.0)
     mu = smallest_eigenpairs(pencil, 1).eigenvalues[0]
 
