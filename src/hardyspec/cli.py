@@ -164,6 +164,8 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         formats = tuple(f.strip() for f in out_sec.get("formats", "json").split(","))
 
     domain = _build_domain(domain_sec)
+    if "mode" in num_sec.data and not isinstance(domain, geometry.Torus):
+        raise ConfigError("[numerics] mode applies only to a torus domain")
     resolved = {"command": command, "seed": seed,
                 "config_path": os.fspath(config_path),
                 "sections": {name: dict(parser[name]) for name in parser.sections()}}

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .coefficients import Coefficient, as_coefficient, environment
 from .errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
                      SingularQuadrature)
-from .meshing import ROBIN
+from .meshing import ROBIN, triangle_areas
 
 
 @dataclass
@@ -158,7 +158,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
         return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads, 1
     bary, w = TRI_BARY[:, :, None, None], TRI_W
     v = mesh.points[mesh.elements.T]                            # (3, m, 2)
-    area = mesh.areas()
+    area = triangle_areas(v)
     if np.any(area <= 0):
         raise ValueError("mesh has an inverted triangle")
     # the explicit three-term sum is bitwise the einsum over k, and faster

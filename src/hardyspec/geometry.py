@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import EmptyRegion, PointOutsideDomain, TooCloseToBoundary
 
@@ -324,7 +323,13 @@ class ConvexPolygon(Domain):
     @cached_property
     def _chebyshev(self):
         """Center and radius of the largest inscribed disc, by linear
-        programming: maximize t  s.t.  n_i . p - t >= n_i . v_i."""
+        programming: maximize t  s.t.  n_i . p - t >= n_i . v_i.
+
+        scipy.optimize is imported here, not at module level: only a convex
+        polygon needs it, and loading it costs every other run start-up time.
+        """
+        from scipy.optimize import linprog
+
         n = self._normals
         b = np.einsum("ej,ej->e", n, self.vertices)
         a_ub = np.column_stack([-n, np.ones(len(n))])

@@ -73,6 +73,13 @@ class Mesh1D(_Mesh):
         return float(self.element_sizes().sum())
 
 
+def triangle_areas(v):
+    """Signed areas of triangles whose vertices are gathered vertex-major,
+    v of shape (3, m, 2)."""
+    v1, v2 = v[1] - v[0], v[2] - v[0]
+    return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+
+
 @dataclass
 class TriMesh(_Mesh):
     points: np.ndarray                # (n, 2)
@@ -86,9 +93,7 @@ class TriMesh(_Mesh):
     dim = 2
 
     def areas(self):
-        v = self.points[self.elements.T]            # (3, m, 2), vertex-major
-        v1, v2 = v[1] - v[0], v[2] - v[0]
-        return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        return triangle_areas(self.points[self.elements.T])
 
     def element_sizes(self):
         """Leg of the right isosceles triangle of the same area."""

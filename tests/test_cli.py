@@ -389,6 +389,59 @@ mode = {mode}
     assert doc["result"]["mesh_info"]["q"] == "(0.0 + (1.0 * (4.0 / r^2.0)))"
 
 
+def test_mode_refused_off_torus(tmp_path, capsys):
+    # an azimuthal mode means nothing off a torus; it used to be dropped silently
+    disc = ("[domain]\nvariant = disc\n\n[form]\na = 1\nq = 0\n\n"
+            "[numerics]\nh = 0.25\ncount = 1\nmode = 3\n")
+    interval = ("[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n"
+                "[numerics]\nk_min = 2\nk_max = 8\nmode = 0\n")
+    for i, (command, text) in enumerate([("spectrum", disc), ("diagnose", interval)]):
+        cfg = write(tmp_path, f"m{i}.ini", text)
+        for extra in ([], ["--dry-run"]):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                         *extra])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "mode" in err
+
+
+COLD_START = """
+import sys
+from hardyspec.cli import _build_domain, _load_config, _Section, run
+for command, path in zip(("diagnose", "spectrum", "spectrum"), sys.argv[1:4]):
+    _build_domain(_Section(_load_config(path), "domain"))
+    run(command, path, out_dir=sys.argv[4], dry_run=True)
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded at start-up"
+from hardyspec.geometry import ConvexPolygon
+square = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+assert square.chebyshev_center().tolist() == [0.5, 0.5]
+assert square.interior_diameter() == 1.0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_cold_start_skips_scipy_optimize(tmp_path):
+    # a fresh interpreter: the test modules import scipy.optimize themselves
+    import subprocess
+    import sys
+
+    import hardyspec
+    configs = [("interval", "k_min = 2\nk_max = 8\n"),
+               ("disc", "h = 0.25\ncount = 1\n"),
+               ("torus", "h = 0.25\ncount = 1\nmode = 2\n")]
+    paths = [write(tmp_path, f"{variant}.ini",
+                   f"[domain]\nvariant = {variant}\n\n[form]\na = 1\nq = 0\n\n"
+                   f"[numerics]\n{numerics}")
+             for variant, numerics in configs]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hardyspec.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *paths,
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_main_entry(tmp_path):
     cfg = write(tmp_path, "h.ini", HARDY_INI)
     code = main(["hardy", "--config", cfg, "--out", str(tmp_path / "out"),
