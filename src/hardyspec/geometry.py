@@ -324,10 +324,8 @@ class ConvexPolygon(Domain):
     def _chebyshev(self):
         """Center and radius of the largest inscribed disc, by linear
         programming: maximize t  s.t.  n_i . p - t >= n_i . v_i.
-
-        scipy.optimize is imported here, not at module level: only a convex
-        polygon needs it, and loading it costs every other run start-up time.
-        """
+        scipy.optimize is imported here so that no other domain's run pays
+        for loading it."""
         from scipy.optimize import linprog
 
         n = self._normals
