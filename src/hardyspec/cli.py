@@ -166,6 +166,8 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
     domain = _build_domain(domain_sec)
     if "mode" in num_sec.data and not isinstance(domain, geometry.Torus):
         raise ConfigError("[numerics] mode applies only to a torus domain")
+    if "mode" in num_sec.data and command != "spectrum":
+        raise ConfigError("[numerics] mode applies only to the spectrum command")
     resolved = {"command": command, "seed": seed,
                 "config_path": os.fspath(config_path),
                 "sections": {name: dict(parser[name]) for name in parser.sections()}}

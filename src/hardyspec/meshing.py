@@ -315,8 +315,26 @@ def _layer_depths(depth, h, grading):
     return np.asarray(levels)
 
 
-def _ring_mesh(domain, h, grading):
-    """Rings of scaled boundary polylines collapsing onto an interior center."""
+def _cell_triangles(n_loops, m, split):
+    """Two triangles per cell between consecutive loops of m nodes (loop k
+    holds nodes k*m .. k*m + m - 1), loop by loop, then around each loop.
+    The corners 0..3 of cell (k, i) are (k, i), (k, i+1), (k+1, i) and
+    (k+1, i+1), and `split` lists the six corners of its two triangles."""
+    i = np.arange(m)
+    j = np.roll(i, -1)
+    base = m * np.arange(n_loops - 1)[:, None, None]
+    corners = base + np.stack([i, j, i + m, j + m], axis=-1)
+    return corners[..., split].reshape(-1, 3)
+
+
+def _ring_mesh(domain, h, grading, reach=None):
+    """Rings of scaled boundary polylines collapsing onto an interior center.
+
+    With a reach, the rings stop at the first one whose nodes all have
+    d >= reach, and there is no center.  On a convex domain d is concave
+    and largest at the center, so every triangle deeper than that ring has
+    its barycenter at d >= reach: a strip {d < reach} cut from the whole
+    mesh keeps none of them."""
     spacing = h * (0.75 * grading if grading < 1 else 1.0)
     loop = _boundary_polyline(domain, spacing)
     m = len(loop)
@@ -328,24 +346,24 @@ def _ring_mesh(domain, h, grading):
     # at the boundary is then exactly the first level everywhere
     depth = float(np.linalg.norm(loop - center, axis=1).max())
     levels = _layer_depths(depth, h, grading)
-    scales = 1.0 - levels / depth
-    rings = [center + s * (loop - center) for s in scales]
-    points = np.vstack(rings + [center[None, :]])
-    center_idx = len(rings) * m
-    tris = []
-    for k in range(len(rings) - 1):
-        base0, base1 = k * m, (k + 1) * m
-        for i in range(m):
-            j = (i + 1) % m
-            tris.append((base0 + i, base0 + j, base1 + j))
-            tris.append((base0 + i, base1 + j, base1 + i))
-    base = (len(rings) - 1) * m
-    for i in range(m):
-        j = (i + 1) % m
-        tris.append((base + i, base + j, center_idx))
+    rings, ring_d = [], []
+    for s in 1.0 - levels / depth:
+        rings.append(center + s * (loop - center))
+        ring_d.append(np.maximum(domain.distance_many(rings[-1]), 0.0))
+        if reach is not None and ring_d[-1].min() >= reach:
+            break
+    tris = _cell_triangles(len(rings), m, [0, 1, 3, 0, 3, 2])
+    if len(rings) == len(levels):
+        # no cut: the innermost ring fans onto the center
+        i = np.arange((len(rings) - 1) * m, len(rings) * m)
+        fan = np.column_stack([i, np.roll(i, -1), np.full(m, len(rings) * m)])
+        tris = np.vstack([tris, fan])
+        rings.append(center[None, :])
+        ring_d.append(np.maximum(domain.distance_many(rings[-1]), 0.0))
     edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
     tags = {i: DIRICHLET for i in range(m)}
-    mesh = TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+    mesh = TriMesh(np.vstack(rings), tris, edges, tags, domain,
+                   np.concatenate(ring_d))
     if np.any(mesh.areas() <= 0):
         raise MeshGenerationFailure("ring template produced an inverted triangle")
     return mesh
@@ -365,30 +383,30 @@ def _annulus_mesh(domain, h, grading):
     th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
     ring = np.column_stack([np.cos(th), np.sin(th)])
     points = np.vstack([domain.center + r * ring for r in radii])
-    tris = []
-    for k in range(len(radii) - 1):
-        base0, base1 = k * m, (k + 1) * m
-        for i in range(m):
-            j = (i + 1) % m
-            tris.append((base0 + i, base1 + i, base1 + j))
-            tris.append((base0 + i, base1 + j, base0 + j))
+    tris = _cell_triangles(len(radii), m, [0, 2, 3, 0, 3, 1])
     inner = [(ring_i, (ring_i + 1) % m, DIRICHLET) for ring_i in range(m)]
     outer_base = (len(radii) - 1) * m
     outer = [(outer_base + i, outer_base + (i + 1) % m, DIRICHLET) for i in range(m)]
     edges = inner + outer
     tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    mesh = TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+    mesh = TriMesh(points, tris, edges, tags, domain)
     if np.any(mesh.areas() <= 0):
         raise MeshGenerationFailure("annulus template produced an inverted triangle")
     return mesh
 
 
-def build_trimesh(domain, h, grading=1.0):
+def build_trimesh(domain, h, grading=1.0, reach=None):
     """Conforming triangulation with target interior edge length h.
 
     With grading < 1 the elements touching the boundary have diameter at
     most about grading*h (fine tangential spacing plus a thin first layer).
     All boundary edges are clamped (tagged dirichlet) by default.
+
+    A reach > 0 asks only for the band {d < reach}: the ring template of a
+    disc or convex polygon then stops one ring beyond it (see `_ring_mesh`),
+    so `restrict_to_strip` cuts from it the same strip, bitwise, as from
+    the whole mesh.  An annulus and an axis-aligned rectangle are still
+    meshed whole.
     """
     if domain.dim != 2:
         raise TypeError("build_trimesh needs a 2D domain")
@@ -404,7 +422,7 @@ def build_trimesh(domain, h, grading=1.0):
     if _is_axis_rectangle(domain) and grading == 1.0:
         return _structured_rectangle(domain, h)
     if isinstance(domain, (Disc, ConvexPolygon)):
-        return _ring_mesh(domain, h, grading)
+        return _ring_mesh(domain, h, grading, reach)
     raise MeshGenerationFailure(f"unsupported 2D domain {type(domain).__name__}")
 
 

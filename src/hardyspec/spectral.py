@@ -106,7 +106,7 @@ def strip_mesh(problem, k):
         # 2D strips stay on the uniform template: the triangulation's grading
         # knob refines tangentially as well, which balloons strip pencils
         h = max(delta / 8, domain.interior_diameter() / 256)
-        mesh = build_trimesh(domain, h, 1.0)
+        mesh = build_trimesh(domain, h, 1.0, reach=delta)
     return restrict_to_strip(mesh, StripSpec(0.0, delta))
 
 

@@ -276,6 +276,8 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
             "k_min = 1000000000\nk_max = 1000000004\nstrip_elements = 96\n"
             "samples = 10000\n")
     disc = "[domain]\nvariant = disc\n\n[form]\na = 1\nq = 0\n\n[numerics]\n"
+    torus_diagnose = ("[domain]\nvariant = torus\n\n[form]\na = 1\nq = -0.05*d^-2\n"
+                      "gamma = 0.5\n\n[numerics]\nk_min = 2\nk_max = 6\n")
     hardy = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n{extra}\n"
              "[numerics]\nn = 32\n")
     plain = diagnose.format(extra="")
@@ -288,6 +290,10 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                # an azimuthal mode off a torus
                ("spectrum", disc + "h = 0.25\ncount = 1\nmode = 3\n"),
                ("diagnose", plain + "mode = 0\n"),
+               # an azimuthal mode on a torus outside spectrum
+               ("diagnose", torus_diagnose + "mode = 2\n"),
+               ("hardy", "[domain]\nvariant = torus\n\n[form]\nbeta = 0.0\n\n"
+                         "[numerics]\nh = 0.25\nlevels = 1\nmode = 2\n"),
                ("diagnose", plain + "strip_elements = 0\n"),
                ("hardy", hardy.format(extra="lambda = -1")),
                ("hardy", hardy.format(extra="") + "levels = 0\n"),

@@ -10,7 +10,9 @@ from hardyspec.errors import InvalidGrading, MeshGenerationFailure, StripTooThin
 from hardyspec.eigensolve import smallest_eigenpairs
 from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
-from hardyspec.meshing import DIRICHLET, TriMesh, format_mesh_text, nested
+from hardyspec.meshing import (DIRICHLET, TriMesh, _annulus_mesh, _boundary_polyline,
+                               _layer_depths, _ring_mesh, format_mesh_text, nested)
+from hardyspec.spectral import ProblemSpec, strip_mesh
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -162,6 +164,104 @@ def test_restrict_trimesh():
     inner = [i for i, t in sub.node_tags.items()
              if t == DIRICHLET and sub.node_d[i] > 0.2]
     assert inner  # the cut interface is clamped
+
+
+def _ring_mesh_loop(domain, h, grading):
+    """Oracle: the ring template, one triangle at a time."""
+    spacing = h * (0.75 * grading if grading < 1 else 1.0)
+    loop = _boundary_polyline(domain, spacing)
+    m = len(loop)
+    center = domain.center if isinstance(domain, Disc) else domain.chebyshev_center()
+    depth = float(np.linalg.norm(loop - center, axis=1).max())
+    levels = _layer_depths(depth, h, grading)
+    rings = [center + s * (loop - center) for s in 1.0 - levels / depth]
+    points = np.vstack(rings + [center[None, :]])
+    center_idx = len(rings) * m
+    tris = []
+    for k in range(len(rings) - 1):
+        base0, base1 = k * m, (k + 1) * m
+        for i in range(m):
+            j = (i + 1) % m
+            tris.append((base0 + i, base0 + j, base1 + j))
+            tris.append((base0 + i, base1 + j, base1 + i))
+    base = (len(rings) - 1) * m
+    for i in range(m):
+        tris.append((base + i, base + (i + 1) % m, center_idx))
+    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
+    tags = {i: DIRICHLET for i in range(m)}
+    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+
+
+def _annulus_mesh_loop(domain, h, grading):
+    """Oracle: the annulus template, one triangle at a time."""
+    spacing = h * (0.75 * grading if grading < 1 else 1.0)
+    m = max(8, int(np.ceil(2 * np.pi * domain.r_out / spacing)))
+    width = domain.r_out - domain.r_in
+    if grading == 1.0:
+        radii = np.linspace(domain.r_in, domain.r_out,
+                            max(2, int(np.ceil(width / h))) + 1)
+    else:
+        lo = _layer_depths(width / 2, h, grading)
+        radii = np.unique(np.concatenate([
+            domain.r_in + lo, [domain.r_in + width / 2], domain.r_out - lo]))
+    th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
+    ring = np.column_stack([np.cos(th), np.sin(th)])
+    points = np.vstack([domain.center + r * ring for r in radii])
+    tris = []
+    for k in range(len(radii) - 1):
+        base0, base1 = k * m, (k + 1) * m
+        for i in range(m):
+            j = (i + 1) % m
+            tris.append((base0 + i, base1 + i, base1 + j))
+            tris.append((base0 + i, base1 + j, base0 + j))
+    outer_base = (len(radii) - 1) * m
+    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)] \
+        + [(outer_base + i, outer_base + (i + 1) % m, DIRICHLET) for i in range(m)]
+    tags = {i: DIRICHLET for e in edges for i in e[:2]}
+    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+
+
+def _assert_same_trimesh(new, old):
+    assert np.array_equal(new.points, old.points)
+    assert new.elements.dtype == old.elements.dtype
+    assert np.array_equal(new.elements, old.elements)
+    assert np.array_equal(new.node_d, old.node_d)
+    assert new.boundary_edges == old.boundary_edges
+    assert list(new.node_tags.items()) == list(old.node_tags.items())
+
+
+def test_templates_match_loop_oracles():
+    cases = [(Disc((0.3, -0.2), 0.7), _ring_mesh, _ring_mesh_loop),
+             (ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]), _ring_mesh,
+              _ring_mesh_loop),
+             (Annulus((0.5, -0.5), 0.5, 1.5), _annulus_mesh, _annulus_mesh_loop)]
+    for domain, template, oracle in cases:
+        for h, grading in ((0.1, 1.0), (0.05, 0.5), (0.15, 0.3)):
+            _assert_same_trimesh(template(domain, h, grading),
+                                 oracle(domain, h, grading))
+
+
+STRIP_DOMAINS = (Disc((0, 0), 1.0), Disc((0.3, -0.2), 0.7), Torus(3.0, 1.0),
+                 ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]))
+
+
+@pytest.mark.parametrize("domain", STRIP_DOMAINS,
+                         ids=("disc", "off_centre_disc", "torus", "skewed_quad"))
+def test_truncated_strip_matches_whole_mesh(domain):
+    # the ring template stops one ring beyond 1/k; cutting the strip from
+    # the whole section must give the same mesh, bitwise
+    section = domain.section
+    for k in range(2, 13):
+        problem = ProblemSpec(domain, FormSpec(a=1.0, q=0.0), 0.5, ks=(k,))
+        h = max(1 / (8 * k), section.interior_diameter() / 256)
+        try:
+            oracle = restrict_to_strip(build_trimesh(section, h, 1.0),
+                                       StripSpec(0.0, 1 / k))
+        except (StripTooThin, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                strip_mesh(problem, k)
+            continue
+        _assert_same_trimesh(strip_mesh(problem, k), oracle)
 
 
 def test_mesh_with_level_has_exact_node():

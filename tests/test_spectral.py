@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hardyspec import (FormSpec, Interval, ProblemSpec, Torus,
+from hardyspec import (Disc, FormSpec, Interval, ProblemSpec, Torus, kappa,
                        check_form_nonnegativity, check_pointwise_criterion,
                        discreteness_diagnostic, persson_sequence)
+from hardyspec.coefficients import power_of_d
 from hardyspec.errors import StripTooThin
 from hardyspec.report import jsonable
 from hardyspec.spectral import _halton, _halton_points, strip_mesh
@@ -67,6 +69,23 @@ def test_persson_strip_bound_weighted():
     assert np.all(np.diff(mus) >= -1e-8)
     assert seq.fitted_exponent >= 1.4
     assert seq.bound is not None
+
+
+# The paper's curve as an oracle.  With a = d^beta and q = 0 on a convex
+# domain (-laplacian(d) >= 0), the Hardy inequality and d < 1/k on the strip
+# give  integral d^beta |grad u|^2 >= kappa(beta) k^(2-beta) integral u^2,
+# and a conforming strip minimum bounds the infimum from above: no mu_k may
+# fall below the curve, with no slack.
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(disc=st.booleans(), beta=st.floats(-0.5, 0.9),
+       ks=st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True))
+def test_persson_curve_oracle(disc, beta, ks):
+    domain = Disc((0, 0), 1.0) if disc else IV
+    prob = ProblemSpec(domain, FormSpec(a=power_of_d(beta), q=0.0), 0.5, ks=ks)
+    seq = persson_sequence(prob)
+    assert seq.bound == [kappa(beta) * k ** (2 - beta) for k in prob.ks]
+    assert np.all(seq.mus() >= seq.bound)
 
 
 def test_persson_monotone():
