@@ -3,13 +3,17 @@
 One certified path serves every count below dof.  K - sigma M is factored
 with diagonal pivots only, so its negative pivots count the eigenvalues
 below sigma (Sylvester's law of inertia); that count is also the exact
-counting function N(lambda).  The first shift sits just below 0, where
-the bottom of a nonnegative form lies above it; while inertia finds
-eigenvalues below a shift it is stepped down, and then bisected up to just
-below the spectrum.  Shift-invert Lanczos (ARPACK) runs on that same
-factor.  For more than one eigenpair, an inertia count above the returned
-values shows that none was skipped, or the spectrum is sliced again above
-the confirmed clusters (Ericsson & Ruhe 1980; Grimes, Lewis & Simon 1994).
+counting function N(lambda).  The first shift is a floor the caller names:
+by default just below 0, where the bottom of a nonnegative form lies above
+it; a Hardy ladder level starts at kappa - CERT_TOL and a Persson strip at
+the minimum of the strip before.  While inertia finds eigenvalues below a
+shift it is stepped down, and then bisected up to just below the spectrum,
+so a wrong floor costs factorizations, never a wrong value.  Shift-invert
+Lanczos (ARPACK) runs on that same factor, with a 12-vector basis for one
+eigenpair.  For more than one eigenpair, an inertia count above the
+returned values shows that none was skipped, or the spectrum is sliced
+again above the confirmed clusters (Ericsson & Ruhe 1980; Grimes, Lewis &
+Simon 1994).
 """
 
 from dataclasses import dataclass, field
@@ -98,24 +102,28 @@ def _shift(K, M, lo, hi, found):
     return lu, lo
 
 
-def _slice(K, M, count, v0, tol, maxiter):
+def _slice(K, M, count, v0, tol, maxiter, floor):
     """The count smallest eigenpairs, the shift below them and the number
     of Lanczos solves.
 
     Each window is solved by shift-invert Lanczos on the factor at a
-    certified shift, the first started at -0.01: a nonnegative form needs
-    no step from there.  One eigenpair is certified by the empty count
-    below that shift; for more, the inertia count just above the wanted
-    values must equal the eigenvalues accepted plus those returned.  A
-    larger count means Lanczos skipped some (a missed twin, values lost far
-    from the shift): the clusters that inertia confirms are kept and the
-    next window opens at a certified shift above them.  One cluster with
-    nothing below it is kept whole; otherwise the window is solved again
-    for as many eigenvalues as inertia finds in it.
+    certified shift, the first started at `floor`: a floor with nothing
+    below it needs no step, and the closer it lies to the bottom, the fewer
+    solves Lanczos needs.  One eigenpair is certified by the empty count
+    below that shift and solved with a 12-vector basis, which from a near
+    shift converges as fast as ARPACK's default of 20.  For more, the
+    inertia count just above the wanted values must equal the eigenvalues
+    accepted plus those returned.  A larger count means Lanczos skipped
+    some (a missed twin, values lost far from the shift): the clusters that
+    inertia confirms are kept and the next window opens at a certified
+    shift above them.  One cluster with nothing below it is kept whole;
+    otherwise the window is solved again for as many eigenvalues as inertia
+    finds in it.
     """
     n = K.shape[0]
-    lu, sigma = _shift(K, M, -0.01, np.inf, 0)
+    lu, sigma = _shift(K, M, floor, np.inf, 0)
     sigma0 = sigma
+    ncv = min(n, 12) if count == 1 else None
     vals, vecs = np.empty(0), np.empty((n, 0))
     k = count
     for calls in range(1, 2 * count + 5):
@@ -123,7 +131,7 @@ def _slice(K, M, count, v0, tol, maxiter):
             lu = _factor(K, M, sigma)[0]
         op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
         got, gvecs = spla.eigsh(K, k=min(k, n - 1), M=M, sigma=sigma, which="LA",
-                                OPinv=op, v0=v0, tol=tol, maxiter=maxiter)
+                                OPinv=op, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter)
         order = np.argsort(got)
         got, gvecs = got[order], gvecs[:, order]
         if count == 1:
@@ -196,15 +204,20 @@ def check_count(count, dof):
         raise ValueError(f"requested {count} eigenpairs from a {dof}-dof pencil")
 
 
-def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None):
+def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
+                        floor=-0.01):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x.
 
     Deterministic for a fixed seed (the seed fixes the Lanczos start
     vector).  A given `v0` leads the start vector, with a seeded random
     part of 1e-3 of its norm: a prolonged eigenvector is zero on every mesh
     component it did not reach, and Lanczos would never find an eigenvalue
-    there.  Eigenvectors come back M-orthonormal; residuals are checked
-    against tol, with one inverse-iteration polish when needed.
+    there.  `floor` is the first shift tried, best a value the caller
+    knows to lie just below the bottom; when inertia finds eigenvalues
+    below it, it is stepped down as from the default just below 0.
+    Eigenvectors come back M-orthonormal.  A pair converges when its
+    residual or its backward error is within tol; one that fails both gets
+    one inverse-iteration polish.
     """
     n = pencil.dof
     check_count(count, n)
@@ -215,7 +228,7 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
     if count == n:
         # ARPACK needs count < dof: the whole spectrum is one full solve
-        sigma = _shift(K, M, -0.01, np.inf, 0)[1]
+        sigma = _shift(K, M, floor, np.inf, 0)[1]
         vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
         solver, solver_calls = "dense", 0
     else:
@@ -224,7 +237,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
         if v0 is not None:
             start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)
         try:
-            vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter)
+            vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter,
+                                                     floor)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(
                 f"Lanczos stalled after {maxiter} iterations", partial=exc) from exc
@@ -236,15 +250,17 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None)
     residuals = np.empty(count)
     backward = np.empty(count)
     normK, normM = spla.norm(K, 1), spla.norm(M, 1)
+
+    def errors(lam, x):
+        r, res = _residual(K, M, lam, x)
+        return res, np.linalg.norm(r) / max((normK + abs(lam) * normM)
+                                            * np.linalg.norm(x), 1e-300)
+
     for j in range(count):
-        x = vecs[:, j]
-        r, res = _residual(K, M, vals[j], x)
-        if res > tol:
-            vals[j], vecs[:, j] = _polish(K, M, vals[j], x)
-            r, res = _residual(K, M, vals[j], x)
-        residuals[j] = res
-        backward[j] = np.linalg.norm(r) / max((normK + abs(vals[j]) * normM)
-                                              * np.linalg.norm(x), 1e-300)
+        residuals[j], backward[j] = errors(vals[j], vecs[:, j])
+        if residuals[j] > tol and backward[j] > tol:
+            vals[j], vecs[:, j] = _polish(K, M, vals[j], vecs[:, j])
+            residuals[j], backward[j] = errors(vals[j], vecs[:, j])
 
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
@@ -261,9 +277,13 @@ def counting_function(pencil, lam):
     return _factor(pencil.K, pencil.M, lam)[1]
 
 
-def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0):
+def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0, floor=-0.01):
     """(dof, smallest eigenvalue) of `make_pencil` on each of the `levels`
     meshes of `meshing.nested(mesh, levels, steps)`.
+
+    Every level's first shift is `floor` (see `smallest_eigenpairs`).  The
+    coarse minimum is no floor for the next level: refinement lowers the
+    bottom, and several fine eigenvalues may lie below the coarse one.
 
     The seed starts Lanczos on the first level only; each later level starts
     from the eigenvector of the one before, prolonged by P1 interpolation
@@ -280,7 +300,7 @@ def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0):
             for p in parents:
                 u = 0.5 * (u[p[:, 0]] + u[p[:, 1]])
             v0 = u[pencil.free_nodes]
-        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed, v0=v0)
+        rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed, v0=v0, floor=floor)
         rows.append((pencil.dof, float(rep.eigenvalues[0])))
         u = np.zeros(fine.n_nodes)     # zero at the clamped nodes
         u[pencil.free_nodes] = rep.eigenvectors[:, 0]

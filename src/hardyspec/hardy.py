@@ -243,7 +243,9 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
     cross-section disc with the cylindrical radius folded into all three
     integrals.  Each ladder level applies REFINE_FACTOR nested bisections,
     so the discrete minima decrease monotonically toward the continuum
-    infimum.
+    infimum.  Each level's first shift is kappa - CERT_TOL: an empty
+    inertia count there is that level's discrete inequality, and a level
+    with eigenvalues below it is solved from a shift stepped down past them.
     """
     check_ladder(beta, lam, levels)
     kap = kappa(beta)
@@ -255,7 +257,8 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
         sizes.append(len(fine.elements))
         return hardy_pencil(fine, beta, alpha, lam)
 
-    minima = ladder(mesh, levels, REFINE_FACTOR, pencil, tol=tol, seed=seed)
+    minima = ladder(mesh, levels, REFINE_FACTOR, pencil, tol=tol, seed=seed,
+                    floor=kap - CERT_TOL)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,
              "margin": mu - kap}
             for level, (size, (dof, mu)) in enumerate(zip(sizes, minima))]

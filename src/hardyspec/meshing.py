@@ -107,11 +107,11 @@ class TriMesh(_Mesh):
 # 1D meshes
 # ---------------------------------------------------------------------------
 
-def _geometric_side_sizes(half, m, grading):
-    """Element sizes covering [0, half], geometric with the given ratio,
-    smallest first (adjacent to the endpoint)."""
+def _first_side_size(half, m, grading):
+    """The first and smallest of `_geometric_side_sizes`: the size of the
+    element next to the endpoint."""
     if grading == 1.0:
-        return np.full(m, half / m)
+        return half / m
     r = 1.0 / grading
     # h1 * (r^m - 1) / (r - 1) = half
     log_rm = m * np.log(r)
@@ -122,7 +122,16 @@ def _geometric_side_sizes(half, m, grading):
     if h1 < 1e-280:
         raise InvalidGrading(
             f"grading {grading} with {m} layers per side underflows float64")
-    return h1 * r**np.arange(m)
+    return h1
+
+
+def _geometric_side_sizes(half, m, grading):
+    """Element sizes covering [0, half], geometric with the given ratio,
+    smallest first (adjacent to the endpoint)."""
+    h1 = _first_side_size(half, m, grading)
+    if grading == 1.0:
+        return np.full(m, h1)
+    return h1 * (1.0 / grading)**np.arange(m)
 
 
 def grading_floor(interval, headroom=1.0):
@@ -141,15 +150,16 @@ def feasible_grading(requested, layers, span, floor, one_sided=False):
         return requested
 
     def smallest(g):
+        # a one-sided mesh's nodes are span * g^j, so its sizes grow by 1/g
+        # from the second on and the smallest is one of the first two (the
+        # first only for g <= 1/2); a two-sided side's smallest is its first
         if one_sided:
-            t = span * g ** np.arange(layers - 1, -1, -1)
-            sizes = np.diff(np.concatenate([[0.0], t]))
-        else:
-            try:
-                sizes = _geometric_side_sizes(span, layers, g)
-            except InvalidGrading:
-                return 0.0
-        return float(sizes.min())
+            t0, t1 = span * g ** (layers - 1), span * g ** (layers - 2)
+            return min(t0, t1 - t0)
+        try:
+            return _first_side_size(span, layers, g)
+        except InvalidGrading:
+            return 0.0
 
     if smallest(requested) >= floor:
         return requested

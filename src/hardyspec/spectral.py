@@ -134,14 +134,17 @@ def persson_sequence(problem):
 
     When the diffusion is exactly d^beta and the potential is nonnegative on
     the strip, the analytic lower-bound curve kappa(beta) k^(2-beta) is
-    reported alongside.
+    reported alongside.  The strips nest, {d < 1/(k+1)} in {d < 1/k}, so
+    mu_k grows with k: each strip's first shift is the minimum of the strip
+    before (see `smallest_eigenpairs`); the first strip's is the default.
     """
     entries = []
     q_nonneg = True
     for k in problem.ks:
         sub = strip_mesh(problem, k)
         pencil = assemble_pencil(sub, problem.form, 1.0)
-        rep = smallest_eigenpairs(pencil, 1, tol=problem.tol, seed=problem.seed)
+        rep = smallest_eigenpairs(pencil, 1, tol=problem.tol, seed=problem.seed,
+                                  floor=entries[-1]["mu"] if entries else -0.01)
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
                         "mu": float(rep.eigenvalues[0])})
         # sample the potential sign on the strip quadrature-free

@@ -11,10 +11,11 @@ from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec,
                        assemble_pencil, build_mesh_1d, build_trimesh,
                        counting_function, restrict_to_strip, smallest_eigenpairs)
 from hardyspec import eigensolve
+from hardyspec.coefficients import constant
 from hardyspec.eigensolve import _factor, ladder
 from hardyspec.errors import FactorizationFailure, NoConvergence
 from hardyspec.meshing import nested
-from hardyspec.spectral import strip_mesh, ProblemSpec
+from hardyspec.spectral import ProblemSpec, check_form_nonnegativity, strip_mesh
 
 IV = Interval(0, 1)
 
@@ -318,6 +319,66 @@ def test_floor_above_spectrum_is_stepped_down():
     assert rep.eigenvalues[0] == pytest.approx(5.80260 - 30.0, abs=1e-5)
     assert rep.eigenvalues[0] > rep.sigma
     assert counting_function(pencil, rep.sigma) == 0
+    # a caller's floor above the bottom is stepped down the same way
+    high = smallest_eigenpairs(pencil, 1, floor=rep.eigenvalues[0] + 1.0)
+    assert abs(high.eigenvalues[0] - rep.eigenvalues[0]) <= 1e-10
+    assert high.eigenvalues[0] > high.sigma
+    assert counting_function(pencil, high.sigma) == 0
+
+
+def test_polish_only_a_pair_that_fails_both_tests(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _factor(*args)
+
+    monkeypatch.setattr(eigensolve, "_factor", counted)
+    pencil = _disc_pencil(0.1)
+    exact = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(),
+                              eigvals_only=True, subset_by_index=[0, 0])[0]
+    # a converged pair costs the one factor at its shift
+    rep = smallest_eigenpairs(pencil, 1)
+    assert len(calls) == 1 and rep.converged
+    # so does one whose residual, absolute in lambda, exceeds tol while its
+    # backward error does not
+    calls.clear()
+    scaled = Pencil(1e6 * pencil.K, pencil.M, pencil.free_nodes, pencil.meta)
+    rep = smallest_eigenpairs(scaled, 1)
+    assert rep.residuals[0] > rep.tol >= rep.backward_errors[0]
+    assert len(calls) == 1 and rep.converged
+    # a perturbed Lanczos vector fails both and is polished at a second factor
+    eigsh = eigensolve.spla.eigsh
+    noise = np.random.RandomState(18).standard_normal(pencil.dof)
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) \
+            * noise[:, None]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", perturbed)
+    calls.clear()
+    rep = smallest_eigenpairs(pencil, 1)
+    assert len(calls) == 2 and calls[1] < exact < calls[1] + 1e-6
+    assert rep.converged
+    assert rep.eigenvalues[0] == pytest.approx(exact, rel=1e-10)
+
+
+def test_form_check_ladder_matches_a_tight_solve():
+    # the form check of the 1D discreteness diagnosis: a 10-vector Lanczos
+    # basis left its top level (766 dof) 5.6e-9 high at seed 1, 3.9e-9 at
+    # seed 2; 12 vectors keep it within 1e-14
+    for seed in range(4):
+        prob = ProblemSpec(domain=IV, form=FormSpec(a="d^0.5", q="-0.03*d^-1.5",
+                                                    beta=0.5),
+                           gamma=0.5, ks=tuple(range(2, 17)), seed=seed)
+        detail = check_form_nonnegativity(prob).detail
+        form = FormSpec(a=constant(1.0 - prob.gamma) * prob.form.a,
+                        q=-prob.form.q.negative_part(), beta=0.5)
+        tight = ladder(strip_mesh(prob, prob.k0), 3, 1,
+                       lambda mesh: assemble_pencil(mesh, form, 1.0), tol=1e-15)
+        assert detail["dofs"] == [dof for dof, _ in tight] == [190, 382, 766]
+        assert_allclose(detail["minima"], [mu for _, mu in tight], rtol=0, atol=1e-12)
 
 
 def test_singular_shift():

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
-                       hardy_constants, kappa, lambda_bound, verify_hardy)
+                       counting_function, hardy_constants, kappa, lambda_bound,
+                       verify_hardy)
+from hardyspec.eigensolve import ladder
 from hardyspec.errors import ExponentOutOfRange, MethodNotApplicable
-from hardyspec.hardy import fmt_constant, tubular_constant
+from hardyspec.hardy import (CERT_TOL, REFINE_FACTOR, fmt_constant, hardy_pencil,
+                             ladder_mesh, tubular_constant)
+from hardyspec.meshing import nested
 from hardyspec.report import jsonable
 
 IV = Interval(0, 1)
@@ -126,9 +130,25 @@ def _assert_nested_ladder(levels, dim, refine_factor):
         assert fine["minimum"] <= coarse["minimum"]
 
 
+def certify(domain, beta, alpha=0.0, lam=0.0, n=256, h=None, grading=0.15,
+            levels=3):
+    """verify_hardy; for a CERTIFIED ladder also the inertia count behind
+    each level: its pencil has no eigenvalue below kappa - CERT_TOL, the
+    first shift of the level's solve."""
+    cert = verify_hardy(domain, beta, alpha, lam, n=n, h=h, grading=grading,
+                        levels=levels)
+    if cert.verdict == "CERTIFIED":
+        mesh = ladder_mesh(domain, n, h, grading, levels)
+        for (fine, _), row in zip(nested(mesh, levels, REFINE_FACTOR), cert.levels):
+            pencil = hardy_pencil(fine, beta, alpha, lam)
+            assert pencil.dof == row["dof"]
+            assert counting_function(pencil, kappa(beta) - CERT_TOL) == 0
+    return cert
+
+
 def test_certify_classical_hardy():
-    cert = verify_hardy(IV, beta=0.0, alpha=0.0, lam=0.0, n=256,
-                        grading=0.15, levels=3)
+    cert = certify(IV, beta=0.0, alpha=0.0, lam=0.0, n=256,
+                   grading=0.15, levels=3)
     assert cert.verdict == "CERTIFIED"
     minima = [lv["minimum"] for lv in cert.levels]
     assert all(m >= 0.25 - 1e-4 for m in minima)
@@ -137,15 +157,15 @@ def test_certify_classical_hardy():
 
 
 def test_certify_with_remainder():
-    cert = verify_hardy(IV, beta=0.0, alpha=0.0, lam=3.0, n=256,
-                        grading=0.15, levels=3)
+    cert = certify(IV, beta=0.0, alpha=0.0, lam=3.0, n=256,
+                   grading=0.15, levels=3)
     assert cert.verdict == "CERTIFIED"
     assert all(lv["margin"] >= -1e-4 for lv in cert.levels)
 
 
 def test_certify_weighted():
-    cert = verify_hardy(IV, beta=0.5, alpha=0.0, lam=0.0, n=256,
-                        grading=0.15, levels=3)
+    cert = certify(IV, beta=0.5, alpha=0.0, lam=0.0, n=256,
+                   grading=0.15, levels=3)
     assert cert.verdict == "CERTIFIED"
     assert all(lv["minimum"] >= 0.0625 - 1e-4 for lv in cert.levels)
 
@@ -153,15 +173,15 @@ def test_certify_weighted():
 def test_monotone_in_lambda():
     minima = []
     for lam in (0.0, 1.0, 3.0):
-        cert = verify_hardy(IV, beta=0.0, alpha=0.0, lam=lam, n=128,
-                            grading=0.3, levels=1)
+        cert = certify(IV, beta=0.0, alpha=0.0, lam=lam, n=128,
+                       grading=0.3, levels=1)
         minima.append(cert.levels[-1]["minimum"])
     assert minima[0] >= minima[1] >= minima[2]
 
 
 def test_certificate_serialization():
-    cert = verify_hardy(IV, beta=0.0, alpha=0.0, lam=0.0, n=64,
-                        grading=0.5, levels=1)
+    cert = certify(IV, beta=0.0, alpha=0.0, lam=0.0, n=64,
+                   grading=0.5, levels=1)
     doc = jsonable(cert)
     assert doc["verdict"] == "CERTIFIED"
     assert "lambda" in doc and "lam" not in doc
@@ -171,11 +191,24 @@ def test_certificate_serialization():
 
 
 def test_torus_certification():
-    cert = verify_hardy(Torus(3, 1), beta=0.0, alpha=0.0, lam=0.0,
-                        h=0.25, grading=0.2, levels=2)
+    cert = certify(Torus(3, 1), beta=0.0, alpha=0.0, lam=0.0,
+                   h=0.25, grading=0.2, levels=2)
     assert cert.verdict == "CERTIFIED"
     assert all(lv["minimum"] >= 0.25 - 1e-4 for lv in cert.levels)
     _assert_nested_ladder(cert.levels, dim=2, refine_factor=2)
+
+
+def test_inconclusive_ladder_matches_the_default_floor():
+    # lambda = 20 pulls each level's bottom below its first shift,
+    # kappa - CERT_TOL, which is stepped down past it as from -0.01
+    cert = verify_hardy(UNIT_DISC, 0.0, lam=20.0, h=0.125, grading=0.5, levels=2)
+    assert cert.verdict == "INCONCLUSIVE"
+    mesh = ladder_mesh(UNIT_DISC, 256, 0.125, 0.5, 2)
+    rows = ladder(mesh, 2, REFINE_FACTOR, lambda fine: hardy_pencil(fine, 0.0, 0.0, 20.0))
+    assert [mu for _, mu in rows] == pytest.approx([-4.3514, -4.3946], abs=1e-4)
+    for level, (dof, mu) in zip(cert.levels, rows):
+        assert level["dof"] == dof
+        assert abs(level["minimum"] - mu) <= 1e-10
 
 
 # The paper's inequality as an oracle.  Where -laplacian(d) >= 0 (intervals,
@@ -187,7 +220,7 @@ def test_torus_certification():
 @settings(max_examples=15, derandomize=True, deadline=None, database=None)
 @given(beta=st.floats(-0.5, 0.9), n=st.sampled_from((32, 64)))
 def test_hardy_inequality_oracle_interval(beta, n):
-    cert = verify_hardy(IV, beta, n=n, levels=2)
+    cert = certify(IV, beta, n=n, levels=2)
     assert all(lv["minimum"] >= kappa(beta) for lv in cert.levels)
 
 
@@ -196,5 +229,5 @@ def test_hardy_inequality_oracle_interval(beta, n):
                                     ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
                                     Torus(3.0, 1.0)), ids=("disc", "square", "torus"))
 def test_hardy_inequality_oracle_2d(domain, beta):
-    cert = verify_hardy(domain, beta, h=0.25, grading=0.5, levels=2)
+    cert = certify(domain, beta, h=0.25, grading=0.5, levels=2)
     assert all(lv["minimum"] >= kappa(beta) for lv in cert.levels)

@@ -11,7 +11,9 @@ from hardyspec.eigensolve import smallest_eigenpairs
 from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
 from hardyspec.meshing import (DIRICHLET, TriMesh, _annulus_mesh, _boundary_polyline,
-                               _layer_depths, _ring_mesh, format_mesh_text, nested)
+                               _geometric_side_sizes, _layer_depths, _ring_mesh,
+                               feasible_grading, format_mesh_text, grading_floor,
+                               nested)
 from hardyspec.spectral import ProblemSpec, strip_mesh
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -51,6 +53,52 @@ def test_graded_size_ratio_exact():
     sizes = mesh.element_sizes()
     ratio = sizes.max() / sizes.min()
     assert ratio == pytest.approx(g ** (1 - n // 2), rel=1e-12)
+
+
+def _feasible_grading_array(requested, layers, span, floor, one_sided=False):
+    """feasible_grading as it was: every bisection step builds the whole
+    size array and takes its minimum."""
+    if requested >= 1.0 or layers <= 1:
+        return requested
+
+    def smallest(g):
+        if one_sided:
+            t = span * g ** np.arange(layers - 1, -1, -1)
+            sizes = np.diff(np.concatenate([[0.0], t]))
+        else:
+            try:
+                sizes = _geometric_side_sizes(span, layers, g)
+            except InvalidGrading:
+                return 0.0
+        return float(sizes.min())
+
+    if smallest(requested) >= floor:
+        return requested
+    lo, hi = requested, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if smallest(mid) >= floor:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_feasible_grading_matches_array_oracle():
+    # bitwise on the strips of the diagnose-interval benchmark
+    floor = grading_floor(Interval(0, 1), headroom=6)
+    for k in range(2, 17):
+        assert feasible_grading(0.15, 96, 1 / k, floor, one_sided=True) \
+            == _feasible_grading_array(0.15, 96, 1 / k, floor, one_sided=True)
+    # elsewhere the two-sided grading is bitwise too; the one-sided one may
+    # move by one ulp, as numpy's array power and scalar pow round apart
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        args = (float(rng.uniform(0.01, 0.99)), int(rng.integers(2, 400)),
+                float(rng.uniform(1e-3, 10.0)), float(10 ** rng.uniform(-14, -6)))
+        assert feasible_grading(*args) == _feasible_grading_array(*args)
+        want = _feasible_grading_array(*args, one_sided=True)
+        assert abs(feasible_grading(*args, one_sided=True) - want) <= np.spacing(want)
 
 
 def test_element_measures_sum():
