@@ -9,11 +9,12 @@ it; a Hardy ladder level starts at kappa - CERT_TOL and a Persson strip at
 the minimum of the strip before.  While inertia finds eigenvalues below a
 shift it is stepped down, and then bisected up to just below the spectrum,
 so a wrong floor costs factorizations, never a wrong value.  Shift-invert
-Lanczos (ARPACK) runs on that same factor, with a 12-vector basis for one
-eigenpair.  For more than one eigenpair, an inertia count above the
-returned values shows that none was skipped, or the spectrum is sliced
-again above the confirmed clusters (Ericsson & Ruhe 1980; Grimes, Lewis &
-Simon 1994).
+Lanczos runs on that same factor (Ericsson & Ruhe 1980): for one
+eigenpair a short loop of its own here, with ARPACK's start vector and
+convergence test but no restarts and none of ARPACK's reverse-communication
+overhead; for more, ARPACK, and an inertia count above the returned values
+shows that none was skipped, or the spectrum is sliced again above the
+confirmed clusters (Grimes, Lewis & Simon 1994).
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, NoConvergence
 from .meshing import nested
+
+EPS23 = (0.5 * np.finfo(float).eps) ** (2 / 3)    # ARPACK's eps23, from dlamch('E')
 
 
 @dataclass
@@ -38,7 +41,7 @@ class SpectralReport:
     sigma: float                   # shift used (below the returned spectrum)
     seed: int
     solver: str                    # "shift-invert-lanczos"; "dense" if count == dof
-    iterations: int                # number of shift-invert solves
+    iterations: int                # LU solves made by Lanczos (0 if dense)
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
 
@@ -102,41 +105,110 @@ def _shift(K, M, lo, hi, found):
     return lu, lo
 
 
+def _lanczos(M, lu, sigma, v0, tol, maxiter):
+    """The eigenpair just above a certified shift, and the LU solves spent.
+
+    Lanczos on OP = (K - sigma M)^-1 M in the M inner product, in which OP
+    is symmetric; its largest eigenvalue theta = 1/(lambda - sigma) is the
+    wanted one (Ericsson & Ruhe 1980).  `lu` factors K - sigma M.  The
+    rules are ARPACK's, without its restarts:
+    - one solve forces v0 into the range of OP, as `dgetv0` does;
+    - each new vector is orthogonalized against the whole basis by
+      classical Gram-Schmidt, repeated while a pass leaves less than 0.717
+      of the norm (DGKS); after three such passes it lies in the span of
+      the basis (beta = 0), which makes the Ritz pair exact;
+    - the Ritz pair is tested once the basis holds 12 vectors (n if
+      fewer), then after every step: beta |s_m| <= tol max(theta, eps^(2/3));
+    - the Ritz vector gets ARPACK's shift-invert correction, the residual
+      times s_m / theta, an inverse-iteration step for free.
+    The basis is kept in blocks of 13 vectors, so growing it copies
+    nothing.  Past `maxiter` solves the Ritz pair is raised in an
+    ArpackNoConvergence, as eigsh raises its own.
+    """
+    n = M.shape[0]
+    blocks = []         # the basis, one vector a row, 13 rows a block
+    alpha, beta = [], []
+    w = lu.solve(M @ v0)
+    mw = M @ w
+    norm = np.sqrt(abs(w @ mw))
+    for m in range(n):
+        if m % 13 == 0:
+            blocks.append(np.empty((min(n - m, 13), n)))
+        blocks[-1][m % 13] = w / norm
+        basis = blocks[:-1] + [blocks[-1][:m % 13 + 1]]
+        w = lu.solve(mw / norm)
+        mw = M @ w
+        before, a = np.sqrt(abs(w @ mw)), 0.0
+        for _ in range(3):
+            h = [b @ mw for b in basis]
+            for b, c in zip(basis, h):
+                w -= c @ b
+            mw = M @ w
+            a += h[-1][-1]
+            norm = np.sqrt(abs(w @ mw))
+            if norm > 0.717 * before:
+                break
+            before = norm
+        else:
+            w, norm = np.zeros(n), 0.0
+        alpha.append(a)
+        solves = m + 2
+        if norm == 0.0 or m + 1 >= min(n, 12) or solves >= maxiter:
+            theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
+                                                     select_range=(m, m))
+            theta, s = theta[0], s[:, 0]
+            x = (s[-1] / theta) * w
+            for b, c in zip(basis, np.split(s, range(13, m + 1, 13))):
+                x += c @ b
+            lam = sigma + 1.0 / theta
+            if norm == 0.0 or m + 1 == n or norm * abs(s[-1]) <= tol * max(theta, EPS23):
+                return lam, x, solves
+            if solves >= maxiter:
+                raise spla.ArpackNoConvergence(f"Lanczos stalled after {solves} solves",
+                                               np.array([lam]), x[:, None])
+        beta.append(norm)
+
+
 def _slice(K, M, count, v0, tol, maxiter, floor):
     """The count smallest eigenpairs, the shift below them and the number
-    of Lanczos solves.
+    of LU solves Lanczos made.
 
     Each window is solved by shift-invert Lanczos on the factor at a
     certified shift, the first started at `floor`: a floor with nothing
     below it needs no step, and the closer it lies to the bottom, the fewer
     solves Lanczos needs.  One eigenpair is certified by the empty count
-    below that shift and solved with a 12-vector basis, which from a near
-    shift converges as fast as ARPACK's default of 20.  For more, the
-    inertia count just above the wanted values must equal the eigenvalues
-    accepted plus those returned.  A larger count means Lanczos skipped
-    some (a missed twin, values lost far from the shift): the clusters that
-    inertia confirms are kept and the next window opens at a certified
-    shift above them.  One cluster with nothing below it is kept whole;
-    otherwise the window is solved again for as many eigenvalues as inertia
-    finds in it.
+    below that shift and solved by `_lanczos` on its factor.  For more,
+    ARPACK runs each window, and the inertia count just above the wanted
+    values must equal the eigenvalues accepted plus those returned.  A
+    larger count means Lanczos skipped some (a missed twin, values lost far
+    from the shift): the clusters that inertia confirms are kept and the
+    next window opens at a certified shift above them.  One cluster with
+    nothing below it is kept whole; otherwise the window is solved again
+    for as many eigenvalues as inertia finds in it.
     """
     n = K.shape[0]
     lu, sigma = _shift(K, M, floor, np.inf, 0)
+    if count == 1:
+        lam, x, solves = _lanczos(M, lu, sigma, v0, tol, maxiter)
+        return np.array([lam]), x[:, None], sigma, solves
     sigma0 = sigma
-    ncv = min(n, 12) if count == 1 else None
     vals, vecs = np.empty(0), np.empty((n, 0))
     k = count
-    for calls in range(1, 2 * count + 5):
+    solves = [0]
+    for _ in range(2 * count + 5):
         if lu is None:      # the same window, solved again for more values
             lu = _factor(K, M, sigma)[0]
-        op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+
+        def matvec(b, solve=lu.solve):
+            solves[0] += 1
+            return solve(b)
+
+        op = spla.LinearOperator(K.shape, matvec=matvec, dtype=float)
         got, gvecs = spla.eigsh(K, k=min(k, n - 1), M=M, sigma=sigma, which="LA",
-                                OPinv=op, v0=v0, ncv=ncv, tol=tol, maxiter=maxiter)
+                                OPinv=op, v0=v0, tol=tol, maxiter=maxiter)
         order = np.argsort(got)
         got, gvecs = got[order], gvecs[:, order]
-        if count == 1:
-            return got, gvecs, sigma0, calls
-        lu = op = None      # one factor alive at a time
+        lu = op = matvec = None     # one factor alive at a time
         need = count - len(vals)
         # well above the Lanczos error, which grows with the distance to sigma
         pad = 1e-6 * (1.0 + np.abs(got) + (got - sigma))
@@ -169,10 +241,17 @@ def _slice(K, M, count, v0, tol, maxiter, floor):
         vals = np.concatenate([vals, got[:m]])
         vecs = np.hstack([vecs, gvecs[:, :m]])
         if len(vals) >= count:
-            return vals[:count], vecs[:, :count], sigma0, calls
+            return vals[:count], vecs[:, :count], sigma0, solves[0]
         lu, sigma = _shift(K, M, cut, bound[0], len(vals))
         k = count - len(vals)
     raise NoConvergence(f"spectrum slicing did not certify {count} eigenvalues")
+
+
+def _norm1(A):
+    """||A||_1, the largest column sum of |A|, for a CSR matrix: bitwise
+    spla.norm(A, 1), which sums each column in the same row-major order,
+    without building |A| as a sparse matrix."""
+    return np.bincount(A.indices, np.abs(A.data), A.shape[1]).max()
 
 
 def _residual(K, M, lam, x):
@@ -217,7 +296,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
     below it, it is stepped down as from the default just below 0.
     Eigenvectors come back M-orthonormal.  A pair converges when its
     residual or its backward error is within tol; one that fails both gets
-    one inverse-iteration polish.
+    one inverse-iteration polish.  `maxiter` bounds the LU solves of the
+    one-eigenpair Lanczos loop, and ARPACK's restarts for more eigenpairs.
     """
     n = pencil.dof
     check_count(count, n)
@@ -241,7 +321,7 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
                                                      floor)
         except spla.ArpackNoConvergence as exc:
             raise NoConvergence(
-                f"Lanczos stalled after {maxiter} iterations", partial=exc) from exc
+                f"Lanczos stalled at maxiter={maxiter}", partial=exc) from exc
 
     # normalize in the M inner product
     for j in range(vecs.shape[1]):
@@ -249,7 +329,7 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
 
     residuals = np.empty(count)
     backward = np.empty(count)
-    normK, normM = spla.norm(K, 1), spla.norm(M, 1)
+    normK, normM = _norm1(K), _norm1(M)
 
     def errors(lam, x):
         r, res = _residual(K, M, lam, x)

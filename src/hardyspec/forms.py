@@ -9,6 +9,7 @@ at d > 0.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,17 +58,21 @@ class Pencil:
 # quadrature rules
 # ---------------------------------------------------------------------------
 
+@lru_cache
 def gauss_panels(npts, nsub):
     """Composite Gauss-Legendre rule on [0, 1]: nsub equal panels of npts.
 
     Composite panels keep the rule accurate on strongly graded meshes where
-    a single element spans a wide multiplicative range of d.
+    a single element spans a wide multiplicative range of d.  Computed once
+    per (npts, nsub); the arrays are read-only, since every caller shares
+    them.
     """
     x, w = np.polynomial.legendre.leggauss(npts)
     x = (x + 1.0) / 2.0
     w = w / 2.0
     pts = np.concatenate([(k + x) / nsub for k in range(nsub)])
     wts = np.tile(w / nsub, nsub)
+    pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 
 

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import scipy.linalg
@@ -14,6 +17,7 @@ from hardyspec import eigensolve
 from hardyspec.coefficients import constant
 from hardyspec.eigensolve import _factor, ladder
 from hardyspec.errors import FactorizationFailure, NoConvergence
+from hardyspec.hardy import hardy_pencil
 from hardyspec.meshing import nested
 from hardyspec.spectral import ProblemSpec, check_form_nonnegativity, strip_mesh
 
@@ -348,20 +352,133 @@ def test_polish_only_a_pair_that_fails_both_tests(monkeypatch):
     assert rep.residuals[0] > rep.tol >= rep.backward_errors[0]
     assert len(calls) == 1 and rep.converged
     # a perturbed Lanczos vector fails both and is polished at a second factor
-    eigsh = eigensolve.spla.eigsh
+    lanczos = eigensolve._lanczos
     noise = np.random.RandomState(18).standard_normal(pencil.dof)
 
-    def perturbed(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
-        return vals, vecs + 1e-3 * np.linalg.norm(vecs) / np.linalg.norm(noise) \
-            * noise[:, None]
+    def perturbed(*args):
+        lam, x, solves = lanczos(*args)
+        return lam, x + 1e-3 * np.linalg.norm(x) / np.linalg.norm(noise) * noise, solves
 
-    monkeypatch.setattr(eigensolve.spla, "eigsh", perturbed)
+    monkeypatch.setattr(eigensolve, "_lanczos", perturbed)
     calls.clear()
     rep = smallest_eigenpairs(pencil, 1)
     assert len(calls) == 2 and calls[1] < exact < calls[1] + 1e-6
     assert rep.converged
     assert rep.eigenvalues[0] == pytest.approx(exact, rel=1e-10)
+
+
+def _graded_hardy_pencil():
+    return hardy_pencil(build_mesh_1d(IV, 64, 0.8), 0.5, 0.0, 0.0)
+
+
+def _two_strip_pencil():
+    # d < 1/5 on the interval: two components, one at each end
+    prob = ProblemSpec(domain=IV, form=FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5),
+                       gamma=0.5, ks=(5,))
+    return assemble_pencil(strip_mesh(prob, 5), prob.form, 1.0)
+
+
+@pytest.mark.parametrize("make", [lambda: _disc_pencil(0.1), _graded_hardy_pencil,
+                                  _two_strip_pencil], ids=["disc", "hardy_1d", "strip_k5"])
+def test_lanczos_matches_a_tight_eigsh(make):
+    pencil = make()
+    K, M = pencil.K, pencil.M
+    rep = smallest_eigenpairs(pencil, 1)
+    lu, sigma = eigensolve._shift(K, M, -0.01, np.inf, 0)
+    assert sigma == rep.sigma
+    start = np.random.RandomState(0).standard_normal(pencil.dof)
+    lam = eigensolve._lanczos(M, lu, sigma, start, rep.tol, 400)[0]
+    tight = spla.eigsh(K, 1, M, sigma=sigma, which="LA", tol=1e-15,
+                       return_eigenvectors=False)[0]
+    assert lam == pytest.approx(tight, rel=1e-12)
+    assert rep.eigenvalues[0] == pytest.approx(tight, rel=1e-12)
+    x = rep.eigenvectors[:, 0]
+    assert abs(x @ (M @ x) - 1.0) <= 1e-12
+    # the shift-invert correction of the Ritz vector: without it the 1D
+    # backward errors read 1e-14, with it below 3e-16
+    assert rep.backward_errors[0] <= 1e-15
+
+
+def test_lanczos_from_a_far_floor_fills_several_blocks():
+    # 36 solves from a floor 300 below the bottom: the basis spans three
+    # blocks of 13 vectors
+    pencil = _disc_pencil(0.1)
+    rep = smallest_eigenpairs(pencil, 1, floor=-300.0)
+    assert rep.converged and rep.sigma == -300.0 and rep.iterations > 27
+    tight = spla.eigsh(pencil.K, 1, pencil.M, sigma=rep.sigma, which="LA", tol=1e-15,
+                       return_eigenvectors=False)[0]
+    assert rep.eigenvalues[0] == pytest.approx(tight, rel=1e-12)
+    x = rep.eigenvectors[:, 0]
+    assert abs(x @ (pencil.M @ x) - 1.0) <= 1e-12
+
+
+def test_iterations_count_lu_solves(monkeypatch):
+    solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu, self.U = lu, lu.U
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    def counted(*args):
+        lu, below, sigma = _factor(*args)
+        return Counted(lu), below, sigma
+
+    monkeypatch.setattr(eigensolve, "_factor", counted)
+    pencil = _disc_pencil(0.1)
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True,
+                             subset_by_index=[0, 2])
+    # lambda_2 / lambda_1 = 2.5: from a floor half a unit below the bottom the
+    # basis converges by the first test, at 12 vectors and 13 solves
+    rep = smallest_eigenpairs(pencil, 1, floor=vals[0] - 0.5)
+    assert rep.converged and rep.eigenvalues[0] == pytest.approx(vals[0], rel=1e-12)
+    assert rep.iterations == len(solves) <= 13
+    # ARPACK's windows count the solves of their operator
+    solves.clear()
+    rep = smallest_eigenpairs(pencil, 3)
+    assert rep.converged and rep.iterations == len(solves) > 13
+
+
+def test_lanczos_past_maxiter_carries_the_ritz_pair():
+    pencil = _disc_pencil(0.1)
+    exact = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True,
+                              subset_by_index=[0, 0])[0]
+    with pytest.raises(NoConvergence) as caught:
+        smallest_eigenpairs(pencil, 1, maxiter=5)
+    partial = caught.value.partial
+    assert partial.eigenvectors.shape == (pencil.dof, 1)
+    # a Ritz value of the shifted inverse bounds the bottom from above
+    lam = partial.eigenvalues[0]
+    assert exact * (1 - 1e-12) <= lam <= exact * 1.01
+    x = partial.eigenvectors[:, 0]
+    assert pencil.rayleigh(x) == pytest.approx(exact, rel=1e-2)
+
+
+def test_lanczos_on_small_pencils_breaks_down_cleanly():
+    # at most 12 dof: the basis spans an invariant subspace (one vector for
+    # the identity) or the whole space before the first convergence test
+    small = [_pencil(sp.identity(5), sp.identity(5)),
+             _pencil(sp.diags([3.0, 1.0, 2.0, 5.0]), sp.identity(4)),
+             assemble_pencil(build_mesh_1d(IV, 13), FormSpec(a=1.0, q="-0.1*d^-1"), 1.0)]
+    for pencil in small:
+        exact = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(),
+                                  eigvals_only=True)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = smallest_eigenpairs(pencil, 1)
+        assert rep.converged and rep.eigenvalues[0] == pytest.approx(exact, rel=1e-12)
+        assert rep.iterations <= pencil.dof + 1
+    assert rep.iterations == 13
+
+
+def test_norm1_is_bitwise_spla_norm():
+    pencils = [_disc_pencil(0.1), _graded_hardy_pencil(), _two_strip_pencil()]
+    for pencil in pencils:
+        for A in (pencil.K, pencil.M, 1e6 * pencil.K, -pencil.K):
+            assert eigensolve._norm1(A) == spla.norm(A, 1)
 
 
 def test_form_check_ladder_matches_a_tight_solve():

@@ -148,6 +148,17 @@ def test_robin_edges_2d():
     assert 0 < rep.eigenvalues[0] <= 4.0
 
 
+def test_gauss_panels_built_once_read_only():
+    pts, wts = forms.gauss_panels(6, 4)
+    again = forms.gauss_panels(6, 4)
+    assert again[0] is pts and again[1] is wts
+    fresh = forms.gauss_panels.__wrapped__(6, 4)
+    assert pts.tobytes() == fresh[0].tobytes() and wts.tobytes() == fresh[1].tobytes()
+    for arr in (pts, wts):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def _element_rule_oracle(mesh, quad_points, quad_subdiv):
     """Oracle: the element-major rule that _element_rule replaced, points
     (m, nq, dim), weights (m, nq) and basis (m or 1, nq, nloc)."""
