@@ -98,12 +98,6 @@ def _eval_on(coef, env, shape):
     return np.broadcast_to(vals, shape)
 
 
-def _symmetric_csr(rows, cols, vals, n):
-    """Assemble from upper-triangle triplets; exactly symmetric by mirroring."""
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return upper + sp.triu(upper, k=1).T.tocsr()
-
-
 def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     """Assemble the (K, M) pencil of the form against a weighted mass.
 
@@ -117,14 +111,12 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     mw = mesh.domain.measure_weight
     mw = as_coefficient(mw) if mw is not None else None
 
-    K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw)
     is_free = np.ones(mesh.n_nodes, dtype=bool)
     is_free[mesh.dirichlet_nodes()] = False
     free = np.flatnonzero(is_free)
+    K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free)
     if len(free) == 0:
         raise ValueError("no free degrees of freedom after clamping")
-    K = K[free][:, free].tocsr()
-    M = M[free][:, free].tocsr()
     meta = {
         "dim": mesh.dim,
         "n_nodes": mesh.n_nodes,
@@ -176,7 +168,39 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     return mesh.elements, pts, w[:, None] * area, TRI_BARY[:, None], grads, 0
 
 
-def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
+def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
+    """K and M on the nodes `free`, exactly symmetric.
+
+    Each matrix's triplets are summed by scipy's COO -> CSR, whose per-row
+    sort sets the order of the additions and so the bits.  K and M share
+    the keys, and the sum keeps zeros, so both sums have one pattern and
+    the free-node pattern is worked out once.  M is summed only after K is
+    built, for peak memory.  Robin terms are added when the form has some.
+    """
+    n = mesh.n_nodes
+    rows, cols, k_vals, m_vals = _upper_triplets(mesh, form, denominator,
+                                                 quad_points, quad_subdiv, mw)
+    upper = sp.coo_matrix((k_vals, (rows, cols)), shape=(n, n)).tocsr()
+    where = _mirror_free(upper.indptr, upper.indices, n, free)
+    K = _gathered(upper.data, *where)
+    del upper
+    M = _gathered(sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr().data,
+                  *where)
+    robin = (_robin_1d if mesh.dim == 1 else _robin_2d)(mesh, form)
+    if robin:
+        rows, cols, vals = map(np.asarray, robin)
+        new = _renumbering(n, free)
+        both = (new[rows] >= 0) & (new[cols] >= 0)     # clamped rows go
+        K = K + sp.csr_matrix((vals[both], (new[rows[both]], new[cols[both]])),
+                              shape=K.shape)
+    return K, M
+
+
+def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
+    """Rows, columns and K and M values of every element's upper-triangle
+    pairs (i, j), rows <= cols.  The points, distances and coefficient
+    values are dropped before the pair loop, the other quadrature arrays on
+    return, before the sparse build."""
     conn, pts, wts, basis, grads, axis = _element_rule(mesh, quad_points, quad_subdiv)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
@@ -199,10 +223,10 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
             raise NonpositiveWeight("measure weight is not positive at a quadrature point")
         wa, wq, wden = wa * scale, wq * scale, wden * scale
     wa = wa.sum(axis=axis)                             # (m,)
+    del pts, wts, d, env, a, q, den                    # for peak memory
 
-    # Upper-triangle triplets of each local pair (i, j), mirrored so that K
-    # equals its transpose exactly.  One i's weighted basis products live at
-    # a time, for peak memory; gradient dot products sum over rows, faster.
+    # One i's weighted basis products live at a time, for peak memory;
+    # gradient dot products sum over rows, faster.
     g = np.ascontiguousarray(grads.transpose(2, 1, 0))      # (dim, nloc, m)
     rows, cols, k_vals, m_vals = [], [], [], []
     for i in range(conn.shape[1]):
@@ -214,22 +238,73 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw):
             rows.append(np.minimum(conn[:, i], conn[:, j]))
             cols.append(np.maximum(conn[:, i], conn[:, j]))
         del wq_i, wden_i
-
-    n = mesh.n_nodes
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    K = _symmetric_csr(rows, cols, np.concatenate(k_vals), n)
-    M = _symmetric_csr(rows, cols, np.concatenate(m_vals), n)
-    K = K + (_robin_1d if mesh.dim == 1 else _robin_2d)(mesh, form, n)
-    return K, M
+    return tuple(map(np.concatenate, (rows, cols, k_vals, m_vals)))
 
 
-def _robin_1d(mesh, form, n):
-    mat = sp.csr_matrix((n, n))
+def _renumbering(n, free, dtype=np.intp):
+    """Each node's number among the free nodes, -1 for a clamped node."""
+    new = np.full(n, -1, dtype=dtype)
+    new[free] = np.arange(len(free))
+    return new
+
+
+def _mirror_free(indptr, indices, n, free):
+    """Pattern of the symmetric matrix on the nodes `free` whose upper
+    triangle, diagonal included, is the canonical CSR pattern (indptr,
+    indices) on n nodes: the source position in that pattern of each entry,
+    and the matrix's indptr, sorted indices and shape.
+
+    Row r holds column r of the strict upper triangle (its mirrored
+    entries, copied, never added, left of the diagonal) followed by row r
+    of the upper triangle.  The free nodes keep their order, so the upper
+    part keeps its CSR order; the mirrored part is the upper's strict part
+    in CSC order, from one counting sort (CSR -> CSC) that carries the
+    source positions.
+    """
+    nf = len(free)
+    idx = np.int32 if max(2 * len(indices), n) <= np.iinfo(np.int32).max else np.int64
+    new = _renumbering(n, free, idx)
+    r, c = np.repeat(new, np.diff(indptr)), new[indices]
+    keep = (r | c) >= 0                             # both ends free
+    src = np.flatnonzero(keep)
+    r, c = r[keep], c[keep]
+    n_upper = np.bincount(r, minlength=nf)          # upper entries per row
+    strict = r < c
+    ptr = np.zeros(nf + 1, dtype=idx)               # rows of the strict part
+    np.cumsum(n_upper - np.bincount(r[~strict], minlength=nf), out=ptr[1:])
+    mirror = sp.csr_matrix((src[strict], c[strict], ptr), shape=(nf, nf)).tocsc()
+    n_mirror = np.diff(mirror.indptr)               # mirrored entries per row
+    out_ptr = np.zeros(nf + 1, dtype=idx)
+    np.cumsum(n_upper + n_mirror, out=out_ptr[1:])
+    size = out_ptr[-1]
+    at = np.arange(len(src)) + np.repeat(np.cumsum(n_mirror), n_upper)
+    gather = np.empty(size, dtype=np.intp)
+    out_idx = np.empty(size, dtype=idx)
+    gather[at], out_idx[at] = src, c
+    left = np.ones(size, dtype=bool)                # the mirrored slots
+    left[at] = False
+    gather[left], out_idx[left] = mirror.data, mirror.indices
+    return gather, out_ptr, out_idx, (nf, nf)
+
+
+def _gathered(data, gather, indptr, indices, shape):
+    """The CSR matrix of data[gather] on the pattern (indptr, indices),
+    exact zeros dropped."""
+    vals = data[gather]
+    nonzero = vals != 0
+    if not nonzero.all():
+        kept = np.zeros(len(vals) + 1, dtype=indptr.dtype)
+        np.cumsum(nonzero, out=kept[1:])
+        indptr, indices, vals = kept[indptr], indices[nonzero], vals[nonzero]
+    return sp.csr_matrix((vals, indices, indptr), shape=shape)
+
+
+def _robin_1d(mesh, form):
+    """Rows, columns and values of the Robin point terms; empty when the
+    form has none."""
     robin = [i for i, t in mesh.node_tags.items() if t == ROBIN]
-    if not robin:
-        return mat
-    if form.sigma is None:
-        return mat
+    if not robin or form.sigma is None:
+        return ()
     a, b = mesh.domain.a, mesh.domain.b
     entries = {}
     for i in robin:
@@ -240,13 +315,15 @@ def _robin_1d(mesh, form, n):
             val = float(form.sigma[side])
         entries[(i, i)] = val
     rows, cols = zip(*entries)
-    return sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(n, n))
+    return rows, cols, list(entries.values())
 
 
-def _robin_2d(mesh, form, n):
+def _robin_2d(mesh, form):
+    """Rows, columns and values of the Robin edge terms; empty when the
+    form has none."""
     robin_edges = [(i, j) for i, j, tag in mesh.boundary_edges if tag == ROBIN]
     if not robin_edges or form.sigma is None:
-        return sp.csr_matrix((n, n))
+        return ()
     rows, cols, vals = [], [], []
     for i, j in robin_edges:
         length = float(np.linalg.norm(mesh.points[j] - mesh.points[i]))
@@ -259,7 +336,7 @@ def _robin_2d(mesh, form, n):
                 rows.append(glob[a_loc])
                 cols.append(glob[b_loc])
                 vals.append(block[a_loc, b_loc])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return rows, cols, vals
 
 
 _TEXT_BLOCK = 1 << 14          # entries per joined block of pencil text

@@ -277,20 +277,18 @@ def _structured_rectangle(domain, h):
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
     points = np.column_stack([xx.ravel(), yy.ravel()])
     idx = lambda i, j: i * (ny + 1) + j
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            tris.append((idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)))
-            tris.append((idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)))
-    edges = []
-    for i in range(nx):
-        edges.append((idx(i, 0), idx(i + 1, 0), DIRICHLET))
-        edges.append((idx(i + 1, ny), idx(i, ny), DIRICHLET))
-    for j in range(ny):
-        edges.append((idx(nx, j), idx(nx, j + 1), DIRICHLET))
-        edges.append((idx(0, j + 1), idx(0, j), DIRICHLET))
+    # two triangles per cell (i, j), j running fastest
+    i, j = np.arange(nx)[:, None], np.arange(ny)
+    tris = np.stack([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1),
+                     idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)], axis=-1)
+    # bottom and top edges in turn along x, then right and left along y
+    i = i[:, 0]
+    ends = np.concatenate([
+        np.stack([idx(i, 0), idx(i + 1, 0), idx(i + 1, ny), idx(i, ny)], axis=1).ravel(),
+        np.stack([idx(nx, j), idx(nx, j + 1), idx(0, j + 1), idx(0, j)], axis=1).ravel()])
+    edges = [(a, b, DIRICHLET) for a, b in ends.reshape(-1, 2).tolist()]
     tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+    return TriMesh(points, tris.reshape(-1, 3), edges, tags, domain)
 
 
 def _boundary_polyline(domain, spacing):

@@ -1,7 +1,8 @@
 """The benchmark's correctness gate (bench/worker.py `observe`) reads fixed
 keys of the cli.run reports; this guards that every key it compares is
-still present."""
+still present, and that two of the bench's own configs still pass it."""
 
+import configparser
 import importlib.util
 import json
 import sys
@@ -95,3 +96,15 @@ def test_bench_gate_keys_present(worker, tmp_path):
             assert set(obs[part]) == set(reference[part]), workload
             assert None not in obs[part].values(), workload
         assert set(obs["files"]) == set(reference["files"]), workload
+
+
+@pytest.mark.parametrize("workload", ["diagnose-interval", "spectrum-disc-write"])
+def test_bench_config_passes_the_gate(worker, tmp_path, workload):
+    # the real config, checked as a bench call is: a changed pencil byte
+    # moves the export digests, a changed assembly the minima
+    config = BENCH_DIR / "configs" / f"{workload}.ini"
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(config)
+    _, doc = run(parser["run"]["command"], str(config), out_dir=str(tmp_path), seed=1)
+    reference = json.loads((BENCH_DIR / "references.json").read_text())[workload]
+    assert worker.mismatches(worker.observe(doc, str(tmp_path)), reference) == []

@@ -378,6 +378,26 @@ def _two_strip_pencil():
     return assemble_pencil(strip_mesh(prob, 5), prob.form, 1.0)
 
 
+def test_start_vector_is_the_seeded_draw(monkeypatch):
+    # one generator, reseeded for each solve: after solves with other seeds
+    # and sizes, a solve still starts from RandomState(seed)'s own draw
+    starts = []
+    slice_ = eigensolve._slice
+
+    def recorded(K, M, count, start, *args):
+        starts.append(start.copy())
+        return slice_(K, M, count, start, *args)
+
+    monkeypatch.setattr(eigensolve, "_slice", recorded)
+    small, large = _graded_hardy_pencil(), _two_strip_pencil()
+    assert small.dof != large.dof
+    for pencil, seed in ((large, 7), (small, 3), (large, 1), (small, 1), (large, 0)):
+        smallest_eigenpairs(pencil, 1, seed=seed)
+        want = np.random.RandomState(seed).standard_normal(pencil.dof)
+        assert starts[-1].tobytes() == want.tobytes()
+    assert len(starts) == 5
+
+
 @pytest.mark.parametrize("make", [lambda: _disc_pencil(0.1), _graded_hardy_pencil,
                                   _two_strip_pencil], ids=["disc", "hardy_1d", "strip_k5"])
 def test_lanczos_matches_a_tight_eigsh(make):

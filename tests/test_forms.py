@@ -16,6 +16,7 @@ from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
                               SingularQuadrature)
 from hardyspec.forms import format_matrix_text
 from hardyspec.hardy import hardy_pencil
+from hardyspec.spectral import ProblemSpec, strip_mesh
 
 IV = Interval(0, 1)
 
@@ -198,12 +199,42 @@ def _scatter_blocks_oracle(conn, blocks, n):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    return forms._symmetric_csr(rows, cols, vals, n)
+    # mirrored by a sparse add, which drops exact zeros
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return upper + sp.triu(upper, k=1).T.tocsr()
 
 
-def _assemble_oracle(mesh, form, denominator, quad_points, quad_subdiv, mw):
-    """Oracle: the element-block assembly that _assemble replaced, without
-    its sign checks."""
+def _robin_oracle(mesh, form, n):
+    """Oracle: the n x n Robin matrix, point terms in 1D, exact P1 edge
+    masses on triangles; empty when the form has none."""
+    rows, cols, vals = [], [], []
+    if form.sigma is not None and mesh.dim == 1:
+        a, b = mesh.domain.a, mesh.domain.b
+        for i, tag in mesh.node_tags.items():
+            if tag == "robin":
+                side = 0 if abs(mesh.nodes[i] - a) <= abs(mesh.nodes[i] - b) else 1
+                sigma = form.sigma if np.isscalar(form.sigma) else form.sigma[side]
+                rows.append(i)
+                cols.append(i)
+                vals.append(float(sigma))
+    elif form.sigma is not None:
+        for i, j, tag in mesh.boundary_edges:
+            if tag == "robin":
+                length = float(np.linalg.norm(mesh.points[j] - mesh.points[i]))
+                block = float(form.sigma) * length / 6.0 * np.array([[2.0, 1.0],
+                                                                     [1.0, 2.0]])
+                for a_loc, gi in enumerate((i, j)):
+                    for b_loc, gj in enumerate((i, j)):
+                        rows.append(gi)
+                        cols.append(gj)
+                        vals.append(block[a_loc, b_loc])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _assemble_oracle(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
+    """Oracle: the element-block assembly on all nodes that _assemble
+    replaced, without its sign checks, plus the Robin terms, then
+    restricted to the free nodes by fancy indexing."""
     conn, pts, wts, basis, grads = _element_rule_oracle(mesh, quad_points, quad_subdiv)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
@@ -233,19 +264,23 @@ def _assemble_oracle(mesh, form, denominator, quad_points, quad_subdiv, mw):
     n = mesh.n_nodes
     K = _scatter_blocks_oracle(conn, blocks_k, n)
     M = _scatter_blocks_oracle(conn, blocks_m, n)
-    K = K + (forms._robin_1d if mesh.dim == 1 else forms._robin_2d)(mesh, form, n)
-    return K, M
+    K = K + _robin_oracle(mesh, form, n)
+    return K[free][:, free].tocsr(), M[free][:, free].tocsr()
 
 
 def _same_bytes(got, want):
-    return all(getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
-               for attr in ("indptr", "indices", "data"))
+    """Equal indptr, indices and data, byte for byte and dtype for dtype,
+    and the same sortedness flag."""
+    return got.has_sorted_indices == want.has_sorted_indices and all(
+        getattr(got, attr).dtype == getattr(want, attr).dtype
+        and getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        for attr in ("indptr", "indices", "data"))
 
 
 @pytest.fixture
 def oracle_checked(monkeypatch):
-    """Every _assemble call also runs the oracle and requires K and M equal
-    to it byte for byte; yields the list of meshes assembled."""
+    """Every _assemble call also runs the oracle and requires the free-node
+    K and M equal to it byte for byte; yields the list of meshes assembled."""
     meshes = []
     assemble = forms._assemble
 
@@ -286,7 +321,28 @@ def test_assembly_matches_oracle_bitwise(oracle_checked):
                   [(0, 1, "robin"), (1, 2, "robin"), (2, 3, "robin"), (3, 0, "robin")],
                   {}, ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
     assemble_pencil(few, FormSpec(a="1 + d", q="x*y", sigma=0.5), "1 + d")
-    assert len(oracle_checked) == 10
+    # Robin on the left end, clamped on the right
+    left = build_mesh_1d(IV, 40, 0.6, tags=("robin", "dirichlet"))
+    assemble_pencil(left, FormSpec(a="1 + x", q="d^-1", sigma=(0.7, 3.0)), "d^-0.5")
+    # the two-component k = 5 strip of the bench interval config, clamped at
+    # both ends and at both interfaces
+    problem = ProblemSpec(IV, FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5), 0.5,
+                          ks=range(2, 17))
+    strip = strip_mesh(problem, 5)
+    clamped = np.sort(strip.nodes[strip.dirichlet_nodes()])
+    assert_allclose(clamped, [0.0, 0.2, 0.8, 1.0], rtol=0, atol=1e-15)
+    assemble_pencil(strip, problem.form, 1.0)
+    assert len(oracle_checked) == 12
+
+
+def test_explicit_zeros_dropped(oracle_checked):
+    # the P1 Laplacian on the structured square cancels on each cell's
+    # diagonal: those stiffness entries are exact zeros and are not stored
+    square = build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.125, 1.0)
+    pencil = assemble_pencil(square, FormSpec(a=1.0, q=0.0), 1.0)
+    assert len(oracle_checked) == 1
+    assert (pencil.K.nnz, pencil.M.nnz) == (217, 289)
+    assert np.all(pencil.K.data != 0) and np.all(pencil.M.data != 0)
 
 
 def _matrix_text_oracle(mat):

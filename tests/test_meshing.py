@@ -12,8 +12,8 @@ from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
 from hardyspec.meshing import (DIRICHLET, TriMesh, _annulus_mesh, _boundary_polyline,
                                _geometric_side_sizes, _layer_depths, _ring_mesh,
-                               feasible_grading, format_mesh_text, grading_floor,
-                               nested)
+                               _structured_rectangle, feasible_grading,
+                               format_mesh_text, grading_floor, nested)
 from hardyspec.spectral import ProblemSpec, strip_mesh
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -269,6 +269,35 @@ def _annulus_mesh_loop(domain, h, grading):
     return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
 
 
+def _structured_rectangle_loop(domain, h):
+    """Oracle: the structured rectangle, one triangle and edge at a time."""
+    v = domain.vertices
+    xs, ys = np.unique(v[:, 0]), np.unique(v[:, 1])
+    x0, x1 = xs[0], xs[-1]
+    y0, y1 = ys[0], ys[-1]
+    nx = max(1, int(np.ceil((x1 - x0) / h - 1e-9)))
+    ny = max(1, int(np.ceil((y1 - y0) / h - 1e-9)))
+    gx = np.linspace(x0, x1, nx + 1)
+    gy = np.linspace(y0, y1, ny + 1)
+    xx, yy = np.meshgrid(gx, gy, indexing="ij")
+    points = np.column_stack([xx.ravel(), yy.ravel()])
+    idx = lambda i, j: i * (ny + 1) + j
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            tris.append((idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)))
+            tris.append((idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)))
+    edges = []
+    for i in range(nx):
+        edges.append((idx(i, 0), idx(i + 1, 0), DIRICHLET))
+        edges.append((idx(i + 1, ny), idx(i, ny), DIRICHLET))
+    for j in range(ny):
+        edges.append((idx(nx, j), idx(nx, j + 1), DIRICHLET))
+        edges.append((idx(0, j + 1), idx(0, j), DIRICHLET))
+    tags = {i: DIRICHLET for e in edges for i in e[:2]}
+    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+
+
 def _assert_same_trimesh(new, old):
     assert np.array_equal(new.points, old.points)
     assert new.elements.dtype == old.elements.dtype
@@ -287,6 +316,14 @@ def test_templates_match_loop_oracles():
         for h, grading in ((0.1, 1.0), (0.05, 0.5), (0.15, 0.3)):
             _assert_same_trimesh(template(domain, h, grading),
                                  oracle(domain, h, grading))
+    # rectangles of one cell, one row and a wide grid, off the origin
+    for corners, h in (([(0, 0), (1, 0), (1, 1), (0, 1)], 0.125),
+                       ([(0, 0), (1, 0), (1, 1), (0, 1)], 1.0),
+                       ([(-1, 0.5), (2, 0.5), (2, 0.75), (-1, 0.75)], 0.3),
+                       ([(0.1, -0.3), (1.4, -0.3), (1.4, 0.8), (0.1, 0.8)], 0.07)):
+        domain = ConvexPolygon(corners)
+        _assert_same_trimesh(_structured_rectangle(domain, h),
+                             _structured_rectangle_loop(domain, h))
 
 
 STRIP_DOMAINS = (Disc((0, 0), 1.0), Disc((0.3, -0.2), 0.7), Torus(3.0, 1.0),
