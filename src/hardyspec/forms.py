@@ -8,6 +8,7 @@ that blow up like a power of the boundary distance are only ever evaluated
 at d > 0.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -98,6 +99,19 @@ def _eval_on(coef, env, shape):
     return np.broadcast_to(vals, shape)
 
 
+def _c_malloc_trim():
+    """The C library's malloc_trim (glibc), or None where it has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _c_malloc_trim()
+
+
 def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     """Assemble the (K, M) pencil of the form against a weighted mass.
 
@@ -115,6 +129,13 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     is_free[mesh.dirichlet_nodes()] = False
     free = np.flatnonzero(is_free)
     K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free)
+    if _MALLOC_TRIM is not None:
+        # Hand the freed quadrature arrays back to the OS before the solver
+        # factors.  Once glibc has freed a large block it serves blocks of
+        # that size from its heap, whose freed pages stay resident, so how
+        # much of the assembly stayed resident under the factor depended on
+        # the heap's layout, and the process peak varied from run to run.
+        _MALLOC_TRIM(0)
     if len(free) == 0:
         raise ValueError("no free degrees of freedom after clamping")
     meta = {

@@ -149,6 +149,19 @@ def test_robin_edges_2d():
     assert 0 < rep.eigenvalues[0] <= 4.0
 
 
+def test_heap_trim_leaves_pencil_unchanged(monkeypatch):
+    # the trim after assembly only hands freed memory back; without a C
+    # library malloc_trim the pencil is byte for byte the same
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5)
+    form = FormSpec(a=power_of_d(0.5), q=0.0)
+    with_trim = assemble_pencil(mesh, form, power_of_d(-1.5))
+    monkeypatch.setattr(forms, "_MALLOC_TRIM", None)
+    without = assemble_pencil(mesh, form, power_of_d(-1.5))
+    for a, b in ((with_trim.K, without.K), (with_trim.M, without.M)):
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
 def test_gauss_panels_built_once_read_only():
     pts, wts = forms.gauss_panels(6, 4)
     again = forms.gauss_panels(6, 4)
