@@ -290,9 +290,6 @@ class Coefficient:
     def variables(self):
         return _variables(self.ast, set())
 
-    def is_zero(self):
-        return self.ast == ("num", 0.0)
-
     def d_power(self):
         """beta when the coefficient is exactly d^beta, counting 1 as
         beta = 0 and d as beta = 1; None otherwise."""

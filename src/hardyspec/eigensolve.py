@@ -28,6 +28,7 @@ from .errors import FactorizationFailure, NoConvergence
 from .meshing import nested
 
 EPS23 = (0.5 * np.finfo(float).eps) ** (2 / 3)    # ARPACK's eps23, from dlamch('E')
+PANEL_SIZE = 1          # SuperLU's panel width, the fastest measured (see _factor)
 
 # One generator for every start vector.  np.random.RandomState(seed) first
 # seeds a throwaway generator from OS entropy, about 0.15 ms a solve;
@@ -63,11 +64,21 @@ def _factor(K, M, sigma):
     P (K - sigma M) P^T = L U with U = D L^T, so the signs of diag(U) are
     the inertia of K - sigma M.  A shift on an eigenvalue can make the
     factor exactly singular; sigma is then nudged down a few times.
+
+    SuperLU is handed the transpose of K - sigma M in CSR form, which is
+    a CSC matrix on the same arrays, with no CSR -> CSC sort.  That is
+    K - sigma M itself because it is exactly symmetric, entry for entry,
+    as forms assembles K and M; an unsymmetric matrix would be factored
+    as its transpose.  SuperLU runs with panel size 1 (PANEL_SIZE): the
+    70,479-dof hardy-disc level factored in 327 ms against 435 ms at its
+    default (medians of 7), with the same nnz(L+U) and solve time, and no
+    width from 2 to 12 was faster.  The panel size moves the pivots by
+    ulps only.
     """
     for attempt in range(4):
         try:
-            lu = spla.splu((K - sigma * M).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
+            lu = spla.splu((K - sigma * M).tocsr().T, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, panel_size=PANEL_SIZE,
                            options={"SymmetricMode": True})
             break
         except RuntimeError as exc:

@@ -219,10 +219,12 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
 
 def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
     """Rows, columns and K and M values of every element's upper-triangle
-    pairs (i, j), rows <= cols.  The points, distances and coefficient
-    values are dropped before the pair loop, the other quadrature arrays on
-    return, before the sparse build."""
+    pairs (i, j), rows <= cols.  The keys are int32 while the nodes fit, so
+    that scipy's COO -> CSR neither scans nor converts them.  The points,
+    distances and coefficient values are dropped before the pair loop, the
+    other quadrature arrays on return, before the sparse build."""
     conn, pts, wts, basis, grads, axis = _element_rule(mesh, quad_points, quad_subdiv)
+    conn = conn.astype(np.int32 if mesh.n_nodes <= np.iinfo(np.int32).max else np.int64)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
     if np.any(d <= 0):

@@ -7,17 +7,19 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import scipy.linalg
+import mpmath
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from hypothesis import assume, given, settings, strategies as st
 
-from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec,
+from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec, Torus,
                        assemble_pencil, build_mesh_1d, build_trimesh,
                        counting_function, restrict_to_strip, smallest_eigenpairs)
 from hardyspec import eigensolve
 from hardyspec.coefficients import constant
 from hardyspec.eigensolve import _factor, ladder
 from hardyspec.errors import FactorizationFailure, NoConvergence
-from hardyspec.hardy import hardy_pencil
+from hardyspec.hardy import CERT_TOL, REFINE_FACTOR, hardy_pencil, kappa, ladder_mesh
 from hardyspec.meshing import nested
 from hardyspec.spectral import ProblemSpec, check_form_nonnegativity, strip_mesh
 
@@ -300,6 +302,120 @@ def test_inertia_matches_dense_count_on_disc():
     vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
     for sigma in (-5.0, 0.0, 10.0, 16.0, 17.0, 40.0, 1e3, 2 * vals[-1]):
         assert _factor(pencil.K, pencil.M, sigma)[1] == np.sum(vals < sigma)
+
+
+def _exact_sturm_counts(K, M, sigmas, prec=200):
+    """Oracle: for each sigma, the eigenvalues of the tridiagonal pencil
+    below sigma, from the LDL^T pivots of K - sigma M in mpmath at `prec`
+    bits.  The float entries and shifts are exact there, and so is every
+    entry of K - sigma M."""
+    with mpmath.workprec(prec):
+        kd, ko, md, mo = ([mpmath.mpf(x) for x in v.tolist()] for v in
+                          (K.diagonal(), K.diagonal(1), M.diagonal(), M.diagonal(1)))
+        counts = []
+        for sigma in sigmas:
+            s = mpmath.mpf(sigma)
+            d = kd[0] - s * md[0]
+            below = int(d < 0)
+            for i in range(1, len(kd)):
+                e = ko[i - 1] - s * mo[i - 1]
+                d = kd[i] - s * md[i] - e * e / d
+                below += d < 0
+            counts.append(below)
+    return counts
+
+
+def _exact_ldlt_count(K, M, sigma, prec=200):
+    """Oracle: the eigenvalues of a small pencil below sigma, from the
+    pivots of a dense LDL^T of K - sigma M (no pivoting) in mpmath at
+    `prec` bits.  Rows run in reverse Cuthill-McKee order, and only the
+    nonzeros of each pivot row are eliminated, so the work stays in the
+    profile; any symmetric order gives the same inertia."""
+    order = reverse_cuthill_mckee(K.tocsr(), symmetric_mode=True)
+    Kd, Md = (X.toarray()[np.ix_(order, order)] for X in (K, M))
+    n = len(order)
+    with mpmath.workprec(prec):
+        s = mpmath.mpf(sigma)
+        A = [[mpmath.mpf(k) - s * mpmath.mpf(m) for k, m in zip(kr, mr)]
+             for kr, mr in zip(Kd.tolist(), Md.tolist())]
+        below = 0
+        for k in range(n):
+            below += A[k][k] < 0
+            row = [j for j in range(k + 1, n) if A[k][j] != 0]
+            for i in row:
+                l = A[i][k] / A[k][k]
+                for j in row:
+                    A[i][j] -= l * A[k][j]
+    return below
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 0.9])
+def test_inertia_matches_exact_counts_on_the_hardy_ladder(beta):
+    # the verify_hardy interval ladder (255, 1,023 and 4,095 dof): the
+    # float count equals a 200-bit Sturm count at the certificate's shift,
+    # 1e-12 relative on either side of lambda_1, and between lambda_1 and
+    # lambda_2
+    for fine, _ in nested(ladder_mesh(IV, 256, None, 0.15, 3), 3, REFINE_FACTOR):
+        pencil = hardy_pencil(fine, beta, 0.0, 0.0)
+        K, M = pencil.K, pencil.M
+        assert sp.triu(K, 2).nnz == sp.triu(M, 2).nnz == 0       # tridiagonal
+        lam = smallest_eigenpairs(pencil, 2).eigenvalues
+        cuts = [kappa(beta) - CERT_TOL, lam[0] * (1 - 1e-12), lam[0] * (1 + 1e-12),
+                0.5 * (lam[0] + lam[1])]
+        exact = _exact_sturm_counts(K, M, cuts)
+        assert exact == [0, 0, 1, 1]
+        assert [counting_function(pencil, c) for c in cuts] == exact
+
+
+def test_inertia_matches_exact_counts_at_a_double_eigenvalue():
+    # the disc's second eigenvalue is double (129 dof): the count between
+    # lambda_1 and it, and 1e-6 relative (the scale of spectrum slicing's
+    # cuts) below and above it, equals a 200-bit LDL^T count
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.2, 1.0)
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
+    assert pencil.dof == 129
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    assert vals[2] - vals[1] < 1e-12 * vals[1]
+    for cut, below in ((0.5 * (vals[0] + vals[1]), 1), (vals[1] * (1 - 1e-6), 1),
+                       (vals[2] * (1 + 1e-6), 3)):
+        assert _exact_ldlt_count(pencil.K, pencil.M, cut) == below
+        assert counting_function(pencil, cut) == below
+    # a weight even in x but not in y parts the two copies by 1.7e-3
+    # relative; the cut between them counts one
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), "1 + 0.01*x^2")
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    assert vals[2] - vals[1] > 1e-3 * vals[1]
+    cut = 0.5 * (vals[1] + vals[2])
+    assert _exact_ldlt_count(pencil.K, pencil.M, cut) == 2
+    assert counting_function(pencil, cut) == 2
+
+
+def _pencils_factor_sees():
+    """One pencil of each kind `_factor` is handed: a 1D pencil with Robin
+    ends, a disc, a torus section (measure weight r) and a Persson strip."""
+    yield assemble_pencil(build_mesh_1d(IV, 64, 0.5, tags=("robin", "robin")),
+                          FormSpec(a="d^0.5", q="-0.03*d^-1.5", sigma=(0.5, 2.0)),
+                          "d^-1")
+    yield hardy_pencil(build_trimesh(Disc((0, 0), 1.0), 0.2, 0.5), 0.5, 0.0, 0.0)
+    yield assemble_pencil(build_trimesh(Torus(3.0, 1.0).section, 0.25, 0.5),
+                          FormSpec(a=1.0, q="4/r^2"), 1.0)
+    problem = ProblemSpec(Disc((0, 0), 1.0), FormSpec(a=1.0, q="-0.05*d^-2"), 0.5,
+                          ks=(4,))
+    yield assemble_pencil(strip_mesh(problem, 4), problem.form, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [-0.01, 0.3, 40.0])
+def test_shifted_pencils_are_exactly_symmetric(sigma):
+    # _factor hands the CSR arrays of K - sigma M to SuperLU as CSC arrays,
+    # which is right only when the matrix equals its transpose bitwise; a
+    # pencil passed as CSC is read the same way and factors to the same bits
+    for pencil in _pencils_factor_sees():
+        A = pencil.K - sigma * pencil.M
+        assert (A != A.T).nnz == 0
+        lu, below, _ = _factor(pencil.K, pencil.M, sigma)
+        lu_csc, below_csc, _ = _factor(pencil.K.tocsc(), pencil.M.tocsc(), sigma)
+        assert below_csc == below
+        assert np.array_equal(lu_csc.U.diagonal(), lu.U.diagonal())
 
 
 def test_slicing_matches_dense():
