@@ -2,23 +2,19 @@
 
 One certified path serves every count below dof.  K - sigma M is factored
 with diagonal pivots only, so its negative pivots count the eigenvalues
-below sigma (Sylvester's law of inertia); that count is also the exact
-counting function N(lambda).  The first shift is a floor the caller names:
-by default just below 0, where the bottom of a nonnegative form lies above
-it; a Hardy ladder level starts at kappa - CERT_TOL and a Persson strip at
-the minimum of the strip before.  While inertia finds eigenvalues below a
-shift it is stepped down, and then bisected up to just below the spectrum,
-so a wrong floor costs factorizations, never a wrong value.  Shift-invert
-Lanczos runs on that same factor (Ericsson & Ruhe 1980): for one
-eigenpair a short loop of its own here, with ARPACK's start vector and
-convergence test but no restarts and none of ARPACK's reverse-communication
-overhead; for more, ARPACK, and an inertia count above the returned values
+below sigma (Sylvester's law of inertia), the counting function N(lambda).
+The first shift, a floor the caller names, is stepped down past any
+eigenvalue below it and bisected up to just below the spectrum, so a wrong
+floor costs factorizations, never a wrong value.  One block shift-invert
+Lanczos loop runs on that factor for every count (Ericsson & Ruhe 1980);
+for more than one eigenpair an inertia count above the returned values
 shows that none was skipped, or the spectrum is sliced again above the
 confirmed clusters (Grimes, Lewis & Simon 1994).
 """
 
 import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -29,12 +25,11 @@ from .meshing import nested
 
 EPS23 = (0.5 * np.finfo(float).eps) ** (2 / 3)    # ARPACK's eps23, from dlamch('E')
 PANEL_SIZE = 1          # SuperLU's panel width, the fastest measured (see _factor)
+BLOCK = 2               # Lanczos block width for more than one eigenpair (see _slice)
 
-# One generator for every start vector.  np.random.RandomState(seed) first
-# seeds a throwaway generator from OS entropy, about 0.15 ms a solve;
-# reseeding this one gives bitwise the same draws in microseconds.  It is
-# reseeded before every draw, so no call sees another call's state, and the
-# lock keeps each reseed together with its draw.
+# One generator for every start vector, reseeded under the lock before each
+# draw, so no call sees another's state; RandomState(seed) would first seed a
+# throwaway generator from OS entropy, 0.15 ms a solve.
 _START = np.random.RandomState(0)
 _START_LOCK = threading.Lock()
 
@@ -51,7 +46,7 @@ class SpectralReport:
     sigma: float                   # shift used (below the returned spectrum)
     seed: int
     solver: str                    # "shift-invert-lanczos"; "dense" if count == dof
-    iterations: int                # LU solves made by Lanczos (0 if dense)
+    iterations: int                # right-hand sides Lanczos solved (0 if dense)
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
 
@@ -64,16 +59,11 @@ def _factor(K, M, sigma):
     P (K - sigma M) P^T = L U with U = D L^T, so the signs of diag(U) are
     the inertia of K - sigma M.  A shift on an eigenvalue can make the
     factor exactly singular; sigma is then nudged down a few times.
-
-    SuperLU is handed the transpose of K - sigma M in CSR form, which is
-    a CSC matrix on the same arrays, with no CSR -> CSC sort.  That is
-    K - sigma M itself because it is exactly symmetric, entry for entry,
-    as forms assembles K and M; an unsymmetric matrix would be factored
-    as its transpose.  SuperLU runs with panel size 1 (PANEL_SIZE): the
-    70,479-dof hardy-disc level factored in 327 ms against 435 ms at its
-    default (medians of 7), with the same nnz(L+U) and solve time, and no
-    width from 2 to 12 was faster.  The panel size moves the pivots by
-    ulps only.
+    SuperLU reads the CSR arrays of K - sigma M as CSC arrays, with no sort;
+    exactly symmetric as forms assembles it, it is its own transpose (an
+    unsymmetric one would be factored transposed).  Panel size 1 factored
+    the 70,479-dof hardy-disc level in 327 ms against 435 ms at the default,
+    with the same fill; it moves the pivots by ulps only.
     """
     for attempt in range(4):
         try:
@@ -96,12 +86,10 @@ def _factor(K, M, sigma):
 def _shift(K, M, lo, hi, found):
     """A factor at a shift with exactly `found` eigenvalues below it, within
     the scale of hi of the next eigenvalue (hi, possibly infinite, bounds it
-    from above), and the shift.
-
-    Starts at lo, stepped down to -(1 + |lo|)^2 while inertia finds more
-    eigenvalues below it (eight tries reach -7e22 from -0.01), then
-    bisects on inertia counts, geometrically while the bracket spans
-    decades.  One factor is alive at a time.
+    from above), and the shift.  Starts at lo, stepped down to
+    -(1 + |lo|)^2 while inertia finds more eigenvalues below it (eight tries
+    reach -7e22 from -0.01), then bisects on counts, geometrically while
+    the bracket spans decades.  One factor is alive at a time.
     """
     for _ in range(8):
         lu, below, lo = _factor(K, M, lo)
@@ -125,111 +113,133 @@ def _shift(K, M, lo, hi, found):
     return lu, lo
 
 
-def _lanczos(M, lu, sigma, v0, tol, maxiter):
-    """The eigenpair just above a certified shift, and the LU solves spent.
+def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
+    """The k eigenpairs just above a certified shift: values (ascending),
+    vectors (one a row) and the right-hand sides solved.
 
-    Lanczos on OP = (K - sigma M)^-1 M in the M inner product, in which OP
-    is symmetric; its largest eigenvalue theta = 1/(lambda - sigma) is the
-    wanted one (Ericsson & Ruhe 1980).  `lu` factors K - sigma M.  The
-    rules are ARPACK's, without its restarts:
-    - one solve forces v0 into the range of OP, as `dgetv0` does;
-    - each new vector is orthogonalized against the whole basis by
-      classical Gram-Schmidt, repeated while a pass leaves less than 0.717
-      of the norm (DGKS); after three such passes it lies in the span of
-      the basis (beta = 0), which makes the Ritz pair exact;
-    - the Ritz pair is tested once the basis holds 12 vectors (n if
-      fewer), then after every step: beta |s_m| <= tol max(theta, eps^(2/3));
-    - the Ritz vector gets ARPACK's shift-invert correction, the residual
-      times s_m / theta, an inverse-iteration step for free.
-    The basis is kept in blocks of 13 vectors, so growing it copies
-    nothing.  Past `maxiter` solves the Ritz pair is raised in an
-    ArpackNoConvergence, as eigsh raises its own.
+    Block Lanczos on OP = (K - sigma M)^-1 M, symmetric in the M inner
+    product; its largest eigenvalues theta = 1/(lambda - sigma) are wanted
+    (Ericsson & Ruhe 1980).  `lu` factors K - sigma M.  The b columns of V
+    (one for a vector) start a block, which holds up to b copies of a
+    repeated eigenvalue (Golub & Underwood 1977).  ARPACK's rules, no restarts:
+    - one solve forces V into OP's range; a step is one solve of b columns;
+    - each new vector is M-orthogonalized against the whole basis, repeated
+      while a pass leaves less than 0.717 of the norm (DGKS): column by
+      column the QR of the block, so T, OP in the basis, has bandwidth b.
+      One left in the span couples with 0; a random vector takes its place;
+    - the Ritz pairs are tested from 12 basis vectors for k = 1, eigsh's
+      max(2k + 1, 20) for more (n if fewer), after every block:
+      ||E s_last|| <= tol max(theta, eps^(2/3)), E coupling the last block
+      to the next; each Ritz vector gets the shift-invert correction.
+    The basis lives in chunks of whole blocks, so growing it copies nothing.
+    Past `maxiter` right-hand sides it raises NoConvergence, whose `partial`
+    holds the pairs that passed the test, or else the lowest Ritz pair.
     """
     n = M.shape[0]
-    blocks = []         # the basis, one vector a row, 13 rows a block
-    alpha, beta = [], []
-    w = lu.solve(M @ v0)
-    mw = M @ w
-    norm = np.sqrt(abs(w @ mw))
-    for m in range(n):
-        if m % 13 == 0:
-            blocks.append(np.empty((min(n - m, 13), n)))
-        blocks[-1][m % 13] = w / norm
-        basis = blocks[:-1] + [blocks[-1][:m % 13 + 1]]
-        w = lu.solve(mw / norm)
-        mw = M @ w
-        before, a = np.sqrt(abs(w @ mw)), 0.0
-        for _ in range(3):
-            h = [b @ mw for b in basis]
-            for b, c in zip(basis, h):
-                w -= c @ b
-            mw = M @ w
-            a += h[-1][-1]
+    W = lu.solve(M @ V).reshape(n, -1)
+    b = solves = W.shape[1]
+    per, size = b * -(-13 // b), 0
+    first = min(n, 12 if k == 1 else max(2 * k + 1, 20))
+    chunks, ahead = [], []      # ahead: M q of each vector OP has not met
+    band = []                   # band[m] = T[m:m + b + 1, m], T's lower band
+
+    def basis(rows):
+        return [c[:rows - i] for i, c in zip(range(0, rows, per), chunks)]
+
+    def orthogonalize(w):   # in place: M w, w's coefficients and norm (0: in the span)
+        mw, coef, Q = M @ w, 0.0, basis(size)
+        before = norm = np.sqrt(abs(w @ mw))
+        for _ in range(3 if Q else 0):
+            h = [c @ mw for c in Q]
+            for c, hc in zip(Q, h):
+                w -= hc @ c
+            mw, coef = M @ w, coef + np.concatenate(h)
             norm = np.sqrt(abs(w @ mw))
             if norm > 0.717 * before:
-                break
+                return mw, coef, norm
             before = norm
-        else:
-            w, norm = np.zeros(n), 0.0
-        alpha.append(a)
-        solves = m + 2
-        if norm == 0.0 or m + 1 >= min(n, 12) or solves >= maxiter:
-            theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
-                                                     select_range=(m, m))
-            theta, s = theta[0], s[:, 0]
-            x = (s[-1] / theta) * w
-            for b, c in zip(basis, np.split(s, range(13, m + 1, 13))):
-                x += c @ b
-            lam = sigma + 1.0 / theta
-            if norm == 0.0 or m + 1 == n or norm * abs(s[-1]) <= tol * max(theta, EPS23):
-                return lam, x, solves
-            if solves >= maxiter:
-                raise spla.ArpackNoConvergence(f"Lanczos stalled after {solves} solves",
-                                               np.array([lam]), x[:, None])
-        beta.append(norm)
+        return mw, coef, 0.0 if Q else norm
+
+    def append(w):     # w normalized, or a random vector if w is in the span
+        nonlocal size
+        mw, coef, norm = orthogonalize(w)
+        if size == n:
+            return coef, 0.0
+        x, mx, nx = w, mw, norm
+        if norm == 0.0:     # seeded by a pair, not an integer as start vectors are
+            x = _start_vector((size, n), n)
+            mx, _, nx = orthogonalize(x)
+        if size % per == 0:
+            chunks.append(np.empty((min(n - size, per), n)))
+        chunks[-1][size % per] = x / nx
+        ahead.append(mx / nx)
+        size += 1
+        return coef, norm
+
+    for w in W.T:
+        append(w)
+    while True:
+        W, met, solves = lu.solve(np.array(ahead).T), len(band), solves + len(ahead)
+        ahead.clear()
+        for w in W.T:
+            coef, norm = append(w)
+            col = np.zeros(b + 1)
+            col[:len(coef) - len(band)], col[b] = coef[len(band):], norm
+            band.append(col)
+        N = len(band)
+        if not (N >= first or solves >= maxiter or any(c[b] == 0 for c in band[met:])):
+            continue
+        j = min(k, N)
+        theta, S = (x[..., ::-1] for x in scipy.linalg.eig_banded(    # largest first
+            np.array(band).T, lower=True, select="i", select_range=(N - j, N - 1)))
+        E = np.zeros((b, b))
+        for c in range(b):
+            E[:c + 1, c] = band[N - b + c][b - c:]
+        R = E @ S[-b:]          # the Ritz residuals on the basis vectors from N on
+        new = np.array([chunks[p // per][p % per] for p in range(N, size)]).reshape(-1, n)
+        X = (R[:size - N] / theta).T @ new
+        for i, c in zip(range(0, N, per), basis(N)):
+            X += S[i:i + per].T @ c
+        lam = sigma + 1.0 / theta
+        ok = np.linalg.norm(R, axis=0) <= tol * np.maximum(theta, EPS23)
+        if j == k and ok.all():
+            return lam, X, solves
+        if solves >= maxiter:
+            keep = ok if ok.any() else slice(0, 1)
+            partial = SimpleNamespace(eigenvalues=lam[keep], eigenvectors=X[keep].T)
+            raise NoConvergence(f"Lanczos stalled after {solves} solves", partial)
 
 
-def _slice(K, M, count, v0, tol, maxiter, floor):
-    """The count smallest eigenpairs, the shift below them and the number
-    of LU solves Lanczos made.
+def _slice(K, M, count, v0, tol, maxiter, floor, seed=0):
+    """The count smallest eigenpairs, the shift below them and the
+    right-hand sides Lanczos solved.
 
-    Each window is solved by shift-invert Lanczos on the factor at a
-    certified shift, the first started at `floor`: a floor with nothing
-    below it needs no step, and the closer it lies to the bottom, the fewer
-    solves Lanczos needs.  One eigenpair is certified by the empty count
-    below that shift and solved by `_lanczos` on its factor.  For more,
-    ARPACK runs each window, and the inertia count just above the wanted
-    values must equal the eigenvalues accepted plus those returned.  A
-    larger count means Lanczos skipped some (a missed twin, values lost far
-    from the shift): the clusters that inertia confirms are kept and the
-    next window opens at a certified shift above them.  One cluster with
-    nothing below it is kept whole; otherwise the window is solved again
-    for as many eigenvalues as inertia finds in it.
+    Each window is solved by `_lanczos` at a certified shift, the first
+    started at `floor`.  One eigenpair is certified by the empty count
+    below it and solved from v0 alone.  For more, the block is v0 and
+    BLOCK - 1 columns more of the seeded draw, and the inertia count just
+    above the wanted values must equal the values accepted and returned.
+    Else Lanczos skipped some (a cluster wider than the block): the
+    clusters that inertia confirms are kept and the next window opens
+    above them; one cluster with nothing below it is kept whole; otherwise
+    the block is widened to the count inertia finds.  Cuts lie 1e-6
+    relative above a cluster, never inside one: inside a cluster that only
+    rounding parts (about 1e-14 relative) the float count is not exact.
     """
     n = K.shape[0]
     lu, sigma = _shift(K, M, floor, np.inf, 0)
     if count == 1:
         lam, x, solves = _lanczos(M, lu, sigma, v0, tol, maxiter)
-        return np.array([lam]), x[:, None], sigma, solves
-    sigma0 = sigma
-    vals, vecs = np.empty(0), np.empty((n, 0))
-    k = count
-    solves = [0]
+        return lam, x.T, sigma, solves
+    sigma0, width, solves = sigma, BLOCK, 0
+    vals, vecs = np.empty(0), np.empty((0, n))
     for _ in range(2 * count + 5):
-        if lu is None:      # the same window, solved again for more values
+        if lu is None:      # the same window, solved again with a wider block
             lu = _factor(K, M, sigma)[0]
-
-        def matvec(b, solve=lu.solve):
-            solves[0] += 1
-            return solve(b)
-
-        op = spla.LinearOperator(K.shape, matvec=matvec, dtype=float)
-        got, gvecs = spla.eigsh(K, k=min(k, n - 1), M=M, sigma=sigma, which="LA",
-                                OPinv=op, v0=v0, tol=tol, maxiter=maxiter)
-        order = np.argsort(got)
-        got, gvecs = got[order], gvecs[:, order]
-        lu = op = matvec = None     # one factor alive at a time
         need = count - len(vals)
+        start = np.vstack([v0, _start_vector(seed, width * n)[n:].reshape(-1, n)])
+        got, gvecs, spent = _lanczos(M, lu, sigma, start.T, tol, maxiter, need)
+        lu, solves = None, solves + spent       # one factor alive at a time
         # well above the Lanczos error, which grows with the distance to sigma
         pad = 1e-6 * (1.0 + np.abs(got) + (got - sigma))
         below, top = _factor(K, M, got[need - 1] + pad[need - 1])[1:]
@@ -252,18 +262,17 @@ def _slice(K, M, count, v0, tol, maxiter, floor):
                     m, cut, first = j + 1, cut_j, mid + 1
                 else:
                     bound, last = (cut_j, below_j), mid
-            # one cluster wider than Lanczos returns: certified by the count below it
+            # one cluster wider than the block: certified by the count below it
             if m == 0 and not ends and _factor(K, M, got[0] - pad[0])[1] == len(vals):
                 m = need
             elif m == 0:
-                k = max(need, bound[1] - len(vals))
+                width = max(width + 1, bound[1] - len(vals))
                 continue
-        vals = np.concatenate([vals, got[:m]])
-        vecs = np.hstack([vecs, gvecs[:, :m]])
+        vals, vecs = np.concatenate([vals, got[:m]]), np.vstack([vecs, gvecs[:m]])
         if len(vals) >= count:
-            return vals[:count], vecs[:, :count], sigma0, solves[0]
+            return vals[:count], vecs[:count].T, sigma0, solves
         lu, sigma = _shift(K, M, cut, bound[0], len(vals))
-        k = count - len(vals)
+        width = BLOCK
     raise NoConvergence(f"spectrum slicing did not certify {count} eigenvalues")
 
 
@@ -314,17 +323,15 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
                         floor=-0.01):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x.
 
-    Deterministic for a fixed seed (the seed fixes the Lanczos start
-    vector).  A given `v0` leads the start vector, with a seeded random
-    part of 1e-3 of its norm: a prolonged eigenvector is zero on every mesh
-    component it did not reach, and Lanczos would never find an eigenvalue
-    there.  `floor` is the first shift tried, best a value the caller
-    knows to lie just below the bottom; when inertia finds eigenvalues
-    below it, it is stepped down as from the default just below 0.
-    Eigenvectors come back M-orthonormal.  A pair converges when its
-    residual or its backward error is within tol; one that fails both gets
-    one inverse-iteration polish.  `maxiter` bounds the LU solves of the
-    one-eigenpair Lanczos loop, and ARPACK's restarts for more eigenpairs.
+    Deterministic for a fixed seed, which fixes the Lanczos start.  A given
+    `v0` leads the start vector, with a seeded random part of 1e-3 of its
+    norm: a prolonged eigenvector is zero on every mesh component it did
+    not reach, where Lanczos would then never look.  `floor` is the first
+    shift tried, best a value known to lie just below the bottom.  Vectors
+    come back M-orthonormal.  A pair converges when its residual or its
+    backward error is within tol; one that fails both gets one inverse-
+    iteration polish.  `maxiter` bounds the LU solves (right-hand sides) of
+    each Lanczos run, whatever the count.
     """
     n = pencil.dof
     check_count(count, n)
@@ -334,28 +341,22 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
     if tol is None:
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
     if count == n:
-        # ARPACK needs count < dof: the whole spectrum is one full solve
+        # no Lanczos loop reaches every copy of a repeated eigenvalue
         sigma = _shift(K, M, floor, np.inf, 0)[1]
         vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
-        solver, solver_calls = "dense", 0
+        solver_calls = 0
     else:
-        solver = "shift-invert-lanczos"
         start = _start_vector(seed, n)
         if v0 is not None:
             start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)
-        try:
-            vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter,
-                                                     floor)
-        except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(
-                f"Lanczos stalled at maxiter={maxiter}", partial=exc) from exc
+        vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter,
+                                                 floor, seed)
 
     # normalize in the M inner product
     for j in range(vecs.shape[1]):
         vecs[:, j] /= np.sqrt(abs(vecs[:, j] @ (M @ vecs[:, j])))
 
-    residuals = np.empty(count)
-    backward = np.empty(count)
+    residuals, backward = np.empty(count), np.empty(count)
     normK, normM = _norm1(K), _norm1(M)
 
     def errors(lam, x):
@@ -373,9 +374,9 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
     vals, vecs = vals[order], vecs[:, order]
     residuals, backward = residuals[order], backward[order]
     converged = bool(np.all((residuals <= tol) | (backward <= tol)))
-    return SpectralReport(vals, residuals, backward, vecs, n, tol,
-                          float(sigma), seed, solver, solver_calls,
-                          converged, dict(pencil.meta))
+    return SpectralReport(vals, residuals, backward, vecs, n, tol, float(sigma), seed,
+                          "dense" if count == n else "shift-invert-lanczos",
+                          solver_calls, converged, dict(pencil.meta))
 
 
 def counting_function(pencil, lam):
@@ -388,16 +389,14 @@ def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0, floor=-0.01):
     """(dof, smallest eigenvalue) of `make_pencil` on each of the `levels`
     meshes of `meshing.nested(mesh, levels, steps)`.
 
-    Every level's first shift is `floor` (see `smallest_eigenpairs`).  The
-    coarse minimum is no floor for the next level: refinement lowers the
-    bottom, and several fine eigenvalues may lie below the coarse one.
-
-    The seed starts Lanczos on the first level only; each later level starts
-    from the eigenvector of the one before, prolonged by P1 interpolation
-    through the parents of each refinement step.  On nested meshes that is
-    the coarse minimizer itself, so its Rayleigh quotient is the coarse
-    minimum up to quadrature and boundary snapping.  Levels are solved one
-    at a time; between levels only that eigenvector, on all nodes, is kept.
+    Every level's first shift is `floor` (see `smallest_eigenpairs`), not
+    the coarse minimum: refinement lowers the bottom, and several fine
+    eigenvalues may lie below the coarse one.  The seed starts Lanczos on
+    the first level only; each later level starts from the eigenvector of
+    the one before, prolonged by P1 interpolation through the parents of
+    each refinement step: on nested meshes the coarse minimizer itself,
+    whose Rayleigh quotient is the coarse minimum up to quadrature and
+    boundary snapping.  Between levels only that eigenvector is kept.
     """
     rows, u = [], None
     for fine, parents in nested(mesh, levels, steps):

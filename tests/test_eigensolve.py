@@ -388,6 +388,17 @@ def test_inertia_matches_exact_counts_at_a_double_eigenvalue():
     cut = 0.5 * (vals[1] + vals[2])
     assert _exact_ldlt_count(pencil.K, pencil.M, cut) == 2
     assert counting_function(pencil, cut) == 2
+    # a torus section (measure weight r, 253 dof): between lambda_1 and
+    # lambda_2, and 1e-6 relative on either side of each
+    mesh = build_trimesh(Torus(3.0, 1.0).section, 0.15, 1.0)
+    pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
+    assert pencil.dof == 253 and pencil.meta["measure_weight"] == "r"
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    cuts = [0.5 * (vals[0] + vals[1]), vals[0] * (1 - 1e-6), vals[0] * (1 + 1e-6),
+            vals[1] * (1 - 1e-6), vals[1] * (1 + 1e-6)]
+    exact = [_exact_ldlt_count(pencil.K, pencil.M, cut) for cut in cuts]
+    assert exact == [1, 0, 1, 1, 2]
+    assert [counting_function(pencil, cut) for cut in cuts] == exact
 
 
 def _pencils_factor_sees():
@@ -556,7 +567,7 @@ def test_iterations_count_lu_solves(monkeypatch):
             self.lu, self.U = lu, lu.U
 
         def solve(self, b):
-            solves.append(1)
+            solves.append(1 if b.ndim == 1 else b.shape[1])     # right-hand sides
             return self.lu.solve(b)
 
     def counted(*args):
@@ -571,11 +582,11 @@ def test_iterations_count_lu_solves(monkeypatch):
     # basis converges by the first test, at 12 vectors and 13 solves
     rep = smallest_eigenpairs(pencil, 1, floor=vals[0] - 0.5)
     assert rep.converged and rep.eigenvalues[0] == pytest.approx(vals[0], rel=1e-12)
-    assert rep.iterations == len(solves) <= 13
-    # ARPACK's windows count the solves of their operator
+    assert rep.iterations == sum(solves) <= 13
+    # a block of width 2 counts both right-hand sides of each solve
     solves.clear()
     rep = smallest_eigenpairs(pencil, 3)
-    assert rep.converged and rep.iterations == len(solves) > 13
+    assert rep.converged and rep.iterations == sum(solves) > 13
 
 
 def test_lanczos_past_maxiter_carries_the_ritz_pair():
@@ -608,6 +619,19 @@ def test_lanczos_on_small_pencils_breaks_down_cleanly():
         assert rep.converged and rep.eigenvalues[0] == pytest.approx(exact, rel=1e-12)
         assert rep.iterations <= pencil.dof + 1
     assert rep.iterations == 13
+
+
+def test_lanczos_restarts_after_an_exact_breakdown():
+    # unit start vectors of a diagonal pencil span an invariant subspace, so
+    # the first step leaves both new vectors exactly zero; random vectors
+    # take their place until the three wanted pairs are found
+    K, M = sp.diags(np.arange(1.0, 7.0)).tocsr(), sp.identity(6, format="csr")
+    lu, _, sigma = _factor(K, M, 0.5)
+    lam, X, solves = eigensolve._lanczos(M, lu, sigma, np.eye(6)[:, [3, 5]], 1e-12, 100,
+                                         k=3)
+    assert_allclose(lam, [1.0, 2.0, 3.0], rtol=1e-12)
+    assert_allclose(np.abs(X), np.eye(6)[:3], atol=1e-10)
+    assert solves <= 2 * 6
 
 
 def test_norm1_is_bitwise_spla_norm():
@@ -645,13 +669,40 @@ def test_singular_shift():
         _factor(Z, Z, 0.5)
 
 
+def test_cluster_wider_than_the_block(monkeypatch):
+    # three identical components make each of their eigenvalues an exact
+    # triple, and a fourth of one dof puts a simple value, 20, between the
+    # first two triples.  A block of two holds two copies of the triple;
+    # inertia counts three below the cut above them, and the window is
+    # solved again on a block widened to three.  (At tol 1e-10 the first
+    # window runs long enough for rounding to bring in the third copy.)
+    one = assemble_pencil(build_mesh_1d(IV, 24), FormSpec(a=1.0, q=0.0), 1.0)
+    pencil = _pencil(sp.block_diag([one.K] * 3 + [sp.identity(1) * 20.0]),
+                     sp.block_diag([one.M] * 3 + [sp.identity(1)]))
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    assert vals[2] - vals[0] <= 1e-12 * vals[0] and vals[0] < 20.0 == vals[3] < vals[4]
+    widths = []
+    lanczos = eigensolve._lanczos
+
+    def recorded(M, lu, sigma, V, *args):
+        widths.append(V.reshape(len(V), -1).shape[1])
+        return lanczos(M, lu, sigma, V, *args)
+
+    monkeypatch.setattr(eigensolve, "_lanczos", recorded)
+    rep = smallest_eigenpairs(pencil, 4, tol=1e-8)
+    assert widths == [2, 3]
+    assert rep.converged and np.max(np.abs(rep.eigenvalues - vals[:4])) <= 1e-8
+    assert counting_function(pencil, rep.eigenvalues[-1] * (1 + 1e-6)) == 4
+
+
 def test_no_convergence_carries_partial_eigenvalues():
-    # one ARPACK iteration converges 4 of 5 wanted values on this pencil;
-    # 3 wanted values would all converge within it
+    # 24 right-hand sides (the first test at 20 vectors, then one block)
+    # converge 3 of the 5 wanted values on this pencil: the bottom and the
+    # double eigenvalue above it
     pencil = _disc_pencil(0.1)
     assert pencil.dof == 568
     with pytest.raises(NoConvergence) as caught:
-        smallest_eigenpairs(pencil, 5, maxiter=1)
+        smallest_eigenpairs(pencil, 5, maxiter=24)
     partial = caught.value.partial.eigenvalues
     assert 0 < len(partial) < 5
     vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True,
