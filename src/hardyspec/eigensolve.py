@@ -210,7 +210,7 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
             raise NoConvergence(f"Lanczos stalled after {solves} solves", partial)
 
 
-def _slice(K, M, count, v0, tol, maxiter, floor, seed=0):
+def _slice(K, M, count, v0, tol, maxiter, floor, seed):
     """The count smallest eigenpairs, the shift below them and the
     right-hand sides Lanczos solved.
 
