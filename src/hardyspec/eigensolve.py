@@ -127,8 +127,8 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
       while a pass leaves less than 0.717 of the norm (DGKS): column by
       column the QR of the block, so T, OP in the basis, has bandwidth b.
       One left in the span couples with 0; a random vector takes its place;
-    - the Ritz pairs are tested from 12 basis vectors for k = 1, eigsh's
-      max(2k + 1, 20) for more (n if fewer), after every block:
+    - the Ritz pairs are tested from 12 basis vectors for k = 1, scipy's
+      ARPACK default max(2k + 1, 20) for more (n if fewer), after every block:
       ||E s_last|| <= tol max(theta, eps^(2/3)), E coupling the last block
       to the next; each Ritz vector gets the shift-invert correction.
     The basis lives in chunks of whole blocks, so growing it copies nothing.
