@@ -131,37 +131,34 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
       ARPACK default max(2k + 1, 20) for more (n if fewer), after every block:
       ||E s_last|| <= tol max(theta, eps^(2/3)), E coupling the last block
       to the next; each Ritz vector gets the shift-invert correction.
-    The basis lives in chunks of whole blocks, so growing it copies nothing.
-    Past `maxiter` right-hand sides it raises NoConvergence, whose `partial`
-    holds the pairs that passed the test, or else the lowest Ritz pair.
+    The basis is one array with room for twice the first test's vectors,
+    doubled when full.  Past `maxiter` right-hand sides it raises
+    NoConvergence, whose `partial` holds the pairs that passed the test, or
+    else the lowest Ritz pair.
     """
     n = M.shape[0]
     W = lu.solve(M @ V).reshape(n, -1)
     b = solves = W.shape[1]
-    per, size = b * -(-13 // b), 0
     first = min(n, 12 if k == 1 else max(2 * k + 1, 20))
-    chunks, ahead = [], []      # ahead: M q of each vector OP has not met
+    Q, size = np.empty((min(n, 2 * (first + b)), n)), 0    # the basis, one vector a row
+    ahead = []                  # M q of each vector OP has not met
     band = []                   # band[m] = T[m:m + b + 1, m], T's lower band
 
-    def basis(rows):
-        return [c[:rows - i] for i, c in zip(range(0, rows, per), chunks)]
-
     def orthogonalize(w):   # in place: M w, w's coefficients and norm (0: in the span)
-        mw, coef, Q = M @ w, 0.0, basis(size)
+        mw, coef = M @ w, 0.0
         before = norm = np.sqrt(abs(w @ mw))
-        for _ in range(3 if Q else 0):
-            h = [c @ mw for c in Q]
-            for c, hc in zip(Q, h):
-                w -= hc @ c
-            mw, coef = M @ w, coef + np.concatenate(h)
+        for _ in range(3 if size else 0):
+            h = Q[:size] @ mw
+            w -= h @ Q[:size]
+            mw, coef = M @ w, coef + h
             norm = np.sqrt(abs(w @ mw))
             if norm > 0.717 * before:
                 return mw, coef, norm
             before = norm
-        return mw, coef, 0.0 if Q else norm
+        return mw, coef, 0.0 if size else norm
 
     def append(w):     # w normalized, or a random vector if w is in the span
-        nonlocal size
+        nonlocal size, Q
         mw, coef, norm = orthogonalize(w)
         if size == n:
             return coef, 0.0
@@ -169,9 +166,9 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
         if norm == 0.0:     # seeded by a pair, not an integer as start vectors are
             x = _start_vector((size, n), n)
             mx, _, nx = orthogonalize(x)
-        if size % per == 0:
-            chunks.append(np.empty((min(n - size, per), n)))
-        chunks[-1][size % per] = x / nx
+        if size == len(Q):
+            Q = np.vstack([Q, np.empty((min(n, 2 * size) - size, n))])
+        Q[size] = x / nx
         ahead.append(mx / nx)
         size += 1
         return coef, norm
@@ -196,10 +193,7 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
         for c in range(b):
             E[:c + 1, c] = band[N - b + c][b - c:]
         R = E @ S[-b:]          # the Ritz residuals on the basis vectors from N on
-        new = np.array([chunks[p // per][p % per] for p in range(N, size)]).reshape(-1, n)
-        X = (R[:size - N] / theta).T @ new
-        for i, c in zip(range(0, N, per), basis(N)):
-            X += S[i:i + per].T @ c
+        X = (R[:size - N] / theta).T @ Q[N:size] + S.T @ Q[:N]
         lam = sigma + 1.0 / theta
         ok = np.linalg.norm(R, axis=0) <= tol * np.maximum(theta, EPS23)
         if j == k and ok.all():

@@ -547,8 +547,8 @@ def test_lanczos_matches_a_tight_eigsh(make):
 
 
 def test_lanczos_from_a_far_floor_fills_several_blocks():
-    # 36 solves from a floor 300 below the bottom: the basis spans three
-    # blocks of 13 vectors
+    # 36 solves from a floor 300 below the bottom: the basis outgrows the 26
+    # rows it starts with and is doubled
     pencil = _disc_pencil(0.1)
     rep = smallest_eigenpairs(pencil, 1, floor=-300.0)
     assert rep.converged and rep.sigma == -300.0 and rep.iterations > 27
