@@ -59,11 +59,16 @@ def _factor(K, M, sigma):
     P (K - sigma M) P^T = L U with U = D L^T, so the signs of diag(U) are
     the inertia of K - sigma M.  A shift on an eigenvalue can make the
     factor exactly singular; sigma is then nudged down a few times.
-    SuperLU reads the CSR arrays of K - sigma M as CSC arrays, with no sort;
-    exactly symmetric as forms assembles it, it is its own transpose (an
-    unsymmetric one would be factored transposed).  Panel size 1 factored
-    the 70,479-dof hardy-disc level in 327 ms against 435 ms at the default,
-    with the same fill; it moves the pivots by ulps only.
+
+    SuperLU is handed the transpose of K - sigma M in CSR form, which is
+    a CSC matrix on the same arrays, with no CSR -> CSC sort.  That is
+    K - sigma M itself because it is exactly symmetric, entry for entry,
+    as forms assembles K and M; an unsymmetric matrix would be factored
+    as its transpose.  SuperLU runs with panel size 1 (PANEL_SIZE): the
+    70,479-dof hardy-disc level factored in 327 ms against 435 ms at its
+    default (medians of 7), with the same nnz(L+U) and solve time, and no
+    width from 2 to 12 was faster.  The panel size moves the pivots by
+    ulps only.
     """
     for attempt in range(4):
         try:
