@@ -133,9 +133,10 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
       column the QR of the block, so T, OP in the basis, has bandwidth b.
       One left in the span couples with 0; a random vector takes its place;
     - the Ritz pairs are tested from 12 basis vectors for k = 1, scipy's
-      ARPACK default max(2k + 1, 20) for more (n if fewer), after every block:
-      ||E s_last|| <= tol max(theta, eps^(2/3)), E coupling the last block
-      to the next; each Ritz vector gets the shift-invert correction.
+      ARPACK default max(2k + 1, 20) for more (n if fewer) or a breakdown,
+      then after every block: ||E s_last|| <= tol max(theta, eps^(2/3)), E
+      coupling the last block to the next; each Ritz vector gets the
+      shift-invert correction.
     The basis is one array with room for twice the first test's vectors,
     doubled when full.  Past `maxiter` right-hand sides it raises
     NoConvergence, whose `partial` holds the pairs that passed the test, or
@@ -145,7 +146,7 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
     W = lu.solve(M @ V).reshape(n, -1)
     b = solves = W.shape[1]
     first = min(n, 12 if k == 1 else max(2 * k + 1, 20))
-    Q, size = np.empty((min(n, 2 * (first + b)), n)), 0    # the basis, one vector a row
+    Q, size = np.empty((min(n, 2 * (first + b)), n)), 0    # the basis, a vector a row
     ahead = []                  # M q of each vector OP has not met
     band = []                   # band[m] = T[m:m + b + 1, m], T's lower band
 
