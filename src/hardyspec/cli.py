@@ -25,6 +25,7 @@ from .spectral import (ProblemSpec, check_form_nonnegativity,
                        persson_sequence, strip_mesh)
 
 COMMANDS = ("distance", "hardy", "spectrum", "persson", "criteria", "diagnose")
+FORMATS = ("json", "csv")
 
 
 def _load_config(path):
@@ -70,6 +71,17 @@ class _Section:
             return int(raw)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
+
+    def get_bool(self, key, default=False):
+        """configparser's words, in any case: 1/yes/true/on, 0/no/false/off."""
+        raw = self.data.get(key)
+        if raw is None:
+            return default
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean "
+                              "(1/yes/true/on or 0/no/false/off)") from None
 
 
 def _build_domain(sec):
@@ -162,6 +174,10 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         seed = num_sec.get_int("seed", 0)
     if formats is None:
         formats = tuple(f.strip() for f in out_sec.get("formats", "json").split(","))
+    unknown = [f for f in formats if f not in FORMATS]
+    if unknown:
+        raise ConfigError(f"unknown output format {unknown[0]!r}; "
+                          f"choose from {', '.join(FORMATS)}")
 
     domain = _build_domain(domain_sec)
     if "mode" in num_sec.data and not isinstance(domain, geometry.Torus):
@@ -224,6 +240,8 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
     elif command == "spectrum":
         form = _build_form(form_sec)
         count = num_sec.get_int("count", 5)
+        write_mesh = out_sec.get_bool("write_mesh")
+        write_pencil = out_sec.get_bool("write_pencil")
         section = domain.section
         if isinstance(domain, geometry.Torus):
             require_axisymmetric(form.a, form.q)
@@ -263,10 +281,10 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             csv_payload = ("spectrum_table.csv", ("index", "value", "residual"),
                            [(i, float(v), float(r)) for i, (v, r) in
                             enumerate(zip(rep.eigenvalues, rep.residuals))])
-            if out_sec.get("write_mesh") == "true":
+            if write_mesh:
                 report._atomic_write(os.path.join(out_dir, "mesh.txt"),
                                      format_mesh_text(mesh))
-            if out_sec.get("write_pencil") == "true":
+            if write_pencil:
                 report._atomic_write(os.path.join(out_dir, "pencil_K.txt"),
                                      format_matrix_text(pencil.K))
                 report._atomic_write(os.path.join(out_dir, "pencil_M.txt"),
@@ -327,7 +345,7 @@ def main(argv=None):
     parser.add_argument("--dry-run", action="store_true",
                         help="validate the config and mesh feasibility only")
     parser.add_argument("--format", default=None,
-                        help="comma-separated output formats (json,csv)")
+                        help=f"comma-separated output formats ({','.join(FORMATS)})")
     args = parser.parse_args(argv)
 
     formats = None

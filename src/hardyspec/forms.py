@@ -365,27 +365,46 @@ def _robin_2d(mesh, form):
 _TEXT_BLOCK = 1 << 14          # entries per joined block of pencil text
 
 
+def _word_table(words):
+    """One row of ASCII bytes per word, zero-padded to the longest word."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    table = np.zeros((len(words), lengths.max(initial=0)), dtype=np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(
+        "".join(words).encode("ascii"), dtype=np.uint8)
+    return table
+
+
 def format_matrix_text(mat):
     """Coordinate text format: a `rows cols nnz` header, then one
-    `row col np.float64(value)` line per entry, sorted by row, col."""
+    `row col np.float64(value)` line per entry, sorted by row, col.
+
+    Python formats each distinct word once, not each entry: the `"<i> "`
+    of every row or column index that occurs, and the value text of every
+    distinct value.  np.unique runs on the values' bit patterns, so -0.0
+    and 0.0 keep their own text.  The words are zero-padded rows of a
+    uint8 table; each block of entries gathers one table row per column,
+    joins the columns side by side and drops the pads, which no text
+    holds.  A COO input's duplicate entries keep one line each.  The
+    value keeps numpy's scalar form np.float64(x) until the pencil digests
+    in bench/references.json are re-recorded (ROADMAP item 1).
+    """
     coo = sp.coo_matrix(mat)
     order = np.lexsort((coo.col, coo.row))
-    rows, cols = coo.row[order], coo.col[order]
-    # Each distinct value is printed once; np.unique runs on the bit
-    # patterns, so -0.0 and 0.0 keep their own text.  The value keeps
-    # numpy's scalar form np.float64(x) until the pencil digests in
-    # bench/references.json are re-recorded (ROADMAP item 1).
     bits, which = np.unique(coo.data[order].view(np.int64), return_inverse=True)
-    values = [f"np.float64({x!r})\n" for x in bits.view(np.float64).tolist()]
-    # Joined block by block, so that the lists holding one Python object
-    # per entry exist for one block at a time, not for the whole matrix.
-    parts = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
+    indices, slots = np.unique(np.concatenate((coo.row[order], coo.col[order])),
+                               return_inverse=True)
+    values = _word_table([f"np.float64({x!r})\n" for x in bits.view(np.float64).tolist()])
+    index = _word_table([f"{i} " for i in indices.tolist()])
+    columns = ((index, slots[:coo.nnz]), (index, slots[coo.nnz:]), (values, which))
+    # Gathered block by block, so that the padded lines exist for one
+    # block at a time, not for the whole matrix.
+    parts = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n".encode("ascii")]
     for start in range(0, coo.nnz, _TEXT_BLOCK):
         block = slice(start, start + _TEXT_BLOCK)
-        parts.append("".join([f"{i} {j} {values[k]}" for i, j, k in
-                              zip(rows[block].tolist(), cols[block].tolist(),
-                                  which[block].tolist())]))
-    return "".join(parts)
+        lines = np.concatenate([table.take(pick[block], axis=0)
+                                for table, pick in columns], axis=1)
+        parts.append(lines[lines != 0].tobytes())
+    return b"".join(parts).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

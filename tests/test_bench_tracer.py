@@ -4,6 +4,7 @@ name; this guards the names it relies on."""
 import importlib.util
 from pathlib import Path
 
+import hardyspec.cli
 import hardyspec.hardy
 from hardyspec import Interval
 
@@ -28,3 +29,28 @@ def test_tracer_sees_refinement_and_ladder_levels():
         installation.undo()
     assert tracer.self_s.get("meshing.refine", 0.0) > 0
     assert tracer.counts["hardy.levels"] == 2
+
+
+def test_tracer_sees_the_export_layer(tmp_path):
+    # the text formatters keep their names and modules, and _atomic_write
+    # keeps taking str, so that report.bytes counts the bytes on disk
+    config = tmp_path / "s.ini"
+    config.write_text("[domain]\nvariant = disc\n\n[form]\na = 1\nq = 0\n\n"
+                      "[numerics]\nh = 0.25\ncount = 1\n\n"
+                      "[output]\nwrite_mesh = true\nwrite_pencil = true\n")
+    out = tmp_path / "out"
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    installation = tr.install(tracer)
+    try:
+        hardyspec.cli.run("spectrum", str(config), out_dir=str(out),
+                          formats=("json", "csv"))
+    finally:
+        installation.undo()
+    assert tracer.self_s.get("forms.format", 0.0) > 0
+    assert tracer.self_s.get("meshing.format", 0.0) > 0
+    written = sorted(out.iterdir())
+    assert [path.name for path in written] == [
+        "mesh.txt", "pencil_K.txt", "pencil_M.txt", "spectrum_report.json",
+        "spectrum_table.csv"]
+    assert tracer.counts["report.bytes"] == sum(path.stat().st_size for path in written)

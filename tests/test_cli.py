@@ -194,6 +194,40 @@ def test_spectrum_with_exports(tmp_path):
     assert header == "index,value,residual"
 
 
+def test_export_flags_take_configparser_booleans(tmp_path, capsys):
+    exports = ("mesh.txt", "pencil_K.txt", "pencil_M.txt")
+    flags = "write_mesh = true\nwrite_pencil = true\n"
+    for i, (mesh_word, pencil_word, wanted) in enumerate(
+            [("True", "yes", exports), ("ON", "1", exports),
+             ("off", "No", ()), ("0", "FALSE", ())]):
+        cfg = write(tmp_path, f"s{i}.ini", SPECTRUM_INI.replace(
+            flags, f"write_mesh = {mesh_word}\nwrite_pencil = {pencil_word}\n"))
+        out = tmp_path / f"out{i}"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert tuple(name for name in exports if (out / name).exists()) == wanted
+    # any other word is refused before the solve, in a run and a dry run
+    for word in ("maybe", "2", "t"):
+        cfg = write(tmp_path, f"bad_{word}.ini",
+                    SPECTRUM_INI.replace("write_pencil = true", f"write_pencil = {word}"))
+        for extra in ([], ["--dry-run"]):
+            out = tmp_path / f"out_{word}"
+            assert main(["spectrum", "--config", cfg, "--out", str(out), *extra]) == 2
+            assert f"write_pencil = {word!r} is not a boolean" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_unknown_output_format_exit_two(tmp_path, capsys):
+    flag = write(tmp_path, "s.ini", SPECTRUM_INI)
+    key = write(tmp_path, "k.ini", SPECTRUM_INI + "formats = json,jsno\n")
+    for cfg, extra in ((flag, ["--format", "jsno"]), (flag, ["--format", "json,"]),
+                       (key, [])):
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), *extra]) == 2
+        assert "unknown output format" in capsys.readouterr().err
+        # refused before any work: nothing is written
+        assert not out.exists()
+
+
 def test_diagnose_end_to_end(tmp_path):
     ini = """
 [domain]

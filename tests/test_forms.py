@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -393,11 +394,21 @@ def export_matrices():
 
 
 def test_matrix_text_matches_oracle(export_matrices, monkeypatch):
+    # a COO input's duplicate (1, 1) entries keep one line each, unsummed
+    duplicate = sp.coo_matrix(([1.0, 2.0, 3.0], ([1, 0, 1], [1, 2, 1])), shape=(2, 3))
+    # the text of a 10^6-wide matrix costs its 3 entries, not its width
+    wide = sp.coo_matrix(([1.5, -2.0, 0.25], ([0, 999_999, 500_000],
+                                              [999_999, 0, 500_000])),
+                         shape=(10**6, 10**6))
     # also in blocks of 5 entries, so that block ends fall inside every matrix
     for block in (forms._TEXT_BLOCK, 5):
         monkeypatch.setattr(forms, "_TEXT_BLOCK", block)
-        for mat in export_matrices + [sp.coo_matrix((3, 2))]:
+        for mat in export_matrices + [sp.coo_matrix((3, 2)), duplicate]:
             assert format_matrix_text(mat) == _matrix_text_oracle(mat)
+        start = time.perf_counter()
+        text = format_matrix_text(wide)
+        assert time.perf_counter() - start < 1.0
+        assert text == _matrix_text_oracle(wide)
 
 
 def test_pencil_export_format(export_matrices):
