@@ -20,7 +20,7 @@ from .forms import FormSpec, assemble_pencil, format_matrix_text
 from .hardy import (CATALOGUE_METHODS, check_ladder, lambda_bound, ladder_mesh,
                     verify_hardy)
 from .meshing import build_mesh_1d, build_trimesh, format_mesh_text
-from .spectral import (ProblemSpec, check_form_nonnegativity,
+from .spectral import (ProblemSpec, check_diagnostic, check_form_nonnegativity,
                        check_pointwise_criterion, discreteness_diagnostic,
                        persson_sequence, strip_mesh)
 
@@ -131,9 +131,11 @@ def _build_form(sec):
         raise ConfigError(f"[form] invalid parameters: {exc}") from exc
 
 
-def _problem_spec(domain, form, form_sec, num_sec, seed):
+def _problem_spec(command, domain, form, form_sec, num_sec, seed):
     ks = tuple(range(num_sec.get_int("k_min", 2), num_sec.get_int("k_max", 16) + 1))
     try:
+        if command == "diagnose":
+            check_diagnostic(ks)
         return ProblemSpec(
             domain=domain, form=form,
             gamma=form_sec.get_float("gamma", 0.5),
@@ -178,6 +180,13 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
     if unknown:
         raise ConfigError(f"unknown output format {unknown[0]!r}; "
                           f"choose from {', '.join(FORMATS)}")
+    # configparser copies [DEFAULT] keys into every section
+    for key in sorted(out_sec.data.keys() - parser.defaults()):
+        if key not in ("formats", "write_mesh", "write_pencil"):
+            raise ConfigError(f"[output] unknown key {key!r}; "
+                              "choose from formats, write_mesh, write_pencil")
+        if key != "formats" and command != "spectrum":
+            raise ConfigError(f"[output] {key} applies only to the spectrum command")
 
     domain = _build_domain(domain_sec)
     if "mode" in num_sec.data and not isinstance(domain, geometry.Torus):
@@ -292,7 +301,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
 
     elif command in ("persson", "criteria", "diagnose"):
         form = _build_form(form_sec)
-        problem = _problem_spec(domain, form, form_sec, num_sec, seed)
+        problem = _problem_spec(command, domain, form, form_sec, num_sec, seed)
         if dry_run:
             sizes = {}
             for k in problem.ks[:1] + problem.ks[-1:]:

@@ -15,10 +15,6 @@ class TooCloseToBoundary(HardySpecError):
     pass
 
 
-class EmptyRegion(HardySpecError):
-    pass
-
-
 # -- meshing ----------------------------------------------------------------
 
 class InvalidGrading(HardySpecError):

@@ -11,10 +11,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyRegion, PointOutsideDomain, TooCloseToBoundary
+from .errors import PointOutsideDomain, TooCloseToBoundary
 
 RIDGE_TOL = 1e-9       # two boundary features closer than this => medial axis
-GEOM_TOL = 1e-6        # verdict tolerance for superharmonicity scans
 FD_STEP_FACTOR = 1e-4  # default finite-difference step, relative to D_int
 
 
@@ -34,10 +33,6 @@ class SuperharmonicityReport:
     min_value: float
     argmin: tuple
     verdict: str            # "PASS" or "FAIL"
-    resolution: int
-    region: str
-    tol: float
-    n_points: int
 
 
 def _as_point(p, dim):
@@ -123,6 +118,13 @@ class Domain:
             grad = float(grad[0])
         return DistanceEval(d, grad, neg_lap, provenance, ridge)
 
+    def neg_laplacian_infimum(self):
+        """Closed-form infimum of -laplacian(d) over the closed domain off
+        the medial axis, and a boundary point where it is attained.  Every
+        family attains it on the boundary, so each band {0 < d < delta} has
+        the same infimum as the whole domain."""
+        raise NotImplementedError
+
     # -- functionals ----------------------------------------------------------
 
     def interior_diameter(self):
@@ -162,6 +164,9 @@ class Interval(Domain):
         right = self.b - x
         grad = np.where(left <= right, 1.0, -1.0)[:, None]
         return grad, np.zeros(len(x)), np.abs(left - right) < RIDGE_TOL
+
+    def neg_laplacian_infimum(self):
+        return 0.0, np.array([self.a])
 
     def interior_diameter(self):
         return self.b - self.a
@@ -208,6 +213,9 @@ class Disc(Domain):
         grad = np.where(ridge[:, None], [1.0, 0.0], -v / rho[:, None])
         return grad, 1.0 / rho, ridge
 
+    def neg_laplacian_infimum(self):
+        return 1.0 / self.radius, self.center + [self.radius, 0.0]
+
     def interior_diameter(self):
         return 2 * self.radius
 
@@ -247,6 +255,9 @@ class Annulus(Domain):
         sign = np.where(inner <= outer, 1.0, -1.0)
         return (sign[:, None] * v / rho[:, None], -sign / rho,
                 np.abs(inner - outer) < RIDGE_TOL)
+
+    def neg_laplacian_infimum(self):
+        return -1.0 / self.r_in, self.center + [self.r_in, 0.0]
 
     def interior_diameter(self):
         return self.r_out - self.r_in
@@ -319,6 +330,10 @@ class ConvexPolygon(Domain):
                         self._normals[nearest])
         # d is a min of affine functions: Laplacian vanishes off the ridge
         return grad, np.zeros(len(p)), (two[:, 1] - two[:, 0]) < RIDGE_TOL
+
+    def neg_laplacian_infimum(self):
+        # the midpoint of an edge; a vertex lies on the medial axis
+        return 0.0, self.vertices[0] + self._edges[0] / 2
 
     @cached_property
     def _chebyshev(self):
@@ -437,47 +452,20 @@ class TorusSection(Disc):
         rho = np.maximum(np.hypot(r - c, z), RIDGE_TOL)
         return grad, (2 * r - c) / (r * rho), ridge
 
-
-def _scan_grid(domain, resolution):
-    """Uniform grid with resolution + 1 points per axis over the box."""
-    lo, hi = domain.box()
-    axes = [np.linspace(a, b, resolution + 1) for a, b in zip(lo, hi)]
-    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-
-
-def _region_mask(region, d):
-    if region == "full":
-        return np.ones_like(d, dtype=bool)
-    kind, delta = region
-    if kind != "tubular":
-        raise ValueError(f"unknown region {region!r}")
-    return (d > 0) & (d < delta)
+    def neg_laplacian_infimum(self):
+        # at the inner equator (c - R, 0) both (2r - c)/r and 1/rho are
+        # smallest when c >= 2R; when c < 2R the value is negative only
+        # where r < c/2, lowest at z = 0 for fixed r, and decreasing in rho
+        # along z = 0.  The sign is that of the float c - 2R, which is exact.
+        c, R = self.center[0], self.radius
+        return (c - 2 * R) / ((c - R) * R), np.array([c - R, 0.0])
 
 
-def superharmonicity_scan(domain, region="full", resolution=200, tol=GEOM_TOL):
-    """Scan -laplacian(d) over a uniform grid of the domain's section and
-    certify its sign.
-
-    A full scan covers the closed domain (the closed forms extend
-    continuously to the boundary); a ("tubular", delta) scan keeps the
-    interior band 0 < d < delta.  Points on the medial axis, where the
-    Laplacian has a singular measure part, are excluded.
-    """
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
-    domain = domain.section
-    pts = _scan_grid(domain, resolution)
-    d = domain.distance_many(pts)
-    keep = (d >= -1e-12) & _region_mask(region, d)
-    _, neg_lap, ridge = domain.calculus_many(pts[keep])
-    values = neg_lap[~ridge]
-    if values.size == 0:
-        raise EmptyRegion("no grid point falls in the requested region")
-
-    i = int(np.argmin(values))
-    min_value = float(values[i])
-    argmin = tuple(np.asarray(pts[keep][~ridge][i], dtype=float).tolist())
-    verdict = "PASS" if min_value >= -tol else "FAIL"
-    region_name = "full" if region == "full" else f"tubular({region[1]})"
-    return SuperharmonicityReport(min_value, argmin, verdict, resolution,
-                                  region_name, tol, int(values.size))
+def superharmonicity_scan(domain):
+    """The infimum of -laplacian(d) over the domain's section, off the
+    medial axis, in closed form; PASS if and only if it is >= 0.  The
+    infimum lies on the boundary, so the verdict holds for the whole
+    section and for every band {0 < d < delta} alike."""
+    min_value, argmin = domain.section.neg_laplacian_infimum()
+    return SuperharmonicityReport(float(min_value), tuple(argmin.tolist()),
+                                  "PASS" if min_value >= 0 else "FAIL")

@@ -98,18 +98,16 @@ class HardyBoundSpec:
     notes: dict = field(default_factory=dict)
 
 
-def _require_superharmonic(domain, method, region="full"):
-    """Convexity implies -lap(d) >= 0; otherwise certify it by scanning the
-    domain, or the strip of a ("tubular", delta) region."""
-    if domain.is_convex:
-        return {"superharmonic": "convex variant"}
-    report = superharmonicity_scan(domain, region=region)
-    scan = "scan" if region == "full" else "strip scan"
+def _require_superharmonic(domain, method):
+    """Require -lap(d) >= 0 from the domain's closed-form infimum.  That
+    infimum lies on the boundary, so it is also the infimum over every band
+    {0 < d < delta}: one verdict serves fmt_weighted and tubular."""
+    report = superharmonicity_scan(domain)
     if report.verdict != "PASS":
         raise MethodNotApplicable(
-            f"{method} requires -laplacian(d) >= 0; {scan} found "
+            f"{method} requires -laplacian(d) >= 0; its infimum is "
             f"{report.min_value:.3e} at {report.argmin}")
-    return {"superharmonic": f"{scan} PASS (min {report.min_value:.6g})"}
+    return {"superharmonic": f"infimum {report.min_value:.6g} >= 0"}
 
 
 def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None):
@@ -117,7 +115,7 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None):
 
     Catalogue entries (diameter, interior-diameter and volume bounds) need a
     convex domain; the weighted and tubular bounds need -lap(d) >= 0, which
-    is taken from the variant when convex and certified by a scan otherwise.
+    the domain's closed-form infimum of -lap(d) decides exactly.
     """
     if method not in CATALOGUE_METHODS:
         raise MethodNotApplicable(f"unknown method {method!r}; "
@@ -150,12 +148,12 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None):
 
     if alpha is None:
         raise MethodNotApplicable(f"{method} needs the weight exponent alpha")
+    notes.update(_require_superharmonic(domain, method))
 
     if method == "fmt_weighted":
         c = fmt_constant(alpha, beta)
         if c is None:
             raise MethodNotApplicable(f"fmt_weighted needs alpha > beta - 2")
-        notes.update(_require_superharmonic(domain, method))
         lam = c * domain.interior_diameter() ** (beta - (alpha + 2))
         return HardyBoundSpec(beta, alpha, kappa(beta), method, lam, notes)
 
@@ -168,7 +166,6 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None):
     if delta > (1 - beta) / 2:
         raise MethodNotApplicable(
             f"tubular needs delta <= (1-beta)/2 = {(1 - beta) / 2}")
-    notes.update(_require_superharmonic(domain, method, region=("tubular", delta)))
     notes["delta"] = delta
     lam = c * delta
     return HardyBoundSpec(beta, alpha, kappa(beta), method, lam, notes)

@@ -293,6 +293,12 @@ class DiagnosticReport:
     reason: str
 
 
+def check_diagnostic(ks):
+    """Refuse exhaustion indices too few for `discreteness_diagnostic`'s fit."""
+    if len(ks) < 5:
+        raise ValueError("the diagnostic needs at least 5 exhaustion indices")
+
+
 def discreteness_diagnostic(problem):
     """Three-stage pipeline: pointwise criterion, form nonnegativity at k0,
     then the strip sweep with a growth-exponent fit.
@@ -302,8 +308,7 @@ def discreteness_diagnostic(problem):
     gamma kappa(beta) k^(2-beta).  Anything else is INCONCLUSIVE; the
     diagnostic never claims the spectrum is *not* discrete.
     """
-    if len(problem.ks) < 5:
-        raise ValueError("the diagnostic needs at least 5 exhaustion indices")
+    check_diagnostic(problem.ks)
     beta = problem.beta
     required = (2 - beta) - 0.1
 

@@ -78,10 +78,10 @@ def test_criterion_4_weighted_hardy():
 
 
 def test_criterion_5_torus_geometry():
-    fat = hs.superharmonicity_scan(hs.Torus(3.0, 1.0), resolution=200)
+    fat = hs.superharmonicity_scan(hs.Torus(3.0, 1.0))
     assert fat.verdict == "PASS"
     assert abs(fat.min_value - 0.5) <= 1e-3
-    thin = hs.superharmonicity_scan(hs.Torus(1.8, 1.0), resolution=200)
+    thin = hs.superharmonicity_scan(hs.Torus(1.8, 1.0))
     assert thin.verdict == "FAIL"
 
     torus = hs.Torus(3.0, 1.0)

@@ -226,6 +226,9 @@ def test_unknown_output_format_exit_two(tmp_path, capsys):
         assert "unknown output format" in capsys.readouterr().err
         # refused before any work: nothing is written
         assert not out.exists()
+    # a [DEFAULT] key reaches every section, [output] too, and is no output key
+    cfg = write(tmp_path, "d.ini", "[DEFAULT]\nseed = 3\n" + SPECTRUM_INI)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out"), "--dry-run"]) == 0
 
 
 def test_diagnose_end_to_end(tmp_path):
@@ -333,7 +336,16 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                ("hardy", hardy.format(extra="") + "levels = 0\n"),
                # an odd graded ladder mesh, and a zero edge length
                ("hardy", hardy.format(extra="").replace("n = 32", "n = 3")),
-               ("hardy", hardy.format(extra="").replace("interval", "disc") + "h = 0\n")]
+               ("hardy", hardy.format(extra="").replace("interval", "disc") + "h = 0\n"),
+               # too few exhaustion indices for the diagnostic's fit
+               ("diagnose", plain.replace("k_max = 8", "k_max = 4")),
+               # an [output] key nothing reads, and an export flag off spectrum
+               ("spectrum", disc + "h = 0.25\ncount = 1\n\n[output]\nwrite_pencl = true\n"),
+               ("diagnose", plain + "\n[output]\nwrite_pencil = true\n"),
+               # -laplacian(d) < 0 at the inner equator, 5e-7 short of c = 2R
+               ("hardy", "[domain]\nvariant = torus\nc = 1.9999995\nr_tube = 1\n\n"
+                         "[form]\nbeta = 0.0\nalpha = 0.0\nlambda_method = fmt_weighted\n\n"
+                         "[numerics]\nh = 0.25\nlevels = 1\n")]
     # a constant zero divisor, by "/" or by a negative power
     zero = [("diagnose", plain.replace("q = 0", "q = -0.1/(1-1)*d^-2")),
             ("diagnose", plain.replace("q = 0", "q = -(0^-1)*d^-2")),

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
                        superharmonicity_scan)
-from hardyspec.errors import EmptyRegion, PointOutsideDomain
+from hardyspec.errors import PointOutsideDomain
 from hardyspec.report import jsonable
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -229,7 +229,7 @@ def test_ridge_flags():
 
 
 def test_scan_torus_pass():
-    report = superharmonicity_scan(Torus(3.0, 1.0), resolution=200)
+    report = superharmonicity_scan(Torus(3.0, 1.0))
     assert report.verdict == "PASS"
     assert abs(report.min_value - 0.5) < 1e-3
     # minimum attained at the inner equator (r = c - R, z = 0)
@@ -237,44 +237,88 @@ def test_scan_torus_pass():
 
 
 def test_scan_torus_fail():
-    report = superharmonicity_scan(Torus(1.8, 1.0), resolution=200)
+    report = superharmonicity_scan(Torus(1.8, 1.0))
     assert report.verdict == "FAIL"
     assert report.min_value < -0.1
 
 
-@pytest.mark.parametrize("ratio", [2.1, 2.5, 3.5, 5.0])
+def _torus_infimum(c, R):
+    return (c - 2 * R) / ((c - R) * R)
+
+
+# the verdict is exact at c = 2R and at the floats on either side of it
+@pytest.mark.parametrize("ratio", [2.1, 2.5, 3.5, 5.0, 2.0, np.nextafter(2.0, 3.0)])
 def test_scan_threshold_pass(ratio):
-    assert superharmonicity_scan(Torus(ratio, 1.0), resolution=120).verdict == "PASS"
+    report = superharmonicity_scan(Torus(ratio, 1.0))
+    assert report.verdict == "PASS"
+    assert report.min_value == _torus_infimum(ratio, 1.0) >= 0.0
+    if ratio == 2.0:
+        assert report.min_value == 0.0
 
 
-@pytest.mark.parametrize("ratio", [1.1, 1.4, 1.7, 1.9])
+@pytest.mark.parametrize("ratio", [1.1, 1.4, 1.7, 1.9, np.nextafter(2.0, 0.0), 2 - 5e-7])
 def test_scan_threshold_fail(ratio):
-    assert superharmonicity_scan(Torus(ratio, 1.0), resolution=120).verdict == "FAIL"
+    report = superharmonicity_scan(Torus(ratio, 1.0))
+    assert report.verdict == "FAIL"
+    assert report.min_value == _torus_infimum(ratio, 1.0) < 0.0
 
 
 def test_scan_disc_and_polygon():
-    assert superharmonicity_scan(Disc((0, 0), 1.0), resolution=100).verdict == "PASS"
-    assert superharmonicity_scan(ConvexPolygon(UNIT_SQUARE), resolution=64).verdict == "PASS"
+    assert superharmonicity_scan(Disc((0, 0), 1.0)).verdict == "PASS"
+    assert superharmonicity_scan(ConvexPolygon(UNIT_SQUARE)).verdict == "PASS"
 
 
 def test_scan_tubular_region():
-    report = superharmonicity_scan(Torus(3.0, 1.0), region=("tubular", 0.2),
-                                   resolution=200)
-    assert report.verdict == "PASS"
-    with pytest.raises(EmptyRegion):
-        superharmonicity_scan(Torus(3.0, 1.0), region=("tubular", 1e-9),
-                              resolution=16)
+    # the infimum lies on the boundary, so every band reaches it: along the
+    # inner equator, points at d -> 0 approach it from above
+    torus = Torus(3.0, 1.0)
+    report = superharmonicity_scan(torus)
+    for t in (1e-2, 1e-4, 1e-8):
+        value = torus.distance_calculus([2.0 + t, 0.0, 0.0]).neg_laplacian_d
+        assert report.min_value <= value <= report.min_value + 2 * t
 
 
-def test_scan_resolution_guard():
-    with pytest.raises(ValueError):
-        superharmonicity_scan(Disc((0, 0), 1.0), resolution=4)
+ORACLE_DOMAINS = [Interval(-0.5, 2.0), ConvexPolygon([(0, 0), (2, 0), (1.5, 1), (0.2, 0.8)]),
+                  Disc((0.1, 0.2), 1.3), Annulus((0.2, 0.1), 0.4, 1.1),
+                  Torus(3.0, 1.0), Torus(1.8, 1.0), Torus(2.0, 1.0)]
+
+
+def _grid(domain, n):
+    """n points per axis over the domain's box."""
+    axes = [np.linspace(a, b, n) for a, b in zip(*domain.box())]
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS, ids=repr)
+def test_infimum_grid_oracle(domain):
+    # a grid over the section, whole and in a band: no closed-form value
+    # off the medial axis lies below the infimum by more than 4 ulps
+    section = domain.section
+    pts = _grid(section, 301)
+    d = section.distance_many(pts)
+    min_value, argmin = section.neg_laplacian_infimum()
+    floor = min_value - 4 * np.spacing(abs(min_value))
+    for keep in (d >= 0, (d > 0) & (d < 0.1 * section.interior_diameter())):
+        _, neg_lap, ridge = section.calculus_many(pts[keep])
+        values = neg_lap[~ridge]
+        assert values.min() >= floor
+        assert values.min() <= min_value + 0.1 * (abs(min_value) + 1)
+    assert section.distance_many(argmin[None, :])[0] == pytest.approx(0, abs=1e-15)
+
+
+def test_infimum_grid_oracle_reads_ulps_below():
+    # rounding puts a fine grid value on an off-centre disc 1 ulp below 1/R,
+    # which is why the oracle allows a few ulps
+    disc = Disc((0.1, 0.2), 1.3)
+    pts = _grid(disc, 401)
+    _, neg_lap, ridge = disc.calculus_many(pts[disc.distance_many(pts) >= 0])
+    assert neg_lap[~ridge].min() == np.nextafter(1 / 1.3, 0)
 
 
 def test_scan_report_serialization():
-    report = superharmonicity_scan(Disc((0, 0), 1.0), resolution=50)
+    report = superharmonicity_scan(Disc((0, 0), 1.0))
     doc = jsonable(report)
-    assert set(doc) >= {"min_value", "argmin", "verdict", "resolution"}
+    assert set(doc) == {"min_value", "argmin", "verdict"}
 
 
 def test_polygon_validation():

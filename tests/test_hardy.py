@@ -92,12 +92,14 @@ def test_convexity_gate():
 
 
 def test_superharmonic_gate():
-    # the fat torus passes the scan, the thin one fails it
+    # the fat torus has -laplacian(d) >= 0, the thin one does not, nor does
+    # a torus 5e-7 short of c = 2R
     spec = lambda_bound(Torus(3, 1), "fmt_weighted", alpha=0.0, beta=0.0)
     assert spec.lam > 0
-    assert "scan PASS" in spec.notes["superharmonic"]
-    with pytest.raises(MethodNotApplicable):
-        lambda_bound(Torus(1.8, 1), "fmt_weighted", alpha=0.0, beta=0.0)
+    assert spec.notes["superharmonic"] == "infimum 0.5 >= 0"
+    for torus in (Torus(1.8, 1), Torus(2 - 5e-7, 1)):
+        with pytest.raises(MethodNotApplicable):
+            lambda_bound(torus, "fmt_weighted", alpha=0.0, beta=0.0)
 
 
 def test_tubular_bound():
@@ -105,12 +107,12 @@ def test_tubular_bound():
     assert abs(spec.lam - 6.0 * 0.25) < 1e-12
     with pytest.raises(MethodNotApplicable):
         lambda_bound(IV, "tubular", alpha=0.0, beta=0.0, delta=0.9)
-    # non-convex domains: the strip scan passes the fat torus and refuses
-    # the thin torus and the annulus, whose -laplacian(d) < 0 near the
-    # inner boundary
+    # non-convex domains: the infimum passes the fat torus and refuses the
+    # thin torus and the annulus, whose -laplacian(d) < 0 near the inner
+    # boundary
     spec = lambda_bound(Torus(3, 1), "tubular", alpha=0.0, beta=0.0, delta=0.25)
     assert abs(spec.lam - 1.5) < 1e-12
-    assert "strip scan PASS" in spec.notes["superharmonic"]
+    assert spec.notes["superharmonic"] == "infimum 0.5 >= 0"
     for domain in (Torus(1.8, 1), Annulus((0, 0), 0.5, 1.0)):
         with pytest.raises(MethodNotApplicable):
             lambda_bound(domain, "tubular", alpha=0.0, beta=0.0, delta=0.25)
