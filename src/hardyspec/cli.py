@@ -132,6 +132,10 @@ def _build_form(sec):
 
 
 def _problem_spec(command, domain, form, form_sec, num_sec, seed):
+    ignored = sorted({"grading", "strip_elements"} & num_sec.data.keys())
+    if ignored and domain.section.dim == 2:
+        raise ConfigError(f"[numerics] {ignored[0]} applies to {command} only on an "
+                          "interval: 2D strips use the uniform template")
     ks = tuple(range(num_sec.get_int("k_min", 2), num_sec.get_int("k_max", 16) + 1))
     try:
         if command == "diagnose":

@@ -7,8 +7,9 @@ Grammar (standard precedence, '^' binds tighter than '*', unary minus allowed):
     factor := '-' factor | base ('^' signed-number)?
     base   := number | ident | '(' expr ')' | func '(' expr (',' expr)* ')'
 
-Identifiers name coordinates (x1, x2, x3 with aliases x, y; r and z for
-axisymmetric problems) or the boundary distance d; `environment` binds them.
+Identifiers name section coordinates (x1, x2 with aliases x, y; r and z
+for axisymmetric problems) or the boundary distance d; `environment` binds
+them.
 Exponents are numeric literals, so d^-1.5 parses as a power with a fixed
 real exponent.
 
@@ -205,29 +206,24 @@ CARTESIAN_NAMES = frozenset({"x", "y", "x1", "x2", "x3"})
 
 
 def environment(pts, d):
-    """The names a coefficient may use at points with coordinates on the
-    last axis of pts and boundary distance d: x/x1, y/x2, x3, r, z and d.
-
-    Two coordinates are the (r, z) cross-section of an axisymmetric
-    problem, so r = x and z = y; three are Cartesian, with the cylindrical
-    r = hypot(x, y) and z = x3.
+    """The names a coefficient may use at points of a domain's section,
+    with coordinates on the last axis of pts and boundary distance d:
+    x/x1, y/x2, r, z and d.  Two coordinates may be the (r, z) section of
+    an axisymmetric problem, so r = x and z = y.
     """
     x = pts[..., 0]
     env = {"d": d, "x": x, "x1": x}
-    if pts.shape[-1] >= 2:
+    if pts.shape[-1] == 2:
         y = pts[..., 1]
         env.update(y=y, x2=y, r=x, z=y)
-    if pts.shape[-1] == 3:
-        env.update(x3=pts[..., 2], r=np.hypot(x, y), z=pts[..., 2])
     return env
 
 
 def require_axisymmetric(*coefficients):
     """Refuse coefficients that name Cartesian coordinates on a torus.
 
-    Point samples of a torus are 3D, while its pencils live on the (r, z)
-    cross-section where x would mean r; only d, r and z mean the same in
-    both.
+    Every coefficient of a torus problem is evaluated on its (r, z)
+    section, which has no Cartesian coordinates: there x would mean r.
     """
     named = set().union(*(c.variables() for c in coefficients))
     bad = sorted(named & CARTESIAN_NAMES)

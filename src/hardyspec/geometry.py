@@ -57,13 +57,18 @@ class Domain:
         for a torus, whose problems reduce to its (r, z) cross-section."""
         return self
 
+    def to_section(self, pts):
+        """Coordinates of points on the section: themselves, except on a
+        torus."""
+        return pts
+
     # -- membership and distance --------------------------------------------
 
-    def distance(self, p, tol=1e-12):
+    def distance(self, p):
         """Exact distance from an inside point to the boundary."""
         p = _as_point(p, self.dim)
         d = float(self.distance_many(p[None, :])[0])
-        if d < -tol:
+        if d < -1e-12:
             raise PointOutsideDomain(f"point {p.tolist()} lies outside the domain (d={d:.3e})")
         return max(d, 0.0)
 
@@ -85,18 +90,19 @@ class Domain:
         rho = RIDGE_TOL.  No membership check."""
         raise NotImplementedError
 
-    def distance_calculus(self, p, h=None, method="auto", tol=1e-12):
+    def distance_calculus(self, p, h=None, method="closed_form"):
         """Gradient and -laplacian of d at one point.
 
-        method: "auto" and "closed_form" take the closed form;
-        "finite_difference" forces second-order central differences with
-        step h (default 1e-4 * D_int).
+        method: "closed_form", or "finite_difference" for second-order
+        central differences with step h (default 1e-4 * D_int).
         """
+        if method not in ("closed_form", "finite_difference"):
+            raise ValueError(f"unknown method {method!r}")
         p = _as_point(p, self.dim)
-        d = self.distance(p, tol=tol)
+        d = self.distance(p)
         grads, neg_laps, ridges = self.calculus_many(p[None, :])
         ridge = bool(ridges[0])
-        if method in ("auto", "closed_form"):
+        if method == "closed_form":
             grad, neg_lap, provenance = grads[0], float(neg_laps[0]), "closed_form"
         else:
             if h is None:
@@ -179,10 +185,11 @@ class Interval(Domain):
 
 
 def _radius(pts, center):
-    """Distance of 2D points from center: bitwise the row-wise
-    np.linalg.norm, and about twice as fast."""
-    x, y = (np.asarray(pts, dtype=float).reshape(-1, 2) - center).T
-    return np.sqrt(x * x + y * y)
+    """Offsets v of 2D points from center (one, or one per point) and their
+    lengths rho: bitwise the row-wise np.linalg.norm, and about twice as
+    fast."""
+    v = np.asarray(pts, dtype=float).reshape(-1, 2) - center
+    return v, np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
 
 
 class Disc(Domain):
@@ -199,19 +206,22 @@ class Disc(Domain):
         return f"Disc(center={self.center.tolist()}, radius={self.radius})"
 
     def distance_many(self, pts):
-        return self.radius - _radius(pts, self.center)
+        return self.radius - _radius(pts, self.center)[1]
 
     def box(self):
         return self.center - self.radius, self.center + self.radius
 
     def calculus_many(self, pts):
-        v = np.asarray(pts, dtype=float).reshape(-1, 2) - self.center
-        rho = np.hypot(v[:, 0], v[:, 1])
+        v, rho = _radius(pts, self.center)
         # center of the disc: every boundary point is nearest
         ridge = rho < RIDGE_TOL
         rho = np.maximum(rho, RIDGE_TOL)
         grad = np.where(ridge[:, None], [1.0, 0.0], -v / rho[:, None])
-        return grad, 1.0 / rho, ridge
+        return grad, self._neg_laplacian(pts, rho), ridge
+
+    def _neg_laplacian(self, pts, rho):
+        """-laplacian(d) at points pts at distance rho from the centre."""
+        return 1.0 / rho
 
     def neg_laplacian_infimum(self):
         return 1.0 / self.radius, self.center + [self.radius, 0.0]
@@ -241,15 +251,14 @@ class Annulus(Domain):
         return f"Annulus(center={self.center.tolist()}, r_in={self.r_in}, r_out={self.r_out})"
 
     def distance_many(self, pts):
-        rho = _radius(pts, self.center)
+        rho = _radius(pts, self.center)[1]
         return np.minimum(rho - self.r_in, self.r_out - rho)
 
     def box(self):
         return self.center - self.r_out, self.center + self.r_out
 
     def calculus_many(self, pts):
-        v = np.asarray(pts, dtype=float).reshape(-1, 2) - self.center
-        rho = np.hypot(v[:, 0], v[:, 1])
+        v, rho = _radius(pts, self.center)
         inner = rho - self.r_in
         outer = self.r_out - rho
         sign = np.where(inner <= outer, 1.0, -1.0)
@@ -324,8 +333,8 @@ class ConvexPolygon(Domain):
         seg_d, proj = self._edge_distances(p)
         nearest = np.argmin(seg_d, axis=1)
         two = np.sort(seg_d, axis=1)[:, :2]
-        v = p - proj[np.arange(len(p)), nearest]
-        r = np.hypot(v[:, 0], v[:, 1])[:, None]
+        v, r = _radius(p, proj[np.arange(len(p)), nearest])
+        r = r[:, None]
         grad = np.where(r > RIDGE_TOL, v / np.maximum(r, RIDGE_TOL),
                         self._normals[nearest])
         # d is a min of affine functions: Laplacian vanishes off the ridge
@@ -388,41 +397,31 @@ class Torus(Domain):
     def __repr__(self):
         return f"Torus(c={self.c}, R={self.R})"
 
-    @property
+    @cached_property
     def section(self):
         return TorusSection((self.c, 0.0), self.R)
 
-    def cross_section(self, pts):
+    def to_section(self, pts):
         """Cylindrical (r, z) coordinates of 3D points, shape (N, 2)."""
         p = np.asarray(pts, dtype=float).reshape(-1, 3)
-        r = np.hypot(p[:, 0], p[:, 1])
-        return np.column_stack([r, p[:, 2]])
-
-    def _rho(self, pts):
-        rz = self.cross_section(pts)
-        return np.hypot(rz[:, 0] - self.c, rz[:, 1])
+        return np.column_stack([np.hypot(p[:, 0], p[:, 1]), p[:, 2]])
 
     def distance_many(self, pts):
-        return self.R - self._rho(pts)
+        return self.section.distance_many(self.to_section(pts))
 
     def box(self):
         s = self.c + self.R
         return np.array([-s, -s, -self.R]), np.array([s, s, self.R])
 
     def calculus_many(self, pts):
+        """The section's calculus at (r, z); the gradient is carried back by
+        d/dx = (x / r) d/dr and d/dy = (y / r) d/dr.  On the core circle the
+        section's ridge branch d/dr = 1 is taken."""
         p = np.asarray(pts, dtype=float).reshape(-1, 3)
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        r = np.hypot(x, y)
-        rho = np.hypot(r - self.c, z)
-        # core circle: nearest boundary point is non-unique
-        ridge = rho < RIDGE_TOL
-        rho = np.maximum(rho, RIDGE_TOL)
-        radial = -(r - self.c)
-        grad = np.where(ridge[:, None],
-                        np.column_stack([x / r, y / r, np.zeros(len(p))]),
-                        np.column_stack([radial * x / (r * rho), radial * y / (r * rho),
-                                         -z / rho]))
-        return grad, (2 * r - self.c) / (r * rho), ridge
+        rz = self.to_section(p)
+        grad, neg_lap, ridge = self.section.calculus_many(rz)
+        xy = grad[:, :1] * p[:, :2] / rz[:, :1]
+        return np.column_stack([xy, grad[:, 1]]), neg_lap, ridge
 
     def interior_diameter(self):
         return 2 * self.R
@@ -445,12 +444,9 @@ class TorusSection(Disc):
 
     measure_weight = "r"
 
-    def calculus_many(self, pts):
-        grad, _, ridge = super().calculus_many(pts)
-        r, z = np.asarray(pts, dtype=float).reshape(-1, 2).T
-        c = self.center[0]
-        rho = np.maximum(np.hypot(r - c, z), RIDGE_TOL)
-        return grad, (2 * r - c) / (r * rho), ridge
+    def _neg_laplacian(self, pts, rho):
+        r = np.asarray(pts, dtype=float).reshape(-1, 2)[:, 0]
+        return (2 * r - self.center[0]) / (r * rho)
 
     def neg_laplacian_infimum(self):
         # at the inner equator (c - R, 0) both (2r - c)/r and 1/rho are

@@ -15,19 +15,6 @@ DIRICHLET = "dirichlet"
 ROBIN = "robin"
 
 
-@dataclass
-class StripSpec:
-    """Tubular band {x : delta_out < d(x) < delta_in}; touches the boundary
-    when delta_out = 0.  The inner interface (d = delta_in) is clamped."""
-
-    delta_out: float
-    delta_in: float
-
-    def __post_init__(self):
-        if not 0 <= self.delta_out < self.delta_in:
-            raise ValueError("need 0 <= delta_out < delta_in")
-
-
 class _Mesh:
     """The interface both mesh types share: nodes as `points` (n, dim) with
     their boundary distances `node_d`, `elements` (m, dim + 1) of node
@@ -501,28 +488,27 @@ def nested(mesh, levels, steps=1):
 # strips
 # ---------------------------------------------------------------------------
 
-def restrict_to_strip(mesh, strip):
-    """Submesh of elements whose barycenter lies in the strip; nodes cut at
-    the inner interface are clamped, boundary nodes keep their tags."""
+def restrict_to_strip(mesh, delta):
+    """Submesh of elements whose barycenter lies in the boundary strip
+    {0 < d < delta}; nodes cut at the inner interface d = delta are clamped,
+    boundary nodes keep their tags."""
     sup_d = mesh.domain.interior_diameter() / 2.0
-    if strip.delta_in > sup_d + 1e-12:
-        raise ValueError(f"delta_in={strip.delta_in} exceeds sup d = {sup_d}")
+    if not 0 < delta <= sup_d + 1e-12:
+        raise ValueError(f"strip width {delta} lies outside (0, sup d = {sup_d}]")
 
     elems = mesh.elements
     bary_d = np.maximum(mesh.domain.distance_many(mesh.barycenters()), 0.0)
-    keep = (bary_d > strip.delta_out) & (bary_d < strip.delta_in)
+    keep = (bary_d > 0) & (bary_d < delta)
     kept = np.where(keep)[0]
     if len(kept) < 4:
-        raise StripTooThin(
-            f"strip ({strip.delta_out}, {strip.delta_in}) contains only "
-            f"{len(kept)} elements; need at least 4 layers")
+        raise StripTooThin(f"strip {{0 < d < {delta}}} contains only "
+                           f"{len(kept)} elements; need at least 4 layers")
     # resolvability: each quarter of the band must hold an element
-    edges_q = np.linspace(strip.delta_out, strip.delta_in, 5)
+    edges_q = np.linspace(0.0, delta, 5)
     band = np.clip(np.searchsorted(edges_q, bary_d[kept], side="right") - 1, 0, 3)
     if len(np.unique(band)) < 4:
-        raise StripTooThin(
-            f"strip ({strip.delta_out}, {strip.delta_in}) is not resolved by "
-            "4 element layers")
+        raise StripTooThin(f"strip {{0 < d < {delta}}} is not resolved by "
+                           "4 element layers")
 
     kept_elems = elems[kept]
     used = np.unique(kept_elems)
@@ -533,7 +519,7 @@ def restrict_to_strip(mesh, strip):
 
     node_d = mesh.node_d[used]
     tags = {int(index[old]): t for old, t in mesh.node_tags.items() if index[old] >= 0}
-    interface = np.isin(used, elems[~keep]) | (node_d >= strip.delta_in - 1e-12)
+    interface = np.isin(used, elems[~keep]) | (node_d >= delta - 1e-12)
     tags.update(dict.fromkeys(np.flatnonzero(interface).tolist(), DIRICHLET))
 
     if isinstance(mesh, Mesh1D):

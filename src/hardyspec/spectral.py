@@ -18,11 +18,12 @@ from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval, Torus
 from .hardy import kappa
-from .meshing import (DIRICHLET, StripSpec, build_trimesh, feasible_grading,
-                      grading_floor, mesh_1d_with_level, restrict_to_strip)
+from .meshing import (build_trimesh, feasible_grading, grading_floor,
+                      mesh_1d_with_level, restrict_to_strip)
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
+FORM_LEVELS = 2         # nested bisections of the form check's strip mesh
 MAX_DRAW = 400000       # Halton indices tried for strip samples
 
 
@@ -107,7 +108,7 @@ def strip_mesh(problem, k):
         # knob refines tangentially as well, which balloons strip pencils
         h = max(delta / 8, domain.interior_diameter() / 256)
         mesh = build_trimesh(domain, h, 1.0, reach=delta)
-    return restrict_to_strip(mesh, StripSpec(0.0, delta))
+    return restrict_to_strip(mesh, delta)
 
 
 @dataclass
@@ -174,7 +175,7 @@ def persson_sequence(problem):
 
 @dataclass
 class CriterionReport:
-    criterion: str                 # "pointwise", "form_h10" or "form_free_inner"
+    criterion: str                 # "pointwise" or "form_h10"
     verdict: str                   # "PASS" or "FAIL"
     worst_margin: float
     worst_point: tuple
@@ -194,23 +195,24 @@ def _halton(idx, base):
 
 
 def _halton_points(domain, lo, hi, n_keep, d_max):
-    """Deterministic low-discrepancy points with 0 < d < d_max."""
+    """Deterministic low-discrepancy points with 0 < d < d_max, and their d."""
     bases = (2, 3, 5)[:len(lo)]
     kept = 0
     batch = max(4 * n_keep, 1024)
     start = 1
-    out = []
+    out, out_d = [], []
     while kept < n_keep and start < MAX_DRAW:
         idx = np.arange(start, start + batch)
         p = lo + np.column_stack([_halton(idx, b) for b in bases]) * (hi - lo)
         d = domain.distance_many(p)
         good = (d > 0) & (d < d_max)
         out.append(p[good])
+        out_d.append(d[good])
         kept += int(good.sum())
         start += batch
     if kept == 0:
         raise StripTooThin(f"no sample point landed in the strip 0 < d < {d_max}")
-    return np.vstack(out)[:n_keep]
+    return np.vstack(out)[:n_keep], np.concatenate(out_d)[:n_keep]
 
 
 def check_pointwise_criterion(problem):
@@ -219,16 +221,15 @@ def check_pointwise_criterion(problem):
         q_-(x) <= (1 - gamma) [kappa(beta) d^(beta-2) + lam d^alpha]
 
     sampled on a deterministic low-discrepancy set of the strip
-    {0 < d < 1/k0}.
+    {0 < d < 1/k0}, drawn in the domain and evaluated on its section.
     """
     lam, alpha, beta = problem.lam, problem.alpha, problem.beta
     kap = kappa(beta)
 
     lo, hi = problem.domain.box()
-    pts = _halton_points(problem.domain, lo, hi, problem.samples, 1.0 / problem.k0)
-    d = problem.domain.distance_many(pts)
+    pts, d = _halton_points(problem.domain, lo, hi, problem.samples, 1.0 / problem.k0)
 
-    env = environment(pts, d)
+    env = environment(problem.domain.to_section(pts), d)
     q_minus = np.broadcast_to(problem.form.q.negative_part().evaluate(env), d.shape)
     allowed = (1 - problem.gamma) * (kap * d ** (beta - 2) + lam * d ** alpha)
     margin = allowed - q_minus
@@ -241,39 +242,33 @@ def check_pointwise_criterion(problem):
                             "lambda": lam, "alpha": alpha, "gamma": problem.gamma})
 
 
-def check_form_nonnegativity(problem, k=None, bc="h10", levels=2):
+def check_form_nonnegativity(problem):
     """Nonnegativity of (1-gamma) * diffusion energy minus the negative-part
-    potential on the strip {d < 1/k}, as a generalized eigenvalue problem.
-
-    bc "h10" clamps the whole strip boundary; "free_inner" clamps only the
-    outer boundary and leaves the inner interface free.  PASS means the
-    refined minimum stays above -tol; supercritical data reveal themselves
-    by minima diverging to minus infinity under refinement.
+    potential on the strip {d < 1/k0}, clamped on its whole boundary, as a
+    generalized eigenvalue problem on FORM_LEVELS nested bisections of the
+    strip mesh.  PASS means the refined minimum stays above -tol;
+    supercritical data reveal themselves by minima diverging to minus
+    infinity under refinement.
     """
-    k = problem.k0 if k is None else k
     q_minus = problem.form.q.negative_part()
     check_form = FormSpec(a=constant(1.0 - problem.gamma) * problem.form.a,
                           q=-q_minus, beta=problem.form.beta)
 
-    sub = strip_mesh(problem, k)
-    if bc == "free_inner":
-        sub.node_tags = {i: t for i, t in sub.node_tags.items()
-                         if not (t == DIRICHLET and sub.node_d[i] > 1e-9)}
     def pencil(mesh):
         return assemble_pencil(mesh, check_form, 1.0)
 
     # nested bisection keeps the ladder monotone (1D strips only; curved
     # 2D strips would need re-restriction)
-    dofs, minima = map(list, zip(*ladder(sub, levels + 1, 1, pencil,
+    dofs, minima = map(list, zip(*ladder(strip_mesh(problem, problem.k0),
+                                         FORM_LEVELS + 1, 1, pencil,
                                          tol=problem.tol, seed=problem.seed)))
 
     final = minima[-1]
     verdict = "PASS" if final >= -FORM_TOL else "FAIL"
     diverging = len(minima) >= 2 and final < -FORM_TOL \
         and final < 2.0 * minima[0]
-    return CriterionReport("form_h10" if bc == "h10" else "form_free_inner",
-                           verdict, final, (), FORM_TOL,
-                           {"k": k, "minima": minima, "dofs": dofs,
+    return CriterionReport("form_h10", verdict, final, (), FORM_TOL,
+                           {"k": problem.k0, "minima": minima, "dofs": dofs,
                             "diverging": bool(diverging), "gamma": problem.gamma})
 
 
@@ -317,7 +312,7 @@ def discreteness_diagnostic(problem):
         return DiagnosticReport("INCONCLUSIVE", pointwise, None, None, None,
                                 required, False,
                                 "pointwise criterion failed at stage 1")
-    form = check_form_nonnegativity(problem, problem.k0)
+    form = check_form_nonnegativity(problem)
     if form.verdict != "PASS":
         return DiagnosticReport("INCONCLUSIVE", pointwise, form, None, None,
                                 required, False,

@@ -131,13 +131,13 @@ def test_criterion_6_persson_exhaustion():
 def test_criterion_7_dichotomy():
     sub = hs.check_form_nonnegativity(
         hs.ProblemSpec(domain=IV, form=hs.FormSpec(a=1.0, q="-0.125*d^-2", beta=0.0),
-                       gamma=0.5, ks=(2,)), k=2, levels=2)
+                       gamma=0.5, ks=(2,)))
     assert sub.verdict == "PASS"
     assert all(m >= -1e-4 for m in sub.detail["minima"])
 
     sup = hs.check_form_nonnegativity(
         hs.ProblemSpec(domain=IV, form=hs.FormSpec(a=1.0, q="-0.3*d^-2", beta=0.0),
-                       gamma=0.5, ks=(2,)), k=2, levels=2)
+                       gamma=0.5, ks=(2,)))
     assert sup.verdict == "FAIL"
     minima = sup.detail["minima"]
     assert minima[-1] < 10 * minima[0] < 0  # factor > 10 downward

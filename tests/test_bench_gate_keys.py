@@ -98,7 +98,8 @@ def test_bench_gate_keys_present(worker, tmp_path):
         assert set(obs["files"]) == set(reference["files"]), workload
 
 
-@pytest.mark.parametrize("workload", ["diagnose-interval", "spectrum-disc-write"])
+@pytest.mark.parametrize("workload", ["diagnose-interval", "diagnose-torus",
+                                      "spectrum-disc-write"])
 def test_bench_config_passes_the_gate(worker, tmp_path, workload):
     # the real config, checked as a bench call is: a changed pencil byte
     # moves the export digests, a changed assembly the minima

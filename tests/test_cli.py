@@ -332,6 +332,9 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                ("hardy", "[domain]\nvariant = torus\n\n[form]\nbeta = 0.0\n\n"
                          "[numerics]\nh = 0.25\nlevels = 1\nmode = 2\n"),
                ("diagnose", plain + "strip_elements = 0\n"),
+               # strip keys that 2D strips, on the uniform template, never read
+               ("diagnose", torus_diagnose + "grading = 0.3\n"),
+               ("persson", disc + "k_min = 2\nk_max = 4\nstrip_elements = 48\n"),
                ("hardy", hardy.format(extra="lambda = -1")),
                ("hardy", hardy.format(extra="") + "levels = 0\n"),
                # an odd graded ladder mesh, and a zero edge length

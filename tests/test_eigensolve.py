@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from hypothesis import assume, given, settings, strategies as st
 
-from hardyspec import (Disc, FormSpec, Interval, Pencil, StripSpec, Torus,
+from hardyspec import (Disc, FormSpec, Interval, Pencil, Torus,
                        assemble_pencil, build_mesh_1d, build_trimesh,
                        counting_function, restrict_to_strip, smallest_eigenpairs)
 from hardyspec import eigensolve
@@ -718,7 +718,7 @@ def _ladder_meshes(draw):
     if draw(st.booleans()):
         mesh = build_mesh_1d(IV, 2 * draw(st.integers(40, 60)),
                              draw(st.sampled_from((0.8, 0.9, 1.0))))
-        return restrict_to_strip(mesh, StripSpec(0.0, draw(st.sampled_from((0.25, 0.5)))))
+        return restrict_to_strip(mesh, draw(st.sampled_from((0.25, 0.5))))
     return build_trimesh(Disc((0, 0), 1.0), draw(st.sampled_from((0.3, 0.4, 0.5))),
                          draw(st.sampled_from((0.5, 1.0))))
 
@@ -752,7 +752,7 @@ def test_warm_ladder_finds_a_minimum_that_changes_component():
     # right end's potential -430 x^6 holds the minimum of the first level
     # (38 dof), the left end's supercritical -d^-2 (1-x)^6 / 2 that of the
     # last one (158 dof), where the prolonged eigenvector is nearly zero
-    strip = restrict_to_strip(build_mesh_1d(IV, 80, 1.0), StripSpec(0.0, 0.25))
+    strip = restrict_to_strip(build_mesh_1d(IV, 80, 1.0), 0.25)
     form = FormSpec(a=1.0, q="-0.5*d^-2*(1-x)^6-430*x^6")
     warm, cold = _warm_and_cold(strip, form)
     assert cold[0] < -30 and cold[2] < -140

@@ -306,13 +306,37 @@ def test_infimum_grid_oracle(domain):
     assert section.distance_many(argmin[None, :])[0] == pytest.approx(0, abs=1e-15)
 
 
-def test_infimum_grid_oracle_reads_ulps_below():
-    # rounding puts a fine grid value on an off-centre disc 1 ulp below 1/R,
-    # which is why the oracle allows a few ulps
+def test_infimum_grid_oracle_meets_disc_infimum_exactly():
+    # d and -laplacian(d) read one radius per point, so d >= 0 means
+    # rho <= R and 1/rho >= 1/R in floats: a fine grid on an off-centre
+    # disc reaches 1/R and reads nothing below it
     disc = Disc((0.1, 0.2), 1.3)
     pts = _grid(disc, 401)
     _, neg_lap, ridge = disc.calculus_many(pts[disc.distance_many(pts) >= 0])
-    assert neg_lap[~ridge].min() == np.nextafter(1 / 1.3, 0)
+    assert neg_lap[~ridge].min() == 1 / 1.3
+
+
+def test_torus_calculus_is_its_sections():
+    # seeded 3D points, a few on the core circle: d, -laplacian(d) and the
+    # ridge mask are the section's at (r, z), bitwise, and the gradient is
+    # the section's carried back by the cylindrical chain rule
+    torus = Torus(3.0, 1.0)
+    rng = np.random.default_rng(25)
+    theta = rng.uniform(0, 2 * np.pi, 20)
+    core = np.column_stack([3 * np.cos(theta), 3 * np.sin(theta), np.zeros(20)])
+    pts = np.vstack([rng.uniform(*torus.box(), size=(500, 3)), core])
+    rz = np.column_stack([np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]])
+    assert np.array_equal(torus.to_section(pts), rz)
+    section = torus.section
+    assert np.array_equal(torus.distance_many(pts), section.distance_many(rz))
+    grad, neg_lap, ridge = torus.calculus_many(pts)
+    rz_grad, rz_neg_lap, rz_ridge = section.calculus_many(rz)
+    assert np.array_equal(neg_lap, rz_neg_lap)
+    assert np.array_equal(ridge, rz_ridge) and ridge[-20:].all()
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    chain = np.column_stack([rz_grad[:, 0] * np.cos(phi), rz_grad[:, 0] * np.sin(phi),
+                             rz_grad[:, 1]])
+    assert_allclose(grad, chain, rtol=0, atol=1e-15)
 
 
 def test_scan_report_serialization():
@@ -346,3 +370,6 @@ def test_finite_difference_needs_clearance():
     with pytest.raises(TooCloseToBoundary):
         Disc((0, 0), 1.0).distance_calculus([0.999, 0.0], h=0.01,
                                             method="finite_difference")
+    # an unknown method, "auto" among them, is refused, not run as differences
+    with pytest.raises(ValueError):
+        Disc((0, 0), 1.0).distance_calculus([0.5, 0.0], method="auto")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, StripSpec,
+from hardyspec import (Annulus, ConvexPolygon, Disc, Interval,
                        Torus, TorusSection, build_mesh_1d, build_trimesh,
                        mesh_1d_with_level, refine_mesh_1d, refine_trimesh,
                        restrict_to_strip)
@@ -162,7 +162,7 @@ def test_area_sum_within_tolerance():
 
 def test_restrict_two_components():
     mesh = build_mesh_1d(Interval(0, 1), 64, 0.85)
-    sub = restrict_to_strip(mesh, StripSpec(0.0, 0.25))
+    sub = restrict_to_strip(mesh, 0.25)
     bary = sub.barycenters()
     d = np.minimum(bary, 1 - bary)
     assert np.all(d < 0.25)
@@ -179,7 +179,7 @@ def test_restrict_two_components():
 
 def test_restrict_whole_mesh():
     mesh = build_mesh_1d(Interval(0, 1), 64, 0.85)
-    sub = restrict_to_strip(mesh, StripSpec(0.0, 0.5))
+    sub = restrict_to_strip(mesh, 0.5)
     assert len(sub.elements) == 64
     # the midpoint sits on the inner interface and is clamped
     mid = int(np.argmin(np.abs(sub.nodes - 0.5)))
@@ -189,13 +189,17 @@ def test_restrict_whole_mesh():
 def test_strip_too_thin():
     mesh = build_mesh_1d(Interval(0, 1), 16, 1.0)
     with pytest.raises(StripTooThin):
-        restrict_to_strip(mesh, StripSpec(0.0, 0.01))
+        restrict_to_strip(mesh, 0.01)
+    # a width outside (0, sup d] is refused
+    for delta in (0.0, -0.25, 0.5 + 1e-9):
+        with pytest.raises(ValueError):
+            restrict_to_strip(mesh, delta)
 
 
 def test_strip_nesting():
     mesh = build_mesh_1d(Interval(0, 1), 128, 0.85)
-    inner = restrict_to_strip(mesh, StripSpec(0.0, 0.125))
-    outer = restrict_to_strip(mesh, StripSpec(0.0, 0.25))
+    inner = restrict_to_strip(mesh, 0.125)
+    outer = restrict_to_strip(mesh, 0.25)
     inner_elems = {(round(mesh_x, 14), round(mesh_y, 14))
                    for mesh_x, mesh_y in inner.nodes[inner.elements]}
     outer_elems = {(round(mesh_x, 14), round(mesh_y, 14))
@@ -205,7 +209,7 @@ def test_strip_nesting():
 
 def test_restrict_trimesh():
     mesh = build_trimesh(Disc((0, 0), 1.0), 0.05, 1.0)
-    sub = restrict_to_strip(mesh, StripSpec(0.0, 0.3))
+    sub = restrict_to_strip(mesh, 0.3)
     d = np.maximum(mesh.domain.distance_many(sub.barycenters()), 0)
     assert np.all(d < 0.3)
     assert np.all(sub.areas() > 0)
@@ -340,8 +344,7 @@ def test_truncated_strip_matches_whole_mesh(domain):
         problem = ProblemSpec(domain, FormSpec(a=1.0, q=0.0), 0.5, ks=(k,))
         h = max(1 / (8 * k), section.interior_diameter() / 256)
         try:
-            oracle = restrict_to_strip(build_trimesh(section, h, 1.0),
-                                       StripSpec(0.0, 1 / k))
+            oracle = restrict_to_strip(build_trimesh(section, h, 1.0), 1 / k)
         except (StripTooThin, ValueError) as exc:
             with pytest.raises(type(exc)):
                 strip_mesh(problem, k)
@@ -444,8 +447,7 @@ def test_refine_trimesh_matches_dict_oracle():
               build_trimesh(Annulus((0, 0), 0.5, 1.0), 0.12, 0.5),
               build_trimesh(square, 0.25, 1.0),
               build_trimesh(ConvexPolygon([(0, 0), (2, 0), (0.5, 1.5)]), 0.2, 0.5),
-              restrict_to_strip(build_trimesh(Disc((3, 0), 1.0), 0.1, 1.0),
-                                StripSpec(0.0, 0.3))]
+              restrict_to_strip(build_trimesh(Disc((3, 0), 1.0), 0.1, 1.0), 0.3)]
     for mesh in meshes:
         new = old = mesh
         for _ in range(2):
@@ -468,8 +470,7 @@ def test_parents_lift_linear_functions():
     torus_disc = Torus(3.0, 1.0).section
     meshes = [build_mesh_1d(Interval(0, 1), 32, 0.5),
               build_trimesh(Disc((0.3, -0.2), 0.7), 0.15, 0.5),
-              restrict_to_strip(build_trimesh(torus_disc, 0.1, 1.0),
-                                StripSpec(0.0, 0.3))]
+              restrict_to_strip(build_trimesh(torus_disc, 0.1, 1.0), 0.3)]
     for coarse in meshes:
         f = lambda pts: 0.3 + pts @ np.array([1.7, -0.9][:coarse.dim])
         fine, parents = list(nested(coarse, 2, 2))[1]

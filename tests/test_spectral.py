@@ -45,9 +45,12 @@ def test_halton_points_match_scalar_oracle():
         cols = [[_halton_scalar(i, b) for i in idx] for b in (2, 3, 5)[:len(lo)]]
         p = lo + np.column_stack(cols) * (hi - lo)
         d = domain.distance_many(p)
-        oracle = p[(d > 0) & (d < d_max)][:n_keep]
+        keep = (d > 0) & (d < d_max)
+        oracle, oracle_d = p[keep][:n_keep], d[keep][:n_keep]
         assert len(oracle) == n_keep
-        assert np.array_equal(_halton_points(domain, lo, hi, n_keep, d_max), oracle)
+        pts, pts_d = _halton_points(domain, lo, hi, n_keep, d_max)
+        assert np.array_equal(pts, oracle)
+        assert np.array_equal(pts_d, oracle_d)
 
 
 def test_persson_laplacian_matches_strip_modes():
@@ -140,21 +143,21 @@ def test_pointwise_deterministic():
 def test_form_subcritical_boundary_case():
     # 0.125 = (1 - gamma) kappa(0): the form stays nonnegative
     prob = _problem(1.0, "-0.125*d^-2", 0.0, 0.5, (2,))
-    rep = check_form_nonnegativity(prob, k=2, levels=2)
+    rep = check_form_nonnegativity(prob)
     assert rep.verdict == "PASS"
     assert all(m >= -1e-4 for m in rep.detail["minima"])
 
 
 def test_form_trivial_pass_for_nonnegative_q():
     prob = _problem(1.0, "d", 0.0, 0.5, (2,))
-    rep = check_form_nonnegativity(prob, k=2, levels=1)
+    rep = check_form_nonnegativity(prob)
     assert rep.verdict == "PASS"
     assert rep.worst_margin > 0
 
 
 def test_form_supercritical_blowdown():
     prob = _problem(1.0, "-0.3*d^-2", 0.0, 0.5, (2,))
-    rep = check_form_nonnegativity(prob, k=2, levels=2)
+    rep = check_form_nonnegativity(prob)
     assert rep.verdict == "FAIL"
     minima = rep.detail["minima"]
     assert minima[-1] < 0
@@ -162,18 +165,11 @@ def test_form_supercritical_blowdown():
     assert rep.detail["diverging"]
 
 
-def test_form_free_inner_variant():
-    prob = _problem(1.0, "-0.125*d^-2", 0.0, 0.5, (2,))
-    rep = check_form_nonnegativity(prob, k=2, bc="free_inner", levels=1)
-    assert rep.criterion == "form_free_inner"
-    assert rep.verdict == "PASS"
-
-
 def test_criterion_consistency():
     # pointwise PASS at lambda = 0 implies the form check passes too
     prob = _problem(1.0, "-0.11*d^-2", 0.0, 0.5, (2,))
     assert check_pointwise_criterion(prob).verdict == "PASS"
-    assert check_form_nonnegativity(prob, k=2, levels=1).verdict == "PASS"
+    assert check_form_nonnegativity(prob).verdict == "PASS"
 
 
 def test_diagnostic_weighted_discrete():
@@ -269,14 +265,14 @@ def test_torus_criteria_subcritical():
                        form=FormSpec(a=1.0, q="-0.1*d^-2", beta=0.0),
                        gamma=0.5, ks=(2,), samples=3000)
     assert check_pointwise_criterion(prob).verdict == "PASS"
-    rep = check_form_nonnegativity(prob, k=2, levels=1)
+    rep = check_form_nonnegativity(prob)
     assert rep.verdict == "PASS"
     assert all(m >= -1e-4 for m in rep.detail["minima"])
 
 
 def test_torus_refuses_cartesian_coefficients():
-    # the pointwise check samples the torus in 3D while its strip pencils
-    # live on the (r, z) cross-section, where x would mean r
+    # every torus coefficient is evaluated on the (r, z) section, where x
+    # would mean r
     from hardyspec import Torus
     from hardyspec.errors import NotAxisymmetric
     torus = Torus(3.0, 1.0)
