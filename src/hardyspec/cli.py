@@ -132,10 +132,6 @@ def _build_form(sec):
 
 
 def _problem_spec(command, domain, form, form_sec, num_sec, seed):
-    ignored = sorted({"grading", "strip_elements"} & num_sec.data.keys())
-    if ignored and domain.section.dim == 2:
-        raise ConfigError(f"[numerics] {ignored[0]} applies to {command} only on an "
-                          "interval: 2D strips use the uniform template")
     ks = tuple(range(num_sec.get_int("k_min", 2), num_sec.get_int("k_max", 16) + 1))
     try:
         if command == "diagnose":
@@ -145,7 +141,7 @@ def _problem_spec(command, domain, form, form_sec, num_sec, seed):
             gamma=form_sec.get_float("gamma", 0.5),
             ks=ks,
             k0=num_sec.get_int("k0"),
-            strip_elements=num_sec.get_int("strip_elements", 96),
+            strip_elements=num_sec.get_int("strip_elements"),
             grading=num_sec.get_float("grading"),
             samples=num_sec.get_int("samples", 10000),
             lam=form_sec.get_float("lambda", 0.0),

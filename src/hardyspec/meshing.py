@@ -245,45 +245,14 @@ def refine_mesh_1d(mesh):
 # 2D meshes
 # ---------------------------------------------------------------------------
 
-def _is_axis_rectangle(domain):
-    if not isinstance(domain, ConvexPolygon) or len(domain.vertices) != 4:
-        return False
-    e = np.roll(domain.vertices, -1, axis=0) - domain.vertices
-    return all(abs(vx) < 1e-14 or abs(vy) < 1e-14 for vx, vy in e)
-
-
-def _structured_rectangle(domain, h):
-    v = domain.vertices
-    xs, ys = np.unique(v[:, 0]), np.unique(v[:, 1])
-    x0, x1 = xs[0], xs[-1]
-    y0, y1 = ys[0], ys[-1]
-    nx = max(1, int(np.ceil((x1 - x0) / h - 1e-9)))
-    ny = max(1, int(np.ceil((y1 - y0) / h - 1e-9)))
-    gx = np.linspace(x0, x1, nx + 1)
-    gy = np.linspace(y0, y1, ny + 1)
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    idx = lambda i, j: i * (ny + 1) + j
-    # two triangles per cell (i, j), j running fastest
-    i, j = np.arange(nx)[:, None], np.arange(ny)
-    tris = np.stack([idx(i, j), idx(i + 1, j), idx(i + 1, j + 1),
-                     idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)], axis=-1)
-    # bottom and top edges in turn along x, then right and left along y
-    i = i[:, 0]
-    ends = np.concatenate([
-        np.stack([idx(i, 0), idx(i + 1, 0), idx(i + 1, ny), idx(i, ny)], axis=1).ravel(),
-        np.stack([idx(nx, j), idx(nx, j + 1), idx(0, j + 1), idx(0, j)], axis=1).ravel()])
-    edges = [(a, b, DIRICHLET) for a, b in ends.reshape(-1, 2).tolist()]
-    tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    return TriMesh(points, tris.reshape(-1, 3), edges, tags, domain)
-
-
 def _boundary_polyline(domain, spacing):
-    """Closed loop of boundary nodes with roughly the requested spacing."""
-    if isinstance(domain, Disc):
-        m = max(8, int(np.ceil(2 * np.pi * domain.radius / spacing)))
+    """Closed loop of boundary nodes with roughly the requested spacing; the
+    outer circle of an annulus."""
+    if isinstance(domain, (Disc, Annulus)):
+        radius = domain.r_out if isinstance(domain, Annulus) else domain.radius
+        m = max(8, int(np.ceil(2 * np.pi * radius / spacing)))
         th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-        return domain.center + domain.radius * np.column_stack([np.cos(th), np.sin(th)])
+        return domain.center + radius * np.column_stack([np.cos(th), np.sin(th)])
     if isinstance(domain, ConvexPolygon):
         pts = []
         v = domain.vertices
@@ -310,53 +279,81 @@ def _layer_depths(depth, h, grading):
     return np.asarray(levels)
 
 
-def _cell_triangles(n_loops, m, split):
+def _cell_triangles(n_loops, m):
     """Two triangles per cell between consecutive loops of m nodes (loop k
     holds nodes k*m .. k*m + m - 1), loop by loop, then around each loop.
-    The corners 0..3 of cell (k, i) are (k, i), (k, i+1), (k+1, i) and
-    (k+1, i+1), and `split` lists the six corners of its two triangles."""
+    Cell (k, i) has corners (k, i), (k, i+1), (k+1, i) and (k+1, i+1), and
+    is cut along its diagonal from (k, i) to (k+1, i+1)."""
     i = np.arange(m)
     j = np.roll(i, -1)
     base = m * np.arange(n_loops - 1)[:, None, None]
     corners = base + np.stack([i, j, i + m, j + m], axis=-1)
-    return corners[..., split].reshape(-1, 3)
+    return corners[..., [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
 
 
 def _ring_mesh(domain, h, grading, reach=None):
-    """Rings of scaled boundary polylines collapsing onto an interior center.
+    """Rings of scaled boundary polylines.  On a disc or convex polygon they
+    collapse onto an interior center; on an annulus the outer circle's loop
+    is scaled down to the inner circle, the last ring, whose edges are
+    clamped too.
 
     With a reach, the rings stop at the first one whose nodes all have
     d >= reach, and there is no center.  On a convex domain d is concave
     and largest at the center, so every triangle deeper than that ring has
     its barycenter at d >= reach: a strip {d < reach} cut from the whole
-    mesh keeps none of them."""
+    mesh keeps none of them.  An annulus grows a second band the same way
+    outward from its inner circle; the rings between the bands are never
+    built."""
     spacing = h * (0.75 * grading if grading < 1 else 1.0)
     loop = _boundary_polyline(domain, spacing)
     m = len(loop)
-    if isinstance(domain, Disc):
-        center = domain.center
-    else:
+    if isinstance(domain, ConvexPolygon):
         center = domain.chebyshev_center()
+    else:
+        center = domain.center
     # levels measured along rays from the center: the radial leg of a cell
     # at the boundary is then exactly the first level everywhere
     depth = float(np.linalg.norm(loop - center, axis=1).max())
-    levels = _layer_depths(depth, h, grading)
-    rings, ring_d = [], []
-    for s in 1.0 - levels / depth:
-        rings.append(center + s * (loop - center))
-        ring_d.append(np.maximum(domain.distance_many(rings[-1]), 0.0))
-        if reach is not None and ring_d[-1].min() >= reach:
-            break
-    tris = _cell_triangles(len(rings), m, [0, 1, 3, 0, 3, 2])
-    if len(rings) == len(levels):
+    if isinstance(domain, Annulus):
+        # graded from each circle toward the middle ring
+        half = (domain.r_out - domain.r_in) / 2
+        lo = _layer_depths(half, h, grading)
+        levels = np.concatenate([lo, [half], 2 * half - lo[::-1]])
+    else:
+        levels = _layer_depths(depth, h, grading)
+    scales = 1.0 - levels / depth
+
+    def band(ring_scales):
+        rings, ring_d = [], []
+        for s in ring_scales:
+            rings.append(center + s * (loop - center))
+            ring_d.append(np.maximum(domain.distance_many(rings[-1]), 0.0))
+            if reach is not None and ring_d[-1].min() >= reach:
+                break
+        return rings, ring_d
+
+    rings, ring_d = band(scales)
+    outer = len(rings)
+    if isinstance(domain, Annulus):
+        inner, inner_d = band(scales[outer:][::-1])
+        rings += inner[::-1]
+        ring_d += inner_d[::-1]
+    tris = _cell_triangles(len(rings), m)
+    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
+    if isinstance(domain, Annulus):
+        if len(rings) < len(scales):
+            # no cells across the gap between the two bands
+            tris = np.delete(tris, np.s_[2 * m * (outer - 1):2 * m * outer], axis=0)
+        base = (len(rings) - 1) * m
+        edges += [(base + i, base + (i + 1) % m, DIRICHLET) for i in range(m)]
+    elif len(rings) == len(scales):
         # no cut: the innermost ring fans onto the center
         i = np.arange((len(rings) - 1) * m, len(rings) * m)
         fan = np.column_stack([i, np.roll(i, -1), np.full(m, len(rings) * m)])
         tris = np.vstack([tris, fan])
         rings.append(center[None, :])
         ring_d.append(np.maximum(domain.distance_many(rings[-1]), 0.0))
-    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
-    tags = {i: DIRICHLET for i in range(m)}
+    tags = {i: DIRICHLET for e in edges for i in e[:2]}
     mesh = TriMesh(np.vstack(rings), tris, edges, tags, domain,
                    np.concatenate(ring_d))
     if np.any(mesh.areas() <= 0):
@@ -364,44 +361,18 @@ def _ring_mesh(domain, h, grading, reach=None):
     return mesh
 
 
-def _annulus_mesh(domain, h, grading):
-    spacing = h * (0.75 * grading if grading < 1 else 1.0)
-    m = max(8, int(np.ceil(2 * np.pi * domain.r_out / spacing)))
-    width = domain.r_out - domain.r_in
-    n_rad = max(2, int(np.ceil(width / h)))
-    if grading == 1.0:
-        radii = np.linspace(domain.r_in, domain.r_out, n_rad + 1)
-    else:
-        lo = _layer_depths(width / 2, h, grading)
-        radii = np.unique(np.concatenate([
-            domain.r_in + lo, [domain.r_in + width / 2], domain.r_out - lo]))
-    th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-    ring = np.column_stack([np.cos(th), np.sin(th)])
-    points = np.vstack([domain.center + r * ring for r in radii])
-    tris = _cell_triangles(len(radii), m, [0, 2, 3, 0, 3, 1])
-    inner = [(ring_i, (ring_i + 1) % m, DIRICHLET) for ring_i in range(m)]
-    outer_base = (len(radii) - 1) * m
-    outer = [(outer_base + i, outer_base + (i + 1) % m, DIRICHLET) for i in range(m)]
-    edges = inner + outer
-    tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    mesh = TriMesh(points, tris, edges, tags, domain)
-    if np.any(mesh.areas() <= 0):
-        raise MeshGenerationFailure("annulus template produced an inverted triangle")
-    return mesh
-
-
 def build_trimesh(domain, h, grading=1.0, reach=None):
-    """Conforming triangulation with target interior edge length h.
+    """Conforming triangulation with target interior edge length h, from the
+    ring template (`_ring_mesh`) on a disc, torus section, convex polygon
+    or annulus.
 
     With grading < 1 the elements touching the boundary have diameter at
     most about grading*h (fine tangential spacing plus a thin first layer).
     All boundary edges are clamped (tagged dirichlet) by default.
 
-    A reach > 0 asks only for the band {d < reach}: the ring template of a
-    disc or convex polygon then stops one ring beyond it (see `_ring_mesh`),
-    so `restrict_to_strip` cuts from it the same strip, bitwise, as from
-    the whole mesh.  An annulus and an axis-aligned rectangle are still
-    meshed whole.
+    A reach > 0 asks only for the band {d < reach}: the rings then stop one
+    ring beyond it, from each circle of an annulus, so `restrict_to_strip`
+    cuts from the mesh the same strip, bitwise, as from the whole mesh.
     """
     if domain.dim != 2:
         raise TypeError("build_trimesh needs a 2D domain")
@@ -412,11 +383,7 @@ def build_trimesh(domain, h, grading=1.0, reach=None):
     if h > domain.interior_diameter() / 4 + 1e-12:
         raise MeshGenerationFailure(
             f"h={h} too coarse: need h <= D_int/4 = {domain.interior_diameter() / 4}")
-    if isinstance(domain, Annulus):
-        return _annulus_mesh(domain, h, grading)
-    if _is_axis_rectangle(domain) and grading == 1.0:
-        return _structured_rectangle(domain, h)
-    if isinstance(domain, (Disc, ConvexPolygon)):
+    if isinstance(domain, (Disc, ConvexPolygon, Annulus)):
         return _ring_mesh(domain, h, grading, reach)
     raise MeshGenerationFailure(f"unsupported 2D domain {type(domain).__name__}")
 

@@ -36,8 +36,9 @@ class ProblemSpec:
     gamma: float
     ks: tuple = (2, 3, 4, 6, 8, 12, 16)
     k0: int = None
-    strip_elements: int = 96
-    grading: float = None          # default: 0.15 for degenerate data, else uniform
+    strip_elements: int = None     # an interval's only; default: 96
+    grading: float = None          # an interval's only; default: 0.15 for
+                                   # degenerate data, else uniform
     samples: int = 10000
     lam: float = 0.0               # remainder bound used by the pointwise check
     alpha: float = 0.0
@@ -54,7 +55,14 @@ class ProblemSpec:
             raise ValueError("exhaustion indices must be positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.strip_elements < 1:
+        if self.domain.section.dim == 2:
+            for name in ("grading", "strip_elements"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies only on an interval: "
+                                     "2D strips use the uniform template")
+        elif self.strip_elements is None:
+            self.strip_elements = 96
+        elif self.strip_elements < 1:
             raise ValueError("strip_elements must be at least 1")
         power = self.form.a.d_power()
         if power is not None:

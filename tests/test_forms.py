@@ -351,8 +351,19 @@ def test_assembly_matches_oracle_bitwise(oracle_checked):
 
 def test_explicit_zeros_dropped(oracle_checked):
     # the P1 Laplacian on the structured square cancels on each cell's
-    # diagonal: those stiffness entries are exact zeros and are not stored
-    square = build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.125, 1.0)
+    # diagonal: those stiffness entries are exact zeros and are not stored.
+    # Node 9i + j of the 8 x 8 grid sits at (i/8, j/8), and each cell is cut
+    # along its diagonal from the lower left corner
+    g = np.linspace(0.0, 1.0, 9)
+    c = (9 * np.arange(8)[:, None] + np.arange(8)).ravel()
+    rim = ([9 * i for i in range(8)] + [72 + j for j in range(8)]
+           + [9 * i + 8 for i in range(8, 0, -1)] + list(range(8, 0, -1)))
+    square = TriMesh(np.column_stack([np.repeat(g, 9), np.tile(g, 9)]),
+                     np.column_stack([c, c + 9, c + 10, c, c + 10, c + 1]).reshape(-1, 3),
+                     [(i, j, "dirichlet") for i, j in zip(rim, rim[1:] + rim[:1])],
+                     dict.fromkeys(rim, "dirichlet"),
+                     ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    assert np.all(square.areas() == 1 / 128)
     pencil = assemble_pencil(square, FormSpec(a=1.0, q=0.0), 1.0)
     assert len(oracle_checked) == 1
     assert (pencil.K.nnz, pencil.M.nnz) == (217, 289)

@@ -10,10 +10,10 @@ from hardyspec.errors import InvalidGrading, MeshGenerationFailure, StripTooThin
 from hardyspec.eigensolve import smallest_eigenpairs
 from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
-from hardyspec.meshing import (DIRICHLET, TriMesh, _annulus_mesh, _boundary_polyline,
+from hardyspec.meshing import (DIRICHLET, TriMesh, _boundary_polyline,
                                _geometric_side_sizes, _layer_depths, _ring_mesh,
-                               _structured_rectangle, feasible_grading,
-                               format_mesh_text, grading_floor, nested)
+                               feasible_grading, format_mesh_text, grading_floor,
+                               nested)
 from hardyspec.spectral import ProblemSpec, strip_mesh
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -104,13 +104,6 @@ def test_feasible_grading_matches_array_oracle():
 def test_element_measures_sum():
     mesh = build_mesh_1d(Interval(-1, 2), 32, 0.3)
     assert mesh.total_measure() == pytest.approx(3.0, rel=1e-12)
-
-
-def test_structured_square():
-    mesh = build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 1.0)
-    assert len(mesh.elements) == 32
-    assert_allclose(mesh.areas(), 1 / 32)
-    assert mesh.total_measure() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_disc_triangle_count_band():
@@ -223,12 +216,15 @@ def _ring_mesh_loop(domain, h, grading):
     spacing = h * (0.75 * grading if grading < 1 else 1.0)
     loop = _boundary_polyline(domain, spacing)
     m = len(loop)
-    center = domain.center if isinstance(domain, Disc) else domain.chebyshev_center()
+    center = domain.chebyshev_center() if isinstance(domain, ConvexPolygon) else domain.center
     depth = float(np.linalg.norm(loop - center, axis=1).max())
-    levels = _layer_depths(depth, h, grading)
+    if isinstance(domain, Annulus):
+        half = (domain.r_out - domain.r_in) / 2
+        lo = list(_layer_depths(half, h, grading))
+        levels = np.array(lo + [half] + [2 * half - t for t in reversed(lo)])
+    else:
+        levels = _layer_depths(depth, h, grading)
     rings = [center + s * (loop - center) for s in 1.0 - levels / depth]
-    points = np.vstack(rings + [center[None, :]])
-    center_idx = len(rings) * m
     tris = []
     for k in range(len(rings) - 1):
         base0, base1 = k * m, (k + 1) * m
@@ -236,70 +232,18 @@ def _ring_mesh_loop(domain, h, grading):
             j = (i + 1) % m
             tris.append((base0 + i, base0 + j, base1 + j))
             tris.append((base0 + i, base1 + j, base1 + i))
-    base = (len(rings) - 1) * m
-    for i in range(m):
-        tris.append((base + i, base + (i + 1) % m, center_idx))
     edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
-    tags = {i: DIRICHLET for i in range(m)}
-    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
-
-
-def _annulus_mesh_loop(domain, h, grading):
-    """Oracle: the annulus template, one triangle at a time."""
-    spacing = h * (0.75 * grading if grading < 1 else 1.0)
-    m = max(8, int(np.ceil(2 * np.pi * domain.r_out / spacing)))
-    width = domain.r_out - domain.r_in
-    if grading == 1.0:
-        radii = np.linspace(domain.r_in, domain.r_out,
-                            max(2, int(np.ceil(width / h))) + 1)
+    base = (len(rings) - 1) * m
+    if isinstance(domain, Annulus):
+        # the inner circle is the last ring
+        edges += [(base + i, base + (i + 1) % m, DIRICHLET) for i in range(m)]
     else:
-        lo = _layer_depths(width / 2, h, grading)
-        radii = np.unique(np.concatenate([
-            domain.r_in + lo, [domain.r_in + width / 2], domain.r_out - lo]))
-    th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-    ring = np.column_stack([np.cos(th), np.sin(th)])
-    points = np.vstack([domain.center + r * ring for r in radii])
-    tris = []
-    for k in range(len(radii) - 1):
-        base0, base1 = k * m, (k + 1) * m
+        # the last ring fans onto the center
         for i in range(m):
-            j = (i + 1) % m
-            tris.append((base0 + i, base1 + i, base1 + j))
-            tris.append((base0 + i, base1 + j, base0 + j))
-    outer_base = (len(radii) - 1) * m
-    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)] \
-        + [(outer_base + i, outer_base + (i + 1) % m, DIRICHLET) for i in range(m)]
+            tris.append((base + i, base + (i + 1) % m, len(rings) * m))
+        rings.append(center[None, :])
     tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
-
-
-def _structured_rectangle_loop(domain, h):
-    """Oracle: the structured rectangle, one triangle and edge at a time."""
-    v = domain.vertices
-    xs, ys = np.unique(v[:, 0]), np.unique(v[:, 1])
-    x0, x1 = xs[0], xs[-1]
-    y0, y1 = ys[0], ys[-1]
-    nx = max(1, int(np.ceil((x1 - x0) / h - 1e-9)))
-    ny = max(1, int(np.ceil((y1 - y0) / h - 1e-9)))
-    gx = np.linspace(x0, x1, nx + 1)
-    gy = np.linspace(y0, y1, ny + 1)
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    idx = lambda i, j: i * (ny + 1) + j
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            tris.append((idx(i, j), idx(i + 1, j), idx(i + 1, j + 1)))
-            tris.append((idx(i, j), idx(i + 1, j + 1), idx(i, j + 1)))
-    edges = []
-    for i in range(nx):
-        edges.append((idx(i, 0), idx(i + 1, 0), DIRICHLET))
-        edges.append((idx(i + 1, ny), idx(i, ny), DIRICHLET))
-    for j in range(ny):
-        edges.append((idx(nx, j), idx(nx, j + 1), DIRICHLET))
-        edges.append((idx(0, j + 1), idx(0, j), DIRICHLET))
-    tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    return TriMesh(points, np.asarray(tris, dtype=int), edges, tags, domain)
+    return TriMesh(np.vstack(rings), np.asarray(tris, dtype=int), edges, tags, domain)
 
 
 def _assert_same_trimesh(new, old):
@@ -312,33 +256,27 @@ def _assert_same_trimesh(new, old):
 
 
 def test_templates_match_loop_oracles():
-    cases = [(Disc((0.3, -0.2), 0.7), _ring_mesh, _ring_mesh_loop),
-             (ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]), _ring_mesh,
-              _ring_mesh_loop),
-             (Annulus((0.5, -0.5), 0.5, 1.5), _annulus_mesh, _annulus_mesh_loop)]
-    for domain, template, oracle in cases:
+    for domain in (Disc((0.3, -0.2), 0.7),
+                   ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]),
+                   Annulus((0.5, -0.5), 0.5, 1.5)):
         for h, grading in ((0.1, 1.0), (0.05, 0.5), (0.15, 0.3)):
-            _assert_same_trimesh(template(domain, h, grading),
-                                 oracle(domain, h, grading))
-    # rectangles of one cell, one row and a wide grid, off the origin
-    for corners, h in (([(0, 0), (1, 0), (1, 1), (0, 1)], 0.125),
-                       ([(0, 0), (1, 0), (1, 1), (0, 1)], 1.0),
-                       ([(-1, 0.5), (2, 0.5), (2, 0.75), (-1, 0.75)], 0.3),
-                       ([(0.1, -0.3), (1.4, -0.3), (1.4, 0.8), (0.1, 0.8)], 0.07)):
-        domain = ConvexPolygon(corners)
-        _assert_same_trimesh(_structured_rectangle(domain, h),
-                             _structured_rectangle_loop(domain, h))
+            _assert_same_trimesh(_ring_mesh(domain, h, grading),
+                                 _ring_mesh_loop(domain, h, grading))
 
 
 STRIP_DOMAINS = (Disc((0, 0), 1.0), Disc((0.3, -0.2), 0.7), Torus(3.0, 1.0),
-                 ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]))
+                 ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]),
+                 Annulus((0.2, 0.1), 0.5, 1.5), ConvexPolygon(UNIT_SQUARE),
+                 ConvexPolygon([(0, 0), (3, 0), (3, 1), (0, 1)]))
 
 
 @pytest.mark.parametrize("domain", STRIP_DOMAINS,
-                         ids=("disc", "off_centre_disc", "torus", "skewed_quad"))
+                         ids=("disc", "off_centre_disc", "torus", "skewed_quad",
+                              "annulus", "unit_square", "rectangle_3x1"))
 def test_truncated_strip_matches_whole_mesh(domain):
-    # the ring template stops one ring beyond 1/k; cutting the strip from
-    # the whole section must give the same mesh, bitwise
+    # the ring template stops one ring beyond 1/k, from each circle of an
+    # annulus; cutting the strip from the whole section must give the same
+    # mesh, bitwise
     section = domain.section
     for k in range(2, 13):
         problem = ProblemSpec(domain, FormSpec(a=1.0, q=0.0), 0.5, ks=(k,))
@@ -350,6 +288,23 @@ def test_truncated_strip_matches_whole_mesh(domain):
                 strip_mesh(problem, k)
             continue
         _assert_same_trimesh(strip_mesh(problem, k), oracle)
+
+
+def test_annulus_reach_builds_two_bands():
+    # with a reach, an annulus grows one band from each circle; the rings
+    # between the bands are never built and their distances never evaluated
+    annulus = Annulus((0.2, 0.1), 0.5, 1.5)
+    measured = []
+    distance_many = annulus.distance_many
+    annulus.distance_many = lambda pts: measured.append(len(pts)) or distance_many(pts)
+    h, reach = 1 / 96, 1 / 12
+    mesh = build_trimesh(annulus, h, 1.0, reach=reach)
+    assert sum(measured) == mesh.n_nodes
+    assert mesh.node_d.max() <= reach + h + 1e-12
+    assert mesh.n_nodes < build_trimesh(annulus, h, 1.0).n_nodes
+    rho = np.linalg.norm(mesh.points - annulus.center, axis=1)
+    on = {i for e in mesh.boundary_edges for i in e[:2]}
+    assert np.sum(rho[list(on)] < 1.0) == np.sum(rho[list(on)] > 1.0) == len(on) // 2
 
 
 def test_mesh_with_level_has_exact_node():
@@ -447,7 +402,10 @@ def test_refine_trimesh_matches_dict_oracle():
               build_trimesh(Annulus((0, 0), 0.5, 1.0), 0.12, 0.5),
               build_trimesh(square, 0.25, 1.0),
               build_trimesh(ConvexPolygon([(0, 0), (2, 0), (0.5, 1.5)]), 0.2, 0.5),
-              restrict_to_strip(build_trimesh(Disc((3, 0), 1.0), 0.1, 1.0), 0.3)]
+              restrict_to_strip(build_trimesh(Disc((3, 0), 1.0), 0.1, 1.0), 0.3),
+              # two bands, with boundary edges on both circles
+              strip_mesh(ProblemSpec(Annulus((0.1, 0), 0.25, 0.5), FormSpec(a=1.0, q=0.0),
+                                     0.5, ks=(10,)), 10)]
     for mesh in meshes:
         new = old = mesh
         for _ in range(2):

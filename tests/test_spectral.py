@@ -230,6 +230,16 @@ def test_gamma_validation():
         _problem(1.0, 0.0, 0.0, 1.5, (2,))
 
 
+def test_2d_strip_keys_refused():
+    # 2D strips use the uniform template, which reads neither key
+    for key in ({"grading": 0.3}, {"strip_elements": 7}):
+        with pytest.raises(ValueError, match="only on an interval"):
+            ProblemSpec(Disc((0, 0), 1), FormSpec(a=1.0, q=0.0), 0.5, ks=(2,), **key)
+    problem = ProblemSpec(Torus(3.0, 1.0), FormSpec(a=1.0, q=0.0), 0.5, ks=(2,))
+    assert problem.strip_elements is None
+    assert _problem(1.0, 0.0, 0.0, 0.5, (2,)).strip_elements == 96
+
+
 def test_persson_2d_strip_matches_annulus():
     # the k=2 strip of the unit disc is the annulus 1/2 < rho < 1 with both
     # circles clamped; cross-check against a mesh built on that annulus
@@ -237,7 +247,7 @@ def test_persson_2d_strip_matches_annulus():
         build_trimesh, smallest_eigenpairs
     disc = Disc((0, 0), 1.0)
     prob = ProblemSpec(domain=disc, form=FormSpec(a=1.0, q=0.0, beta=0.0),
-                       gamma=0.5, ks=(2,), grading=1.0)
+                       gamma=0.5, ks=(2,))
     sub = strip_mesh(prob, 2)
     assert sub.domain.measure_weight is None
     pencil = assemble_pencil(sub, prob.form, 1.0)
@@ -252,7 +262,7 @@ def test_persson_torus_smoke():
     from hardyspec import Torus
     prob = ProblemSpec(domain=Torus(3.0, 1.0),
                        form=FormSpec(a=1.0, q=0.0, beta=0.0),
-                       gamma=0.5, ks=(2, 3), grading=1.0)
+                       gamma=0.5, ks=(2, 3))
     seq = persson_sequence(prob)
     mus = seq.mus()
     assert np.all(mus > 0)
