@@ -12,8 +12,8 @@ from .geometry import (Annulus, ConvexPolygon, Disc, DistanceEval, Domain,
                        superharmonicity_scan)
 from .hardy import (HardyBoundSpec, HardyCertificate, HardyConstants,
                     hardy_constants, kappa, lambda_bound, verify_hardy)
-from .meshing import (Mesh1D, TriMesh, build_mesh_1d, build_trimesh,
-                      mesh_1d_with_level, refine_mesh_1d, refine_trimesh,
+from .meshing import (Mesh, build_mesh_1d, build_trimesh, mesh_1d_with_level,
+                      refine_mesh_1d, refine_trimesh,
                       restrict_to_strip)
 from .spectral import (CriterionReport, DiagnosticReport, PerssonSequence,
                        ProblemSpec, check_form_nonnegativity,

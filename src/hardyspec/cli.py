@@ -193,6 +193,15 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         raise ConfigError("[numerics] mode applies only to a torus domain")
     if "mode" in num_sec.data and command != "spectrum":
         raise ConfigError("[numerics] mode applies only to the spectrum command")
+    ends = [key for key in ("bc_left", "bc_right", "sigma_left", "sigma_right")
+            if key in form_sec.data]
+    if ends and command != "spectrum":
+        raise ConfigError(f"[form] {ends[0]} applies only to the spectrum command")
+    if ends and not isinstance(domain.section, geometry.Interval):
+        raise ConfigError(f"[form] {ends[0]} applies only on an interval")
+    for end in ("left", "right"):
+        if f"sigma_{end}" in form_sec.data and form_sec.get(f"bc_{end}") != "robin":
+            raise ConfigError(f"[form] sigma_{end} applies only with bc_{end} = robin")
     resolved = {"command": command, "seed": seed,
                 "config_path": os.fspath(config_path),
                 "sections": {name: dict(parser[name]) for name in parser.sections()}}
@@ -274,7 +283,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
                 mesh = build_trimesh(section,
                                      num_sec.get_float("h", section.interior_diameter() / 16),
                                      num_sec.get_float("grading", 1.0))
-            check_count(count, mesh.n_nodes - len(mesh.dirichlet_nodes()))
+            check_count(count, int(np.count_nonzero(~mesh.clamped)))
         except ValueError as exc:
             raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
         if dry_run:

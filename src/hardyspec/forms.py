@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .coefficients import Coefficient, as_coefficient, environment
 from .errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
                      SingularQuadrature)
-from .meshing import ROBIN, triangle_areas
+from .meshing import triangle_areas
 
 
 @dataclass
@@ -116,7 +116,7 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     """Assemble the (K, M) pencil of the form against a weighted mass.
 
     K carries the diffusion, potential and boundary sigma terms; M carries
-    the denominator weight.  Rows/columns of clamped (dirichlet) nodes are
+    the denominator weight.  Rows/columns of the mesh's clamped nodes are
     eliminated.  The mesh domain's measure_weight, when it has one,
     multiplies every volume integrand (the cylindrical radius on a torus
     cross-section).
@@ -125,9 +125,7 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     mw = mesh.domain.measure_weight
     mw = as_coefficient(mw) if mw is not None else None
 
-    is_free = np.ones(mesh.n_nodes, dtype=bool)
-    is_free[mesh.dirichlet_nodes()] = False
-    free = np.flatnonzero(is_free)
+    free = np.flatnonzero(~mesh.clamped)
     K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free)
     if _MALLOC_TRIM is not None:
         # Hand the freed quadrature arrays back to the OS before the solver
@@ -167,7 +165,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     """
     if mesh.dim == 1:
         t, w = gauss_panels(quad_points, quad_subdiv)
-        x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
+        x0 = mesh.points[mesh.elements[:, 0]]
         h = mesh.element_sizes()[:, None]
         pts = x0 + t[None, :] * h
         phi_r = (pts - x0) / h
@@ -207,9 +205,8 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
     del upper
     M = _gathered(sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr().data,
                   *where)
-    robin = (_robin_1d if mesh.dim == 1 else _robin_2d)(mesh, form)
-    if robin:
-        rows, cols, vals = map(np.asarray, robin)
+    if form.sigma is not None and mesh.robin.any():
+        rows, cols, vals = _robin(mesh, form.sigma)
         new = _renumbering(n, free)
         both = (new[rows] >= 0) & (new[cols] >= 0)     # clamped rows go
         K = K + sp.csr_matrix((vals[both], (new[rows[both]], new[cols[both]])),
@@ -322,44 +319,28 @@ def _gathered(data, gather, indptr, indices, shape):
     return sp.csr_matrix((vals, indices, indptr), shape=shape)
 
 
-def _robin_1d(mesh, form):
-    """Rows, columns and values of the Robin point terms; empty when the
-    form has none."""
-    robin = [i for i, t in mesh.node_tags.items() if t == ROBIN]
-    if not robin or form.sigma is None:
-        return ()
-    a, b = mesh.domain.a, mesh.domain.b
-    entries = {}
-    for i in robin:
-        if isinstance(form.sigma, (int, float)):
-            val = float(form.sigma)
-        else:
-            side = 0 if abs(mesh.nodes[i] - a) <= abs(mesh.nodes[i] - b) else 1
-            val = float(form.sigma[side])
-        entries[(i, i)] = val
-    rows, cols = zip(*entries)
-    return rows, cols, list(entries.values())
-
-
-def _robin_2d(mesh, form):
-    """Rows, columns and values of the Robin edge terms; empty when the
-    form has none."""
-    robin_edges = [(i, j) for i, j, tag in mesh.boundary_edges if tag == ROBIN]
-    if not robin_edges or form.sigma is None:
-        return ()
-    rows, cols, vals = [], [], []
-    for i, j in robin_edges:
-        length = float(np.linalg.norm(mesh.points[j] - mesh.points[i]))
-        sig = float(form.sigma)
-        # exact P1 edge mass: (|e|/6) [[2, 1], [1, 2]]
-        block = sig * length / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-        glob = (i, j)
-        for a_loc in range(2):
-            for b_loc in range(2):
-                rows.append(glob[a_loc])
-                cols.append(glob[b_loc])
-                vals.append(block[a_loc, b_loc])
-    return rows, cols, vals
+def _robin(mesh, sigma):
+    """Rows, columns and values of the Robin facet terms, facet by facet:
+    the exact P1 facet mass sigma |f| / ((k+1)(k+2)) (1 + delta_ij) of a
+    facet f with k + 1 nodes, that is sigma at an interval end and
+    sigma (|e|/6) [[2, 1], [1, 2]] on an edge.  A (left, right) sigma on
+    an interval gives each end the value of the nearer endpoint."""
+    facets = mesh.facets[mesh.robin]
+    nodes = facets.shape[1]                         # k + 1
+    if nodes == 1:
+        size = np.ones(len(facets))
+    else:
+        # row by row: a row-wise norm is not bitwise the scalar one
+        p = mesh.points
+        size = np.array([np.linalg.norm(p[j] - p[i]) for i, j in facets.tolist()])
+    if np.ndim(sigma):
+        x, a, b = mesh.points[facets[:, 0], 0], mesh.domain.a, mesh.domain.b
+        sigma = np.where(np.abs(x - a) <= np.abs(x - b), float(sigma[0]), float(sigma[1]))
+    else:
+        sigma = float(sigma)
+    vals = (sigma * size / (nodes * (nodes + 1)))[:, None, None] * (1.0 + np.eye(nodes))
+    return (np.repeat(facets, nodes, axis=1).ravel(), np.tile(facets, nodes).ravel(),
+            vals.ravel())
 
 
 _TEXT_BLOCK = 1 << 14          # entries per joined block of pencil text

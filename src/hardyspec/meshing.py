@@ -4,7 +4,7 @@ Meshes carry their generating domain so that the exact boundary distance
 (not any polygonal proxy) is available at nodes and quadrature points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,51 +15,6 @@ DIRICHLET = "dirichlet"
 ROBIN = "robin"
 
 
-class _Mesh:
-    """The interface both mesh types share: nodes as `points` (n, dim) with
-    their boundary distances `node_d`, `elements` (m, dim + 1) of node
-    indices, `node_tags` and the generating `domain`.  A mesh made by
-    refinement also has `parents` (n, 2): for each node, the two nodes of
-    the mesh it was refined from whose mean is its P1 value, (i, i) for a
-    kept node i; other meshes have None."""
-
-    def __post_init__(self):
-        if self.node_d is None:
-            self.node_d = np.maximum(self.domain.distance_many(self.points), 0.0)
-
-    @property
-    def n_nodes(self):
-        return len(self.points)
-
-    def barycenters(self):
-        return self.points[self.elements].mean(axis=1)
-
-    def dirichlet_nodes(self):
-        return sorted(i for i, t in self.node_tags.items() if t == DIRICHLET)
-
-
-@dataclass
-class Mesh1D(_Mesh):
-    nodes: np.ndarray                 # sorted coordinates
-    elements: np.ndarray              # (m, 2) node index pairs
-    node_tags: dict                   # node index -> DIRICHLET | ROBIN
-    domain: Interval
-    node_d: np.ndarray = field(default=None)
-    parents: np.ndarray = field(default=None)
-
-    dim = 1
-
-    @property
-    def points(self):
-        return self.nodes[:, None]
-
-    def element_sizes(self):
-        return self.nodes[self.elements[:, 1]] - self.nodes[self.elements[:, 0]]
-
-    def total_measure(self):
-        return float(self.element_sizes().sum())
-
-
 def triangle_areas(v):
     """Signed areas of triangles whose vertices are gathered vertex-major,
     v of shape (3, m, 2)."""
@@ -68,26 +23,62 @@ def triangle_areas(v):
 
 
 @dataclass
-class TriMesh(_Mesh):
-    points: np.ndarray                # (n, 2)
-    elements: np.ndarray              # (m, 3), counterclockwise
-    boundary_edges: list              # (i, j, tag) tuples
-    node_tags: dict                   # node index -> tag (dirichlet clamps)
-    domain: object
-    node_d: np.ndarray = field(default=None)
-    parents: np.ndarray = field(default=None)
+class Mesh:
+    """A simplicial mesh of an interval or a 2D section, with its boundary
+    data as arrays.
 
-    dim = 2
+    `points` (n, dim) are the nodes, `elements` (m, dim + 1) their
+    intervals or counterclockwise triangles.  `facets` (f, dim) are the
+    boundary facets, the end nodes of an interval or the edges of a
+    triangulation, and `robin` (f,) marks those carrying the Robin term;
+    the others are clamped.  `clamped` (n,) marks the nodes the form domain
+    pins to zero: by default the nodes of the non-Robin facets; a strip
+    also clamps its inner interface.  `node_d` are the nodes' boundary
+    distances in the generating `domain`.  A mesh made by refinement has
+    `parents` (n, 2): for each node, the two nodes of the mesh it was
+    refined from whose mean is its P1 value, (i, i) for a kept node i;
+    other meshes have None."""
+
+    points: np.ndarray
+    elements: np.ndarray
+    facets: np.ndarray
+    robin: np.ndarray
+    domain: object
+    clamped: np.ndarray = None
+    node_d: np.ndarray = None
+    parents: np.ndarray = None
+
+    def __post_init__(self):
+        if self.clamped is None:
+            self.clamped = np.zeros(len(self.points), dtype=bool)
+            self.clamped[self.facets[~self.robin]] = True
+        if self.node_d is None:
+            self.node_d = np.maximum(self.domain.distance_many(self.points), 0.0)
+
+    @property
+    def dim(self):
+        return self.points.shape[1]
+
+    @property
+    def n_nodes(self):
+        return len(self.points)
+
+    def barycenters(self):
+        return self.points[self.elements].mean(axis=1)
 
     def areas(self):
         return triangle_areas(self.points[self.elements.T])
 
     def element_sizes(self):
-        """Leg of the right isosceles triangle of the same area."""
+        """Interval lengths; on triangles, the leg of the right isosceles
+        triangle of the same area."""
+        if self.dim == 1:
+            x = self.points[:, 0]
+            return x[self.elements[:, 1]] - x[self.elements[:, 0]]
         return np.sqrt(2 * self.areas())
 
     def total_measure(self):
-        return float(self.areas().sum())
+        return float((self.element_sizes() if self.dim == 1 else self.areas()).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +175,9 @@ def build_mesh_1d(interval, n, grading=1.0, tags=(DIRICHLET, DIRICHLET)):
         right = (a + b) - left[-2::-1]
         nodes = np.concatenate([left, right])
         nodes[-1] = b
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     if np.any(np.diff(nodes) <= 0):
         raise InvalidGrading("grading produced a degenerate element")
-    return Mesh1D(nodes, elements, {0: tags[0], n: tags[1]}, interval)
+    return _interval_mesh(nodes, interval, np.array(tags) == ROBIN)
 
 
 def _one_sided_graded(delta, layers, grading):
@@ -218,27 +208,34 @@ def mesh_1d_with_level(interval, level, n_strip, grading=1.0):
         n_mid = min(n_mid, 4 * n_strip)
         mid = np.linspace(a + level, b - level, n_mid + 1)[1:-1]
         nodes = np.concatenate([left, mid, right])
-    n = len(nodes) - 1
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     if np.any(np.diff(nodes) <= 0):
         raise MeshGenerationFailure("level mesh produced a degenerate element")
-    return Mesh1D(nodes, elements, {0: DIRICHLET, n: DIRICHLET}, interval)
+    return _interval_mesh(nodes, interval, np.zeros(2, dtype=bool))
+
+
+def _interval_mesh(nodes, interval, robin):
+    """The mesh of consecutive nodes, its two ends the facets."""
+    n = len(nodes) - 1
+    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return Mesh(nodes[:, None], elements, np.array([[0], [n]]), robin, interval)
 
 
 def refine_mesh_1d(mesh):
     """Split every element at its midpoint (nested refinement)."""
-    old = mesh.nodes
+    old = mesh.points[:, 0]
     left, right = old[mesh.elements[:, 0]], old[mesh.elements[:, 1]]
     mids = 0.5 * (left + right)
     nodes = np.unique(np.concatenate([old, mids]))
     a, m, b = (np.searchsorted(nodes, x) for x in (left, mids, right))
     elements = np.column_stack([a, m, m, b]).reshape(-1, 2)
     index = np.searchsorted(nodes, old)
-    tags = {int(index[i]): t for i, t in mesh.node_tags.items()}
+    clamped = np.zeros(len(nodes), dtype=bool)
+    clamped[index] = mesh.clamped
     parents = np.empty((len(nodes), 2), dtype=int)
     parents[index] = np.arange(len(old))[:, None]
     parents[m] = mesh.elements
-    return Mesh1D(nodes, elements, tags, mesh.domain, parents=parents)
+    return Mesh(nodes[:, None], elements, index[mesh.facets], mesh.robin,
+                mesh.domain, clamped, parents=parents)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +336,13 @@ def _ring_mesh(domain, h, grading, reach=None):
         rings += inner[::-1]
         ring_d += inner_d[::-1]
     tris = _cell_triangles(len(rings), m)
-    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
+    i = np.arange(m)
+    facets = np.column_stack([i, np.roll(i, -1)])
     if isinstance(domain, Annulus):
         if len(rings) < len(scales):
             # no cells across the gap between the two bands
             tris = np.delete(tris, np.s_[2 * m * (outer - 1):2 * m * outer], axis=0)
-        base = (len(rings) - 1) * m
-        edges += [(base + i, base + (i + 1) % m, DIRICHLET) for i in range(m)]
+        facets = np.vstack([facets, (len(rings) - 1) * m + facets])
     elif len(rings) == len(scales):
         # no cut: the innermost ring fans onto the center
         i = np.arange((len(rings) - 1) * m, len(rings) * m)
@@ -353,9 +350,8 @@ def _ring_mesh(domain, h, grading, reach=None):
         tris = np.vstack([tris, fan])
         rings.append(center[None, :])
         ring_d.append(np.maximum(domain.distance_many(rings[-1]), 0.0))
-    tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    mesh = TriMesh(np.vstack(rings), tris, edges, tags, domain,
-                   np.concatenate(ring_d))
+    mesh = Mesh(np.vstack(rings), tris, facets, np.zeros(len(facets), dtype=bool),
+                domain, node_d=np.concatenate(ring_d))
     if np.any(mesh.areas() <= 0):
         raise MeshGenerationFailure("ring template produced an inverted triangle")
     return mesh
@@ -393,10 +389,11 @@ def refine_trimesh(mesh):
     back onto the exact boundary circle.
 
     New nodes follow the old ones, numbered by the first occurrence of their
-    edge in the order ab, bc, ca per triangle, then along the boundary."""
+    edge in the order ab, bc, ca per triangle, then along the boundary.
+    Each facet splits in two at its midpoint, which is clamped when the
+    facet is not Robin; clamped nodes stay clamped."""
     n, tri = mesh.n_nodes, mesh.elements
-    bnd = np.array([(i, j) for i, j, _ in mesh.boundary_edges], dtype=int).reshape(-1, 2)
-    ends = np.vstack([tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), bnd])
+    ends = np.vstack([tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), mesh.facets])
     codes = ends.min(axis=1) * n + ends.max(axis=1)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)       # unique edges by first occurrence
@@ -421,19 +418,14 @@ def refine_trimesh(mesh):
     ab, bc, ca = mid[:3 * len(tri)].reshape(-1, 3).T
     a, b, c = tri.T
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    edges = []
-    tags = {}
-    for (i, j, tag), m in zip(mesh.boundary_edges, mid[3 * len(tri):].tolist()):
-        edges.extend([(i, m, tag), (m, j, tag)])
-        tags[i] = tag
-        tags[j] = tag
-        tags[m] = tag
-    for i, t in mesh.node_tags.items():
-        tags.setdefault(i, t)
+    f_mid = mid[3 * len(tri):]
+    facets = np.column_stack([mesh.facets[:, 0], f_mid, f_mid, mesh.facets[:, 1]])
+    clamped = np.concatenate([mesh.clamped, np.zeros(len(mids), dtype=bool)])
+    clamped[f_mid[~mesh.robin]] = True
     parents = np.vstack([np.repeat(np.arange(n), 2).reshape(-1, 2),
                          np.column_stack([e0, e1])])
-    return TriMesh(np.vstack([mesh.points, mids]), tris, edges, tags, mesh.domain,
-                   parents=parents)
+    return Mesh(np.vstack([mesh.points, mids]), tris, facets.reshape(-1, 2),
+                np.repeat(mesh.robin, 2), mesh.domain, clamped, parents=parents)
 
 
 def nested(mesh, levels, steps=1):
@@ -458,7 +450,8 @@ def nested(mesh, levels, steps=1):
 def restrict_to_strip(mesh, delta):
     """Submesh of elements whose barycenter lies in the boundary strip
     {0 < d < delta}; nodes cut at the inner interface d = delta are clamped,
-    boundary nodes keep their tags."""
+    the facets with both ends kept stay, and other nodes keep their
+    clamping."""
     sup_d = mesh.domain.interior_diameter() / 2.0
     if not 0 < delta <= sup_d + 1e-12:
         raise ValueError(f"strip width {delta} lies outside (0, sup d = {sup_d}]")
@@ -485,15 +478,11 @@ def restrict_to_strip(mesh, delta):
     new_elems = index[kept_elems]
 
     node_d = mesh.node_d[used]
-    tags = {int(index[old]): t for old, t in mesh.node_tags.items() if index[old] >= 0}
     interface = np.isin(used, elems[~keep]) | (node_d >= delta - 1e-12)
-    tags.update(dict.fromkeys(np.flatnonzero(interface).tolist(), DIRICHLET))
-
-    if isinstance(mesh, Mesh1D):
-        return Mesh1D(mesh.nodes[used], new_elems, tags, mesh.domain, node_d)
-    edges = [(int(index[i]), int(index[j]), t) for i, j, t in mesh.boundary_edges
-             if index[i] >= 0 and index[j] >= 0]
-    return TriMesh(mesh.points[used], new_elems, edges, tags, mesh.domain, node_d)
+    facets = index[mesh.facets]
+    kept_f = (facets >= 0).all(axis=1)
+    return Mesh(mesh.points[used], new_elems, facets[kept_f], mesh.robin[kept_f],
+                mesh.domain, mesh.clamped[used] | interface, node_d)
 
 
 # ---------------------------------------------------------------------------
@@ -502,19 +491,18 @@ def restrict_to_strip(mesh, delta):
 
 def format_mesh_text(mesh):
     """Plain-text mesh format: a header line `dim n_nodes n_elements
-    n_boundary`, then node coordinate lines, element index lines, and tagged
-    boundary lines (node index + tag in 1D, edge indices + tag in 2D)."""
+    n_facets`, then node coordinate lines, element index lines, and one
+    line per boundary facet, its node indices and its tag (robin or
+    dirichlet).  A strip's clamped interface is not listed."""
     # Arrays are read as column lists (zip(*a.T.tolist())), so that no
     # small list is made per row: that keeps the peak memory of a run down.
+    lines = [f"{mesh.dim} {mesh.n_nodes} {len(mesh.elements)} {len(mesh.facets)}"]
     if mesh.dim == 1:
-        bnd = sorted(mesh.node_tags.items())
-        lines = [f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}"]
-        lines += map(repr, mesh.nodes.tolist())
+        lines += map(repr, mesh.points[:, 0].tolist())
         lines += [f"{i} {j}" for i, j in zip(*mesh.elements.T.tolist())]
-        lines += [f"{i} {tag}" for i, tag in bnd]
     else:
-        lines = [f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}"]
         lines += [f"{x!r} {y!r}" for x, y in zip(*mesh.points.T.tolist())]
         lines += [f"{a} {b} {c}" for a, b, c in zip(*mesh.elements.T.tolist())]
-        lines += [f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges]
+    tags = np.where(mesh.robin, ROBIN, DIRICHLET)[:, None]
+    lines += map(" ".join, np.hstack([mesh.facets.astype(str), tags]).tolist())
     return "\n".join(lines) + "\n"

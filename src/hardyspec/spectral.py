@@ -76,18 +76,17 @@ class ProblemSpec:
             raise ValueError("k0 must be positive")
         if isinstance(self.domain, Torus):
             require_axisymmetric(self.form.a, self.form.q)
-        if self.grading is None:
+        if self.grading is None and self.domain.section.dim == 1:
             self.grading = 0.15 if self._degenerate_data() else 1.0
 
     def _degenerate_data(self):
         """Boundary grading is warranted when the diffusion degenerates or
         the potential has a negative part; probed on a small d-sample, with
-        every coordinate of the domain's section equal to d."""
+        the coordinate x equal to d."""
         if self.form.beta not in (None, 0.0):
             return True
         probe = np.array([1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.45])
-        env = environment(np.repeat(probe[:, None], self.domain.section.dim, axis=1),
-                          probe)
+        env = environment(probe[:, None], probe)
         if np.any(np.asarray(self.form.q.evaluate(env)) < 0):
             return True
         a_vals = np.asarray(self.form.a.evaluate(env))
@@ -265,8 +264,8 @@ def check_form_nonnegativity(problem):
     def pencil(mesh):
         return assemble_pencil(mesh, check_form, 1.0)
 
-    # nested bisection keeps the ladder monotone (1D strips only; curved
-    # 2D strips would need re-restriction)
+    # nested bisection keeps the ladder monotone; a 2D strip's refined
+    # interface edges are not clamped (ROADMAP item 10)
     dofs, minima = map(list, zip(*ladder(strip_mesh(problem, problem.k0),
                                          FORM_LEVELS + 1, 1, pencil,
                                          tol=problem.tol, seed=problem.seed)))

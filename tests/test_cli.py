@@ -406,7 +406,6 @@ a = 1
 q = 0
 bc_right = robin
 sigma_right = 2.0
-sigma_left = 0.0
 
 [numerics]
 n = 400
@@ -420,6 +419,45 @@ count = 1
     from scipy.optimize import brentq
     s = brentq(lambda t: np.tan(t) + t / 2.0, np.pi / 2 + 1e-9, np.pi - 1e-9)
     assert doc["result"]["eigenvalues"][0] == pytest.approx(s**2, rel=1e-3)
+
+
+def _refused_with(tmp_path, capsys, command, text, words):
+    """Exit 2 naming `words`, in a run and under --dry-run alike."""
+    cfg = write(tmp_path, "ends.ini", text)
+    for flags in ([], ["--dry-run"]):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+        assert code == 2
+        assert words in capsys.readouterr().err
+
+
+ENDS_INI = "[domain]\nvariant = {variant}\n\n[form]\na = 1\nq = 0\n{ends}\n[numerics]\n"
+
+
+def test_robin_ends_refused_off_spectrum(tmp_path, capsys):
+    interval = ENDS_INI.format(variant="interval", ends="bc_left = robin\nsigma_left = 5.0")
+    for command, numerics in (("persson", "k_min = 2\nk_max = 4\n"),
+                              ("diagnose", "k_min = 2\nk_max = 8\n"),
+                              ("criteria", "samples = 200\n"),
+                              ("hardy", "n = 32\nlevels = 1\n")):
+        _refused_with(tmp_path, capsys, command, interval + numerics,
+                      "[form] bc_left applies only to the spectrum command")
+
+
+def test_robin_ends_refused_off_interval(tmp_path, capsys):
+    for variant, ends in (("disc", "bc_left = robin"),
+                          ("torus", "bc_right = robin\nsigma_right = 1.0")):
+        _refused_with(tmp_path, capsys, "spectrum",
+                      ENDS_INI.format(variant=variant, ends=ends) + "h = 0.25\ncount = 1\n",
+                      "applies only on an interval")
+
+
+def test_sigma_refused_on_a_clamped_end(tmp_path, capsys):
+    # a sigma on an end that is not Robin would be read by nothing
+    for ends in ("sigma_left = 5.0", "bc_left = dirichlet\nsigma_left = 5.0",
+                 "bc_right = robin\nsigma_right = 2.0\nsigma_left = 0.0"):
+        _refused_with(tmp_path, capsys, "spectrum",
+                      ENDS_INI.format(variant="interval", ends=ends) + "n = 64\ncount = 1\n",
+                      "[form] sigma_left applies only with bc_left = robin")
 
 
 def test_spectrum_torus_modes(tmp_path):

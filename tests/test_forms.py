@@ -1,5 +1,6 @@
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
-from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, Mesh1D,
-                       Torus, TriMesh, build_mesh_1d, build_trimesh,
+from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, Mesh,
+                       Torus, build_mesh_1d, build_trimesh,
                        assemble_pencil, ims_identity_residual, ims_partition,
                        parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
 from hardyspec import forms
@@ -116,8 +117,9 @@ def test_nonpositive_diffusion_rejected():
 
 def test_singular_quadrature_guard():
     # a node placed outside the domain puts quadrature points at d <= 0
-    nodes = np.array([-0.1, 0.5, 1.0])
-    mesh = Mesh1D(nodes, np.array([[0, 1], [1, 2]]), {0: "dirichlet", 2: "dirichlet"}, IV)
+    nodes = np.array([[-0.1], [0.5], [1.0]])
+    mesh = Mesh(nodes, np.array([[0, 1], [1, 2]]), np.array([[0], [2]]),
+                np.zeros(2, dtype=bool), IV)
     with pytest.raises(SingularQuadrature):
         assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
 
@@ -141,13 +143,18 @@ def test_robin_point_mass():
 
 
 def test_robin_edges_2d():
-    mesh = build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.125, 1.0)
-    mesh.boundary_edges = [(i, j, "robin") for i, j, _ in mesh.boundary_edges]
-    mesh.node_tags = {}
+    mesh = _all_robin(build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                                    0.125, 1.0))
     pencil = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0, sigma=1.0), 1.0)
     rep = smallest_eigenpairs(pencil, 1)
     # the constant trial bounds the quotient by perimeter / area = 4
     assert 0 < rep.eigenvalues[0] <= 4.0
+
+
+def _all_robin(mesh):
+    """The mesh with every facet Robin and no node clamped."""
+    return replace(mesh, robin=np.ones(len(mesh.facets), dtype=bool),
+                   clamped=np.zeros(mesh.n_nodes, dtype=bool))
 
 
 def test_heap_trim_leaves_pencil_unchanged(monkeypatch):
@@ -179,7 +186,7 @@ def _element_rule_oracle(mesh, quad_points, quad_subdiv):
     (m, nq, dim), weights (m, nq) and basis (m or 1, nq, nloc)."""
     if mesh.dim == 1:
         t, w = forms.gauss_panels(quad_points, quad_subdiv)
-        x0 = mesh.nodes[mesh.elements[:, 0]][:, None]
+        x0 = mesh.points[mesh.elements[:, 0], 0][:, None]
         h = mesh.element_sizes()[:, None]
         pts = x0 + t[None, :] * h
         phi_r = (pts - x0) / h
@@ -224,16 +231,17 @@ def _robin_oracle(mesh, form, n):
     rows, cols, vals = [], [], []
     if form.sigma is not None and mesh.dim == 1:
         a, b = mesh.domain.a, mesh.domain.b
-        for i, tag in mesh.node_tags.items():
-            if tag == "robin":
-                side = 0 if abs(mesh.nodes[i] - a) <= abs(mesh.nodes[i] - b) else 1
+        for (i,), robin in zip(mesh.facets.tolist(), mesh.robin):
+            if robin:
+                x = mesh.points[i, 0]
+                side = 0 if abs(x - a) <= abs(x - b) else 1
                 sigma = form.sigma if np.isscalar(form.sigma) else form.sigma[side]
                 rows.append(i)
                 cols.append(i)
                 vals.append(float(sigma))
     elif form.sigma is not None:
-        for i, j, tag in mesh.boundary_edges:
-            if tag == "robin":
+        for (i, j), robin in zip(mesh.facets.tolist(), mesh.robin):
+            if robin:
                 length = float(np.linalg.norm(mesh.points[j] - mesh.points[i]))
                 block = float(form.sigma) * length / 6.0 * np.array([[2.0, 1.0],
                                                                      [1.0, 2.0]])
@@ -321,19 +329,19 @@ def test_assembly_matches_oracle_bitwise(oracle_checked):
     polygon = build_trimesh(ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]),
                             0.15, 0.7)
     assemble_pencil(polygon, FormSpec(a="1 + x^2*y", q="x - 3*y*d^-1"), "2 + y - x*d")
-    square = build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 0.125, 1.0)
-    square.boundary_edges = [(i, j, "robin") for i, j, _ in square.boundary_edges]
-    square.node_tags = {}
+    square = _all_robin(build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                                      0.125, 1.0))
     assemble_pencil(square, FormSpec(a="1 + x", q="y", sigma=1.5), 1.0)
     graded = build_mesh_1d(IV, 64, 0.5, tags=("robin", "robin"))
     assemble_pencil(graded, FormSpec(a="d^0.5", q="-0.03*d^-1.5", sigma=(0.5, 2.0)),
                     "d^-1", quad_points=5, quad_subdiv=3)
     hardy_pencil(build_mesh_1d(IV, 48, 0.3), 0.5, 0.0, 0.1)
     # four triangles about the centre of a square, every node free
-    few = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.4, 0.6]]),
-                  np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
-                  [(0, 1, "robin"), (1, 2, "robin"), (2, 3, "robin"), (3, 0, "robin")],
-                  {}, ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    few = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.4, 0.6]]),
+               np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+               np.array([(0, 1), (1, 2), (2, 3), (3, 0)]), np.ones(4, dtype=bool),
+               ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+               clamped=np.zeros(5, dtype=bool))
     assemble_pencil(few, FormSpec(a="1 + d", q="x*y", sigma=0.5), "1 + d")
     # Robin on the left end, clamped on the right
     left = build_mesh_1d(IV, 40, 0.6, tags=("robin", "dirichlet"))
@@ -343,7 +351,7 @@ def test_assembly_matches_oracle_bitwise(oracle_checked):
     problem = ProblemSpec(IV, FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5), 0.5,
                           ks=range(2, 17))
     strip = strip_mesh(problem, 5)
-    clamped = np.sort(strip.nodes[strip.dirichlet_nodes()])
+    clamped = np.sort(strip.points[strip.clamped, 0])
     assert_allclose(clamped, [0.0, 0.2, 0.8, 1.0], rtol=0, atol=1e-15)
     assemble_pencil(strip, problem.form, 1.0)
     assert len(oracle_checked) == 12
@@ -358,11 +366,11 @@ def test_explicit_zeros_dropped(oracle_checked):
     c = (9 * np.arange(8)[:, None] + np.arange(8)).ravel()
     rim = ([9 * i for i in range(8)] + [72 + j for j in range(8)]
            + [9 * i + 8 for i in range(8, 0, -1)] + list(range(8, 0, -1)))
-    square = TriMesh(np.column_stack([np.repeat(g, 9), np.tile(g, 9)]),
-                     np.column_stack([c, c + 9, c + 10, c, c + 10, c + 1]).reshape(-1, 3),
-                     [(i, j, "dirichlet") for i, j in zip(rim, rim[1:] + rim[:1])],
-                     dict.fromkeys(rim, "dirichlet"),
-                     ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    square = Mesh(np.column_stack([np.repeat(g, 9), np.tile(g, 9)]),
+                  np.column_stack([c, c + 9, c + 10, c, c + 10, c + 1]).reshape(-1, 3),
+                  np.column_stack([rim, np.roll(rim, -1)]), np.zeros(len(rim), dtype=bool),
+                  ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+                  clamped=np.isin(np.arange(81), rim))
     assert np.all(square.areas() == 1 / 128)
     pencil = assemble_pencil(square, FormSpec(a=1.0, q=0.0), 1.0)
     assert len(oracle_checked) == 1
@@ -474,7 +482,7 @@ def test_identity_residual_collapsed_partition():
     # a transition band beyond every sampled distance keeps phi1 = 1
     mesh = build_mesh_1d(IV, 256)
     part = ims_partition(mesh, 0.45, 0.499)
-    u = np.sin(np.pi * mesh.nodes)
+    u = np.sin(np.pi * mesh.points[:, 0])
     assert ims_identity_residual(mesh, part, u, 1.0) < 1e-12
 
 
@@ -555,7 +563,7 @@ def test_measure_weight():
     rep = smallest_eigenpairs(pencil, 1)
     # dense oracle from the same discretization assembled manually
     import scipy.sparse as sp
-    nodes = mesh.nodes
+    nodes = mesh.points[:, 0]
     n = len(nodes)
     K = np.zeros((n, n))
     M = np.zeros((n, n))

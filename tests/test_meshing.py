@@ -1,8 +1,11 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hardyspec import (Annulus, ConvexPolygon, Disc, Interval,
+from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Mesh,
                        Torus, TorusSection, build_mesh_1d, build_trimesh,
                        mesh_1d_with_level, refine_mesh_1d, refine_trimesh,
                        restrict_to_strip)
@@ -10,7 +13,7 @@ from hardyspec.errors import InvalidGrading, MeshGenerationFailure, StripTooThin
 from hardyspec.eigensolve import smallest_eigenpairs
 from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
-from hardyspec.meshing import (DIRICHLET, TriMesh, _boundary_polyline,
+from hardyspec.meshing import (_boundary_polyline,
                                _geometric_side_sizes, _layer_depths, _ring_mesh,
                                feasible_grading, format_mesh_text, grading_floor,
                                nested)
@@ -21,18 +24,18 @@ UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 def test_uniform_1d_nodes():
     mesh = build_mesh_1d(Interval(0, 1), 4, 1.0)
-    assert_allclose(mesh.nodes, [0, 0.25, 0.5, 0.75, 1])
+    assert_allclose(mesh.points[:, 0], [0, 0.25, 0.5, 0.75, 1])
 
 
 def test_graded_1d_nodes():
     mesh = build_mesh_1d(Interval(0, 1), 4, 0.5)
-    assert_allclose(mesh.nodes, [0, 1 / 6, 0.5, 5 / 6, 1], atol=1e-15)
+    assert_allclose(mesh.points[:, 0], [0, 1 / 6, 0.5, 5 / 6, 1], atol=1e-15)
 
 
 def test_two_elements_any_grading():
     for g in (0.2, 0.7, 1.0):
         mesh = build_mesh_1d(Interval(0, 1), 2, g)
-        assert_allclose(mesh.nodes, [0, 0.5, 1])
+        assert_allclose(mesh.points[:, 0], [0, 0.5, 1])
 
 
 def test_invalid_grading():
@@ -138,9 +141,7 @@ def test_areas_positive_and_boundary_distance():
         v1, v2 = p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]]
         oracle = 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
         assert mesh.areas().tobytes() == oracle.tobytes()
-        boundary_nodes = sorted({i for i, j, _ in mesh.boundary_edges}
-                                | {j for _, j, _ in mesh.boundary_edges})
-        assert np.all(mesh.node_d[boundary_nodes] < 1e-12)
+        assert np.all(mesh.node_d[mesh.facets] < 1e-12)
 
 
 def test_area_sum_within_tolerance():
@@ -160,9 +161,9 @@ def test_restrict_two_components():
     d = np.minimum(bary, 1 - bary)
     assert np.all(d < 0.25)
     # two disjoint pieces on either side of the removed core
-    assert max(sub.nodes) > 0.75 and min(sub.nodes) < 0.25
+    assert max(sub.points[:, 0]) > 0.75 and min(sub.points[:, 0]) < 0.25
     # clamped: endpoints plus both interface nodes
-    clamped_x = sorted(sub.nodes[i] for i in sub.dirichlet_nodes())
+    clamped_x = sorted(sub.points[sub.clamped, 0])
     assert clamped_x[0] == 0.0 and clamped_x[-1] == 1.0
     interface = [x for x in clamped_x if 0 < x < 1]
     assert len(interface) == 2
@@ -175,8 +176,8 @@ def test_restrict_whole_mesh():
     sub = restrict_to_strip(mesh, 0.5)
     assert len(sub.elements) == 64
     # the midpoint sits on the inner interface and is clamped
-    mid = int(np.argmin(np.abs(sub.nodes - 0.5)))
-    assert sub.node_tags.get(mid) == DIRICHLET
+    mid = int(np.argmin(np.abs(sub.points[:, 0] - 0.5)))
+    assert sub.clamped[mid]
 
 
 def test_strip_too_thin():
@@ -194,9 +195,9 @@ def test_strip_nesting():
     inner = restrict_to_strip(mesh, 0.125)
     outer = restrict_to_strip(mesh, 0.25)
     inner_elems = {(round(mesh_x, 14), round(mesh_y, 14))
-                   for mesh_x, mesh_y in inner.nodes[inner.elements]}
+                   for mesh_x, mesh_y in inner.points[inner.elements, 0]}
     outer_elems = {(round(mesh_x, 14), round(mesh_y, 14))
-                   for mesh_x, mesh_y in outer.nodes[outer.elements]}
+                   for mesh_x, mesh_y in outer.points[outer.elements, 0]}
     assert inner_elems <= outer_elems
 
 
@@ -206,9 +207,7 @@ def test_restrict_trimesh():
     d = np.maximum(mesh.domain.distance_many(sub.barycenters()), 0)
     assert np.all(d < 0.3)
     assert np.all(sub.areas() > 0)
-    inner = [i for i, t in sub.node_tags.items()
-             if t == DIRICHLET and sub.node_d[i] > 0.2]
-    assert inner  # the cut interface is clamped
+    assert np.any(sub.clamped & (sub.node_d > 0.2))  # the cut interface is clamped
 
 
 def _ring_mesh_loop(domain, h, grading):
@@ -232,27 +231,28 @@ def _ring_mesh_loop(domain, h, grading):
             j = (i + 1) % m
             tris.append((base0 + i, base0 + j, base1 + j))
             tris.append((base0 + i, base1 + j, base1 + i))
-    edges = [(i, (i + 1) % m, DIRICHLET) for i in range(m)]
+    facets = [(i, (i + 1) % m) for i in range(m)]
     base = (len(rings) - 1) * m
     if isinstance(domain, Annulus):
         # the inner circle is the last ring
-        edges += [(base + i, base + (i + 1) % m, DIRICHLET) for i in range(m)]
+        facets += [(base + i, base + (i + 1) % m) for i in range(m)]
     else:
         # the last ring fans onto the center
         for i in range(m):
             tris.append((base + i, base + (i + 1) % m, len(rings) * m))
         rings.append(center[None, :])
-    tags = {i: DIRICHLET for e in edges for i in e[:2]}
-    return TriMesh(np.vstack(rings), np.asarray(tris, dtype=int), edges, tags, domain)
+    points = np.vstack(rings)
+    clamped = np.zeros(len(points), dtype=bool)
+    for i, j in facets:
+        clamped[i] = clamped[j] = True
+    return Mesh(points, np.asarray(tris, dtype=int), np.asarray(facets, dtype=int),
+                np.zeros(len(facets), dtype=bool), domain, clamped)
 
 
-def _assert_same_trimesh(new, old):
-    assert np.array_equal(new.points, old.points)
-    assert new.elements.dtype == old.elements.dtype
-    assert np.array_equal(new.elements, old.elements)
-    assert np.array_equal(new.node_d, old.node_d)
-    assert new.boundary_edges == old.boundary_edges
-    assert list(new.node_tags.items()) == list(old.node_tags.items())
+def _assert_same_mesh(new, old):
+    for field in ("points", "elements", "facets", "robin", "clamped", "node_d"):
+        assert getattr(new, field).dtype == getattr(old, field).dtype, field
+        assert np.array_equal(getattr(new, field), getattr(old, field)), field
 
 
 def test_templates_match_loop_oracles():
@@ -260,7 +260,7 @@ def test_templates_match_loop_oracles():
                    ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)]),
                    Annulus((0.5, -0.5), 0.5, 1.5)):
         for h, grading in ((0.1, 1.0), (0.05, 0.5), (0.15, 0.3)):
-            _assert_same_trimesh(_ring_mesh(domain, h, grading),
+            _assert_same_mesh(_ring_mesh(domain, h, grading),
                                  _ring_mesh_loop(domain, h, grading))
 
 
@@ -287,7 +287,7 @@ def test_truncated_strip_matches_whole_mesh(domain):
             with pytest.raises(type(exc)):
                 strip_mesh(problem, k)
             continue
-        _assert_same_trimesh(strip_mesh(problem, k), oracle)
+        _assert_same_mesh(strip_mesh(problem, k), oracle)
 
 
 def test_annulus_reach_builds_two_bands():
@@ -303,23 +303,24 @@ def test_annulus_reach_builds_two_bands():
     assert mesh.node_d.max() <= reach + h + 1e-12
     assert mesh.n_nodes < build_trimesh(annulus, h, 1.0).n_nodes
     rho = np.linalg.norm(mesh.points - annulus.center, axis=1)
-    on = {i for e in mesh.boundary_edges for i in e[:2]}
-    assert np.sum(rho[list(on)] < 1.0) == np.sum(rho[list(on)] > 1.0) == len(on) // 2
+    on = np.unique(mesh.facets)
+    assert np.sum(rho[on] < 1.0) == np.sum(rho[on] > 1.0) == len(on) // 2
 
 
 def test_mesh_with_level_has_exact_node():
     mesh = mesh_1d_with_level(Interval(0, 1), 0.25, 32, 0.5)
-    assert 0.25 in mesh.nodes
-    assert 0.75 in mesh.nodes
-    assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
+    x = mesh.points[:, 0]
+    assert 0.25 in x
+    assert 0.75 in x
+    assert x[0] == 0.0 and x[-1] == 1.0
 
 
 def test_refine_1d_nested():
     mesh = build_mesh_1d(Interval(0, 1), 8, 0.5)
     fine = refine_mesh_1d(mesh)
     assert len(fine.elements) == 16
-    assert set(np.round(mesh.nodes, 15)) <= set(np.round(fine.nodes, 15))
-    assert fine.node_tags[0] == DIRICHLET
+    assert set(np.round(mesh.points[:, 0], 15)) <= set(np.round(fine.points[:, 0], 15))
+    assert fine.clamped[0]
 
 
 def test_refine_trimesh_quadruples():
@@ -333,9 +334,7 @@ def test_refine_trimesh_quadruples():
 def test_refine_trimesh_snaps_curved_boundary():
     mesh = build_trimesh(Disc((0, 0), 1.0), 0.2, 1.0)
     fine = refine_trimesh(mesh)
-    boundary_nodes = sorted({i for i, j, _ in fine.boundary_edges}
-                            | {j for _, j, _ in fine.boundary_edges})
-    assert np.all(fine.node_d[boundary_nodes] < 1e-12)
+    assert np.all(fine.node_d[fine.facets] < 1e-12)
 
 
 def _refine_trimesh_dict(mesh):
@@ -375,27 +374,28 @@ def _refine_trimesh_dict(mesh):
         bc = midpoint(b, c, snap_target(b, c))
         ca = midpoint(c, a, snap_target(c, a))
         tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-    edges = []
-    tags = {}
-    for i, j, tag in mesh.boundary_edges:
+    facets, robin = [], []
+    for (i, j), is_robin in zip(mesh.facets.tolist(), mesh.robin.tolist()):
         mid = midpoint(i, j, snap_target(i, j))
-        edges.extend([(i, mid, tag), (mid, j, tag)])
-        tags[i] = tag
-        tags[j] = tag
-        tags[mid] = tag
-    for i, t in mesh.node_tags.items():
-        tags.setdefault(i, t)
-    return TriMesh(np.asarray(pts), np.asarray(tris, dtype=int), edges, tags, mesh.domain)
+        facets.extend([(i, mid), (mid, j)])
+        robin.extend([is_robin, is_robin])
+    # old nodes keep their clamping; a clamped facet's midpoint is clamped
+    clamped = mesh.clamped.tolist() + [False] * (len(pts) - mesh.n_nodes)
+    for (i, mid), is_robin in zip(facets[::2], robin[::2]):
+        if not is_robin:
+            clamped[mid] = True
+    return Mesh(np.asarray(pts), np.asarray(tris, dtype=int), np.asarray(facets, dtype=int),
+                np.asarray(robin), mesh.domain, np.asarray(clamped))
 
 
 def test_refine_trimesh_matches_dict_oracle():
     # the last triangle of the fan is missing, so boundary edge (3, 0)
     # borders no element and its midpoint is numbered after all others
     square = ConvexPolygon(UNIT_SQUARE)
-    fan = TriMesh(np.vstack([UNIT_SQUARE, [(0.5, 0.5)]]).astype(float),
-                  np.array([(0, 1, 4), (1, 2, 4), (2, 3, 4)]),
-                  [(i, (i + 1) % 4, DIRICHLET) for i in range(4)],
-                  dict.fromkeys(range(4), DIRICHLET), square)
+    fan = Mesh(np.vstack([UNIT_SQUARE, [(0.5, 0.5)]]).astype(float),
+               np.array([(0, 1, 4), (1, 2, 4), (2, 3, 4)]),
+               np.array([(i, (i + 1) % 4) for i in range(4)]), np.zeros(4, dtype=bool),
+               square)
     meshes = [fan,
               build_trimesh(Disc((0, 0), 1.0), 0.25, 1.0),
               build_trimesh(Disc((0.3, -0.2), 0.7), 0.15, 0.5),
@@ -410,12 +410,27 @@ def test_refine_trimesh_matches_dict_oracle():
         new = old = mesh
         for _ in range(2):
             new, old = refine_trimesh(new), _refine_trimesh_dict(old)
-            assert np.array_equal(new.points, old.points)
-            assert new.elements.dtype == old.elements.dtype
-            assert np.array_equal(new.elements, old.elements)
-            assert new.boundary_edges == old.boundary_edges
-            assert list(new.node_tags.items()) == list(old.node_tags.items())
-            assert np.array_equal(new.node_d, old.node_d)
+            _assert_same_mesh(new, old)
+
+
+def test_refine_mixed_boundary_keeps_clamping():
+    # half the square's edges Robin, half clamped: a node clamped before
+    # refinement stays clamped (the junctions included), a clamped facet's
+    # midpoint is clamped and a Robin facet's is free
+    mesh = build_trimesh(ConvexPolygon(UNIT_SQUARE), 0.25, 1.0)
+    mesh = replace(mesh, robin=np.arange(len(mesh.facets)) % 2 == 0, clamped=None)
+    assert mesh.robin.sum() == len(mesh.facets) // 2 and mesh.clamped.any()
+    for _ in range(2):
+        fine = refine_trimesh(mesh)
+        assert np.array_equal(fine.clamped[:mesh.n_nodes], mesh.clamped)
+        mids = fine.facets[::2, 1]
+        assert np.array_equal(fine.clamped[mids], ~mesh.robin)
+        new = np.ones(fine.n_nodes, dtype=bool)
+        new[:mesh.n_nodes] = False
+        new[mids] = False
+        assert not fine.clamped[new].any()
+        _assert_same_mesh(fine, _refine_trimesh_dict(mesh))
+        mesh = fine
 
 
 def _lift(u, parents):
@@ -524,17 +539,16 @@ def _mesh_text_oracle(mesh):
     """Oracle: the row-by-row formatting of numpy values that
     format_mesh_text replaced."""
     lines = []
+    tags = ["robin" if r else "dirichlet" for r in mesh.robin]
+    lines.append(f"{mesh.dim} {mesh.n_nodes} {len(mesh.elements)} {len(mesh.facets)}")
     if mesh.dim == 1:
-        bnd = sorted(mesh.node_tags.items())
-        lines.append(f"1 {mesh.n_nodes} {len(mesh.elements)} {len(bnd)}")
-        lines.extend(repr(float(x)) for x in mesh.nodes)
+        lines.extend(repr(float(x)) for (x,) in mesh.points)
         lines.extend(f"{i} {j}" for i, j in mesh.elements)
-        lines.extend(f"{i} {tag}" for i, tag in bnd)
+        lines.extend(f"{i} {tag}" for (i,), tag in zip(mesh.facets, tags))
     else:
-        lines.append(f"2 {mesh.n_nodes} {len(mesh.elements)} {len(mesh.boundary_edges)}")
         lines.extend(f"{repr(float(x))} {repr(float(y))}" for x, y in mesh.points)
         lines.extend(f"{a} {b} {c}" for a, b, c in mesh.elements)
-        lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
+        lines.extend(f"{i} {j} {tag}" for (i, j), tag in zip(mesh.facets, tags))
     return "\n".join(lines) + "\n"
 
 
@@ -549,6 +563,26 @@ def export_meshes():
 def test_mesh_text_matches_oracle(export_meshes):
     for mesh in export_meshes:
         assert format_mesh_text(mesh) == _mesh_text_oracle(mesh)
+
+
+def test_mesh_text_digests_pinned(export_meshes):
+    # sha256 of the text, recorded from the format before meshes kept their
+    # boundary as facet arrays; a 1D strip is left out, as its text no
+    # longer lists the clamped interface nodes
+    robin_end = build_mesh_1d(Interval(0, 1), 64, 0.8, tags=("robin", "dirichlet"))
+    annulus_strip = restrict_to_strip(build_trimesh(Annulus((0.2, 0.1), 0.5, 1.5),
+                                                    0.1, 1.0), 0.25)
+    meshes = export_meshes + [robin_end,
+                              refine_trimesh(refine_trimesh(annulus_strip))]
+    digests = [hashlib.sha256(format_mesh_text(m).encode()).hexdigest() for m in meshes]
+    assert digests == [
+        "bd3a462eddbba1ded206d5429bc282604cd737a1d18afc433e423f0a29ab9f26",
+        "67e5a2e90b6df7d2e641d71a895951602a173f1306ab11aac4527ad679cd1400",
+        "b5839774068b81c05ec5865324911fc0358254d5872a34d98a785ea8bd37b7c3",
+        "e5485a9021c5d2120f24adc0d147daae37bf98021330a41a415ff7d77a932642",
+        "90a04810e8796ff5cc2f378dcbed7ef1269743482319a2844e21933f104ff3cc",
+        "cbd034fb4607b477baf4d903c2af8755b127e1fcb8b10288614f50759ab97b15",
+    ]
 
 
 def test_mesh_text_format(export_meshes):
@@ -566,5 +600,5 @@ def test_mesh_text_format(export_meshes):
         assert np.array_equal(np.array(rows[n_nodes:n_nodes + n_el], dtype=int),
                               mesh.elements)
         boundary = [(*map(int, r[:-1]), r[-1]) for r in rows[n_nodes + n_el:]]
-        assert boundary == (sorted(mesh.node_tags.items()) if dim == 1
-                            else mesh.boundary_edges)
+        assert boundary == [(*f, "robin" if r else "dirichlet")
+                            for f, r in zip(mesh.facets.tolist(), mesh.robin)]

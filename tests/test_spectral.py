@@ -240,6 +240,23 @@ def test_2d_strip_keys_refused():
     assert _problem(1.0, 0.0, 0.0, 0.5, (2,)).strip_elements == 96
 
 
+def test_2d_grading_default_left_unset(monkeypatch):
+    # only an interval's strips read the grading, so a 2D section does not
+    # probe the form's coefficients for its default
+    from hardyspec.coefficients import Coefficient
+    calls = []
+    evaluate = Coefficient.evaluate
+    monkeypatch.setattr(Coefficient, "evaluate",
+                        lambda self, env: calls.append(self) or evaluate(self, env))
+    form = FormSpec(a=1.0, q="-0.05*d^-2")
+    problem = ProblemSpec(Disc((0, 0), 1), form, 0.5, ks=(2,))
+    assert problem.grading is None and calls == []
+    # an interval keeps its defaults: graded for a negative potential,
+    # uniform otherwise
+    assert ProblemSpec(IV, form, 0.5, ks=(2,)).grading == 0.15 and calls
+    assert _problem(1.0, 0.0, 0.0, 0.5, (2,)).grading == 1.0
+
+
 def test_persson_2d_strip_matches_annulus():
     # the k=2 strip of the unit disc is the annulus 1/2 < rho < 1 with both
     # circles clamped; cross-check against a mesh built on that annulus
