@@ -17,14 +17,14 @@ from .coefficients import parse_coefficient, require_axisymmetric
 from .eigensolve import check_count, smallest_eigenpairs
 from .errors import ConfigError, HardySpecError
 from .forms import FormSpec, assemble_pencil, format_matrix_text
-from .hardy import (CATALOGUE_METHODS, check_ladder, lambda_bound, ladder_mesh,
-                    verify_hardy)
+from .hardy import check_ladder, lambda_bound, ladder_mesh, verify_hardy
 from .meshing import build_mesh_1d, build_trimesh, format_mesh_text
 from .spectral import (ProblemSpec, check_diagnostic, check_form_nonnegativity,
                        check_pointwise_criterion, discreteness_diagnostic,
                        persson_sequence, strip_mesh)
 
 COMMANDS = ("distance", "hardy", "spectrum", "persson", "criteria", "diagnose")
+SECTIONS = ("run", "domain", "form", "numerics", "output", "point")
 FORMATS = ("json", "csv")
 
 
@@ -40,22 +40,24 @@ def _load_config(path):
 
 
 class _Section:
-    """Typed getters with field-qualified diagnostics."""
+    """Typed getters with field-qualified diagnostics; `read` holds their keys."""
 
     def __init__(self, parser, name):
         self.name = name
         self.data = dict(parser[name]) if parser.has_section(name) else {}
+        self.read = set()
 
     def get(self, key, default=None):
+        self.read.add(key)
         return self.data.get(key, default)
 
     def require(self, key):
         if key not in self.data:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-        return self.data[key]
+        return self.get(key)
 
     def get_float(self, key, default=None):
-        raw = self.data.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -64,7 +66,7 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number") from None
 
     def get_int(self, key, default=None):
-        raw = self.data.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -74,7 +76,7 @@ class _Section:
 
     def get_bool(self, key, default=False):
         """configparser's words, in any case: 1/yes/true/on, 0/no/false/off."""
-        raw = self.data.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -82,6 +84,22 @@ class _Section:
         except KeyError:
             raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean "
                               "(1/yes/true/on or 0/no/false/off)") from None
+
+
+def _refuse_unread(parser, sections, command):
+    """The one rule for config keys, run once a command has read all of its
+    keys and before it does any work: a section cli does not know, or a key
+    that no getter read, is refused.  [DEFAULT] keys are exempt, because
+    configparser copies them into every section."""
+    unread = [f"[{name}]" for name in parser.sections() if name not in SECTIONS]
+    unread += [f"[{sec.name}] {key}" for sec in sections
+               for key in sorted(sec.data.keys() - sec.read - parser.defaults().keys())]
+    if unread:
+        raise ConfigError(f"the {command} command does not read {', '.join(unread)}")
+
+
+def _split_formats(text):
+    return tuple(f.strip() for f in text.split(","))
 
 
 def _build_domain(sec):
@@ -109,22 +127,17 @@ def _build_domain(sec):
                     raise ConfigError(f"[domain] bad vertex {chunk!r}")
                 verts.append((float(xy[0]), float(xy[1])))
             return geometry.ConvexPolygon(verts)
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"[domain] invalid parameters: {exc}") from exc
     raise ConfigError(f"[domain] unknown variant {variant!r}")
 
 
-def _build_form(sec):
+def _build_form(sec, sigma=None):
     try:
         a = parse_coefficient(sec.get("a", "1"))
         q = parse_coefficient(sec.get("q", "0"))
     except HardySpecError as exc:
         raise ConfigError(f"[form] expression error: {exc}") from exc
-    sigma = None
-    if "sigma_left" in sec.data or "sigma_right" in sec.data:
-        sigma = (sec.get_float("sigma_left", 0.0), sec.get_float("sigma_right", 0.0))
     try:
         return FormSpec(a=a, q=q, sigma=sigma, beta=sec.get_float("beta"))
     except ValueError as exc:
@@ -133,6 +146,7 @@ def _build_form(sec):
 
 def _problem_spec(command, domain, form, form_sec, num_sec, seed):
     ks = tuple(range(num_sec.get_int("k_min", 2), num_sec.get_int("k_max", 16) + 1))
+    one_d = domain.section.dim == 1     # 2D strips use the uniform template
     try:
         if command == "diagnose":
             check_diagnostic(ks)
@@ -141,8 +155,8 @@ def _problem_spec(command, domain, form, form_sec, num_sec, seed):
             gamma=form_sec.get_float("gamma", 0.5),
             ks=ks,
             k0=num_sec.get_int("k0"),
-            strip_elements=num_sec.get_int("strip_elements"),
-            grading=num_sec.get_float("grading"),
+            strip_elements=num_sec.get_int("strip_elements") if one_d else None,
+            grading=num_sec.get_float("grading") if one_d else None,
             samples=num_sec.get_int("samples", 10000),
             lam=form_sec.get_float("lambda", 0.0),
             alpha=form_sec.get_float("alpha", 0.0),
@@ -161,60 +175,39 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         formats=None):
     """Execute one pipeline; returns (status, result dict)."""
     parser = _load_config(config_path)
-    run_sec = _Section(parser, "run")
+    sections = [_Section(parser, name) for name in SECTIONS]
+    run_sec, domain_sec, form_sec, num_sec, out_sec, point_sec = sections
     declared = run_sec.get("command")
     if declared is not None and declared != command:
         raise ConfigError(f"[run] command = {declared!r} does not match "
                           f"the requested subcommand {command!r}")
-    domain_sec = _Section(parser, "domain")
-    form_sec = _Section(parser, "form")
-    num_sec = _Section(parser, "numerics")
-    out_sec = _Section(parser, "output")
-    point_sec = _Section(parser, "point")
 
-    if seed is None:
-        seed = num_sec.get_int("seed", 0)
-    if formats is None:
-        formats = tuple(f.strip() for f in out_sec.get("formats", "json").split(","))
-    unknown = [f for f in formats if f not in FORMATS]
+    # the config's seed and formats are read and checked even when overridden
+    config_seed = num_sec.get_int("seed", 0)
+    seed = config_seed if seed is None else seed
+    for value in (config_seed, seed):
+        if not 0 <= value < 2**32:
+            raise ConfigError(f"seed {value} lies outside [0, 2**32 - 1]")
+    config_formats = _split_formats(out_sec.get("formats", "json"))
+    formats = config_formats if formats is None else tuple(formats)
+    unknown = [f for f in config_formats + formats if f not in FORMATS]
     if unknown:
         raise ConfigError(f"unknown output format {unknown[0]!r}; "
                           f"choose from {', '.join(FORMATS)}")
-    # configparser copies [DEFAULT] keys into every section
-    for key in sorted(out_sec.data.keys() - parser.defaults()):
-        if key not in ("formats", "write_mesh", "write_pencil"):
-            raise ConfigError(f"[output] unknown key {key!r}; "
-                              "choose from formats, write_mesh, write_pencil")
-        if key != "formats" and command != "spectrum":
-            raise ConfigError(f"[output] {key} applies only to the spectrum command")
 
     domain = _build_domain(domain_sec)
-    if "mode" in num_sec.data and not isinstance(domain, geometry.Torus):
-        raise ConfigError("[numerics] mode applies only to a torus domain")
-    if "mode" in num_sec.data and command != "spectrum":
-        raise ConfigError("[numerics] mode applies only to the spectrum command")
-    ends = [key for key in ("bc_left", "bc_right", "sigma_left", "sigma_right")
-            if key in form_sec.data]
-    if ends and command != "spectrum":
-        raise ConfigError(f"[form] {ends[0]} applies only to the spectrum command")
-    if ends and not isinstance(domain.section, geometry.Interval):
-        raise ConfigError(f"[form] {ends[0]} applies only on an interval")
-    for end in ("left", "right"):
-        if f"sigma_{end}" in form_sec.data and form_sec.get(f"bc_{end}") != "robin":
-            raise ConfigError(f"[form] sigma_{end} applies only with bc_{end} = robin")
+    section = domain.section
     resolved = {"command": command, "seed": seed,
                 "config_path": os.fspath(config_path),
                 "sections": {name: dict(parser[name]) for name in parser.sections()}}
 
     csv_payload = None  # (filename, header, rows)
     if command == "distance":
-        coords = [point_sec.get_float("x")]
-        if domain.dim >= 2:
-            coords.append(point_sec.get_float("y", 0.0))
-        if domain.dim == 3:
-            coords.append(point_sec.get_float("z", 0.0))
+        coords = [point_sec.get_float(axis, None if axis == "x" else 0.0)
+                  for axis in "xyz"[:domain.dim]]
         if coords[0] is None:
             raise ConfigError("[point] x is required for the distance command")
+        _refuse_unread(parser, sections, command)
         p = np.array(coords, dtype=float)
         ev = domain.distance_calculus(p)
         result = {"point": p.tolist(), **report.jsonable(ev)}
@@ -224,24 +217,23 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         beta = form_sec.get_float("beta", 0.0)
         alpha = form_sec.get_float("alpha", 0.0)
         method = form_sec.get("lambda_method")
+        delta = form_sec.get_float("delta") if method == "tubular" else None
+        lam = form_sec.get_float("lambda", 0.0) if method is None else None
+        ladder = dict(n=num_sec.get_int("n", 256) if section.dim == 1 else None,
+                      h=None if section.dim == 1 else num_sec.get_float("h"),
+                      grading=num_sec.get_float("grading", 0.15),
+                      levels=num_sec.get_int("levels", 3))
+        tol = num_sec.get_float("tol")
+        _refuse_unread(parser, sections, command)
         if method is not None:
-            if method not in CATALOGUE_METHODS:
-                raise ConfigError(f"[form] unknown lambda_method {method!r}")
-            bound = lambda_bound(domain, method, alpha=alpha, beta=beta,
-                                 delta=form_sec.get_float("delta"))
-            lam = bound.lam
-        else:
-            lam = form_sec.get_float("lambda", 0.0)
-        levels = num_sec.get_int("levels", 3)
-        ladder = dict(n=num_sec.get_int("n", 256), h=num_sec.get_float("h"),
-                      grading=num_sec.get_float("grading", 0.15), levels=levels)
+            lam = lambda_bound(domain, method, alpha=alpha, beta=beta, delta=delta).lam
         try:
-            check_ladder(beta, lam, levels)
+            check_ladder(beta, lam, ladder["levels"])
             if dry_run:
                 mesh = ladder_mesh(domain, **ladder)
             else:
-                cert = verify_hardy(domain, beta, alpha, lam, seed=seed,
-                                    tol=num_sec.get_float("tol"), **ladder)
+                cert = verify_hardy(domain, beta, alpha, lam, seed=seed, tol=tol,
+                                    **ladder)
         except ValueError as exc:
             raise ConfigError(f"invalid hardy parameters: {exc}") from exc
         if dry_run:
@@ -256,11 +248,26 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
                             "minimum", "margin"), cert.csv_rows())
 
     elif command == "spectrum":
-        form = _build_form(form_sec)
+        sigma = None
+        if section.dim == 1:
+            ends = ("left", "right")
+            tags = tuple(form_sec.get(f"bc_{end}", "dirichlet") for end in ends)
+            if any(t not in ("dirichlet", "robin") for t in tags):
+                raise ConfigError("[form] bc_left/bc_right must be dirichlet or robin")
+            # only a Robin end reads its sigma
+            sigmas = [form_sec.get_float(f"sigma_{end}") if tag == "robin" else None
+                      for end, tag in zip(ends, tags)]
+            if sigmas != [None, None]:
+                sigma = tuple(s or 0.0 for s in sigmas)
+            size = num_sec.get_int("n", 256)
+        else:
+            size = num_sec.get_float("h", section.interior_diameter() / 16)
+        form = _build_form(form_sec, sigma)
         count = num_sec.get_int("count", 5)
+        grading = num_sec.get_float("grading", 1.0)
+        tol = num_sec.get_float("tol")
         write_mesh = out_sec.get_bool("write_mesh")
         write_pencil = out_sec.get_bool("write_pencil")
-        section = domain.section
         if isinstance(domain, geometry.Torus):
             require_axisymmetric(form.a, form.q)
             # azimuthal mode m adds the potential a m^2 / r^2
@@ -270,19 +277,12 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             if mode:
                 form = FormSpec(a=form.a, sigma=form.sigma, beta=form.beta,
                                 q=form.q + form.a * parse_coefficient(f"{mode**2}/r^2"))
+        _refuse_unread(parser, sections, command)
         try:
             if section.dim == 1:
-                tags = (form_sec.get("bc_left", "dirichlet"),
-                        form_sec.get("bc_right", "dirichlet"))
-                if any(t not in ("dirichlet", "robin") for t in tags):
-                    raise ConfigError("[form] bc_left/bc_right must be "
-                                      "dirichlet or robin")
-                mesh = build_mesh_1d(section, num_sec.get_int("n", 256),
-                                     num_sec.get_float("grading", 1.0), tags=tags)
+                mesh = build_mesh_1d(section, size, grading, tags=tags)
             else:
-                mesh = build_trimesh(section,
-                                     num_sec.get_float("h", section.interior_diameter() / 16),
-                                     num_sec.get_float("grading", 1.0))
+                mesh = build_trimesh(section, size, grading)
             check_count(count, int(np.count_nonzero(~mesh.clamped)))
         except ValueError as exc:
             raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
@@ -292,8 +292,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             status = 0
         else:
             pencil = assemble_pencil(mesh, form, 1.0)
-            rep = smallest_eigenpairs(pencil, count,
-                                      tol=num_sec.get_float("tol"), seed=seed)
+            rep = smallest_eigenpairs(pencil, count, tol=tol, seed=seed)
             result = rep
             status = 0
             csv_payload = ("spectrum_table.csv", ("index", "value", "residual"),
@@ -311,6 +310,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
     elif command in ("persson", "criteria", "diagnose"):
         form = _build_form(form_sec)
         problem = _problem_spec(command, domain, form, form_sec, num_sec, seed)
+        _refuse_unread(parser, sections, command)
         if dry_run:
             sizes = {}
             for k in problem.ks[:1] + problem.ks[-1:]:
@@ -366,9 +366,7 @@ def main(argv=None):
                         help=f"comma-separated output formats ({','.join(FORMATS)})")
     args = parser.parse_args(argv)
 
-    formats = None
-    if args.format is not None:
-        formats = tuple(f.strip() for f in args.format.split(","))
+    formats = None if args.format is None else _split_formats(args.format)
     try:
         status, _ = run(args.command, args.config, out_dir=args.out,
                         seed=args.seed, dry_run=args.dry_run, formats=formats)

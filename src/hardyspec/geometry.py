@@ -42,6 +42,12 @@ def _as_point(p, dim):
     return q
 
 
+def _require_finite(**params):
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class Domain:
     """Base class; concrete variants implement the closed-form calculus."""
 
@@ -149,6 +155,7 @@ class Interval(Domain):
     is_convex = True
 
     def __init__(self, a, b):
+        _require_finite(a=a, b=b)
         if not a < b:
             raise ValueError(f"need a < b, got a={a}, b={b}")
         self.a = float(a)
@@ -197,6 +204,7 @@ class Disc(Domain):
     is_convex = True
 
     def __init__(self, center, radius):
+        _require_finite(center=center, radius=radius)
         if radius <= 0:
             raise ValueError("radius must be positive")
         self.center = np.asarray(center, dtype=float).reshape(2)
@@ -241,6 +249,7 @@ class Annulus(Domain):
     is_convex = False
 
     def __init__(self, center, r_in, r_out):
+        _require_finite(center=center, r_in=r_in, r_out=r_out)
         if not 0 < r_in < r_out:
             raise ValueError("need 0 < r_in < r_out")
         self.center = np.asarray(center, dtype=float).reshape(2)
@@ -284,6 +293,7 @@ class ConvexPolygon(Domain):
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float).reshape(-1, 2)
+        _require_finite(vertices=v)
         if v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 vertices")
         edges = np.roll(v, -1, axis=0) - v
@@ -389,6 +399,7 @@ class Torus(Domain):
     is_convex = False
 
     def __init__(self, c, R):
+        _require_finite(c=c, R=R)
         if not 0 < R < c:
             raise ValueError("need 0 < R < c for an embedded torus")
         self.c = float(c)

@@ -121,10 +121,13 @@ def grading_floor(interval, headroom=1.0):
 
 def feasible_grading(requested, layers, span, floor, one_sided=False):
     """Steepest grading >= requested whose smallest element stays above the
-    float64 floor; geometric meshes cannot grade below machine spacing."""
+    float64 floor; geometric meshes cannot grade below machine spacing.
+    A requested grading outside (0, 1], NaN included, raises InvalidGrading."""
     if requested is None:
         requested = 1.0
-    if requested >= 1.0 or layers <= 1:
+    if not 0 < requested <= 1:
+        raise InvalidGrading(f"grading must lie in (0, 1], got {requested}")
+    if requested == 1.0 or layers <= 1:
         return requested
 
     def smallest(g):

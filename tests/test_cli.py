@@ -345,6 +345,17 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                # an [output] key nothing reads, and an export flag off spectrum
                ("spectrum", disc + "h = 0.25\ncount = 1\n\n[output]\nwrite_pencl = true\n"),
                ("diagnose", plain + "\n[output]\nwrite_pencil = true\n"),
+               # a seed numpy refuses, from the config
+               ("diagnose", plain + "seed = -1\n"),
+               ("spectrum", disc + "h = 0.25\ncount = 1\nseed = 4294967296\n"),
+               # a grading outside (0, 1], for the ladder and for the strips
+               ("hardy", hardy.format(extra="") + "grading = 0\n"),
+               ("hardy", hardy.format(extra="") + "grading = -1\n"),
+               ("diagnose", plain + "grading = -1\n"),
+               ("diagnose", plain + "grading = 0\n"),
+               ("diagnose", plain + "grading = nan\n"),
+               # a domain parameter that is not finite
+               ("diagnose", plain.replace("interval\n", "interval\nb = inf\n")),
                # -laplacian(d) < 0 at the inner equator, 5e-7 short of c = 2R
                ("hardy", "[domain]\nvariant = torus\nc = 1.9999995\nr_tube = 1\n\n"
                          "[form]\nbeta = 0.0\nalpha = 0.0\nlambda_method = fmt_weighted\n\n"
@@ -383,13 +394,20 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                          "--dry-run"])
             assert code == 2
             assert capsys.readouterr().err.startswith("error: ")
+    # a seed numpy refuses, from the flag
+    cfg = write(tmp_path, "seed.ini", plain)
+    for seed in ("-1", "4294967296"):
+        for extra in ([], ["--dry-run"]):
+            assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out"),
+                         f"--seed={seed}", *extra]) == 2
+            assert f"seed {seed} lies outside" in capsys.readouterr().err
 
 
 def test_unknown_identifier_exit_two(tmp_path, capsys):
-    text = ("[domain]\nvariant = interval\n\n[form]\na = 1\nq = -0.1*foo\n\n"
-            "[numerics]\nn = 64\ncount = 1\nk_min = 2\nk_max = 8\nsamples = 200\n")
-    cfg = write(tmp_path, "foo.ini", text)
-    for command in ("spectrum", "diagnose"):
+    form = "[domain]\nvariant = interval\n\n[form]\na = 1\nq = -0.1*foo\n\n[numerics]\n"
+    for command, numerics in (("spectrum", "n = 64\ncount = 1\n"),
+                              ("diagnose", "k_min = 2\nk_max = 8\nsamples = 200\n")):
+        cfg = write(tmp_path, f"{command}.ini", form + numerics)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
@@ -421,13 +439,14 @@ count = 1
     assert doc["result"]["eigenvalues"][0] == pytest.approx(s**2, rel=1e-3)
 
 
-def _refused_with(tmp_path, capsys, command, text, words):
-    """Exit 2 naming `words`, in a run and under --dry-run alike."""
+def _refused_with(tmp_path, capsys, command, text, *words):
+    """Exit 2 naming each of `words`, in a run and under --dry-run alike."""
     cfg = write(tmp_path, "ends.ini", text)
     for flags in ([], ["--dry-run"]):
         code = main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
         assert code == 2
-        assert words in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
 
 
 ENDS_INI = "[domain]\nvariant = {variant}\n\n[form]\na = 1\nq = 0\n{ends}\n[numerics]\n"
@@ -440,15 +459,16 @@ def test_robin_ends_refused_off_spectrum(tmp_path, capsys):
                               ("criteria", "samples = 200\n"),
                               ("hardy", "n = 32\nlevels = 1\n")):
         _refused_with(tmp_path, capsys, command, interval + numerics,
-                      "[form] bc_left applies only to the spectrum command")
+                      f"the {command} command does not read", "[form] bc_left",
+                      "[form] sigma_left")
 
 
 def test_robin_ends_refused_off_interval(tmp_path, capsys):
-    for variant, ends in (("disc", "bc_left = robin"),
-                          ("torus", "bc_right = robin\nsigma_right = 1.0")):
+    for variant, ends, key in (("disc", "bc_left = robin", "bc_left"),
+                               ("torus", "bc_right = robin\nsigma_right = 1.0", "bc_right")):
         _refused_with(tmp_path, capsys, "spectrum",
                       ENDS_INI.format(variant=variant, ends=ends) + "h = 0.25\ncount = 1\n",
-                      "applies only on an interval")
+                      f"the spectrum command does not read [form] {key}")
 
 
 def test_sigma_refused_on_a_clamped_end(tmp_path, capsys):
@@ -457,7 +477,59 @@ def test_sigma_refused_on_a_clamped_end(tmp_path, capsys):
                  "bc_right = robin\nsigma_right = 2.0\nsigma_left = 0.0"):
         _refused_with(tmp_path, capsys, "spectrum",
                       ENDS_INI.format(variant="interval", ends=ends) + "n = 64\ncount = 1\n",
-                      "[form] sigma_left applies only with bc_left = robin")
+                      "the spectrum command does not read [form] sigma_left")
+
+
+RULE_SPECTRUM = ("[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n"
+                 "[numerics]\nn = 16\ncount = 1\n\n[output]\nformats = json\n")
+RULE_HARDY_DISC = ("[domain]\nvariant = disc\n\n[form]\nbeta = 0.0\n"
+                   "lambda_method = hhl_volume\n\n[numerics]\nh = 0.5\nlevels = 1\n")
+RULE_HARDY_INTERVAL = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n"
+                       "lambda = 1.0\n\n[numerics]\nn = 32\nlevels = 1\n")
+
+
+@pytest.mark.parametrize("command, text, flags, refused", [
+    # a misspelt key in each section, and a misspelt section
+    ("spectrum", RULE_SPECTRUM.replace("interval\n", "interval\nradus = 2.0\n"), [],
+     "the spectrum command does not read [domain] radus"),
+    ("spectrum", RULE_SPECTRUM.replace("q = 0\n", "q = 0\ngama = 0.9\n"), [],
+     "the spectrum command does not read [form] gama"),
+    ("spectrum", RULE_SPECTRUM.replace("count = 1\n", "cout = 2\n"), [],
+     "the spectrum command does not read [numerics] cout"),
+    ("spectrum", RULE_SPECTRUM + "write_pencl = true\n", [],
+     "the spectrum command does not read [output] write_pencl"),
+    ("distance", "[domain]\nvariant = disc\n\n[point]\nx = 0.5\nyy = 0.0\n", [],
+     "the distance command does not read [point] yy"),
+    ("spectrum", RULE_SPECTRUM + "\n[numercs]\ncount = 2\n", [],
+     "the spectrum command does not read [numercs]"),
+    # configparser copies [DEFAULT] keys into every section: they are exempt
+    ("spectrum", "[DEFAULT]\nowner = lab\n" + RULE_SPECTRUM, [], None),
+    # the config's formats are checked, and its seed read, under an override
+    ("spectrum", RULE_SPECTRUM.replace("= json", "= jsno"), ["--format", "json"],
+     "unknown output format 'jsno'"),
+    ("spectrum", RULE_SPECTRUM.replace("count = 1\n", "count = 1\nseed = 1\n"),
+     ["--seed", "3"], None),
+    # keys read only where their value is used
+    ("hardy", RULE_HARDY_DISC + "n = 32\n", [],
+     "the hardy command does not read [numerics] n"),
+    ("hardy", RULE_HARDY_INTERVAL + "h = 0.1\n", [],
+     "the hardy command does not read [numerics] h"),
+    ("hardy", RULE_HARDY_DISC.replace("hhl_volume\n", "hhl_volume\ndelta = 0.1\n"), [],
+     "the hardy command does not read [form] delta"),
+    ("hardy", RULE_HARDY_INTERVAL.replace("1.0\n", "5.0\nlambda_method = none\n"), [],
+     "the hardy command does not read [form] lambda")])
+def test_a_key_nothing_reads_exits_two(tmp_path, capsys, command, text, flags, refused):
+    cfg = write(tmp_path, "rule.ini", text)
+    for extra in ([], ["--dry-run"]):
+        out = tmp_path / f"out{len(extra)}"
+        code = main([command, "--config", cfg, "--out", str(out), *flags, *extra])
+        err = capsys.readouterr().err
+        if refused is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and refused in err
+            # refused before any work: nothing is written
+            assert not out.exists()
 
 
 def test_spectrum_torus_modes(tmp_path):

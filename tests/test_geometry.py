@@ -365,6 +365,19 @@ def test_domain_invariants():
         Torus(1.0, 2.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Interval(0, np.inf), lambda: Interval(np.nan, 1),
+    lambda: Disc((0, 0), np.nan), lambda: Disc((np.nan, 0), 1),
+    lambda: Disc((0, 0), np.inf), lambda: Annulus((0, np.inf), 0.5, 1.0),
+    lambda: Annulus((0, 0), 0.5, np.inf),
+    lambda: ConvexPolygon([(0, 0), (1, 0), (np.nan, 1)]),
+    lambda: Torus(np.inf, 1), lambda: Torus(3, np.nan)])
+def test_non_finite_parameters_refused(build):
+    # nan passes every order comparison and inf passes a < b
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_finite_difference_needs_clearance():
     from hardyspec.errors import TooCloseToBoundary
     with pytest.raises(TooCloseToBoundary):
