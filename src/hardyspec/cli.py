@@ -145,24 +145,24 @@ def _build_form(sec, sigma=None):
 
 
 def _problem_spec(command, domain, form, form_sec, num_sec, seed):
-    ks = tuple(range(num_sec.get_int("k_min", 2), num_sec.get_int("k_max", 16) + 1))
+    """Read the keys a strip command uses: `persson` none of the criteria's,
+    `criteria` no `k_max`, as it works on the strip at k0 alone."""
+    k_min = num_sec.get_int("k_min", 2)
+    ks = (k_min,) if command == "criteria" else \
+        tuple(range(k_min, num_sec.get_int("k_max", 16) + 1))
+    criteria = {} if command == "persson" else dict(
+        gamma=form_sec.get_float("gamma", 0.5), k0=num_sec.get_int("k0"),
+        samples=num_sec.get_int("samples", 10000),
+        lam=form_sec.get_float("lambda", 0.0), alpha=form_sec.get_float("alpha", 0.0))
     one_d = domain.section.dim == 1     # 2D strips use the uniform template
     try:
         if command == "diagnose":
             check_diagnostic(ks)
         return ProblemSpec(
-            domain=domain, form=form,
-            gamma=form_sec.get_float("gamma", 0.5),
-            ks=ks,
-            k0=num_sec.get_int("k0"),
+            domain=domain, form=form, ks=ks,
             strip_elements=num_sec.get_int("strip_elements") if one_d else None,
             grading=num_sec.get_float("grading") if one_d else None,
-            samples=num_sec.get_int("samples", 10000),
-            lam=form_sec.get_float("lambda", 0.0),
-            alpha=form_sec.get_float("alpha", 0.0),
-            seed=seed,
-            tol=num_sec.get_float("tol"),
-        )
+            seed=seed, tol=num_sec.get_float("tol"), **criteria)
     except ValueError as exc:
         raise ConfigError(f"invalid problem parameters: {exc}") from exc
 

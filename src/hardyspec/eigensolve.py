@@ -1,6 +1,6 @@
 """Smallest eigenpairs of sparse symmetric pencils K x = lambda M x.
 
-One certified path serves every count below dof.  K - sigma M is factored
+One certified path serves every count up to dof.  K - sigma M is factored
 with diagonal pivots only, so its negative pivots count the eigenvalues
 below sigma (Sylvester's law of inertia), the counting function N(lambda).
 The first shift, a floor the caller names, is stepped down past any
@@ -45,8 +45,9 @@ class SpectralReport:
     tol: float
     sigma: float                   # shift used (below the returned spectrum)
     seed: int
-    solver: str                    # "shift-invert-lanczos"; "dense" if count == dof
-    iterations: int                # right-hand sides Lanczos solved (0 if dense)
+    iterations: int                # right-hand sides Lanczos solved
+    # both constant: one path, and a pair that fails both tests raises
+    solver: str = "shift-invert-lanczos"
     converged: bool = True
     mesh_info: dict = field(default_factory=dict)
 
@@ -138,14 +139,15 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
       coupling the last block to the next; each Ritz vector gets the
       shift-invert correction.
     The basis is one array with room for twice the first test's vectors,
-    doubled when full.  Past `maxiter` right-hand sides it raises
-    NoConvergence, whose `partial` holds the pairs that passed the test, or
-    else the lowest Ritz pair.
+    doubled when full.  Past `maxiter` right-hand sides (None: 400, or twice
+    the first test's vectors if more) it raises NoConvergence, whose
+    `partial` holds the pairs that passed the test, or the lowest Ritz pair.
     """
     n = M.shape[0]
     W = lu.solve(M @ V).reshape(n, -1)
     b = solves = W.shape[1]
     first = min(n, 12 if k == 1 else max(2 * k + 1, 20))
+    maxiter = max(400, 2 * first) if maxiter is None else maxiter
     Q, size = np.empty((min(n, 2 * (first + b)), n)), 0    # the basis, a vector a row
     ahead = []                  # M q of each vector OP has not met
     band = []                   # band[m] = T[m:m + b + 1, m], T's lower band
@@ -283,27 +285,6 @@ def _norm1(A):
     return np.bincount(A.indices, np.abs(A.data), A.shape[1]).max()
 
 
-def _residual(K, M, lam, x):
-    """K x - lam M x and its norm relative to ||M x||."""
-    r = K @ x - lam * (M @ x)
-    return r, np.linalg.norm(r) / max(np.linalg.norm(M @ x), 1e-300)
-
-
-def _polish(K, M, lam, x):
-    """One inverse-iteration step at a slightly detuned shift; keeps the
-    update only when it reduces the residual."""
-    lu = _factor(K, M, lam - 1e-8 * (1.0 + abs(lam)))[0]
-    y = lu.solve(M @ x)
-    ny = np.sqrt(abs(y @ (M @ y)))
-    if not np.isfinite(ny) or ny == 0:
-        return lam, x
-    y = y / ny
-    lam_y = float(y @ (K @ y)) / float(y @ (M @ y))
-    if _residual(K, M, lam_y, y)[1] < _residual(K, M, lam, x)[1]:
-        return lam_y, y
-    return lam, x
-
-
 def check_count(count, dof):
     """Refuse a count of eigenpairs that a dof-unknown pencil cannot give."""
     if count < 1:
@@ -319,9 +300,10 @@ def _start_vector(seed, n):
         return _START.standard_normal(n)
 
 
-def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
+def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None,
                         floor=-0.01):
-    """The `count` algebraically smallest eigenpairs of K x = lambda M x.
+    """The `count` algebraically smallest eigenpairs of K x = lambda M x,
+    ascending, for every count from 1 to dof.
 
     Deterministic for a fixed seed, which fixes the Lanczos start.  A given
     `v0` leads the start vector, with a seeded random part of 1e-3 of its
@@ -329,9 +311,9 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
     not reach, where Lanczos would then never look.  `floor` is the first
     shift tried, best a value known to lie just below the bottom.  Vectors
     come back M-orthonormal.  A pair converges when its residual or its
-    backward error is within tol; one that fails both gets one inverse-
-    iteration polish.  `maxiter` bounds the LU solves (right-hand sides) of
-    each Lanczos run, whatever the count.
+    backward error is within tol; one that fails both raises NoConvergence,
+    whose `partial` holds the pairs that pass.  `maxiter` bounds the LU
+    solves of each Lanczos run (see `_lanczos`).
     """
     n = pencil.dof
     check_count(count, n)
@@ -340,17 +322,10 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
         raise FactorizationFailure("denominator matrix has a nonpositive diagonal")
     if tol is None:
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
-    if count == n:
-        # no Lanczos loop reaches every copy of a repeated eigenvalue
-        sigma = _shift(K, M, floor, np.inf, 0)[1]
-        vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
-        solver_calls = 0
-    else:
-        start = _start_vector(seed, n)
-        if v0 is not None:
-            start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)
-        vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter,
-                                                 floor, seed)
+    start = _start_vector(seed, n)
+    if v0 is not None:
+        start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)
+    vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter, floor, seed)
 
     # normalize in the M inner product
     for j in range(vecs.shape[1]):
@@ -358,25 +333,18 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=400, v0=None,
 
     residuals, backward = np.empty(count), np.empty(count)
     normK, normM = _norm1(K), _norm1(M)
-
-    def errors(lam, x):
-        r, res = _residual(K, M, lam, x)
-        return res, np.linalg.norm(r) / max((normK + abs(lam) * normM)
-                                            * np.linalg.norm(x), 1e-300)
-
     for j in range(count):
-        residuals[j], backward[j] = errors(vals[j], vecs[:, j])
-        if residuals[j] > tol and backward[j] > tol:
-            vals[j], vecs[:, j] = _polish(K, M, vals[j], vecs[:, j])
-            residuals[j], backward[j] = errors(vals[j], vecs[:, j])
-
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    residuals, backward = residuals[order], backward[order]
-    converged = bool(np.all((residuals <= tol) | (backward <= tol)))
+        x = vecs[:, j]
+        r = np.linalg.norm(K @ x - vals[j] * (M @ x))
+        residuals[j] = r / max(np.linalg.norm(M @ x), 1e-300)
+        backward[j] = r / max((normK + abs(vals[j]) * normM) * np.linalg.norm(x), 1e-300)
+    ok = (residuals <= tol) | (backward <= tol)
+    if not ok.all():
+        partial = SimpleNamespace(eigenvalues=vals[ok], eigenvectors=vecs[:, ok])
+        raise NoConvergence(f"{np.count_nonzero(~ok)} of {count} eigenpairs fail "
+                            "both the residual and the backward-error test", partial)
     return SpectralReport(vals, residuals, backward, vecs, n, tol, float(sigma), seed,
-                          "dense" if count == n else "shift-invert-lanczos",
-                          solver_calls, converged, dict(pencil.meta))
+                          solver_calls, mesh_info=dict(pencil.meta))
 
 
 def counting_function(pencil, lam):

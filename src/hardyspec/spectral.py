@@ -33,7 +33,7 @@ class ProblemSpec:
 
     domain: object
     form: FormSpec
-    gamma: float
+    gamma: float = 0.5
     ks: tuple = (2, 3, 4, 6, 8, 12, 16)
     k0: int = None
     strip_elements: int = None     # an interval's only; default: 96
@@ -64,6 +64,8 @@ class ProblemSpec:
             self.strip_elements = 96
         elif self.strip_elements < 1:
             raise ValueError("strip_elements must be at least 1")
+        if self.grading is not None and not 0 < self.grading <= 1:
+            raise ValueError(f"grading must lie in (0, 1], got {self.grading}")
         power = self.form.a.d_power()
         if power is not None:
             if self.form.beta not in (None, power):

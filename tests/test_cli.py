@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hardyspec
+from hardyspec import cli
 from hardyspec.cli import main, run
 from hardyspec.errors import ConfigError
+from hardyspec.report import jsonable
 
 
 def write(tmp_path, name, text):
@@ -86,7 +89,6 @@ variant = interval
 a = 1
 q = 0
 beta = 0.0
-gamma = 0.5
 
 [numerics]
 k_min = 2
@@ -403,6 +405,83 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
             assert f"seed {seed} lies outside" in capsys.readouterr().err
 
 
+def test_bad_grading_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    calls = []
+    pointwise = cli.check_pointwise_criterion
+    monkeypatch.setattr(cli, "check_pointwise_criterion",
+                        lambda problem: calls.append(problem) or pointwise(problem))
+    cfg = write(tmp_path, "g.ini", "[domain]\nvariant = interval\n\n[form]\na = 1\n"
+                "q = -0.1*d^-2\n\n[numerics]\nk_min = 2\nk_max = 8\ngrading = -1\n")
+    assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "grading must lie in (0, 1]" in capsys.readouterr().err
+    assert calls == []
+
+
+DIAGNOSE_INI = ("[domain]\nvariant = interval\n\n[form]\na = 1\nq = {q}\ngamma = 0.5\n"
+                "{extra}\n[numerics]\nk_min = 2\nk_max = 6\n")
+
+
+@pytest.mark.parametrize("q, extra, reason", [
+    # q_- = 30 is within (1 - gamma)(1/(4 d^2) + 60), but above (1 - gamma) 4 pi^2,
+    # the form's bottom on the strip {d < 1/2}: two clamped halves of length 1/2
+    ("-30", "lambda = 60\nalpha = 0\n", "form nonnegativity failed at stage 2"),
+    # a large constant potential flattens the strip minima's growth in k
+    ("1000", "", "fitted exponent 0.235 below 1.900")])
+def test_diagnose_inconclusive_past_stage_one(tmp_path, q, extra, reason):
+    cfg = write(tmp_path, "d.ini", DIAGNOSE_INI.format(q=q, extra=extra))
+    status, doc = run("diagnose", cfg, out_dir=str(tmp_path / "out"))
+    assert status == 1
+    assert doc["result"]["verdict"] == "INCONCLUSIVE"
+    assert doc["result"]["reason"] == reason
+
+
+def test_unconverged_pair_exits_two(tmp_path, capsys, monkeypatch):
+    # a Lanczos vector that fails both tests ends the run, with no report
+    lanczos = hardyspec.eigensolve._lanczos
+
+    def perturbed(*args):
+        lam, x, solves = lanczos(*args)
+        wave = np.cos(np.arange(x.size)).reshape(x.shape)
+        return lam, x + 1e-3 * np.linalg.norm(x) / np.linalg.norm(wave) * wave, solves
+
+    monkeypatch.setattr(hardyspec.eigensolve, "_lanczos", perturbed)
+    cfg = write(tmp_path, "h.ini", HARDY_INI)
+    assert main(["hardy", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "fail both the residual and the backward-error test" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_hardy_dry_run(tmp_path):
+    cfg = write(tmp_path, "h.ini", HARDY_INI)
+    status, doc = run("hardy", cfg, out_dir=str(tmp_path / "out"), dry_run=True)
+    assert status == 0
+    assert doc["result"] == {"dry_run": True, "beta": 0.0, "alpha": 0.0, "lambda": 3.0,
+                             "nodes": 129, "elements": 128}
+
+
+def test_annulus_and_polygon_domains(tmp_path, capsys):
+    annulus = ("[domain]\nvariant = annulus\nr_in = 0.5\nr_out = 1.0\n\n"
+               "[point]\nx = 0.7\ny = 0.0\n")
+    polygon = ("[domain]\nvariant = convex_polygon\nvertices = {vertices}\n\n"
+               "[point]\nx = 0.25\ny = 0.5\n")
+    for text, d in ((annulus, 0.2), (polygon.format(vertices="0,0;1,0;1,1;0,1"), 0.25)):
+        status, doc = run("distance", write(tmp_path, "ok.ini", text),
+                          out_dir=str(tmp_path / "out"))
+        assert status == 0 and doc["result"]["d"] == pytest.approx(d, rel=1e-12)
+    # a vertex that is not a pair, and a clockwise polygon
+    for vertices, refused in (("0,0;1,0,2;1,1", "bad vertex '1,0,2'"),
+                              ("0,0;0,1;1,1;1,0", "counterclockwise")):
+        cfg = write(tmp_path, "bad.ini", polygon.format(vertices=vertices))
+        assert main(["distance", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert refused in capsys.readouterr().err
+
+
+def test_jsonable_numpy_scalars():
+    doc = jsonable({"x": np.float64(0.5), "n": np.int64(3), "ok": np.bool_(True)})
+    assert doc == {"x": 0.5, "n": 3, "ok": True}
+    assert [type(v) for v in doc.values()] == [float, int, bool]
+
+
 def test_unknown_identifier_exit_two(tmp_path, capsys):
     form = "[domain]\nvariant = interval\n\n[form]\na = 1\nq = -0.1*foo\n\n[numerics]\n"
     for command, numerics in (("spectrum", "n = 64\ncount = 1\n"),
@@ -517,7 +596,20 @@ RULE_HARDY_INTERVAL = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n"
     ("hardy", RULE_HARDY_DISC.replace("hhl_volume\n", "hhl_volume\ndelta = 0.1\n"), [],
      "the hardy command does not read [form] delta"),
     ("hardy", RULE_HARDY_INTERVAL.replace("1.0\n", "5.0\nlambda_method = none\n"), [],
-     "the hardy command does not read [form] lambda")])
+     "the hardy command does not read [form] lambda"),
+    # persson_sequence reads no criterion key, and criteria works at k0 alone
+    ("persson", PERSSON_INI.replace("beta = 0.0\n", "beta = 0.0\ngamma = 0.9\n"), [],
+     "the persson command does not read [form] gamma"),
+    ("persson", PERSSON_INI.replace("beta = 0.0\n", "beta = 0.0\nlambda = 100\n"), [],
+     "the persson command does not read [form] lambda"),
+    ("persson", PERSSON_INI.replace("beta = 0.0\n", "beta = 0.0\nalpha = 1\n"), [],
+     "the persson command does not read [form] alpha"),
+    ("persson", PERSSON_INI + "samples = 5\n", [],
+     "the persson command does not read [numerics] samples"),
+    ("persson", PERSSON_INI + "k0 = 3\n", [],
+     "the persson command does not read [numerics] k0"),
+    ("criteria", CRITERIA_FAIL_INI + "k_max = 8\n", [],
+     "the criteria command does not read [numerics] k_max")])
 def test_a_key_nothing_reads_exits_two(tmp_path, capsys, command, text, flags, refused):
     cfg = write(tmp_path, "rule.ini", text)
     for extra in ([], ["--dry-run"]):

@@ -228,6 +228,13 @@ def test_beta_taken_from_power_diffusion():
 def test_gamma_validation():
     with pytest.raises(ValueError):
         _problem(1.0, 0.0, 0.0, 1.5, (2,))
+    assert ProblemSpec(IV, FormSpec(a=1.0, q=0.0)).gamma == 0.5
+
+
+@pytest.mark.parametrize("grading", [-1.0, 0.0, 1.5, float("nan")])
+def test_grading_outside_the_unit_interval_refused(grading):
+    with pytest.raises(ValueError, match=r"grading must lie in \(0, 1\]"):
+        _problem(1.0, 0.0, 0.0, 0.5, (2,), grading=grading)
 
 
 def test_2d_strip_keys_refused():
