@@ -21,7 +21,7 @@ from .hardy import check_ladder, lambda_bound, ladder_mesh, verify_hardy
 from .meshing import build_mesh_1d, build_trimesh, format_mesh_text
 from .spectral import (ProblemSpec, check_diagnostic, check_form_nonnegativity,
                        check_pointwise_criterion, discreteness_diagnostic,
-                       persson_sequence, strip_mesh)
+                       persson_sequence, strip_mesh, strip_samples)
 
 COMMANDS = ("distance", "hardy", "spectrum", "persson", "criteria", "diagnose")
 SECTIONS = ("run", "domain", "form", "numerics", "output", "point")
@@ -312,10 +312,13 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         problem = _problem_spec(command, domain, form, form_sec, num_sec, seed)
         _refuse_unread(parser, sections, command)
         if dry_run:
-            sizes = {}
-            for k in problem.ks[:1] + problem.ks[-1:]:
-                sizes[str(k)] = strip_mesh(problem, k).n_nodes
+            # the criteria also work on the k0 strip and stage 1's samples
+            criteria = command != "persson"
+            ks = problem.ks[:1] + problem.ks[-1:] + ((problem.k0,) if criteria else ())
+            sizes = {str(k): strip_mesh(problem, k).n_nodes for k in ks}
             result = {"dry_run": True, "strip_nodes": sizes, "ks": list(problem.ks)}
+            if criteria:
+                result["samples"] = len(strip_samples(problem)[1])
             status = 0
         elif command == "persson":
             seq = persson_sequence(problem)

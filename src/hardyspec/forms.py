@@ -59,6 +59,10 @@ class Pencil:
 # quadrature rules
 # ---------------------------------------------------------------------------
 
+# Gauss panels per 1D element: pencils and the localization identity check
+QUAD_POINTS, QUAD_SUBDIV, IMS_QUAD_POINTS = 6, 4, 4
+
+
 @lru_cache
 def gauss_panels(npts, nsub):
     """Composite Gauss-Legendre rule on [0, 1]: nsub equal panels of npts.
@@ -112,7 +116,7 @@ def _c_malloc_trim():
 _MALLOC_TRIM = _c_malloc_trim()
 
 
-def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
+def assemble_pencil(mesh, form, denominator):
     """Assemble the (K, M) pencil of the form against a weighted mass.
 
     K carries the diffusion, potential and boundary sigma terms; M carries
@@ -126,7 +130,7 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
     mw = as_coefficient(mw) if mw is not None else None
 
     free = np.flatnonzero(~mesh.clamped)
-    K, M = _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free)
+    K, M = _assemble(mesh, form, denominator, QUAD_POINTS, QUAD_SUBDIV, mw, free)
     if _MALLOC_TRIM is not None:
         # Hand the freed quadrature arrays back to the OS before the solver
         # factors.  Once glibc has freed a large block it serves blocks of
@@ -141,7 +145,7 @@ def assemble_pencil(mesh, form, denominator, quad_points=6, quad_subdiv=4):
         "n_nodes": mesh.n_nodes,
         "dof": len(free),
         # the rule used: Gauss panels in 1D, the fixed 7-point rule on triangles
-        **({"quad_points": quad_points, "quad_subdiv": quad_subdiv}
+        **({"quad_points": QUAD_POINTS, "quad_subdiv": QUAD_SUBDIV}
            if mesh.dim == 1 else {"quad_points": len(TRI_W)}),
         "a": form.a.text,
         "q": form.q.text,
@@ -445,7 +449,7 @@ def ims_partition(mesh, delta_in, delta_out):
     return part
 
 
-def ims_identity_residual(mesh, partition, u, a, quad_points=4):
+def ims_identity_residual(mesh, partition, u, a):
     """Max pointwise defect of the localization identity
 
         a |grad(phi_j u)|^2 = phi_j^2 a |grad u|^2 + a |grad phi_j|^2 u^2
@@ -456,7 +460,7 @@ def ims_identity_residual(mesh, partition, u, a, quad_points=4):
     a = as_coefficient(a)
     u = np.asarray(u, dtype=float)
 
-    conn, pts, _, basis, grads, axis = _element_rule(mesh, quad_points, 1)
+    conn, pts, _, basis, grads, axis = _element_rule(mesh, IMS_QUAD_POINTS, 1)
     flat = pts.reshape(-1, mesh.dim)
     d = np.maximum(mesh.domain.distance_many(flat), 0.0).reshape(pts.shape[:2])
     grad_d = mesh.domain.calculus_many(flat)[0].reshape(pts.shape)

@@ -19,7 +19,7 @@ from .eigensolve import ladder
 from .errors import ExponentOutOfRange, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
 from .geometry import superharmonicity_scan
-from .meshing import build_mesh_1d, build_trimesh, feasible_grading, grading_floor
+from .meshing import build_mesh_1d, build_trimesh
 
 CERT_TOL = 1e-4          # absolute slack on the certified margin
 REFINE_FACTOR = 2        # nested bisections between ladder levels
@@ -223,10 +223,8 @@ def ladder_mesh(domain, n, h, grading, levels):
     ladder's bisections; target edge length h (default D_int/16) in 2D."""
     section = domain.section
     if section.dim == 1:
-        floor = grading_floor(section, headroom=REFINE_FACTOR * (levels - 1))
-        grading = feasible_grading(grading, n // 2, section.interior_diameter() / 2,
-                                   floor)
-        return build_mesh_1d(section, n, grading)
+        return build_mesh_1d(section, n, grading,
+                             bisections=REFINE_FACTOR * (levels - 1))
     if h is None:
         h = section.interior_diameter() / 16
     return build_trimesh(section, h, grading)

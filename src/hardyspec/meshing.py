@@ -123,8 +123,6 @@ def feasible_grading(requested, layers, span, floor, one_sided=False):
     """Steepest grading >= requested whose smallest element stays above the
     float64 floor; geometric meshes cannot grade below machine spacing.
     A requested grading outside (0, 1], NaN included, raises InvalidGrading."""
-    if requested is None:
-        requested = 1.0
     if not 0 < requested <= 1:
         raise InvalidGrading(f"grading must lie in (0, 1], got {requested}")
     if requested == 1.0 or layers <= 1:
@@ -154,19 +152,21 @@ def feasible_grading(requested, layers, span, floor, one_sided=False):
     return hi
 
 
-def build_mesh_1d(interval, n, grading=1.0, tags=(DIRICHLET, DIRICHLET)):
+def build_mesh_1d(interval, n, grading=1.0, tags=(DIRICHLET, DIRICHLET),
+                  bisections=0):
     """Symmetric mesh with n elements on the interval.
 
     grading < 1 shrinks element sizes geometrically by that factor toward
-    each endpoint, n/2 layers per side; grading = 1 is uniform.
+    each endpoint, n/2 layers per side; grading = 1 is uniform.  It is
+    clamped to the float64 floor with room for `bisections` nested bisections.
     """
     if not isinstance(interval, Interval):
         raise TypeError("build_mesh_1d needs an Interval domain")
     if n < 2:
         raise ValueError("need at least 2 elements")
-    if not 0 < grading <= 1:
-        raise InvalidGrading(f"grading must lie in (0, 1], got {grading}")
     a, b = interval.a, interval.b
+    grading = feasible_grading(grading, n // 2, (b - a) / 2.0,
+                               grading_floor(interval, bisections))
     if grading == 1.0:
         nodes = np.linspace(a, b, n + 1)
     else:
@@ -187,30 +187,22 @@ def _one_sided_graded(delta, layers, grading):
     """Nodes on [0, delta] clustered geometrically at 0 (ratio 1/grading)."""
     if grading == 1.0:
         return np.linspace(0.0, delta, layers + 1)
-    t = delta * grading ** np.arange(layers - 1, -1, -1)
-    if t[0] < 1e-280:
-        raise InvalidGrading("one-sided grading underflows float64")
-    return np.concatenate([[0.0], t])
+    return np.concatenate([[0.0], delta * grading ** np.arange(layers - 1, -1, -1)])
 
 
-def mesh_1d_with_level(interval, level, n_strip, grading=1.0):
-    """Mesh of the full interval with nodes exactly at distance `level`
-    from each endpoint; the two boundary strips are graded toward the
-    endpoints.  Used to realize exhaustion strips conformingly."""
+def mesh_1d_with_level(interval, level, n_strip, grading=1.0, bisections=0):
+    """Mesh of the interval with nodes exactly at distance `level` from each
+    endpoint: two boundary strips graded and clamped as in `build_mesh_1d`,
+    and one core element, which `restrict_to_strip` drops."""
     a, b = interval.a, interval.b
     half = (b - a) / 2.0
     if not 0 < level <= half:
         raise ValueError("level must lie in (0, (b-a)/2]")
+    grading = feasible_grading(grading, n_strip, level,
+                               grading_floor(interval, bisections), one_sided=True)
     left = a + _one_sided_graded(level, n_strip, grading)
     right = (b - _one_sided_graded(level, n_strip, grading))[::-1]
-    if level == half:
-        nodes = np.concatenate([left, right[1:]])
-    else:
-        inner = b - a - 2 * level
-        n_mid = max(2, int(np.ceil(inner / max(level / n_strip * 4, 1e-12))))
-        n_mid = min(n_mid, 4 * n_strip)
-        mid = np.linspace(a + level, b - level, n_mid + 1)[1:-1]
-        nodes = np.concatenate([left, mid, right])
+    nodes = np.concatenate([left, right[1:] if level == half else right])
     if np.any(np.diff(nodes) <= 0):
         raise MeshGenerationFailure("level mesh produced a degenerate element")
     return _interval_mesh(nodes, interval, np.zeros(2, dtype=bool))

@@ -18,8 +18,7 @@ from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval, Torus
 from .hardy import kappa
-from .meshing import (build_trimesh, feasible_grading, grading_floor,
-                      mesh_1d_with_level, restrict_to_strip)
+from .meshing import build_trimesh, mesh_1d_with_level, restrict_to_strip
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
@@ -108,10 +107,8 @@ def strip_mesh(problem, k):
     if isinstance(domain, Interval):
         if delta > (domain.b - domain.a) / 2:
             raise StripTooThin(f"1/k = {delta} exceeds sup d")
-        floor = grading_floor(domain, headroom=6)
-        grading = feasible_grading(problem.grading, problem.strip_elements,
-                                   delta, floor, one_sided=True)
-        mesh = mesh_1d_with_level(domain, delta, problem.strip_elements, grading)
+        mesh = mesh_1d_with_level(domain, delta, problem.strip_elements,
+                                  problem.grading, bisections=6)
     else:
         # 2D strips stay on the uniform template: the triangulation's grading
         # knob refines tangentially as well, which balloons strip pencils
@@ -224,6 +221,13 @@ def _halton_points(domain, lo, hi, n_keep, d_max):
     return np.vstack(out)[:n_keep], np.concatenate(out_d)[:n_keep]
 
 
+def strip_samples(problem):
+    """The points of `check_pointwise_criterion`, drawn in the domain's
+    strip {0 < d < 1/k0}, and their d."""
+    lo, hi = problem.domain.box()
+    return _halton_points(problem.domain, lo, hi, problem.samples, 1.0 / problem.k0)
+
+
 def check_pointwise_criterion(problem):
     """Pointwise domination of the negative part of the potential:
 
@@ -235,9 +239,7 @@ def check_pointwise_criterion(problem):
     lam, alpha, beta = problem.lam, problem.alpha, problem.beta
     kap = kappa(beta)
 
-    lo, hi = problem.domain.box()
-    pts, d = _halton_points(problem.domain, lo, hi, problem.samples, 1.0 / problem.k0)
-
+    pts, d = strip_samples(problem)
     env = environment(problem.domain.to_section(pts), d)
     q_minus = np.broadcast_to(problem.form.q.negative_part().evaluate(env), d.shape)
     allowed = (1 - problem.gamma) * (kap * d ** (beta - 2) + lam * d ** alpha)

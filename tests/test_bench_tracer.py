@@ -6,7 +6,8 @@ from pathlib import Path
 
 import hardyspec.cli
 import hardyspec.hardy
-from hardyspec import Interval
+import hardyspec.spectral
+from hardyspec import FormSpec, Interval
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -54,3 +55,21 @@ def test_tracer_sees_the_export_layer(tmp_path):
         "mesh.txt", "pencil_K.txt", "pencil_M.txt", "spectrum_report.json",
         "spectrum_table.csv"]
     assert tracer.counts["report.bytes"] == sum(path.stat().st_size for path in written)
+
+
+def test_tracer_sees_a_1d_strip_build():
+    # strip_mesh calls mesh_1d_with_level by name, which clamps the grading
+    # itself, so diagnose-interval's strips still count as meshing.build
+    problem = hardyspec.spectral.ProblemSpec(
+        Interval(0, 1), FormSpec(a="d^0.5", q="-0.03*d^-1.5"), ks=(2, 3))
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    installation = tr.install(tracer)
+    try:
+        strip = hardyspec.spectral.strip_mesh(problem, 3)
+    finally:
+        installation.undo()
+    assert tracer.self_s.get("meshing.build", 0.0) > 0
+    assert tracer.self_s.get("meshing.restrict", 0.0) > 0
+    # the whole-interval mesh: two graded strips of 96 and one core element
+    assert tracer.counts["meshing.elements"] == 2 * 96 + 1 + len(strip.elements)

@@ -314,6 +314,9 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
             "q = -0.03*d^-1.5\nbeta = 0.5\ngamma = 0.5\n\n[numerics]\n"
             "k_min = 1000000000\nk_max = 1000000004\nstrip_elements = 96\n"
             "samples = 10000\n")
+    # the same config with only the criteria's strip at k0 that thin
+    far_k0 = thin.replace("k_min = 1000000000\nk_max = 1000000004",
+                          "k_min = 2\nk_max = 16\nk0 = 1000000000")
     disc = "[domain]\nvariant = disc\n\n[form]\na = 1\nq = 0\n\n[numerics]\n"
     torus_diagnose = ("[domain]\nvariant = torus\n\n[form]\na = 1\nq = -0.05*d^-2\n"
                       "gamma = 0.5\n\n[numerics]\nk_min = 2\nk_max = 6\n")
@@ -342,6 +345,9 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                # an odd graded ladder mesh, and a zero edge length
                ("hardy", hardy.format(extra="").replace("n = 32", "n = 3")),
                ("hardy", hardy.format(extra="").replace("interval", "disc") + "h = 0\n"),
+               # a k0 strip no sample reaches: the dry run draws stage 1's set
+               ("diagnose", far_k0),
+               ("criteria", far_k0.replace("k_max = 16\n", "")),
                # too few exhaustion indices for the diagnostic's fit
                ("diagnose", plain.replace("k_max = 8", "k_max = 4")),
                # an [output] key nothing reads, and an export flag off spectrum
@@ -403,6 +409,19 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
             assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out"),
                          f"--seed={seed}", *extra]) == 2
             assert f"seed {seed} lies outside" in capsys.readouterr().err
+
+
+def test_spectrum_clamps_the_grading_as_hardy_does(tmp_path):
+    # 128 geometric layers a side at 0.5 fall below float64's spacing at
+    # x = 1; the builder clamps the grading for spectrum as for a ladder
+    text = ("[domain]\nvariant = interval\n\n[form]\n{form}\n"
+            "[numerics]\nn = 256\ngrading = 0.5\n{numerics}")
+    for command, form, numerics in (("spectrum", "a = d^0.5\n", "count = 1\n"),
+                                    ("hardy", "beta = 0.5\n", "levels = 1\n")):
+        cfg = write(tmp_path, f"{command}.ini", text.format(form=form, numerics=numerics))
+        status, doc = run(command, cfg, out_dir=str(tmp_path / command))
+        assert status == 0
+    assert doc["result"]["verdict"] == "CERTIFIED"
 
 
 def test_bad_grading_refused_before_sampling(tmp_path, capsys, monkeypatch):

@@ -76,25 +76,26 @@ def test_splitting_consistency():
     assert np.max(np.abs(recombined - full.K.toarray())) < 1e-12 * scale
 
 
-def test_quadrature_order_stability():
+def test_quadrature_order_stability(monkeypatch):
     # doubling the Gauss order barely moves the Hardy pencil bottom
-    from hardyspec.meshing import feasible_grading, grading_floor
-    g = feasible_grading(0.15, 512, 0.5, grading_floor(IV, headroom=1))
-    mesh = build_mesh_1d(IV, 1024, g)
+    mesh = build_mesh_1d(IV, 1024, 0.15, bisections=1)
     form = FormSpec(a=power_of_d(0.0), q=0.0, beta=0.0)
-    p1 = assemble_pencil(mesh, form, power_of_d(-2.0), quad_points=6)
-    p2 = assemble_pencil(mesh, form, power_of_d(-2.0), quad_points=12)
+    p1 = assemble_pencil(mesh, form, power_of_d(-2.0))
+    monkeypatch.setattr(forms, "QUAD_POINTS", 12)
+    p2 = assemble_pencil(mesh, form, power_of_d(-2.0))
+    assert (p1.meta["quad_points"], p2.meta["quad_points"]) == (6, 12)
     v1 = smallest_eigenpairs(p1, 1).eigenvalues[0]
     v2 = smallest_eigenpairs(p2, 1).eigenvalues[0]
     assert abs(v2 / v1 - 1) < 1e-6
 
 
-def test_pencil_meta_records_the_rule_used():
+def test_pencil_meta_records_the_rule_used(monkeypatch):
     disc = build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5)
     meta = assemble_pencil(disc, FormSpec(a=1.0, q=0.0), 1.0).meta
     assert meta["quad_points"] == 7 and "quad_subdiv" not in meta
-    meta = assemble_pencil(build_mesh_1d(IV, 8), FormSpec(a=1.0, q=0.0), 1.0,
-                           quad_points=3, quad_subdiv=2).meta
+    monkeypatch.setattr(forms, "QUAD_POINTS", 3)
+    monkeypatch.setattr(forms, "QUAD_SUBDIV", 2)
+    meta = assemble_pencil(build_mesh_1d(IV, 8), FormSpec(a=1.0, q=0.0), 1.0).meta
     assert (meta["quad_points"], meta["quad_subdiv"]) == (3, 2)
 
 
@@ -317,7 +318,7 @@ def oracle_checked(monkeypatch):
     return meshes
 
 
-def test_assembly_matches_oracle_bitwise(oracle_checked):
+def test_assembly_matches_oracle_bitwise(oracle_checked, monkeypatch):
     disc = build_trimesh(Disc((0, 0), 1.0), 0.2, 0.5)
     hardy_pencil(disc, 0.0, 0.0, 0.0)
     hardy_pencil(disc, 0.5, -0.5, 0.3)
@@ -333,8 +334,11 @@ def test_assembly_matches_oracle_bitwise(oracle_checked):
                                       0.125, 1.0))
     assemble_pencil(square, FormSpec(a="1 + x", q="y", sigma=1.5), 1.0)
     graded = build_mesh_1d(IV, 64, 0.5, tags=("robin", "robin"))
-    assemble_pencil(graded, FormSpec(a="d^0.5", q="-0.03*d^-1.5", sigma=(0.5, 2.0)),
-                    "d^-1", quad_points=5, quad_subdiv=3)
+    with monkeypatch.context() as rule:
+        rule.setattr(forms, "QUAD_POINTS", 5)
+        rule.setattr(forms, "QUAD_SUBDIV", 3)
+        assemble_pencil(graded, FormSpec(a="d^0.5", q="-0.03*d^-1.5",
+                                         sigma=(0.5, 2.0)), "d^-1")
     hardy_pencil(build_mesh_1d(IV, 48, 0.3), 0.5, 0.0, 0.1)
     # four triangles about the centre of a square, every node free
     few = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.4, 0.6]]),
@@ -536,7 +540,7 @@ def _identity_residual_oracle(mesh, partition, u, a, quad_points=4):
     return worst
 
 
-def test_identity_residual_matches_oracle():
+def test_identity_residual_matches_oracle(monkeypatch):
     rng = np.random.RandomState(11)
     a = parse_coefficient("1 + d^2")
     meshes = [build_mesh_1d(IV, 128, 0.9),
@@ -546,7 +550,8 @@ def test_identity_residual_matches_oracle():
         part = ims_partition(mesh, 0.1, 0.4)
         u = rng.standard_normal(mesh.n_nodes)
         for quad_points in (3, 4):
-            got = ims_identity_residual(mesh, part, u, a, quad_points)
+            monkeypatch.setattr(forms, "IMS_QUAD_POINTS", quad_points)
+            got = ims_identity_residual(mesh, part, u, a)
             assert got == _identity_residual_oracle(mesh, part, u, a, quad_points)
             assert 0 < got <= 1e-10
 

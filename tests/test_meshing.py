@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Mesh,
@@ -46,8 +47,55 @@ def test_invalid_grading():
     with pytest.raises(InvalidGrading):
         build_mesh_1d(Interval(0, 1), 5, 0.5)  # odd count cannot be symmetric
     with pytest.raises(InvalidGrading):
-        # 2048 geometric layers per side underflow float64 near x = 1
-        build_mesh_1d(Interval(0, 1), 4096, 0.15)
+        build_mesh_1d(Interval(0, 1), 4, float("nan"))
+
+
+def test_underflowing_grading_is_clamped():
+    # 2048 geometric layers per side at 0.15 underflow float64 near x = 1:
+    # the builder takes the steepest grading that keeps the floor
+    iv = Interval(0, 1)
+    floor = grading_floor(iv, 0)
+    g = feasible_grading(0.15, 2048, 0.5, floor)
+    assert 0.15 < g < 1
+    mesh = build_mesh_1d(iv, 4096, 0.15)
+    assert mesh.points.tobytes() == build_mesh_1d(iv, 4096, g).points.tobytes()
+    sizes = mesh.element_sizes()
+    assert sizes[1] / sizes[0] == pytest.approx(1 / g, rel=1e-9)
+    # up to the rounding of the node coordinates, a few ulps of the scale
+    slack = 8 * np.spacing(1.0)
+    assert sizes.min() >= floor - slack
+    # each bisection of room doubles the floor
+    fine = build_mesh_1d(iv, 4096, 0.15, bisections=4)
+    assert fine.element_sizes().min() >= 16 * floor - slack
+
+
+@st.composite
+def _graded_inputs(draw):
+    """An interval, a requested grading and a bisection count whose uniform
+    mesh, two-sided (n elements) or one-sided (n_strip elements on each
+    boundary strip of width `level`), clears the grading floor."""
+    a = draw(st.floats(-1e3, 1e3))
+    iv = Interval(a, a + draw(st.floats(1e-3, 1e3)))
+    bisections = draw(st.integers(0, 8))
+    floor = grading_floor(iv, bisections)
+    half = (iv.b - iv.a) / 2
+    n = 2 * draw(st.integers(1, 2048))
+    n_strip = draw(st.integers(1, 512))
+    level = draw(st.sampled_from([1.0, 0.5, 0.1, 0.01])) * half
+    assume((iv.b - iv.a) / n >= floor and level / n_strip >= floor)
+    grading = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1.0, exclude_min=True)))
+    return iv, grading, bisections, floor, n, n_strip, level
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(inputs=_graded_inputs())
+def test_1d_builders_keep_the_grading_floor(inputs):
+    iv, grading, bisections, floor, n, n_strip, level = inputs
+    slack = 8 * np.spacing(max(1.0, abs(iv.a), abs(iv.b)))
+    mesh = build_mesh_1d(iv, n, grading, bisections=bisections)
+    assert mesh.element_sizes().min() >= floor - slack
+    mesh = mesh_1d_with_level(iv, level, n_strip, grading, bisections=bisections)
+    assert mesh.element_sizes().min() >= floor - slack
 
 
 def test_graded_size_ratio_exact():
