@@ -9,11 +9,12 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import geometry, report
-from .coefficients import parse_coefficient, require_axisymmetric
+from .coefficients import check_names, parse_coefficient
 from .eigensolve import check_count, smallest_eigenpairs
 from .errors import ConfigError, HardySpecError
 from .forms import FormSpec, assemble_pencil, format_matrix_text
@@ -138,10 +139,7 @@ def _build_form(sec, sigma=None):
         q = parse_coefficient(sec.get("q", "0"))
     except HardySpecError as exc:
         raise ConfigError(f"[form] expression error: {exc}") from exc
-    try:
-        return FormSpec(a=a, q=q, sigma=sigma, beta=sec.get_float("beta"))
-    except ValueError as exc:
-        raise ConfigError(f"[form] invalid parameters: {exc}") from exc
+    return FormSpec(a=a, q=q, sigma=sigma)
 
 
 def _problem_spec(command, domain, form, form_sec, num_sec, seed):
@@ -159,7 +157,7 @@ def _problem_spec(command, domain, form, form_sec, num_sec, seed):
         if command == "diagnose":
             check_diagnostic(ks)
         return ProblemSpec(
-            domain=domain, form=form, ks=ks,
+            domain=domain, ks=ks, form=replace(form, beta=form_sec.get_float("beta")),
             strip_elements=num_sec.get_int("strip_elements") if one_d else None,
             grading=num_sec.get_float("grading") if one_d else None,
             seed=seed, tol=num_sec.get_float("tol"), **criteria)
@@ -268,15 +266,15 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         tol = num_sec.get_float("tol")
         write_mesh = out_sec.get_bool("write_mesh")
         write_pencil = out_sec.get_bool("write_pencil")
+        check_names(section, form.a, form.q)
         if isinstance(domain, geometry.Torus):
-            require_axisymmetric(form.a, form.q)
             # azimuthal mode m adds the potential a m^2 / r^2
             mode = num_sec.get_int("mode", 0)
             if mode < 0:
                 raise ConfigError(f"[numerics] mode = {mode} must be nonnegative")
             if mode:
-                form = FormSpec(a=form.a, sigma=form.sigma, beta=form.beta,
-                                q=form.q + form.a * parse_coefficient(f"{mode**2}/r^2"))
+                form = replace(form, q=form.q + form.a
+                               * parse_coefficient(f"{mode**2}/r^2"))
         _refuse_unread(parser, sections, command)
         try:
             if section.dim == 1:

@@ -18,8 +18,8 @@ The expression tree is private to this module.  Its leaves are
 and each kind is one entry of `_OPS`, which evaluation, variable listing,
 printing and the parser's function lookup all read.  A new function is one
 table entry.  Other modules build coefficients with `parse_coefficient`,
-`constant`, `power_of_d` and the small algebra on `Coefficient`, and ask
-`d_power` whether one is exactly d^beta.
+`constant`, `power_of_d` and the small algebra on `Coefficient`, and read
+how one depends on d from `terms`, its normal form as a sum of c d^p g.
 """
 
 import functools
@@ -219,17 +219,20 @@ def environment(pts, d):
     return env
 
 
-def require_axisymmetric(*coefficients):
-    """Refuse coefficients that name Cartesian coordinates on a torus.
-
-    Every coefficient of a torus problem is evaluated on its (r, z)
-    section, which has no Cartesian coordinates: there x would mean r.
-    """
+def check_names(section, *coefficients):
+    """Refuse a Cartesian name on a torus's (r, z) section (the one with a
+    measure weight), where x would mean r, then any name `environment` does
+    not bind on the section."""
     named = set().union(*(c.variables() for c in coefficients))
-    bad = sorted(named & CARTESIAN_NAMES)
-    if bad:
+    cartesian = sorted(named & CARTESIAN_NAMES)
+    if cartesian and section.measure_weight is not None:
         raise NotAxisymmetric(f"a torus accepts only d, r and z in coefficients; "
-                              f"got {', '.join(bad)}")
+                              f"got {', '.join(cartesian)}")
+    bound = environment(np.zeros(section.dim), 0.0).keys()
+    unknown = sorted(named - bound)
+    if unknown:
+        raise UnknownVariable(f"unknown variable {unknown[0]!r}; available: "
+                              f"{sorted(bound)}")
 
 
 def _eval(node, env):
@@ -264,6 +267,50 @@ def _un_parse(node):
     return opening + separator.join(map(_un_parse, node[1:])) + closing
 
 
+def _times(g, h):
+    """The product of two d-free trees, None standing for 1."""
+    return h if g is None else g if h is None else ("*", g, h)
+
+
+def _terms(node):
+    """node as a list of (c, p, g), the sum of c d^p g with g a d-free tree
+    or None for 1; None when d lies under abs, pos, neg, min or max, under
+    a power of a sum or of c <= 0, or in a divisor other than c d^p."""
+    kind = node[0]
+    names = _variables(node, set())
+    if not names:
+        return [(float(_eval(node, {})), 0.0, None)]
+    if "d" not in names:
+        return [(1.0, 0.0, node)]
+    if kind == "var":
+        return [(1.0, 1.0, None)]
+    if kind == "minus":
+        inner = _terms(node[1])
+        return None if inner is None else [(-c, p, g) for c, p, g in inner]
+    if kind not in ("+", "-", "*", "/", "^"):
+        return None
+    left, right = _terms(node[1]), _terms(node[2])
+    if left is None or right is None:
+        return None
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left + [(-c, p, g) for c, p, g in right]
+    if kind == "*":
+        return [(c * c2, p + p2, _times(g, g2))
+                for c, p, g in left for c2, p2, g2 in right]
+    if len(right) != 1 or right[0][2] is not None:
+        return None
+    if kind == "/":
+        c2, p2, _ = right[0]
+        return [(c / c2, p - p2, g) for c, p, g in left]
+    e = right[0][0]                 # a literal exponent
+    if len(left) != 1 or left[0][0] <= 0:
+        return None
+    c, p, g = left[0]
+    return [(float(np.power(c, e)), p * e, g and ("^", g, ("num", e)))]
+
+
 class Coefficient:
     """A parsed scalar coefficient; evaluates vectorized over point arrays."""
 
@@ -274,28 +321,27 @@ class Coefficient:
     def __repr__(self):
         return f"Coefficient({self.text!r})"
 
-    def evaluate(self, env):
-        """Evaluate on an environment of coordinate arrays (broadcasting)."""
+    def _guarded(self, walk, *args):
+        """walk(self.ast, *args); a constant zero divisor raises DivisionByZero."""
         try:
-            value = _eval(self.ast, env)
+            return walk(self.ast, *args)
         except ZeroDivisionError:
             raise DivisionByZero(f"coefficient {self.text!r} divides by a "
                                  "constant zero") from None
-        return np.asarray(value, dtype=float)
+
+    def evaluate(self, env):
+        """Evaluate on an environment of coordinate arrays (broadcasting)."""
+        return np.asarray(self._guarded(_eval, env), dtype=float)
 
     def variables(self):
         return _variables(self.ast, set())
 
-    def d_power(self):
-        """beta when the coefficient is exactly d^beta, counting 1 as
-        beta = 0 and d as beta = 1; None otherwise."""
-        if self.ast == ("num", 1.0):
-            return 0.0
-        if self.ast == ("var", "d"):
-            return 1.0
-        if self.ast[0] == "^" and self.ast[1] == ("var", "d"):
-            return self.ast[2][1]
-        return None
+    def terms(self):
+        """The normal form: a list of (c, p, g) whose sum of c d^p g is the
+        coefficient at d > 0, g a d-free Coefficient or None for 1; None when
+        there is none (see `_terms`)."""
+        terms = self._guarded(_terms)
+        return terms and [(c, p, g and Coefficient(g)) for c, p, g in terms]
 
     # small algebra for composing reduced problems
     def __add__(self, other):

@@ -449,7 +449,7 @@ def restrict_to_strip(mesh, delta):
     clamping."""
     sup_d = mesh.domain.interior_diameter() / 2.0
     if not 0 < delta <= sup_d + 1e-12:
-        raise ValueError(f"strip width {delta} lies outside (0, sup d = {sup_d}]")
+        raise StripTooThin(f"strip width {delta} lies outside (0, sup d = {sup_d}]")
 
     elems = mesh.elements
     bary_d = np.maximum(mesh.domain.distance_many(mesh.barycenters()), 0.0)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import constant, environment, require_axisymmetric
+from .coefficients import check_names, constant, environment
 from .eigensolve import ladder, smallest_eigenpairs
 from .errors import StripTooThin
 from .forms import FormSpec, assemble_pencil
-from .geometry import Interval, Torus
+from .geometry import Interval
 from .hardy import kappa
 from .meshing import build_trimesh, mesh_1d_with_level, restrict_to_strip
 
@@ -36,8 +36,8 @@ class ProblemSpec:
     ks: tuple = (2, 3, 4, 6, 8, 12, 16)
     k0: int = None
     strip_elements: int = None     # an interval's only; default: 96
-    grading: float = None          # an interval's only; default: 0.15 for
-                                   # degenerate data, else uniform
+    grading: float = None          # an interval's only; default: uniform when
+                                   # a and q are free of d, else 0.15
     samples: int = 10000
     lam: float = 0.0               # remainder bound used by the pointwise check
     alpha: float = 0.0
@@ -65,33 +65,21 @@ class ProblemSpec:
             raise ValueError("strip_elements must be at least 1")
         if self.grading is not None and not 0 < self.grading <= 1:
             raise ValueError(f"grading must lie in (0, 1], got {self.grading}")
-        power = self.form.a.d_power()
-        if power is not None:
-            if self.form.beta not in (None, power):
-                raise ValueError(f"beta = {self.form.beta:g} contradicts "
-                                 f"a = d^{power:g}")
-            self.form = replace(self.form, beta=power)
+        check_names(self.domain.section, self.form.a, self.form.q)
+        match self.form.a.terms():
+            case [(1.0, power, None)]:      # a reads exactly d^power
+                if self.form.beta not in (None, power):
+                    raise ValueError(f"beta = {self.form.beta:g} contradicts "
+                                     f"a = d^{power:g}")
+                self.form = replace(self.form, beta=power)
         if self.k0 is None:
             self.k0 = self.ks[0]
         if self.k0 < 1:
             raise ValueError("k0 must be positive")
-        if isinstance(self.domain, Torus):
-            require_axisymmetric(self.form.a, self.form.q)
         if self.grading is None and self.domain.section.dim == 1:
-            self.grading = 0.15 if self._degenerate_data() else 1.0
-
-    def _degenerate_data(self):
-        """Boundary grading is warranted when the diffusion degenerates or
-        the potential has a negative part; probed on a small d-sample, with
-        the coordinate x equal to d."""
-        if self.form.beta not in (None, 0.0):
-            return True
-        probe = np.array([1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.45])
-        env = environment(probe[:, None], probe)
-        if np.any(np.asarray(self.form.q.evaluate(env)) < 0):
-            return True
-        a_vals = np.asarray(self.form.a.evaluate(env))
-        return bool(np.any(np.abs(a_vals - a_vals.flat[0]) > 0))
+            forms = (self.form.a.terms(), self.form.q.terms())
+            free = all(t is not None and all(p == 0 for _, p, _ in t) for t in forms)
+            self.grading = 1.0 if free and self.beta == 0 else 0.15
 
     @property
     def beta(self):
@@ -139,14 +127,14 @@ def persson_sequence(problem):
     """Strip minima mu_k = min of the form over functions supported in
     {d < 1/k}, for each k in the problem's range.
 
-    When the diffusion is exactly d^beta and the potential is nonnegative on
-    the strip, the analytic lower-bound curve kappa(beta) k^(2-beta) is
-    reported alongside.  The strips nest, {d < 1/(k+1)} in {d < 1/k}, so
-    mu_k grows with k: each strip's first shift is the minimum of the strip
-    before (see `smallest_eigenpairs`); the first strip's is the default.
+    When the diffusion is exactly d^beta and the potential a sum of
+    nonnegative multiples of powers of d, so nonnegative, the analytic
+    lower-bound curve kappa(beta) k^(2-beta) is reported alongside.  The
+    strips nest, {d < 1/(k+1)} in {d < 1/k}, so mu_k grows with k: each
+    strip's first shift is the minimum of the strip before (see
+    `smallest_eigenpairs`); the first strip's is the default.
     """
     entries = []
-    q_nonneg = True
     for k in problem.ks:
         sub = strip_mesh(problem, k)
         pencil = assemble_pencil(sub, problem.form, 1.0)
@@ -154,18 +142,12 @@ def persson_sequence(problem):
                                   floor=entries[-1]["mu"] if entries else -0.01)
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
                         "mu": float(rep.eigenvalues[0])})
-        # sample the potential sign on the strip quadrature-free
-        pos = sub.node_d > 0
-        if pos.any():
-            env = environment(sub.points[pos], sub.node_d[pos])
-            qv = np.broadcast_to(problem.form.q.evaluate(env), sub.node_d[pos].shape)
-            if np.any(qv < 0):
-                q_nonneg = False
 
     beta = problem.beta
-    bound = None
-    if problem.form.a.d_power() is not None and q_nonneg:
-        bound = [kappa(beta) * k ** (2 - beta) for k in problem.ks]
+    q = problem.form.q.terms()
+    proven = problem.form.a.terms() == [(1.0, beta, None)] and q is not None \
+        and all(c >= 0 and g is None for c, _, g in q)
+    bound = [kappa(beta) * k ** (2 - beta) for k in problem.ks] if proven else None
 
     mus = np.array([e["mu"] for e in entries])
     fitted = None

@@ -264,7 +264,7 @@ def test_beta_defaults_to_power_of_d(tmp_path):
 variant = interval
 
 [form]
-a = d^0.5
+a = {a}
 q = -0.03*d^-1.5
 {beta}
 gamma = 0.5
@@ -276,15 +276,21 @@ strip_elements = 48
 samples = 2000
 """
     results = []
-    for i, beta in enumerate(("beta = 0.5", "")):
-        cfg = write(tmp_path, f"b{i}.ini", ini.format(beta=beta))
+    # d^0.5 however it is written
+    for i, (a, beta) in enumerate((("d^0.5", "beta = 0.5"), ("d^0.5", ""),
+                                   ("1*d^0.5", ""), ("d^0.25*d^0.25", ""))):
+        cfg = write(tmp_path, f"b{i}.ini", ini.format(a=a, beta=beta))
         status, doc = run("diagnose", cfg, out_dir=str(tmp_path / f"o{i}"))
         assert status == 0
         results.append(doc["result"])
-    assert results[0] == results[1]
-    assert results[1]["verdict"] == "DISCRETE"
-    assert results[1]["sequence"]["beta"] == 0.5
-    assert results[1]["exponent_required"] == pytest.approx(1.4)
+    assert results[1:3] == results[:1] * 2
+    for result in results[1:]:
+        assert result["verdict"] == "DISCRETE"
+        assert result["sequence"]["beta"] == 0.5
+        assert result["exponent_required"] == pytest.approx(1.4)
+    # d^0.25*d^0.25 rounds apart from d^0.5 in the last bits
+    mus = [[e["mu"] for e in r["sequence"]["entries"]] for r in results[2:]]
+    assert mus[1] == pytest.approx(mus[0], rel=1e-9)
 
 
 def test_config_errors(tmp_path):
@@ -350,6 +356,15 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                ("criteria", far_k0.replace("k_max = 16\n", "")),
                # too few exhaustion indices for the diagnostic's fit
                ("diagnose", plain.replace("k_max = 8", "k_max = 4")),
+               # a name the section does not bind
+               ("diagnose", plain.replace("q = 0", "q = y")),
+               ("diagnose", disc.replace("q = 0", "q = abc") + "k_min = 2\nk_max = 8\n"),
+               ("spectrum", disc.replace("q = 0", "q = abc") + "h = 0.25\n"),
+               # a strip wider than sup d = 0.3
+               ("diagnose", disc.replace("disc\n", "disc\nradius = 0.3\n")
+                + "k_min = 2\nk_max = 8\n"),
+               ("persson", disc.replace("disc\n", "disc\nradius = 0.3\n")
+                + "k_min = 2\nk_max = 8\n"),
                # an [output] key nothing reads, and an export flag off spectrum
                ("spectrum", disc + "h = 0.25\ncount = 1\n\n[output]\nwrite_pencl = true\n"),
                ("diagnose", plain + "\n[output]\nwrite_pencil = true\n"),
@@ -594,6 +609,9 @@ RULE_HARDY_INTERVAL = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n"
      "the spectrum command does not read [form] gama"),
     ("spectrum", RULE_SPECTRUM.replace("count = 1\n", "cout = 2\n"), [],
      "the spectrum command does not read [numerics] cout"),
+    # nothing in spectrum uses beta
+    ("spectrum", RULE_SPECTRUM.replace("q = 0\n", "q = 0\nbeta = 0.3\n"), [],
+     "the spectrum command does not read [form] beta"),
     ("spectrum", RULE_SPECTRUM + "write_pencl = true\n", [],
      "the spectrum command does not read [output] write_pencl"),
     ("distance", "[domain]\nvariant = disc\n\n[point]\nx = 0.5\nyy = 0.0\n", [],

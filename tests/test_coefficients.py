@@ -1,3 +1,4 @@
+import configparser
 import pathlib
 import re
 
@@ -7,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import hardyspec
-from hardyspec import Coefficient, parse_coefficient
+from hardyspec import Coefficient, hardy, parse_coefficient
 from hardyspec.coefficients import constant, power_of_d
 from hardyspec.errors import DivisionByZero, ParseError
 
 
 def test_power_literal():
     c = parse_coefficient("d^-1.5")
-    assert c.d_power() == -1.5
+    assert c.terms() == [(1.0, -1.5, None)]
     assert_allclose(c.evaluate({"d": np.array([4.0])}), [4.0**-1.5])
 
 
@@ -77,6 +78,8 @@ def test_constant_zero_divisor_raises():
                  "1/neg(0)", "1/pos(-2)", "d/(1 - abs(-1))", "1/(-0)"):
         with pytest.raises(DivisionByZero, match="divides by a constant zero"):
             parse_coefficient(text).evaluate(env)
+        with pytest.raises(DivisionByZero, match="divides by a constant zero"):
+            parse_coefficient(text).terms()
     assert_allclose(parse_coefficient("1/abs(-4)").evaluate(env), 0.25)
     assert_allclose(parse_coefficient("1/max(0, 2)").evaluate(env), 0.5)
     assert_allclose(parse_coefficient("1/pos(d)").evaluate(env), [4.0, 2.0])
@@ -137,7 +140,8 @@ def test_scientific_notation():
     assert_allclose(c.evaluate({"d": np.array([1000.0])}), [251.0])
 
 
-LEAVES = ("d", "x", "2.5", "d^-1.5", "2^-1", "-d^2", "(1 + d)^2", "1/(d + 2)",
+LEAVES = ("d", "x", "2.5", "d^-1.5", "d^2 - 3*d*x", "x*d*x^2", "(3*d*x)^2",
+          "(d/4)^-0.5", "x/(2*d^0.5)", "2^-1", "-d^2", "(1 + d)^2", "1/(d + 2)",
           "abs(x - 1)", "min(d, x, 0.3)", "max(x, -d)", "pos(x)*neg(x - 1)")
 
 
@@ -150,26 +154,80 @@ def _compose(children):
                      children.map(Coefficient.negative_part))
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.recursive(
+COEFFICIENTS = st.recursive(
     st.one_of(st.sampled_from(LEAVES).map(parse_coefficient),
               st.floats(-100, 100).map(constant),
               st.sampled_from((-2.5, -1, 0, 0.5, 1, 2)).map(power_of_d)),
-    _compose, max_leaves=8))
+    _compose, max_leaves=8)
+ENV = {"d": np.linspace(0.05, 1, 9), "x": np.linspace(-1, 2, 9)}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(COEFFICIENTS)
 def test_printed_text_reparses_bitwise(c):
     again = parse_coefficient(c.text)
-    env = {"d": np.linspace(0.05, 1, 9), "x": np.linspace(-1, 2, 9)}
-    assert again.evaluate(env).tobytes() == c.evaluate(env).tobytes()
+    assert again.evaluate(ENV).tobytes() == c.evaluate(ENV).tobytes()
     assert again.variables() == c.variables()
 
 
+def _assert_terms_sum_to_the_value(c):
+    terms = c.terms()
+    if terms is not None:
+        parts = [k * ENV["d"] ** p * (1.0 if g is None else g.evaluate(ENV))
+                 for k, p, g in terms]
+        assert all(g is None or "d" not in g.variables() for _, _, g in terms)
+        assert_allclose(sum(parts), c.evaluate(ENV), rtol=0,
+                        atol=1e-12 * (1 + np.abs(parts).sum()))
+    if "d" in c.variables():
+        assert c.positive_part().terms() is None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(COEFFICIENTS)
+def test_terms_sum_to_the_value(c):
+    _assert_terms_sum_to_the_value(c)
+
+
 def test_d_power():
-    assert parse_coefficient("1").d_power() == 0.0
-    assert parse_coefficient("d").d_power() == 1.0
-    assert parse_coefficient("d^0.5").d_power() == 0.5
-    assert power_of_d(-2).d_power() == -2.0
-    for text in ("2*d^0.5", "d^0.5 + 0", "x^2", "(d)^-1 * 1"):
-        assert parse_coefficient(text).d_power() is None
+    for text in LEAVES:
+        _assert_terms_sum_to_the_value(parse_coefficient(text))
+    # the normal form reads d^b as [(1.0, b, None)] however it is written
+    for text, b in (("1", 0.0), ("d", 1.0), ("d^0.5", 0.5), ("1*d^0.5", 0.5),
+                    ("d^0.25*d^0.25", 0.5), ("(d)^-1 * 1", -1.0), ("d/d^0.5", 0.5),
+                    ("(4*d)^0.5/2", 0.5)):
+        assert parse_coefficient(text).terms() == [(1.0, b, None)], text
+    assert power_of_d(-2).terms() == [(1.0, -2.0, None)]
+    assert parse_coefficient("2*d^0.5").terms() == [(2.0, 0.5, None)]
+    assert parse_coefficient("d^0.5 + 0").terms() == [(1.0, 0.5, None), (0.0, 0.0, None)]
+    assert parse_coefficient("d - 2").terms() == [(1.0, 1.0, None), (-2.0, 0.0, None)]
+    # a subtree free of d is g, and one free of every name folds into c
+    [(c, p, g)] = parse_coefficient("x^2*d^-1*(1 - 4)").terms()
+    assert (c, p, g.text) == (-3.0, -1.0, "x^2.0")
+    # d under a function, under a power of a sum or of c <= 0, or in a
+    # divisor other than c d^p
+    for text in ("abs(d)", "pos(d)", "neg(d)", "min(d, 1)", "max(x, d)",
+                 "(1 + d)^2", "(-d)^2", "1/(d + 1)", "d/x"):
+        assert parse_coefficient(text).terms() is None, text
+
+
+def test_bench_and_hardy_coefficients_have_a_normal_form(monkeypatch):
+    """Every coefficient of the benchmark's configs and of `hardy_pencil`'s
+    forms reads as a sum of c d^p g."""
+    coefficients = []
+    configs = pathlib.Path(__file__).parents[1] / "bench" / "configs"
+    for path in sorted(configs.glob("*.ini")):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(path)
+        form = parser["form"] if parser.has_section("form") else {}
+        coefficients += [parse_coefficient(form[k]) for k in ("a", "q") if k in form]
+    assert coefficients
+    seen = []
+    monkeypatch.setattr(hardy, "assemble_pencil",
+                        lambda mesh, form, weight: seen.append((form, weight)))
+    for beta, alpha, lam in ((0.0, 0.0, 0.0), (0.5, 1.0, 3.0), (-0.5, -1.0, 2.0)):
+        hardy.hardy_pencil(None, beta, alpha, lam)
+    coefficients += [c for form, weight in seen for c in (form.a, form.q, weight)]
+    assert all(c.terms() is not None for c in coefficients)
 
 
 def test_only_coefficients_reads_the_expression_tree():

@@ -234,7 +234,7 @@ def test_strip_too_thin():
         restrict_to_strip(mesh, 0.01)
     # a width outside (0, sup d] is refused
     for delta in (0.0, -0.25, 0.5 + 1e-9):
-        with pytest.raises(ValueError):
+        with pytest.raises(StripTooThin):
             restrict_to_strip(mesh, delta)
 
 

@@ -99,9 +99,11 @@ def test_persson_monotone():
 
 
 def test_persson_bound_column_suppressed_for_negative_q():
-    prob = _problem(1.0, "-0.01*d^-1", 0.0, 0.5, (2, 4))
-    seq = persson_sequence(prob)
-    assert seq.bound is None
+    for q, ks in (("-0.01*d^-1", (2, 4)),
+                  # a negative dip that lies between two strip nodes
+                  ("-1e8*pos(0.001 - abs(x - 0.2526))", (2,))):
+        seq = persson_sequence(_problem(1.0, q, 0.0, 0.5, ks))
+        assert seq.bound is None
 
 
 def test_strip_too_thin_for_large_k():
@@ -248,8 +250,8 @@ def test_2d_strip_keys_refused():
 
 
 def test_2d_grading_default_left_unset(monkeypatch):
-    # only an interval's strips read the grading, so a 2D section does not
-    # probe the form's coefficients for its default
+    # only an interval's strips read the grading, and its default comes from
+    # the normal form of a and q: no section evaluates a coefficient for it
     from hardyspec.coefficients import Coefficient
     calls = []
     evaluate = Coefficient.evaluate
@@ -257,11 +259,19 @@ def test_2d_grading_default_left_unset(monkeypatch):
                         lambda self, env: calls.append(self) or evaluate(self, env))
     form = FormSpec(a=1.0, q="-0.05*d^-2")
     problem = ProblemSpec(Disc((0, 0), 1), form, 0.5, ks=(2,))
-    assert problem.grading is None and calls == []
-    # an interval keeps its defaults: graded for a negative potential,
-    # uniform otherwise
-    assert ProblemSpec(IV, form, 0.5, ks=(2,)).grading == 0.15 and calls
-    assert _problem(1.0, 0.0, 0.0, 0.5, (2,)).grading == 1.0
+    assert problem.grading is None
+    # an interval grades its strips when a or q has a power of d, or no
+    # normal form, and is uniform otherwise, wherever it lies
+    assert ProblemSpec(IV, form, 0.5, ks=(2,)).grading == 0.15
+    for a, q, grading in ((1.0, 0.0, 1.0), ("1 + x", -30.0, 1.0),
+                          (1.0, "0.1*d^-2", 0.15), (1.0, "abs(d - 0.2)", 0.15),
+                          ("d^0.5", 0.0, 0.15)):
+        assert _problem(a, q, None, 0.5, (2,)).grading == grading, (a, q)
+    for c in (-1, 0, 2):
+        placed = ProblemSpec(Interval(c, c + 1), FormSpec(a=1.0, q=f"x - {c} - 0.5"),
+                             0.5, ks=(2,))
+        assert placed.grading == 1.0
+    assert calls == []
 
 
 def test_persson_2d_strip_matches_annulus():
