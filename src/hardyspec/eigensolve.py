@@ -89,20 +89,24 @@ def _factor(K, M, sigma):
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0)), sigma
 
 
-def _shift(K, M, lo, hi, found):
+def _shift(K, M, floor, hi, found):
     """A factor at a shift with exactly `found` eigenvalues below it, within
     the scale of hi of the next eigenvalue (hi, possibly infinite, bounds it
-    from above), and the shift.  Starts at lo, stepped down to
-    -(1 + |lo|)^2 while inertia finds more eigenvalues below it (eight tries
-    reach -7e22 from -0.01), then bisects on counts, geometrically while
-    the bracket spans decades.  One factor is alive at a time.
+    from above), and the shift.  Tries `floor`, one shift or several, the
+    highest first; below the lowest it steps down to -(1 + |lo|)^2 while
+    inertia finds more eigenvalues below it (seven steps reach -7e22 from
+    -0.01), then bisects on counts, geometrically while the bracket spans
+    decades.  A shift that is refuted bounds the bracket from above, so the
+    next floor down, if it holds, costs that one factorization only.  One
+    factor is alive at a time.
     """
-    for _ in range(8):
+    floors = sorted(map(float, np.atleast_1d(floor)), reverse=True)
+    for attempt in range(len(floors) + 7):
+        lo = floors[attempt] if attempt < len(floors) else -(1.0 + abs(lo)) ** 2
         lu, below, lo = _factor(K, M, lo)
         if below == found:
             break
         lu, hi = None, min(hi, lo)
-        lo = -(1.0 + abs(lo)) ** 2
     else:
         raise NoConvergence(f"no shift below the spectrum down to {lo:g}")
     while hi - lo > 1.0 + abs(hi):
@@ -195,21 +199,30 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
         if not (N >= first or solves >= maxiter or any(c[b] == 0 for c in band[met:])):
             continue
         j = min(k, N)
-        theta, S = (x[..., ::-1] for x in scipy.linalg.eig_banded(    # largest first
-            np.array(band).T, lower=True, select="i", select_range=(N - j, N - 1)))
+        try:
+            theta, S = (x[..., ::-1] for x in scipy.linalg.eig_banded(    # largest first
+                np.array(band).T, lower=True, select="i", select_range=(N - j, N - 1)))
+        except scipy.linalg.LinAlgError as exc:
+            raise NoConvergence(f"the projected eigenproblem failed after {solves} "
+                                f"solves: {exc}") from exc
+        if not theta[0] > 0:    # OP is positive definite, so T has lost its scale
+            raise NoConvergence(f"the projected eigenproblem lost its scale after "
+                                f"{solves} solves: largest Ritz value {theta[0]:g}")
         E = np.zeros((b, b))
         for c in range(b):
             E[:c + 1, c] = band[N - b + c][b - c:]
         R = E @ S[-b:]          # the Ritz residuals on the basis vectors from N on
-        X = (R[:size - N] / theta).T @ Q[N:size] + S.T @ Q[:N]
         lam = sigma + 1.0 / theta
         ok = np.linalg.norm(R, axis=0) <= tol * np.maximum(theta, EPS23)
-        if j == k and ok.all():
+        done = j == k and ok.all()
+        if not (done or solves >= maxiter):
+            continue
+        X = (R[:size - N] / theta).T @ Q[N:size] + S.T @ Q[:N]      # the Ritz vectors
+        if done:
             return lam, X, solves
-        if solves >= maxiter:
-            keep = ok if ok.any() else slice(0, 1)
-            partial = SimpleNamespace(eigenvalues=lam[keep], eigenvectors=X[keep].T)
-            raise NoConvergence(f"Lanczos stalled after {solves} solves", partial)
+        keep = ok if ok.any() else slice(0, 1)
+        partial = SimpleNamespace(eigenvalues=lam[keep], eigenvectors=X[keep].T)
+        raise NoConvergence(f"Lanczos stalled after {solves} solves", partial)
 
 
 def _slice(K, M, count, v0, tol, maxiter, floor, seed):
@@ -309,7 +322,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
     `v0` leads the start vector, with a seeded random part of 1e-3 of its
     norm: a prolonged eigenvector is zero on every mesh component it did
     not reach, where Lanczos would then never look.  `floor` is the first
-    shift tried, best a value known to lie just below the bottom.  Vectors
+    shift tried, best a value known to lie just below the bottom, or several
+    shifts, tried highest first (see `_shift`).  Vectors
     come back M-orthonormal.  A pair converges when its residual or its
     backward error is within tol; one that fails both raises NoConvergence,
     whose `partial` holds the pairs that pass.  `maxiter` bounds the LU

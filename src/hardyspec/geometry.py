@@ -68,6 +68,21 @@ class Domain:
         torus."""
         return pts
 
+    def _require_representable(self, *lengths):
+        """Refuse parameters whose derived quantities overflow or vanish in
+        float64: the volume, and the square of each of `lengths`, which the
+        Hardy catalogue divides by, must be finite and normal, so that their
+        reciprocals are finite too."""
+        for name, power in (("volume", 1),) + tuple((n, 2) for n in lengths):
+            try:
+                with np.errstate(over="ignore", under="ignore"):
+                    value = float(getattr(self, name)()) ** power
+            except OverflowError:
+                value = np.inf
+            if not np.finfo(float).tiny <= value < np.inf:
+                label = name.replace("_", " ") + (" squared" if power == 2 else "")
+                raise ValueError(f"the {label}, {value:g}, overflows or vanishes in float64")
+
     # -- membership and distance --------------------------------------------
 
     def distance(self, p):
@@ -160,6 +175,7 @@ class Interval(Domain):
             raise ValueError(f"need a < b, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
+        self._require_representable("diameter")
 
     def __repr__(self):
         return f"Interval({self.a}, {self.b})"
@@ -209,6 +225,7 @@ class Disc(Domain):
             raise ValueError("radius must be positive")
         self.center = np.asarray(center, dtype=float).reshape(2)
         self.radius = float(radius)
+        self._require_representable("diameter")
 
     def __repr__(self):
         return f"Disc(center={self.center.tolist()}, radius={self.radius})"
@@ -255,6 +272,7 @@ class Annulus(Domain):
         self.center = np.asarray(center, dtype=float).reshape(2)
         self.r_in = float(r_in)
         self.r_out = float(r_out)
+        self._require_representable("diameter", "interior_diameter")
 
     def __repr__(self):
         return f"Annulus(center={self.center.tolist()}, r_in={self.r_in}, r_out={self.r_out})"
@@ -305,6 +323,8 @@ class ConvexPolygon(Domain):
         if area2 <= 0:
             raise ValueError("vertices must be counterclockwise (positive area)")
         self.vertices = v
+        # not the interior diameter: its linear program loads scipy.optimize
+        self._require_representable("diameter")
         self._edges = edges
         lengths = np.linalg.norm(edges, axis=1)
         if np.any(lengths <= 0):
@@ -404,6 +424,7 @@ class Torus(Domain):
             raise ValueError("need 0 < R < c for an embedded torus")
         self.c = float(c)
         self.R = float(R)
+        self._require_representable("diameter", "interior_diameter")
 
     def __repr__(self):
         return f"Torus(c={self.c}, R={self.R})"

@@ -193,11 +193,12 @@ def _one_sided_graded(delta, layers, grading):
 def mesh_1d_with_level(interval, level, n_strip, grading=1.0, bisections=0):
     """Mesh of the interval with nodes exactly at distance `level` from each
     endpoint: two boundary strips graded and clamped as in `build_mesh_1d`,
-    and one core element, which `restrict_to_strip` drops."""
+    and one core element, which `restrict_to_strip` drops.  A level outside
+    (0, sup d] raises StripTooThin."""
     a, b = interval.a, interval.b
     half = (b - a) / 2.0
     if not 0 < level <= half:
-        raise ValueError("level must lie in (0, (b-a)/2]")
+        raise StripTooThin(f"strip width {level} lies outside (0, sup d = {half}]")
     grading = feasible_grading(grading, n_strip, level,
                                grading_floor(interval, bisections), one_sided=True)
     left = a + _one_sided_graded(level, n_strip, grading)

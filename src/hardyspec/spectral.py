@@ -24,6 +24,7 @@ POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
 FORM_LEVELS = 2         # nested bisections of the form check's strip mesh
 MAX_DRAW = 400000       # Halton indices tried for strip samples
+EXPONENT_SLACK = 0.1    # how far below 2 - beta a DISCRETE growth fit may fall
 
 
 @dataclass
@@ -85,6 +86,12 @@ class ProblemSpec:
     def beta(self):
         return self.form.beta if self.form.beta is not None else 0.0
 
+    @property
+    def required_exponent(self):
+        """The least growth exponent of the strip minima that
+        `discreteness_diagnostic` calls DISCRETE."""
+        return (2 - self.beta) - EXPONENT_SLACK
+
 
 def strip_mesh(problem, k):
     """Mesh of the strip {0 < d < 1/k} of the domain's section with the
@@ -93,8 +100,6 @@ def strip_mesh(problem, k):
     delta = 1.0 / k
     domain = problem.domain.section
     if isinstance(domain, Interval):
-        if delta > (domain.b - domain.a) / 2:
-            raise StripTooThin(f"1/k = {delta} exceeds sup d")
         mesh = mesh_1d_with_level(domain, delta, problem.strip_elements,
                                   problem.grading, bisections=6)
     else:
@@ -129,17 +134,33 @@ def persson_sequence(problem):
 
     When the diffusion is exactly d^beta and the potential a sum of
     nonnegative multiples of powers of d, so nonnegative, the analytic
-    lower-bound curve kappa(beta) k^(2-beta) is reported alongside.  The
-    strips nest, {d < 1/(k+1)} in {d < 1/k}, so mu_k grows with k: each
-    strip's first shift is the minimum of the strip before (see
-    `smallest_eigenpairs`); the first strip's is the default.
+    lower-bound curve kappa(beta) k^(2-beta) is reported alongside.
+
+    The strips nest, {d < 1/(k+1)} in {d < 1/k}, so mu_k grows with k, and
+    the minimum of the strip before is a floor for the next (the first
+    strip's is the default of `smallest_eigenpairs`).  A shift closer to
+    the bottom saves Lanczos solves, so strip k is first tried at the least
+    minimum the diagnostic would still call DISCRETE, the previous one grown
+    at the required exponent: mu_prev (k / k_prev)^required, when mu_prev is
+    positive and that lies above it.  Inertia certifies the guess as any
+    shift: where it counts an eigenvalue below, the solve falls back to
+    mu_prev for one factorization more and the same minimum, and the later
+    strips start at the previous minimum.
     """
-    entries = []
+    entries, floor, guessing = [], [-0.01], True
     for k in problem.ks:
+        if entries:
+            mu, k_prev = entries[-1]["mu"], entries[-1]["k"]
+            floor = [mu]
+            grown = mu * (k / k_prev) ** problem.required_exponent
+            if guessing and mu > 0 and grown > mu:
+                floor.append(grown)
         sub = strip_mesh(problem, k)
         pencil = assemble_pencil(sub, problem.form, 1.0)
         rep = smallest_eigenpairs(pencil, 1, tol=problem.tol, seed=problem.seed,
-                                  floor=entries[-1]["mu"] if entries else -0.01)
+                                  floor=floor)
+        if len(floor) == 2:     # a refuted guess falls back to mu_prev or below
+            guessing = rep.sigma > floor[0]
         entries.append({"k": k, "delta": 1.0 / k, "dof": pencil.dof,
                         "mu": float(rep.eigenvalues[0])})
 
@@ -292,13 +313,12 @@ def discreteness_diagnostic(problem):
     then the strip sweep with a growth-exponent fit.
 
     DISCRETE requires every stage to pass, the fitted exponent to reach
-    (2 - beta) - 0.1, and each strip minimum to clear the analytic curve
-    gamma kappa(beta) k^(2-beta).  Anything else is INCONCLUSIVE; the
+    `required_exponent`, (2 - beta) - EXPONENT_SLACK, and each strip
+    minimum to clear the analytic curve gamma kappa(beta) k^(2-beta).  Anything else is INCONCLUSIVE; the
     diagnostic never claims the spectrum is *not* discrete.
     """
     check_diagnostic(problem.ks)
-    beta = problem.beta
-    required = (2 - beta) - 0.1
+    beta, required = problem.beta, problem.required_exponent
 
     pointwise = check_pointwise_criterion(problem)
     if pointwise.verdict != "PASS":

@@ -379,6 +379,15 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                ("diagnose", plain + "grading = nan\n"),
                # a domain parameter that is not finite
                ("diagnose", plain.replace("interval\n", "interval\nb = inf\n")),
+               # a strip wider than sup d = 1/2, refused by the interval's strip mesh
+               ("diagnose", plain.replace("k_min = 2", "k_min = 1")),
+               ("persson", plain.replace("k_min = 2", "k_min = 1")),
+               # a disc whose volume overflows or vanishes: the hardy-disc bench
+               # config raised OverflowError and ZeroDivisionError in the catalogue
+               *(("hardy", f"[domain]\nvariant = disc\nradius = {radius}\n\n[form]\n"
+                           "beta = 0.0\nalpha = 0.0\nlambda_method = hhl_volume\n\n"
+                           "[numerics]\nh = 0.0625\ngrading = 0.5\nlevels = 2\n")
+                 for radius in ("1e300", "1e-300")),
                # -laplacian(d) < 0 at the inner equator, 5e-7 short of c = 2R
                ("hardy", "[domain]\nvariant = torus\nc = 1.9999995\nr_tube = 1\n\n"
                          "[form]\nbeta = 0.0\nalpha = 0.0\nlambda_method = fmt_weighted\n\n"
@@ -403,6 +412,9 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
              ("spectrum", torus),
              ("spectrum", disc + "h = -0.1\n"),
              ("spectrum", disc + "h = 0\n"),
+             # solves near the underflow threshold: the projected matrix loses
+             # its scale, where LAPACK's "sbevx did not converge" escaped
+             ("spectrum", disc.replace("a = 1", "a = 1e300") + "h = 0.1\n"),
              *checked]
     for i, (command, text) in enumerate(cases):
         cfg = write(tmp_path, f"bad{i}.ini", text)

@@ -468,6 +468,39 @@ def test_floor_above_spectrum_is_stepped_down():
     assert counting_function(pencil, high.sigma) == 0
 
 
+def test_floors_are_tried_highest_first(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _factor(*args)
+
+    monkeypatch.setattr(eigensolve, "_factor", counted)
+    pencil = _disc_pencil(0.1)
+    low = smallest_eigenpairs(pencil, 1, floor=5.0)
+    assert calls == [5.0]
+    # a floor that holds is the shift, whatever lies below it
+    calls.clear()
+    high = smallest_eigenpairs(pencil, 1, floor=(-300.0, 5.7))
+    assert calls == [5.7] and high.sigma == 5.7
+    assert high.eigenvalues[0] == pytest.approx(low.eigenvalues[0], rel=1e-12)
+    # one that inertia refutes costs its one factorization; the next holds
+    calls.clear()
+    refuted = smallest_eigenpairs(pencil, 1, floor=[5.0, 6.0])
+    assert calls == [6.0, 5.0] and refuted.sigma == 5.0
+    assert refuted.eigenvalues[0] == low.eigenvalues[0]
+
+
+def test_projected_eigenproblem_failure_raises(monkeypatch):
+    # LAPACK's failure ends the solve with a typed error
+    def failing(*args, **kw):
+        raise scipy.linalg.LinAlgError("sbevx did not converge")
+
+    monkeypatch.setattr(eigensolve.scipy.linalg, "eig_banded", failing)
+    with pytest.raises(NoConvergence, match="sbevx did not converge"):
+        smallest_eigenpairs(_disc_pencil(0.1), 1)
+
+
 def test_a_pair_that_fails_both_tests_raises(monkeypatch):
     calls = []
 

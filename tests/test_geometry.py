@@ -378,6 +378,21 @@ def test_non_finite_parameters_refused(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Interval(-1e308, 1e308), lambda: Interval(0, 1e-170),
+    lambda: Disc((0, 0), 1e300), lambda: Disc((0, 0), 1e-300),
+    lambda: Annulus((0, 0), 1e-300, 2e-300), lambda: Annulus((0, 0), 1.0, 1e160),
+    lambda: ConvexPolygon([(0, 0), (1e154, 0), (0, 1e154)]),
+    # a subnormal area, whose reciprocal overflows
+    lambda: ConvexPolygon([(0, 0), (1e-160, 0), (0, 1e-160)]),
+    lambda: Torus(3e200, 1e200), lambda: Torus(3e-170, 1e-170)])
+def test_unrepresentable_size_refused(build):
+    # finite parameters whose volume or squared diameter, which the Hardy
+    # catalogue divides by, overflows or falls below float64's normal range
+    with pytest.raises(ValueError, match="overflows or vanishes"):
+        build()
+
+
 def test_finite_difference_needs_clearance():
     from hardyspec.errors import TooCloseToBoundary
     with pytest.raises(TooCloseToBoundary):

@@ -236,6 +236,9 @@ def test_strip_too_thin():
     for delta in (0.0, -0.25, 0.5 + 1e-9):
         with pytest.raises(StripTooThin):
             restrict_to_strip(mesh, delta)
+        # the interval strip's own mesh refuses such a level first
+        with pytest.raises(StripTooThin):
+            mesh_1d_with_level(Interval(0, 1), delta, 16)
 
 
 def test_strip_nesting():

@@ -8,6 +8,8 @@ from hardyspec import (Disc, FormSpec, Interval, ProblemSpec, Torus, kappa,
 from hardyspec.coefficients import power_of_d
 from hardyspec.errors import StripTooThin
 from hardyspec.report import jsonable
+from hardyspec import eigensolve, spectral
+from hardyspec.eigensolve import _factor, smallest_eigenpairs
 from hardyspec.spectral import _halton, _halton_points, strip_mesh
 
 IV = Interval(0, 1)
@@ -104,6 +106,95 @@ def test_persson_bound_column_suppressed_for_negative_q():
                   ("-1e8*pos(0.001 - abs(x - 0.2526))", (2,))):
         seq = persson_sequence(_problem(1.0, q, 0.0, 0.5, ks))
         assert seq.bound is None
+
+
+def _recorded_sequence(monkeypatch, problem):
+    """persson_sequence(problem), and each strip's pencil, floors and
+    report."""
+    solves = []
+
+    def recorded(pencil, count, **kw):
+        rep = smallest_eigenpairs(pencil, count, **kw)
+        solves.append((pencil, kw["floor"], rep))
+        return rep
+
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", recorded)
+    return persson_sequence(problem), solves
+
+
+def _counted_factorizations(monkeypatch):
+    """The shift of each factorization from here on."""
+    factored = []
+
+    def counted(*args):
+        factored.append(args[2])
+        return _factor(*args)
+
+    monkeypatch.setattr(eigensolve, "_factor", counted)
+    return factored
+
+
+TORUS_DIAGNOSE = ProblemSpec(domain=Torus(3.0, 1.0), form=FormSpec(a=1.0, q="-0.05*d^-2"),
+                             ks=tuple(range(2, 7)))
+DISC_DIAGNOSE = ProblemSpec(domain=Disc((0, 0), 1.0), form=FormSpec(a=1.0, q="-0.05*d^-2"),
+                            ks=tuple(range(2, 17)))
+
+
+@pytest.mark.parametrize("problem", [TORUS_DIAGNOSE, DISC_DIAGNOSE], ids=["torus", "disc"])
+def test_predicted_floors_keep_the_minima(monkeypatch, problem):
+    # each strip after the first starts at mu_prev (k / k_prev)^required,
+    # which inertia certifies; solved again from mu_prev alone, every
+    # minimum is the same to rounding, for more LU solves
+    seq, solves = _recorded_sequence(monkeypatch, problem)
+    mus = seq.mus()
+    assert solves[0][1] == [-0.01]
+    guessed = spent = 0
+    for i, (pencil, floor, rep) in enumerate(solves[1:], 1):
+        grown = mus[i - 1] * (problem.ks[i] / problem.ks[i - 1]) ** problem.required_exponent
+        assert floor == [mus[i - 1], grown] and rep.sigma == grown
+        oracle = smallest_eigenpairs(pencil, 1, seed=problem.seed, floor=mus[i - 1])
+        assert oracle.sigma == mus[i - 1]
+        assert mus[i] == pytest.approx(oracle.eigenvalues[0], rel=1e-12, abs=0)
+        guessed, spent = guessed + rep.iterations, spent + oracle.iterations
+    assert guessed < spent
+
+
+def test_refuted_guess_costs_one_factorization(monkeypatch):
+    factored = _counted_factorizations(monkeypatch)
+    # a required exponent of 0 names no guess above mu_prev: the floors of
+    # the sequence without guesses
+    monkeypatch.setattr(spectral, "EXPONENT_SLACK", 2.0)
+    plain, plain_solves = _recorded_sequence(monkeypatch, TORUS_DIAGNOSE)
+    assert all(len(floor) == 1 for _, floor, _ in plain_solves)
+    plain_factored = len(factored)
+    # an exponent of 5 overshoots mu_3 = 85.5 from mu_2 = 37.7 by 7.6 times
+    factored.clear()
+    monkeypatch.setattr(spectral, "EXPONENT_SLACK", -3.0)
+    refuted, refuted_solves = _recorded_sequence(monkeypatch, TORUS_DIAGNOSE)
+    assert len(factored) == plain_factored + 1
+    assert np.array_equal(refuted.mus(), plain.mus())
+    floors = [floor for _, floor, _ in refuted_solves]
+    mus = refuted.mus()
+    assert len(floors[1]) == 2 and floors[1][1] > mus[1]
+    assert refuted_solves[1][2].sigma == mus[0]
+    # the later strips start at the previous minimum
+    assert floors[2:] == [[mu] for mu in mus[1:-1]]
+
+
+def test_interval_guesses_keep_the_counts(monkeypatch):
+    # the bench's interval diagnosis: every guess holds, and each strip
+    # converges at the 13-solve floor of one eigenpair with or without it
+    factored = _counted_factorizations(monkeypatch)
+    problem = _problem("d^0.5", "-0.03*d^-1.5", 0.5, 0.5, tuple(range(2, 17)))
+    counts = []
+    for slack in (spectral.EXPONENT_SLACK, 2.0):    # 2.0: no guess above mu_prev
+        monkeypatch.setattr(spectral, "EXPONENT_SLACK", slack)
+        factored.clear()
+        seq, solves = _recorded_sequence(monkeypatch, problem)
+        assert all(len(floor) == (2 if slack < 2 else 1) and rep.sigma == floor[-1]
+                   for _, floor, rep in solves[1:])
+        counts.append((len(factored), sum(rep.iterations for _, _, rep in solves)))
+    assert counts == [(15, 196), (15, 196)]
 
 
 def test_strip_too_thin_for_large_k():
