@@ -165,9 +165,45 @@ class Domain:
         raise NotImplementedError
 
 
-class Interval(Domain):
-    dim = 1
+class _HalfSpaces(Domain):
+    """A convex domain cut out by half-spaces n_i . (x - p_i) >= 0: unit
+    inward normals n_i (rows of `_normals`), one point p_i per facet (rows of
+    `_points`).  Inside, the ball of radius min_i n_i . (x - p_i) lies in every
+    half-space and meets the boundary on the nearest facet, so d is the least
+    facet distance; outside, that least distance is negative."""
+
     is_convex = True
+
+    def _facet_distances(self, pts):
+        """n_i . (x - p_i) for every facet and point, (F, N), worked in place
+        and facet-major, so that the least over facets runs along rows.  The
+        sum starts from +0.0: a point on a facet reads +0.0 there, not -0.0."""
+        p = np.asarray(pts, dtype=float).reshape(-1, self.dim)
+        dist = 0.0
+        for j in range(self.dim):
+            term = p[:, j] - self._points[:, j, None]
+            term *= self._normals[:, j, None]
+            dist = np.add(term, dist, out=term)
+        return dist
+
+    def distance_many(self, pts):
+        return self._facet_distances(pts).min(axis=0)
+
+    def box(self):
+        return self._points.min(axis=0), self._points.max(axis=0)
+
+    def calculus_many(self, pts):
+        """The nearest facet's normal is the gradient, the first on a tie;
+        d is a min of affine functions, so its Laplacian vanishes off the
+        ridge, where a second facet lies within RIDGE_TOL of the nearest."""
+        dist = self._facet_distances(pts)
+        d = dist.min(axis=0)
+        return (self._normals[np.argmin(dist, axis=0)], np.zeros(len(d)),
+                np.count_nonzero(dist - d < RIDGE_TOL, axis=0) > 1)
+
+
+class Interval(_HalfSpaces):
+    dim = 1
 
     def __init__(self, a, b):
         _require_finite(a=a, b=b)
@@ -176,35 +212,19 @@ class Interval(Domain):
         self.a = float(a)
         self.b = float(b)
         self._require_representable("diameter")
+        self._normals = np.array([[1.0], [-1.0]])
+        self._points = np.array([[self.a], [self.b]])
 
     def __repr__(self):
         return f"Interval({self.a}, {self.b})"
 
-    def distance_many(self, pts):
-        x = np.asarray(pts, dtype=float).reshape(-1)
-        return np.minimum(x - self.a, self.b - x)
-
-    def box(self):
-        return np.array([self.a]), np.array([self.b])
-
-    def calculus_many(self, pts):
-        x = np.asarray(pts, dtype=float).reshape(-1)
-        left = x - self.a
-        right = self.b - x
-        grad = np.where(left <= right, 1.0, -1.0)[:, None]
-        return grad, np.zeros(len(x)), np.abs(left - right) < RIDGE_TOL
-
     def neg_laplacian_infimum(self):
         return 0.0, np.array([self.a])
 
-    def interior_diameter(self):
-        return self.b - self.a
-
-    def volume(self):
-        return self.b - self.a
-
     def diameter(self):
         return self.b - self.a
+
+    interior_diameter = volume = diameter
 
 
 def _radius(pts, center):
@@ -305,74 +325,36 @@ class Annulus(Domain):
         return 2 * self.r_out
 
 
-class ConvexPolygon(Domain):
+class ConvexPolygon(_HalfSpaces):
     dim = 2
-    is_convex = True
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float).reshape(-1, 2)
         _require_finite(vertices=v)
         if v.shape[0] < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.any(cross < -1e-12):
-            raise ValueError("vertices must be counterclockwise and convex")
-        area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-        if area2 <= 0:
-            raise ValueError("vertices must be counterclockwise (positive area)")
-        self.vertices = v
+        self.vertices = self._points = v
         # not the interior diameter: its linear program loads scipy.optimize
         self._require_representable("diameter")
-        self._edges = edges
+        if self._shoelace() <= 0:
+            raise ValueError("vertices must be counterclockwise (positive area)")
+        edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.any(lengths <= 0):
             raise ValueError("degenerate edge")
-        self._edge_len = lengths
         # inward unit normals (ccw order => inward is left of the edge)
         self._normals = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
+        # every vertex in every edge's inward half-plane, relative to the size
+        if np.any(self._facet_distances(v) < -1e-12 * self.diameter()):
+            raise ValueError("vertices must be counterclockwise and convex")
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
 
-    def _edge_distances(self, pts):
-        """Distance from each point to each (full) edge segment, (N, E)."""
-        p = np.asarray(pts, dtype=float).reshape(-1, 2)
-        rel = p[:, None, :] - self.vertices[None, :, :]
-        t = np.einsum("nej,ej->ne", rel, self._edges) / self._edge_len[None, :]**2
-        t = np.clip(t, 0.0, 1.0)
-        proj = self.vertices[None, :, :] + t[:, :, None] * self._edges[None, :, :]
-        return np.linalg.norm(p[:, None, :] - proj, axis=2), proj
-
-    def distance_many(self, pts):
-        p = np.asarray(pts, dtype=float).reshape(-1, 2)
-        seg_d, _ = self._edge_distances(p)
-        d = seg_d.min(axis=1)
-        # signed: negative outside any edge half-plane
-        halfplane = np.einsum("nej,ej->ne", p[:, None, :] - self.vertices[None, :, :],
-                              self._normals)
-        outside = halfplane.min(axis=1) < 0
-        return np.where(outside, halfplane.min(axis=1), d)
-
-    def box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def calculus_many(self, pts):
-        p = np.asarray(pts, dtype=float).reshape(-1, 2)
-        seg_d, proj = self._edge_distances(p)
-        nearest = np.argmin(seg_d, axis=1)
-        two = np.sort(seg_d, axis=1)[:, :2]
-        v, r = _radius(p, proj[np.arange(len(p)), nearest])
-        r = r[:, None]
-        grad = np.where(r > RIDGE_TOL, v / np.maximum(r, RIDGE_TOL),
-                        self._normals[nearest])
-        # d is a min of affine functions: Laplacian vanishes off the ridge
-        return grad, np.zeros(len(p)), (two[:, 1] - two[:, 0]) < RIDGE_TOL
-
     def neg_laplacian_infimum(self):
         # the midpoint of an edge; a vertex lies on the medial axis
-        return 0.0, self.vertices[0] + self._edges[0] / 2
+        v = self.vertices
+        return 0.0, v[0] + (v[1] - v[0]) / 2
 
     @cached_property
     def _chebyshev(self):
@@ -383,7 +365,7 @@ class ConvexPolygon(Domain):
         from scipy.optimize import linprog
 
         n = self._normals
-        b = np.einsum("ej,ej->e", n, self.vertices)
+        b = np.einsum("ej,ej->e", n, self._points)
         a_ub = np.column_stack([-n, np.ones(len(n))])
         res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-b,
                       bounds=[(None, None), (None, None), (0, None)], method="highs")
@@ -400,10 +382,13 @@ class ConvexPolygon(Domain):
     def interior_diameter(self):
         return 2 * self.chebyshev_radius()
 
-    def volume(self):
+    def _shoelace(self):
+        """Twice the signed area, positive when counterclockwise."""
         v = self.vertices
-        return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1)
-                                  - np.roll(v[:, 0], -1) * v[:, 1]))
+        return float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+
+    def volume(self):
+        return 0.5 * abs(self._shoelace())
 
     def diameter(self):
         v = self.vertices

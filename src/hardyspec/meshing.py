@@ -381,8 +381,8 @@ def build_trimesh(domain, h, grading=1.0, reach=None):
 
 
 def refine_trimesh(mesh):
-    """Split every triangle into four; curved-boundary midpoints are snapped
-    back onto the exact boundary circle.
+    """Split every triangle into four; the midpoints of the boundary facets
+    are snapped back onto the exact boundary circle.
 
     New nodes follow the old ones, numbered by the first occurrence of their
     edge in the order ab, bc, ca per triangle, then along the boundary.
@@ -398,7 +398,8 @@ def refine_trimesh(mesh):
     mids = 0.5 * (mesh.points[e0] + mesh.points[e1])
 
     dom = mesh.domain
-    on = np.flatnonzero((mesh.node_d[e0] < 1e-12) & (mesh.node_d[e1] < 1e-12))
+    f_mid = mid[3 * len(tri):]
+    on = f_mid - n
     if isinstance(dom, (Disc, Annulus)) and len(on):
         # row by row: a row-wise norm is not bitwise the scalar one
         v = mids[on] - dom.center
@@ -414,7 +415,6 @@ def refine_trimesh(mesh):
     ab, bc, ca = mid[:3 * len(tri)].reshape(-1, 3).T
     a, b, c = tri.T
     tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    f_mid = mid[3 * len(tri):]
     facets = np.column_stack([mesh.facets[:, 0], f_mid, f_mid, mesh.facets[:, 1]])
     clamped = np.concatenate([mesh.clamped, np.zeros(len(mids), dtype=bool)])
     clamped[f_mid[~mesh.robin]] = True

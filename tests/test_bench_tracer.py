@@ -4,10 +4,12 @@ name; this guards the names it relies on."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import hardyspec.cli
 import hardyspec.hardy
 import hardyspec.spectral
-from hardyspec import FormSpec, Interval
+from hardyspec import ConvexPolygon, FormSpec, Interval
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -73,3 +75,17 @@ def test_tracer_sees_a_1d_strip_build():
     assert tracer.self_s.get("meshing.restrict", 0.0) > 0
     # the whole-interval mesh: two graded strips of 96 and one core element
     assert tracer.counts["meshing.elements"] == 2 * 96 + 1 + len(strip.elements)
+
+
+def test_tracer_counts_inherited_distances():
+    # the tracer wraps distance_many on each geometry class that defines it;
+    # Interval and ConvexPolygon inherit theirs, and their points still count
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    installation = tr.install(tracer)
+    try:
+        Interval(0, 1).distance_many(np.linspace(0, 1, 7))
+        ConvexPolygon([(0, 0), (1, 0), (0, 1)]).distance_many(np.full((5, 2), 0.2))
+    finally:
+        installation.undo()
+    assert tracer.counts["geometry.points"] == 12

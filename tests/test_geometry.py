@@ -1,10 +1,15 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
                        superharmonicity_scan)
 from hardyspec.errors import PointOutsideDomain
+from hardyspec.geometry import RIDGE_TOL
 from hardyspec.report import jsonable
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -15,6 +20,58 @@ def test_interval_distance():
     assert iv.distance(0.3) == 0.3
     assert iv.distance(0.9) == pytest.approx(0.1)
     assert iv.distance(0.0) == 0.0
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.5, 2.0), (1000.0, 1001.0)])
+def test_interval_calculus_is_bitwise_the_two_ends(a, b):
+    # d, grad d and the ridge mask are the min(x - a, b - x) formulas they
+    # replaced, signed zeros included, at both ends, the midpoint and their
+    # float neighbours
+    marks = [a, b, 0.5 * (a + b)]
+    x = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                        np.random.default_rng(1).uniform(a, b, 200)])
+    left, right = x - a, b - x
+    iv = Interval(a, b)
+    grad, neg_lap, ridge = iv.calculus_many(x)
+    assert np.array_equal(iv.distance_many(x).view(np.int64),
+                          np.minimum(left, right).view(np.int64))
+    assert np.array_equal(grad.view(np.int64),
+                          np.where(left <= right, 1.0, -1.0)[:, None].view(np.int64))
+    assert np.array_equal(neg_lap.view(np.int64), np.zeros(len(x)).view(np.int64))
+    assert np.array_equal(ridge, np.abs(left - right) < RIDGE_TOL)
+    assert not np.signbit(iv.distance(b)) and not np.signbit(iv.distance(a))
+
+
+def _segment_distance(p, a, b):
+    """Distance from p to the segment [a, b] in mpmath, from float inputs."""
+    p, a, b = ([mpmath.mpf(float(c)) for c in q] for q in (p, a, b))
+    e = [b[0] - a[0], b[1] - a[1]]
+    r = [p[0] - a[0], p[1] - a[1]]
+    t = min(max((r[0] * e[0] + r[1] * e[1]) / (e[0]**2 + e[1]**2), 0), 1)
+    return mpmath.sqrt((r[0] - t * e[0])**2 + (r[1] - t * e[1])**2)
+
+
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (1, 0), (0.3, 0.8)], [(0, 0), (2, 0), (3, 1), (1, 2)],
+    [(0, 0), (1.5, -0.2), (2.4, 0.7), (2.1, 1.9), (0.6, 2.2), (-0.4, 1.1)],
+    [(1000, 1000), (1002, 1000), (1003, 1001), (1001, 1002)]])
+def test_polygon_distance_against_mpmath_segments(vertices):
+    # inside, the least facet distance is the least segment distance: within
+    # one ulp of the diameter of a 40-digit reference, offset polygon included
+    poly = ConvexPolygon(vertices)
+    v = poly.vertices
+    rng = np.random.default_rng(7)
+    weights = rng.dirichlet(np.ones(len(v)), 60)
+    edge = rng.integers(len(v), size=40)
+    near = (v[edge] + rng.uniform(0, 1, 40)[:, None] * (np.roll(v, -1, axis=0)[edge] - v[edge])
+            + 1e-9 * poly._normals[edge])
+    pts = np.vstack([weights @ v, near])
+    d = poly.distance_many(pts)
+    with mpmath.workdps(40):
+        ref = [min(_segment_distance(p, v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+               for p in pts]
+        err = max(abs(mpmath.mpf(float(di)) - r) for di, r in zip(d, ref))
+    assert err <= np.spacing(poly.diameter())
 
 
 def test_disc_distance():
@@ -100,8 +157,8 @@ def _off_ridge_samples(dom, rng, n):
     elif isinstance(dom, Annulus):
         gap = np.abs(np.linalg.norm(pts - dom.center, axis=1) - 1.0)
     elif isinstance(dom, ConvexPolygon):
-        seg = np.sort(dom._edge_distances(pts)[0], axis=1)
-        gap = seg[:, 1] - seg[:, 0]
+        seg = np.sort(dom._facet_distances(pts), axis=0)
+        gap = seg[1] - seg[0]
     else:
         gap = dom.R - d
     # the 1/rho blowup at the disc centre and the torus core circle is
@@ -345,15 +402,43 @@ def test_scan_report_serialization():
     assert set(doc) == {"min_value", "argmin", "verdict"}
 
 
+def _regular(n, scale=1.0, offset=0.0, turn=0.0):
+    angles = 2 * np.pi * (np.arange(n) + turn) / n
+    return scale * (offset + np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
 def test_polygon_validation():
     with pytest.raises(ValueError):
         ConvexPolygon([(0, 0), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counterclockwise"):
         # clockwise square
         ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        # non-convex chevron
-        ConvexPolygon([(0, 0), (2, 0), (1, 0.4), (1, 2)])
+    chevron = np.array([(0, 0), (2, 0), (1, 0.4), (1, 2)])
+    # non-convex at any size; a pentagram in star order has positive area
+    for vertices in (chevron, 1e-7 * chevron, _regular(5)[[0, 2, 4, 1, 3]]):
+        with pytest.raises(ValueError, match="convex"):
+            ConvexPolygon(vertices)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(turns=st.lists(st.floats(-0.25, 0.25), min_size=3, max_size=8),
+       exponent=st.integers(-150, 150), offset=st.sampled_from((0.0, -3.5, 1000.0)),
+       data=st.data())
+def test_polygon_accepted_only_in_counterclockwise_order(turns, exponent, offset, data):
+    # vertices on a circle, each within a quarter step of a regular n-gon's:
+    # accepted counterclockwise from any start, at any scale and offset;
+    # refused clockwise and in any order that is not a rotation
+    n = len(turns)
+    v = _regular(n, 10.0**exponent, offset, np.array(turns))
+    ConvexPolygon(v)
+    with pytest.raises(ValueError, match="counterclockwise"):
+        ConvexPolygon(v[::-1])
+    order = np.array(data.draw(st.permutations(range(n))))
+    if np.array_equal(np.roll(order, -order.tolist().index(0)), np.arange(n)):
+        ConvexPolygon(v[order])
+    else:
+        with pytest.raises(ValueError):
+            ConvexPolygon(v[order])
 
 
 def test_domain_invariants():
@@ -385,12 +470,17 @@ def test_non_finite_parameters_refused(build):
     lambda: ConvexPolygon([(0, 0), (1e154, 0), (0, 1e154)]),
     # a subnormal area, whose reciprocal overflows
     lambda: ConvexPolygon([(0, 0), (1e-160, 0), (0, 1e-160)]),
+    # sized before any orientation or convexity product is taken
+    lambda: ConvexPolygon([(0, 0), (1e-170, 0), (0, 1e-170)]),
+    lambda: ConvexPolygon([(0, 0), (1e160, 0), (0, 1e160)]),
     lambda: Torus(3e200, 1e200), lambda: Torus(3e-170, 1e-170)])
 def test_unrepresentable_size_refused(build):
     # finite parameters whose volume or squared diameter, which the Hardy
     # catalogue divides by, overflows or falls below float64's normal range
-    with pytest.raises(ValueError, match="overflows or vanishes"):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows or vanishes"):
+            build()
 
 
 def test_finite_difference_needs_clearance():

@@ -213,6 +213,19 @@ def test_inconclusive_ladder_matches_the_default_floor():
         assert abs(level["minimum"] - mu) <= 1e-10
 
 
+def test_disc_ladder_is_scale_free():
+    # with lambda = 0 the quotient is scale-free, so a disc ladder at h
+    # proportional to the radius reads the unit disc's minima; refinement
+    # snaps only boundary-facet midpoints, whatever the size of d there
+    unit = verify_hardy(UNIT_DISC, 0.0, h=0.125, grading=0.5, levels=2)
+    for radius in (1e-6, 1e-11, 1e-13, 1e-20):
+        cert = verify_hardy(Disc((0, 0), radius), 0.0, h=0.125 * radius, grading=0.5,
+                            levels=2)
+        assert cert.verdict == "CERTIFIED"
+        assert ([lv["minimum"] for lv in cert.levels]
+                == pytest.approx([lv["minimum"] for lv in unit.levels], rel=1e-12, abs=0))
+
+
 # The paper's inequality as an oracle.  Where -laplacian(d) >= 0 (intervals,
 # convex polygons, discs, and a torus with c > 2R), the field
 # d^(beta-1) grad d gives  integral d^beta |grad u|^2 >= kappa(beta)
