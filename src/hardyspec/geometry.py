@@ -221,10 +221,14 @@ class Interval(_HalfSpaces):
     def neg_laplacian_infimum(self):
         return 0.0, np.array([self.a])
 
-    def diameter(self):
+    def interior_diameter(self):
         return self.b - self.a
 
-    interior_diameter = volume = diameter
+    def volume(self):
+        return self.b - self.a
+
+    def diameter(self):
+        return self.b - self.a
 
 
 def _radius(pts, center):
@@ -336,17 +340,18 @@ class ConvexPolygon(_HalfSpaces):
         self.vertices = self._points = v
         # not the interior diameter: its linear program loads scipy.optimize
         self._require_representable("diameter")
-        if self._shoelace() <= 0:
-            raise ValueError("vertices must be counterclockwise (positive area)")
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.any(lengths <= 0):
             raise ValueError("degenerate edge")
         # inward unit normals (ccw order => inward is left of the edge)
         self._normals = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
-        # every vertex in every edge's inward half-plane, relative to the size
-        if np.any(self._facet_distances(v) < -1e-12 * self.diameter()):
-            raise ValueError("vertices must be counterclockwise and convex")
+        # each edge's two ends read about 0; every other vertex must lie inside
+        # its inward half-plane by more than 1e-12 times the diameter, so that
+        # no two facets share a line (a false ridge along it) and the order is
+        # counterclockwise and convex
+        if np.any(np.sort(self._facet_distances(v), axis=1)[:, 2] <= 1e-12 * self.diameter()):
+            raise ValueError("vertices must be counterclockwise and convex, no three on a line")
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
@@ -382,13 +387,11 @@ class ConvexPolygon(_HalfSpaces):
     def interior_diameter(self):
         return 2 * self.chebyshev_radius()
 
-    def _shoelace(self):
-        """Twice the signed area, positive when counterclockwise."""
-        v = self.vertices
-        return float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
-
     def volume(self):
-        return 0.5 * abs(self._shoelace())
+        # abs: a clockwise order is refused by the convexity test, after this
+        v = self.vertices
+        return 0.5 * abs(float(np.sum(v[:, 0] * np.roll(v[:, 1], -1)
+                                      - np.roll(v[:, 0], -1) * v[:, 1])))
 
     def diameter(self):
         v = self.vertices

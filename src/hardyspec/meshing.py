@@ -30,8 +30,10 @@ class Mesh:
     `points` (n, dim) are the nodes, `elements` (m, dim + 1) their
     intervals or counterclockwise triangles.  `facets` (f, dim) are the
     boundary facets, the end nodes of an interval or the edges of a
-    triangulation, and `robin` (f,) marks those carrying the Robin term;
-    the others are clamped.  `clamped` (n,) marks the nodes the form domain
+    triangulation, all on the boundary of `domain` (`refine_trimesh` snaps
+    every facet midpoint of a disc or annulus mesh onto its circle), and
+    `robin` (f,) marks those carrying the Robin term; the others are
+    clamped.  `clamped` (n,) marks the nodes the form domain
     pins to zero: by default the nodes of the non-Robin facets; a strip
     also clamps its inner interface.  `node_d` are the nodes' boundary
     distances in the generating `domain`.  A mesh made by refinement has

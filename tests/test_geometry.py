@@ -420,6 +420,18 @@ def test_polygon_validation():
             ConvexPolygon(vertices)
 
 
+@pytest.mark.parametrize("lift", [0.0, 1e-14, -1e-14])
+def test_polygon_collinear_vertex_refused(lift):
+    # a vertex on (or within 1e-12 diameters of) the line of its neighbours
+    # would give two facets one line, and the band along it a false ridge
+    with pytest.raises(ValueError, match="no three on a line"):
+        ConvexPolygon([(0, 0), (0.5, lift), (1, 0), (1, 1), (0, 1)])
+    # a visible corner is kept, and a point by the bottom edge is off the ridge
+    poly = ConvexPolygon([(0, 0), (0.5, -1e-3), (1, 0), (1, 1), (0, 1)])
+    assert not poly.distance_calculus([0.2, 0.1]).near_ridge
+    assert not ConvexPolygon(UNIT_SQUARE).distance_calculus([0.2, 0.1]).near_ridge
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(turns=st.lists(st.floats(-0.25, 0.25), min_size=3, max_size=8),
        exponent=st.integers(-150, 150), offset=st.sampled_from((0.0, -3.5, 1000.0)),
