@@ -2,7 +2,8 @@
 dispatch to the geometry / hardy / spectral pipelines, and emit reports.
 
 Exit status: 0 for PASS/CERTIFIED/DISCRETE or plain computational success,
-1 for FAIL/INCONCLUSIVE verdicts, 2 for configuration or runtime errors.
+1 for FAIL/INCONCLUSIVE verdicts, 2 for a refusal, the typed HardySpecError
+of the config or of the code that owns the refused parameter.
 """
 
 import argparse
@@ -57,34 +58,26 @@ class _Section:
             raise ConfigError(f"[{self.name}] is missing required key {key!r}")
         return self.get(key)
 
-    def get_float(self, key, default=None):
+    def _parsed(self, key, default, parse, kind):
         raw = self.get(key)
         if raw is None:
             return default
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number") from None
+            return parse(raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not {kind}") from None
+
+    def get_float(self, key, default=None):
+        return self._parsed(key, default, float, "a number")
 
     def get_int(self, key, default=None):
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from None
+        return self._parsed(key, default, int, "an integer")
 
     def get_bool(self, key, default=False):
         """configparser's words, in any case: 1/yes/true/on, 0/no/false/off."""
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a boolean "
-                              "(1/yes/true/on or 0/no/false/off)") from None
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        return self._parsed(key, default, lambda raw: states[raw.lower()],
+                            "a boolean (1/yes/true/on or 0/no/false/off)")
 
 
 def _refuse_unread(parser, sections, command):
@@ -105,31 +98,28 @@ def _split_formats(text):
 
 def _build_domain(sec):
     variant = sec.require("variant")
-    try:
-        if variant == "interval":
-            return geometry.Interval(sec.get_float("a", 0.0), sec.get_float("b", 1.0))
-        if variant == "disc":
-            return geometry.Disc((sec.get_float("center_x", 0.0),
-                                  sec.get_float("center_y", 0.0)),
-                                 sec.get_float("radius", 1.0))
-        if variant == "annulus":
-            return geometry.Annulus((sec.get_float("center_x", 0.0),
-                                     sec.get_float("center_y", 0.0)),
-                                    sec.get_float("r_in", 0.5),
-                                    sec.get_float("r_out", 1.0))
-        if variant == "torus":
-            return geometry.Torus(sec.get_float("c", 3.0), sec.get_float("r_tube", 1.0))
-        if variant == "convex_polygon":
-            raw = sec.require("vertices")
-            verts = []
-            for chunk in raw.split(";"):
-                xy = chunk.split(",")
-                if len(xy) != 2:
-                    raise ConfigError(f"[domain] bad vertex {chunk!r}")
-                verts.append((float(xy[0]), float(xy[1])))
-            return geometry.ConvexPolygon(verts)
-    except ValueError as exc:
-        raise ConfigError(f"[domain] invalid parameters: {exc}") from exc
+    if variant == "interval":
+        return geometry.Interval(sec.get_float("a", 0.0), sec.get_float("b", 1.0))
+    if variant == "disc":
+        return geometry.Disc((sec.get_float("center_x", 0.0),
+                              sec.get_float("center_y", 0.0)),
+                             sec.get_float("radius", 1.0))
+    if variant == "annulus":
+        return geometry.Annulus((sec.get_float("center_x", 0.0),
+                                 sec.get_float("center_y", 0.0)),
+                                sec.get_float("r_in", 0.5),
+                                sec.get_float("r_out", 1.0))
+    if variant == "torus":
+        return geometry.Torus(sec.get_float("c", 3.0), sec.get_float("r_tube", 1.0))
+    if variant == "convex_polygon":
+        verts = []
+        for chunk in sec.require("vertices").split(";"):
+            try:
+                x, y = map(float, chunk.split(","))
+            except ValueError:
+                raise ConfigError(f"[domain] bad vertex {chunk!r}") from None
+            verts.append((x, y))
+        return geometry.ConvexPolygon(verts)
     raise ConfigError(f"[domain] unknown variant {variant!r}")
 
 
@@ -153,20 +143,13 @@ def _problem_spec(command, domain, form, form_sec, num_sec, seed):
         samples=num_sec.get_int("samples", 10000),
         lam=form_sec.get_float("lambda", 0.0), alpha=form_sec.get_float("alpha", 0.0))
     one_d = domain.section.dim == 1     # 2D strips use the uniform template
-    try:
-        if command == "diagnose":
-            check_diagnostic(ks)
-        return ProblemSpec(
-            domain=domain, ks=ks, form=replace(form, beta=form_sec.get_float("beta")),
-            strip_elements=num_sec.get_int("strip_elements") if one_d else None,
-            grading=num_sec.get_float("grading") if one_d else None,
-            seed=seed, tol=num_sec.get_float("tol"), **criteria)
-    except ValueError as exc:
-        raise ConfigError(f"invalid problem parameters: {exc}") from exc
-
-
-def _status_from_verdict(verdict):
-    return 0 if verdict in ("PASS", "CERTIFIED", "DISCRETE") else 1
+    if command == "diagnose":
+        check_diagnostic(ks)
+    return ProblemSpec(
+        domain=domain, ks=ks, form=replace(form, beta=form_sec.get_float("beta")),
+        strip_elements=num_sec.get_int("strip_elements") if one_d else None,
+        grading=num_sec.get_float("grading") if one_d else None,
+        seed=seed, tol=num_sec.get_float("tol"), **criteria)
 
 
 def run(command, config_path, out_dir=".", seed=None, dry_run=False,
@@ -201,15 +184,12 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
 
     csv_payload = None  # (filename, header, rows)
     if command == "distance":
-        coords = [point_sec.get_float(axis, None if axis == "x" else 0.0)
-                  for axis in "xyz"[:domain.dim]]
-        if coords[0] is None:
-            raise ConfigError("[point] x is required for the distance command")
+        point_sec.require("x")
+        coords = [point_sec.get_float(axis, 0.0) for axis in "xyz"[:domain.dim]]
         _refuse_unread(parser, sections, command)
         p = np.array(coords, dtype=float)
         ev = domain.distance_calculus(p)
         result = {"point": p.tolist(), **report.jsonable(ev)}
-        status = 0
 
     elif command == "hardy":
         beta = form_sec.get_float("beta", 0.0)
@@ -225,33 +205,22 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         _refuse_unread(parser, sections, command)
         if method is not None:
             lam = lambda_bound(domain, method, alpha=alpha, beta=beta, delta=delta).lam
-        try:
-            check_ladder(beta, lam, ladder["levels"])
-            if dry_run:
-                mesh = ladder_mesh(domain, **ladder)
-            else:
-                cert = verify_hardy(domain, beta, alpha, lam, seed=seed, tol=tol,
-                                    **ladder)
-        except ValueError as exc:
-            raise ConfigError(f"invalid hardy parameters: {exc}") from exc
+        check_ladder(beta, lam, ladder["levels"])
         if dry_run:
+            mesh = ladder_mesh(domain, **ladder)
             result = {"dry_run": True, "beta": beta, "alpha": alpha, "lambda": lam,
                       "nodes": mesh.n_nodes, "elements": len(mesh.elements)}
-            status = 0
         else:
-            result = cert
-            status = _status_from_verdict(cert.verdict)
+            result = verify_hardy(domain, beta, alpha, lam, seed=seed, tol=tol, **ladder)
             csv_payload = ("hardy_table.csv",
                            ("beta", "alpha", "lambda", "level", "dof",
-                            "minimum", "margin"), cert.csv_rows())
+                            "minimum", "margin"), result.csv_rows())
 
     elif command == "spectrum":
         sigma = None
         if section.dim == 1:
             ends = ("left", "right")
             tags = tuple(form_sec.get(f"bc_{end}", "dirichlet") for end in ends)
-            if any(t not in ("dirichlet", "robin") for t in tags):
-                raise ConfigError("[form] bc_left/bc_right must be dirichlet or robin")
             # only a Robin end reads its sigma
             sigmas = [form_sec.get_float(f"sigma_{end}") if tag == "robin" else None
                       for end, tag in zip(ends, tags)]
@@ -276,26 +245,20 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
                 form = replace(form, q=form.q + form.a
                                * parse_coefficient(f"{mode**2}/r^2"))
         _refuse_unread(parser, sections, command)
-        try:
-            if section.dim == 1:
-                mesh = build_mesh_1d(section, size, grading, tags=tags)
-            else:
-                mesh = build_trimesh(section, size, grading)
-            check_count(count, int(np.count_nonzero(~mesh.clamped)))
-        except ValueError as exc:
-            raise ConfigError(f"invalid spectrum parameters: {exc}") from exc
+        if section.dim == 1:
+            mesh = build_mesh_1d(section, size, grading, tags=tags)
+        else:
+            mesh = build_trimesh(section, size, grading)
+        check_count(count, int(np.count_nonzero(~mesh.clamped)))
         if dry_run:
             result = {"dry_run": True, "nodes": mesh.n_nodes,
                       "elements": len(mesh.elements)}
-            status = 0
         else:
             pencil = assemble_pencil(mesh, form, 1.0)
-            rep = smallest_eigenpairs(pencil, count, tol=tol, seed=seed)
-            result = rep
-            status = 0
+            result = smallest_eigenpairs(pencil, count, tol=tol, seed=seed)
             csv_payload = ("spectrum_table.csv", ("index", "value", "residual"),
                            [(i, float(v), float(r)) for i, (v, r) in
-                            enumerate(zip(rep.eigenvalues, rep.residuals))])
+                            enumerate(zip(result.eigenvalues, result.residuals))])
             if write_mesh:
                 report._atomic_write(os.path.join(out_dir, "mesh.txt"),
                                      format_mesh_text(mesh))
@@ -317,30 +280,26 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             result = {"dry_run": True, "strip_nodes": sizes, "ks": list(problem.ks)}
             if criteria:
                 result["samples"] = len(strip_samples(problem)[1])
-            status = 0
-        elif command == "persson":
-            seq = persson_sequence(problem)
-            result = seq
-            status = 0
-            csv_payload = ("persson_table.csv", ("k", "delta", "dof", "mu", "bound"),
-                           seq.csv_rows())
         elif command == "criteria":
             pw = check_pointwise_criterion(problem)
             fm = check_form_nonnegativity(problem)
             both = "PASS" if (pw.verdict == "PASS" and fm.verdict == "PASS") else "FAIL"
             result = {"pointwise": pw, "form": fm, "verdict": both}
-            status = _status_from_verdict(both)
         else:
-            diag = discreteness_diagnostic(problem)
-            result = diag
-            status = _status_from_verdict(diag.verdict)
-            if diag.sequence is not None:
+            if command == "persson":
+                result = seq = persson_sequence(problem)
+            else:
+                result = discreteness_diagnostic(problem)
+                seq = result.sequence
+            if seq is not None:
                 csv_payload = ("persson_table.csv",
-                               ("k", "delta", "dof", "mu", "bound"),
-                               diag.sequence.csv_rows())
+                               ("k", "delta", "dof", "mu", "bound"), seq.csv_rows())
     else:
         raise ConfigError(f"unknown command {command!r}")
 
+    verdict = (result.get("verdict") if isinstance(result, dict)
+               else getattr(result, "verdict", None))
+    status = 0 if verdict in (None, "PASS", "CERTIFIED", "DISCRETE") else 1
     os.makedirs(out_dir, exist_ok=True)
     doc = report.make_report(command, resolved, result, status)
     if "json" in formats:

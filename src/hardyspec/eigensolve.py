@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spla
 
-from .errors import FactorizationFailure, NoConvergence
+from .errors import FactorizationFailure, InvalidParameter, NoConvergence
 from .meshing import nested
 
 EPS23 = (0.5 * np.finfo(float).eps) ** (2 / 3)    # ARPACK's eps23, from dlamch('E')
@@ -300,10 +300,8 @@ def _norm1(A):
 
 def check_count(count, dof):
     """Refuse a count of eigenpairs that a dof-unknown pencil cannot give."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if count > dof:
-        raise ValueError(f"requested {count} eigenpairs from a {dof}-dof pencil")
+    if not 1 <= count <= dof:
+        raise InvalidParameter(f"count = {count} must lie in [1, {dof}], the pencil's dof")
 
 
 def _start_vector(seed, n):
@@ -313,6 +311,8 @@ def _start_vector(seed, n):
         return _START.standard_normal(n)
 
 
+# an overflow leaves an inf or NaN, which the convergence tests refuse
+@np.errstate(over="ignore", invalid="ignore")
 def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None,
                         floor=-0.01):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x,
@@ -325,8 +325,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
     shift tried, best a value known to lie just below the bottom, or several
     shifts, tried highest first (see `_shift`).  Vectors
     come back M-orthonormal.  A pair converges when its residual or its
-    backward error is within tol; one that fails both raises NoConvergence,
-    whose `partial` holds the pairs that pass.  `maxiter` bounds the LU
+    backward error is within tol, in (0, 1); one that fails both raises
+    NoConvergence, whose `partial` holds the pairs that pass.  `maxiter` bounds the LU
     solves of each Lanczos run (see `_lanczos`).
     """
     n = pencil.dof
@@ -336,6 +336,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
         raise FactorizationFailure("denominator matrix has a nonpositive diagonal")
     if tol is None:
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
+    if not 0 < tol < 1:
+        raise InvalidParameter(f"tol must lie in (0, 1), got {tol}")
     start = _start_vector(seed, n)
     if v0 is not None:
         start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)

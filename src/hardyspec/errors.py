@@ -5,6 +5,10 @@ class HardySpecError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidParameter(HardySpecError, ValueError):
+    """A parameter outside the range that the code owning it admits."""
+
+
 # -- geometry ---------------------------------------------------------------
 
 class PointOutsideDomain(HardySpecError):

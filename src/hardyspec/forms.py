@@ -16,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import Coefficient, as_coefficient, environment
-from .errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
-                     SingularQuadrature)
+from .errors import (AssemblyError, DegenerateBand, InvalidParameter,
+                     NonpositiveDiffusion, NonpositiveWeight, SingularQuadrature)
 from .meshing import triangle_areas
 
 
@@ -34,7 +34,7 @@ class FormSpec:
         self.a = as_coefficient(self.a)
         self.q = as_coefficient(self.q)
         if self.beta is not None and self.beta >= 1:
-            raise ValueError("the power form requires beta < 1")
+            raise InvalidParameter("the power form requires beta < 1")
 
 
 @dataclass
@@ -131,6 +131,8 @@ def assemble_pencil(mesh, form, denominator):
 
     free = np.flatnonzero(~mesh.clamped)
     K, M = _assemble(mesh, form, denominator, QUAD_POINTS, QUAD_SUBDIV, mw, free)
+    if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
+        raise AssemblyError("the pencil has entries that overflow float64")
     if _MALLOC_TRIM is not None:
         # Hand the freed quadrature arrays back to the OS before the solver
         # factors.  Once glibc has freed a large block it serves blocks of
@@ -139,7 +141,7 @@ def assemble_pencil(mesh, form, denominator):
         # the heap's layout, and the process peak varied from run to run.
         _MALLOC_TRIM(0)
     if len(free) == 0:
-        raise ValueError("no free degrees of freedom after clamping")
+        raise InvalidParameter("no free degrees of freedom after clamping")
     meta = {
         "dim": mesh.dim,
         "n_nodes": mesh.n_nodes,
@@ -180,7 +182,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     v = mesh.points[mesh.elements.T]                            # (3, m, 2)
     area = triangle_areas(v)
     if np.any(area <= 0):
-        raise ValueError("mesh has an inverted triangle")
+        raise InvalidParameter("mesh has an inverted triangle")
     # the explicit three-term sum is bitwise the einsum over k, and faster
     pts = bary[:, 0] * v[0] + bary[:, 1] * v[1] + bary[:, 2] * v[2]  # (7, m, 2)
     # grad lambda_i = (b_i, c_i) / (2 area)
@@ -191,6 +193,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     return mesh.elements, pts, w[:, None] * area, TRI_BARY[:, None], grads, 0
 
 
+@np.errstate(over="ignore", invalid="ignore")    # assemble_pencil refuses an inf
 def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
     """K and M on the nodes `free`, exactly symmetric.
 
@@ -430,8 +433,8 @@ class IMSPartition:
 def ims_partition(mesh, delta_in, delta_out):
     """Build the transition pair on the mesh nodes."""
     sup_d = mesh.domain.interior_diameter() / 2.0
-    if not 0 < delta_in < delta_out < sup_d + 1e-12:
-        raise ValueError("need 0 < delta_in < delta_out < sup d")
+    if not 0 < delta_in < delta_out < sup_d + mesh.domain.length_tol():
+        raise InvalidParameter("need 0 < delta_in < delta_out < sup d")
     sizes = mesh.element_sizes()
     bary_d = np.maximum(mesh.domain.distance_many(mesh.barycenters()), 0.0)
     in_band = (bary_d >= delta_in) & (bary_d <= delta_out)

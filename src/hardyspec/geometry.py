@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PointOutsideDomain, TooCloseToBoundary
+from .errors import InvalidParameter, PointOutsideDomain, TooCloseToBoundary
 
 RIDGE_TOL = 1e-9       # two boundary features closer than this => medial axis
 FD_STEP_FACTOR = 1e-4  # default finite-difference step, relative to D_int
@@ -38,14 +38,14 @@ class SuperharmonicityReport:
 def _as_point(p, dim):
     q = np.atleast_1d(np.asarray(p, dtype=float))
     if q.shape != (dim,):
-        raise ValueError(f"expected a point with {dim} coordinates, got shape {q.shape}")
+        raise InvalidParameter(f"a point needs {dim} coordinates, got shape {q.shape}")
     return q
 
 
 def _require_finite(**params):
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise InvalidParameter(f"{name} must be finite, got {value}")
 
 
 class Domain:
@@ -81,15 +81,21 @@ class Domain:
                 value = np.inf
             if not np.finfo(float).tiny <= value < np.inf:
                 label = name.replace("_", " ") + (" squared" if power == 2 else "")
-                raise ValueError(f"the {label}, {value:g}, overflows or vanishes in float64")
+                raise InvalidParameter(
+                    f"the {label}, {value:g}, overflows or vanishes in float64")
 
     # -- membership and distance --------------------------------------------
+
+    def length_tol(self):
+        """Within this, lengths on the domain compare equal: 1e-12 of its box's
+        largest coordinate magnitude, the scale of the rounding in d."""
+        return 1e-12 * float(np.abs(self.box()).max())
 
     def distance(self, p):
         """Exact distance from an inside point to the boundary."""
         p = _as_point(p, self.dim)
         d = float(self.distance_many(p[None, :])[0])
-        if d < -1e-12:
+        if d < -self.length_tol():
             raise PointOutsideDomain(f"point {p.tolist()} lies outside the domain (d={d:.3e})")
         return max(d, 0.0)
 
@@ -118,7 +124,7 @@ class Domain:
         central differences with step h (default 1e-4 * D_int).
         """
         if method not in ("closed_form", "finite_difference"):
-            raise ValueError(f"unknown method {method!r}")
+            raise InvalidParameter(f"unknown method {method!r}")
         p = _as_point(p, self.dim)
         d = self.distance(p)
         grads, neg_laps, ridges = self.calculus_many(p[None, :])
@@ -208,7 +214,7 @@ class Interval(_HalfSpaces):
     def __init__(self, a, b):
         _require_finite(a=a, b=b)
         if not a < b:
-            raise ValueError(f"need a < b, got a={a}, b={b}")
+            raise InvalidParameter(f"need a < b, got a={a}, b={b}")
         self.a = float(a)
         self.b = float(b)
         self._require_representable("diameter")
@@ -246,7 +252,7 @@ class Disc(Domain):
     def __init__(self, center, radius):
         _require_finite(center=center, radius=radius)
         if radius <= 0:
-            raise ValueError("radius must be positive")
+            raise InvalidParameter("radius must be positive")
         self.center = np.asarray(center, dtype=float).reshape(2)
         self.radius = float(radius)
         self._require_representable("diameter")
@@ -292,7 +298,7 @@ class Annulus(Domain):
     def __init__(self, center, r_in, r_out):
         _require_finite(center=center, r_in=r_in, r_out=r_out)
         if not 0 < r_in < r_out:
-            raise ValueError("need 0 < r_in < r_out")
+            raise InvalidParameter("need 0 < r_in < r_out")
         self.center = np.asarray(center, dtype=float).reshape(2)
         self.r_in = float(r_in)
         self.r_out = float(r_out)
@@ -336,14 +342,14 @@ class ConvexPolygon(_HalfSpaces):
         v = np.asarray(vertices, dtype=float).reshape(-1, 2)
         _require_finite(vertices=v)
         if v.shape[0] < 3:
-            raise ValueError("polygon needs at least 3 vertices")
+            raise InvalidParameter("polygon needs at least 3 vertices")
         self.vertices = self._points = v
         # not the interior diameter: its linear program loads scipy.optimize
         self._require_representable("diameter")
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.any(lengths <= 0):
-            raise ValueError("degenerate edge")
+            raise InvalidParameter("degenerate edge")
         # inward unit normals (ccw order => inward is left of the edge)
         self._normals = np.column_stack([-edges[:, 1], edges[:, 0]]) / lengths[:, None]
         # each edge's two ends read about 0; every other vertex must lie inside
@@ -351,7 +357,8 @@ class ConvexPolygon(_HalfSpaces):
         # no two facets share a line (a false ridge along it) and the order is
         # counterclockwise and convex
         if np.any(np.sort(self._facet_distances(v), axis=1)[:, 2] <= 1e-12 * self.diameter()):
-            raise ValueError("vertices must be counterclockwise and convex, no three on a line")
+            raise InvalidParameter(
+                "vertices must be counterclockwise and convex, no three on a line")
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
@@ -375,7 +382,7 @@ class ConvexPolygon(_HalfSpaces):
         res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-b,
                       bounds=[(None, None), (None, None), (0, None)], method="highs")
         if not res.success:
-            raise RuntimeError(f"Chebyshev LP failed: {res.message}")
+            raise InvalidParameter(f"Chebyshev LP failed: {res.message}")
         return np.array(res.x[:2]), float(res.x[2])
 
     def chebyshev_radius(self):
@@ -409,7 +416,7 @@ class Torus(Domain):
     def __init__(self, c, R):
         _require_finite(c=c, R=R)
         if not 0 < R < c:
-            raise ValueError("need 0 < R < c for an embedded torus")
+            raise InvalidParameter("need 0 < R < c for an embedded torus")
         self.c = float(c)
         self.R = float(R)
         self._require_representable("diameter", "interior_diameter")

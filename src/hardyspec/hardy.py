@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import constant, power_of_d
 from .eigensolve import ladder
-from .errors import ExponentOutOfRange, MethodNotApplicable
+from .errors import ExponentOutOfRange, InvalidParameter, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
 from .geometry import superharmonicity_scan
 from .meshing import build_mesh_1d, build_trimesh
@@ -182,7 +182,7 @@ class HardyCertificate:
     alpha: float
     lam: float = field(metadata={"key": "lambda"})
     kappa: float
-    levels: list            # dicts: level, n_or_h, dof, minimum, margin
+    levels: list            # dicts: level, size (elements), dof, minimum, margin
     verdict: str            # "CERTIFIED" or "INCONCLUSIVE"
     cert_tol: float
     semantics: str
@@ -212,9 +212,9 @@ def check_ladder(beta, lam, levels):
     if beta >= 1:
         raise ExponentOutOfRange(f"requires beta < 1, got {beta}")
     if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+        raise InvalidParameter("lambda must be nonnegative")
     if levels < 1:
-        raise ValueError("the ladder needs at least 1 level")
+        raise InvalidParameter("the ladder needs at least 1 level")
 
 
 def ladder_mesh(domain, n, h, grading, levels):

@@ -8,11 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrading, MeshGenerationFailure, StripTooThin
+from .errors import InvalidGrading, InvalidParameter, MeshGenerationFailure, StripTooThin
 from .geometry import Annulus, ConvexPolygon, Disc, Interval
 
 DIRICHLET = "dirichlet"
 ROBIN = "robin"
+# the work budget: each builder refuses more elements, counted before it
+# allocates anything (the README's numerical notes say why 10^6)
+MAX_ELEMENTS = 10**6
 
 
 def triangle_areas(v):
@@ -156,16 +159,23 @@ def feasible_grading(requested, layers, span, floor, one_sided=False):
 
 def build_mesh_1d(interval, n, grading=1.0, tags=(DIRICHLET, DIRICHLET),
                   bisections=0):
-    """Symmetric mesh with n elements on the interval.
+    """Symmetric mesh with n elements on the interval, its ends tagged
+    dirichlet or robin.
 
-    grading < 1 shrinks element sizes geometrically by that factor toward
-    each endpoint, n/2 layers per side; grading = 1 is uniform.  It is
-    clamped to the float64 floor with room for `bisections` nested bisections.
+    grading < 1 grows element sizes geometrically from each endpoint: the
+    i-th from the end is h1 (1/grading)^i, i = 0, ..., n/2 - 1, with h1
+    such that they fill half the interval; grading = 1 is uniform.  It is
+    clamped to the float64 floor with room for `bisections` nested
+    bisections.
     """
     if not isinstance(interval, Interval):
-        raise TypeError("build_mesh_1d needs an Interval domain")
+        raise InvalidParameter("build_mesh_1d needs an Interval domain")
     if n < 2:
-        raise ValueError("need at least 2 elements")
+        raise InvalidParameter("need at least 2 elements")
+    if n > MAX_ELEMENTS:
+        raise MeshGenerationFailure(f"{n} elements exceed the budget of {MAX_ELEMENTS}")
+    if len(tags) != 2 or any(tag not in (DIRICHLET, ROBIN) for tag in tags):
+        raise InvalidParameter(f"need two end tags, each dirichlet or robin, got {tags}")
     a, b = interval.a, interval.b
     grading = feasible_grading(grading, n // 2, (b - a) / 2.0,
                                grading_floor(interval, bisections))
@@ -194,13 +204,18 @@ def _one_sided_graded(delta, layers, grading):
 
 def mesh_1d_with_level(interval, level, n_strip, grading=1.0, bisections=0):
     """Mesh of the interval with nodes exactly at distance `level` from each
-    endpoint: two boundary strips graded and clamped as in `build_mesh_1d`,
-    and one core element, which `restrict_to_strip` drops.  A level outside
-    (0, sup d] raises StripTooThin."""
+    endpoint: two clamped boundary strips of n_strip elements, and one core
+    element, which `restrict_to_strip` drops.  grading < 1 places a strip's
+    nodes at distance 0 and level grading^j from its end, j = 0, ...,
+    n_strip - 1; grading = 1 is uniform.  A level outside (0, sup d]
+    raises StripTooThin."""
     a, b = interval.a, interval.b
     half = (b - a) / 2.0
     if not 0 < level <= half:
         raise StripTooThin(f"strip width {level} lies outside (0, sup d = {half}]")
+    if n_strip > (MAX_ELEMENTS - 1) // 2:
+        raise MeshGenerationFailure(f"2 x {n_strip} + 1 elements exceed the budget "
+                                    f"of {MAX_ELEMENTS}")
     grading = feasible_grading(grading, n_strip, level,
                                grading_floor(interval, bisections), one_sided=True)
     left = a + _one_sided_graded(level, n_strip, grading)
@@ -243,11 +258,6 @@ def refine_mesh_1d(mesh):
 def _boundary_polyline(domain, spacing):
     """Closed loop of boundary nodes with roughly the requested spacing; the
     outer circle of an annulus."""
-    if isinstance(domain, (Disc, Annulus)):
-        radius = domain.r_out if isinstance(domain, Annulus) else domain.radius
-        m = max(8, int(np.ceil(2 * np.pi * radius / spacing)))
-        th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-        return domain.center + radius * np.column_stack([np.cos(th), np.sin(th)])
     if isinstance(domain, ConvexPolygon):
         pts = []
         v = domain.vertices
@@ -257,7 +267,10 @@ def _boundary_polyline(domain, spacing):
             for t in np.arange(k) / k:
                 pts.append(p0 + t * (p1 - p0))
         return np.asarray(pts)
-    raise MeshGenerationFailure(f"no boundary template for {type(domain).__name__}")
+    radius = domain.r_out if isinstance(domain, Annulus) else domain.radius
+    m = max(8, int(np.ceil(2 * np.pi * radius / spacing)))
+    th = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
+    return domain.center + radius * np.column_stack([np.cos(th), np.sin(th)])
 
 
 def _layer_depths(depth, h, grading):
@@ -300,12 +313,18 @@ def _ring_mesh(domain, h, grading, reach=None):
     outward from its inner circle; the rings between the bands are never
     built."""
     spacing = h * (0.75 * grading if grading < 1 else 1.0)
+    # the work budget, before anything is built: the template has about
+    # 2 (perimeter / spacing) (depth / h) triangles, at most 4 area / (h spacing)
+    # on a circle and 2 pi diam^2 / (h spacing) on a polygon.  Python float
+    # products never raise: an underflow to 0 refuses and an overflow admits.
+    polygon = isinstance(domain, ConvexPolygon)
+    size = 2 * np.pi * domain.diameter() ** 2 if polygon else 4 * domain.volume()
+    if size > MAX_ELEMENTS * float(h) * float(spacing):
+        raise MeshGenerationFailure(f"h = {h} with boundary spacing {spacing} "
+                                    f"exceeds the budget of {MAX_ELEMENTS} elements")
     loop = _boundary_polyline(domain, spacing)
     m = len(loop)
-    if isinstance(domain, ConvexPolygon):
-        center = domain.chebyshev_center()
-    else:
-        center = domain.center
+    center = domain.chebyshev_center() if polygon else domain.center
     # levels measured along rays from the center: the radial leg of a cell
     # at the boundary is then exactly the first level everywhere
     depth = float(np.linalg.norm(loop - center, axis=1).max())
@@ -369,12 +388,12 @@ def build_trimesh(domain, h, grading=1.0, reach=None):
     cuts from the mesh the same strip, bitwise, as from the whole mesh.
     """
     if domain.dim != 2:
-        raise TypeError("build_trimesh needs a 2D domain")
+        raise InvalidParameter("build_trimesh needs a 2D domain")
     if not 0 < grading <= 1:
         raise InvalidGrading(f"grading must lie in (0, 1], got {grading}")
     if not h > 0:
         raise MeshGenerationFailure(f"h must be positive, got {h}")
-    if h > domain.interior_diameter() / 4 + 1e-12:
+    if h > domain.interior_diameter() / 4 + domain.length_tol():
         raise MeshGenerationFailure(
             f"h={h} too coarse: need h <= D_int/4 = {domain.interior_diameter() / 4}")
     if isinstance(domain, (Disc, ConvexPolygon, Annulus)):
@@ -451,7 +470,8 @@ def restrict_to_strip(mesh, delta):
     the facets with both ends kept stay, and other nodes keep their
     clamping."""
     sup_d = mesh.domain.interior_diameter() / 2.0
-    if not 0 < delta <= sup_d + 1e-12:
+    tol = mesh.domain.length_tol()
+    if not 0 < delta <= sup_d + tol:
         raise StripTooThin(f"strip width {delta} lies outside (0, sup d = {sup_d}]")
 
     elems = mesh.elements
@@ -476,7 +496,7 @@ def restrict_to_strip(mesh, delta):
     new_elems = index[kept_elems]
 
     node_d = mesh.node_d[used]
-    interface = np.isin(used, elems[~keep]) | (node_d >= delta - 1e-12)
+    interface = np.isin(used, elems[~keep]) | (node_d >= delta - tol)
     facets = index[mesh.facets]
     kept_f = (facets >= 0).all(axis=1)
     return Mesh(mesh.points[used], new_elems, facets[kept_f], mesh.robin[kept_f],

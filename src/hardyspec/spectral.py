@@ -14,7 +14,7 @@ import numpy as np
 
 from .coefficients import check_names, constant, environment
 from .eigensolve import ladder, smallest_eigenpairs
-from .errors import StripTooThin
+from .errors import InvalidParameter, StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval
 from .hardy import kappa
@@ -47,36 +47,39 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
+            raise InvalidParameter("gamma must lie in (0, 1)")
         self.ks = tuple(sorted(set(int(k) for k in self.ks)))
         if not self.ks:
-            raise ValueError("the exhaustion range is empty")
+            raise InvalidParameter("the exhaustion range is empty")
         if any(k < 1 for k in self.ks):
-            raise ValueError("exhaustion indices must be positive")
+            raise InvalidParameter("exhaustion indices must be positive")
         if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+            raise InvalidParameter("samples must be at least 1")
+        if not np.isfinite([self.lam, self.alpha]).all():
+            raise InvalidParameter(f"lambda and alpha must be finite, got {self.lam} "
+                                   f"and {self.alpha}")
         if self.domain.section.dim == 2:
             for name in ("grading", "strip_elements"):
                 if getattr(self, name) is not None:
-                    raise ValueError(f"{name} applies only on an interval: "
-                                     "2D strips use the uniform template")
+                    raise InvalidParameter(f"{name} applies only on an interval: "
+                                           "2D strips use the uniform template")
         elif self.strip_elements is None:
             self.strip_elements = 96
         elif self.strip_elements < 1:
-            raise ValueError("strip_elements must be at least 1")
+            raise InvalidParameter("strip_elements must be at least 1")
         if self.grading is not None and not 0 < self.grading <= 1:
-            raise ValueError(f"grading must lie in (0, 1], got {self.grading}")
+            raise InvalidParameter(f"grading must lie in (0, 1], got {self.grading}")
         check_names(self.domain.section, self.form.a, self.form.q)
         match self.form.a.terms():
             case [(1.0, power, None)]:      # a reads exactly d^power
                 if self.form.beta not in (None, power):
-                    raise ValueError(f"beta = {self.form.beta:g} contradicts "
-                                     f"a = d^{power:g}")
+                    raise InvalidParameter(f"beta = {self.form.beta:g} contradicts "
+                                           f"a = d^{power:g}")
                 self.form = replace(self.form, beta=power)
         if self.k0 is None:
             self.k0 = self.ks[0]
         if self.k0 < 1:
-            raise ValueError("k0 must be positive")
+            raise InvalidParameter("k0 must be positive")
         if self.grading is None and self.domain.section.dim == 1:
             forms = (self.form.a.terms(), self.form.q.terms())
             free = all(t is not None and all(p == 0 for _, p, _ in t) for t in forms)
@@ -305,7 +308,7 @@ class DiagnosticReport:
 def check_diagnostic(ks):
     """Refuse exhaustion indices too few for `discreteness_diagnostic`'s fit."""
     if len(ks) < 5:
-        raise ValueError("the diagnostic needs at least 5 exhaustion indices")
+        raise InvalidParameter("the diagnostic needs at least 5 exhaustion indices")
 
 
 def discreteness_diagnostic(problem):

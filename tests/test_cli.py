@@ -1,10 +1,13 @@
+import configparser
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hardyspec
 from hardyspec import cli
@@ -739,3 +742,118 @@ def test_cli_main_entry(tmp_path):
     code = main(["hardy", "--config", cfg, "--out", str(tmp_path / "out"),
                  "--format", "json"])
     assert code == 0
+
+
+# README's key table, per command a coarse base config and the keys it reads
+# there; every key is drawn from the typed edge values EDGE and its own
+# EDGE_EXTRA.  2**62 elements and h = 1e-300 are refused by the work budget
+# before anything is allocated, as numpy refused them before the budget.
+# No value here would, if its refusal failed, build a mesh numpy allows.
+EDGE = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "abc", "2.5")
+EDGE_EXTRA = {"n": (str(2**62),), "strip_elements": (str(2**62),),
+              "a": ("d^^2", "y", "1/0"), "q": ("d^^2", "y", "-0.5*d^-2"),
+              "bc_left": ("robin", "Robin", "neumann"),
+              "lambda_method": ("none", "tubular"),
+              "variant": ("disc", "dodecahedron")}
+FORM_KEYS = [("form", k) for k in ("a", "q", "beta", "gamma", "lambda", "alpha")]
+STRIP_KEYS = [("numerics", k) for k in ("k_min", "tol", "strip_elements", "grading")]
+PROBE_BASES = {
+    "distance": ("distance", "[domain]\nvariant = interval\n\n[point]\nx = 0.3\n",
+                 [("domain", "variant"), ("domain", "a"), ("domain", "b"), ("point", "x")]),
+    "hardy-interval": (
+        "hardy", "[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\nlambda = 1.0\n\n"
+        "[numerics]\nn = 32\nlevels = 1\n",
+        [("form", k) for k in ("beta", "alpha", "lambda", "lambda_method")]
+        + [("numerics", k) for k in ("n", "grading", "levels", "tol")]),
+    "hardy-disc": (
+        "hardy", "[domain]\nvariant = disc\n\n[form]\nbeta = 0.0\n"
+        "lambda_method = hhl_volume\n\n[numerics]\nh = 0.25\nlevels = 1\n",
+        [("domain", "radius"), ("form", "beta"), ("form", "alpha"), ("form", "delta")]
+        + [("numerics", k) for k in ("h", "grading", "levels")]),
+    "spectrum-interval": (
+        "spectrum", "[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n"
+        "[numerics]\nn = 16\ncount = 1\n",
+        [("form", k) for k in ("a", "q", "bc_left", "sigma_left")]
+        + [("numerics", k) for k in ("n", "grading", "count", "tol")]),
+    "spectrum-disc": (
+        "spectrum", "[domain]\nvariant = disc\n\n[form]\na = 1\nq = 0\n\n"
+        "[numerics]\nh = 0.25\ncount = 1\n",
+        [("domain", "radius"), ("form", "a"), ("form", "q"), ("output", "write_mesh")]
+        + [("numerics", k) for k in ("h", "grading", "count")]),
+    "persson": (
+        "persson", "[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n"
+        "[numerics]\nk_min = 2\nk_max = 4\nstrip_elements = 16\n",
+        FORM_KEYS[:3] + STRIP_KEYS + [("numerics", "k_max")]),
+    "criteria": (
+        "criteria", "[domain]\nvariant = interval\n\n[form]\na = 1\nq = -0.1*d^-2\n\n"
+        "[numerics]\nk_min = 2\nsamples = 200\n",
+        FORM_KEYS + STRIP_KEYS + [("numerics", "k0"), ("numerics", "samples")]),
+    "diagnose": (
+        "diagnose", "[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n"
+        "[numerics]\nk_min = 2\nk_max = 6\nsamples = 200\nstrip_elements = 16\n",
+        FORM_KEYS + STRIP_KEYS + [("numerics", k) for k in ("k_max", "k0", "samples")]),
+}
+
+
+@st.composite
+def _edge_cases(draw, max_keys):
+    """A base config's name and up to `max_keys` of its keys set to edge
+    values, or a key that nothing reads."""
+    base = draw(st.sampled_from(sorted(PROBE_BASES)))
+    keys = PROBE_BASES[base][2] + [("numerics", "bogus")]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=max_keys,
+                           unique=True))
+    return base, tuple((section, key, draw(st.sampled_from(EDGE + EDGE_EXTRA.get(key, ()))))
+                       for section, key in chosen)
+
+
+def _run_edge_case(case, tmp, *flags):
+    """Exit status of cli.main on the case, and its report's result."""
+    base, edits = case
+    command, text, _ = PROBE_BASES[base]
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    for section, key, value in edits:
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
+    cfg, out = os.path.join(tmp, "edge.ini"), os.path.join(tmp, "out")
+    with open(cfg, "w") as handle:
+        parser.write(handle)
+    code = main([command, "--config", cfg, "--out", out, *flags])
+    path = os.path.join(out, f"{command}_report.json")
+    if not os.path.exists(path):
+        return code, None
+    with open(path) as handle:
+        return code, json.load(handle)["result"]
+
+
+# about 1 s for 200 dry runs
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=_edge_cases(2))
+@example(case=("hardy-disc", (("numerics", "h", "1e-300"),)))
+@example(case=("hardy-disc", (("numerics", "grading", "1e-300"),)))
+@example(case=("spectrum-disc", (("numerics", "h", "1e-300"),)))
+@example(case=("spectrum-interval", (("numerics", "n", str(2**62)),)))
+@example(case=("diagnose", (("numerics", "strip_elements", str(2**62)),)))
+def test_every_edge_config_dry_runs_to_zero_or_two(case):
+    # cli.main raises nothing: each config is refused (2) or would run (0)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = _run_edge_case(case, tmp, "--dry-run")
+    assert code in (0, 2)
+
+
+# about 0.1 s for 40 coarse runs of one key: most are refused at once
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(case=_edge_cases(1))
+@example(case=("criteria", (("form", "q", "-0.5*d^-2"),)))
+@example(case=("diagnose", (("form", "q", "-0.5*d^-2"),)))
+@example(case=("spectrum-interval", (("numerics", "n", str(2**62)),)))
+@example(case=("diagnose", (("numerics", "strip_elements", str(2**62)),)))
+def test_every_edge_config_runs_to_a_verdict_or_a_refusal(case):
+    # exit 1 only with the FAIL or INCONCLUSIVE report that explains it
+    with tempfile.TemporaryDirectory() as tmp:
+        code, result = _run_edge_case(case, tmp)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert result["verdict"] in ("FAIL", "INCONCLUSIVE")

@@ -101,6 +101,19 @@ def test_point_outside_raises():
         Disc((0, 0), 1.0).distance([2.0, 0.0])
 
 
+def test_outside_tolerance_scales_with_the_domain():
+    # an absolute 1e-12 let a point five radii outside a tiny disc read d = 0
+    with pytest.raises(PointOutsideDomain):
+        Disc((0, 0), 1e-13).distance((6e-13, 0))
+    # and refused rounded boundary points of a large one as outside
+    big = Disc((0, 0), 1e6)
+    th = np.linspace(0, 2 * np.pi, 1000, endpoint=False)
+    for p in 1e6 * np.column_stack([np.cos(th), np.sin(th)]):
+        assert 0.0 <= big.distance(p) < 1e-9
+    with pytest.raises(PointOutsideDomain):
+        big.distance((1e6 + 1e-3, 0))
+
+
 def test_torus_distance_against_boundary_sampling():
     # brute-force minimum over a dense boundary sample
     torus = Torus(3.0, 1.0)

@@ -10,7 +10,9 @@ from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Mesh,
                        Torus, TorusSection, build_mesh_1d, build_trimesh,
                        mesh_1d_with_level, refine_mesh_1d, refine_trimesh,
                        restrict_to_strip)
-from hardyspec.errors import InvalidGrading, MeshGenerationFailure, StripTooThin
+from hardyspec import meshing
+from hardyspec.errors import (InvalidGrading, InvalidParameter, MeshGenerationFailure,
+                              StripTooThin)
 from hardyspec.eigensolve import smallest_eigenpairs
 from hardyspec.forms import FormSpec, assemble_pencil
 from hardyspec.hardy import hardy_pencil
@@ -176,6 +178,51 @@ def test_graded_boundary_diameter():
 def test_mesh_too_coarse():
     with pytest.raises(MeshGenerationFailure):
         build_trimesh(Disc((0, 0), 1.0), 0.9, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    # sizes whose arrays numpy itself refuses to allocate
+    lambda: build_trimesh(Disc((0, 0), 1.0), 1e-300),
+    lambda: build_trimesh(Disc((0, 0), 1.0), 0.0625, 1e-300),
+    lambda: build_mesh_1d(Interval(0, 1), 2**62),
+    lambda: mesh_1d_with_level(Interval(0, 1), 0.25, 2**62),
+    # a width 1e-4 rectangle: its rings run the length of the long side,
+    # 3e9 triangles, though its area over h^2 is only 1.6e5
+    lambda: build_trimesh(ConvexPolygon([(0, 0), (1, 0), (1, 1e-4), (0, 1e-4)]), 2.5e-5),
+    lambda: build_trimesh(Annulus((0, 0), 0.5, 1.0), 1e-4)])
+def test_work_budget_refuses_before_building(build):
+    with pytest.raises(MeshGenerationFailure, match="budget"):
+        build()
+
+
+def test_work_budget_counts_the_ring_template(monkeypatch):
+    # the 2D count is within a factor 2 of the triangles built, on the
+    # bench's hardy-disc mesh, an oblong polygon and a thin annulus
+    for domain, h, grading in ((Disc((0, 0), 1.0), 0.0625, 0.5),
+                               (ConvexPolygon([(0, 0), (3, 0), (3, 1), (0, 1)]), 0.02, 1.0),
+                               (Annulus((0, 0), 0.9, 1.0), 0.005, 1.0)):
+        monkeypatch.undo()
+        built = len(build_trimesh(domain, h, grading).elements)
+        monkeypatch.setattr(meshing, "MAX_ELEMENTS", 2 * built)
+        build_trimesh(domain, h, grading)
+        monkeypatch.setattr(meshing, "MAX_ELEMENTS", built // 2)
+        with pytest.raises(MeshGenerationFailure, match="budget"):
+            build_trimesh(domain, h, grading)
+    # the 1D counts are exact
+    monkeypatch.setattr(meshing, "MAX_ELEMENTS", 64)
+    build_mesh_1d(Interval(0, 1), 64)
+    assert len(mesh_1d_with_level(Interval(0, 1), 0.25, 31).elements) == 63
+    with pytest.raises(MeshGenerationFailure, match="budget"):
+        build_mesh_1d(Interval(0, 1), 66)
+    with pytest.raises(MeshGenerationFailure, match="budget"):
+        mesh_1d_with_level(Interval(0, 1), 0.25, 32)
+
+
+def test_unknown_end_tag_refused():
+    # any tag but dirichlet or robin used to clamp its end silently
+    for tags in (("Robin", "dirichlet"), ("neumann", "robin"), ("robin",)):
+        with pytest.raises(InvalidParameter, match="two end tags"):
+            build_mesh_1d(Interval(0, 1), 8, tags=tags)
 
 
 def test_areas_positive_and_boundary_distance():
