@@ -17,7 +17,8 @@ import scipy.sparse as sp
 
 from .coefficients import Coefficient, as_coefficient, environment
 from .errors import (AssemblyError, DegenerateBand, InvalidParameter,
-                     NonpositiveDiffusion, NonpositiveWeight, SingularQuadrature)
+                     MeshGenerationFailure, NonpositiveDiffusion, NonpositiveWeight,
+                     SingularQuadrature)
 from .meshing import triangle_areas
 
 
@@ -141,7 +142,7 @@ def assemble_pencil(mesh, form, denominator):
         # the heap's layout, and the process peak varied from run to run.
         _MALLOC_TRIM(0)
     if len(free) == 0:
-        raise InvalidParameter("no free degrees of freedom after clamping")
+        raise AssemblyError("no free degrees of freedom after clamping")
     meta = {
         "dim": mesh.dim,
         "n_nodes": mesh.n_nodes,
@@ -182,7 +183,7 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     v = mesh.points[mesh.elements.T]                            # (3, m, 2)
     area = triangle_areas(v)
     if np.any(area <= 0):
-        raise InvalidParameter("mesh has an inverted triangle")
+        raise MeshGenerationFailure("mesh has an inverted triangle")
     # the explicit three-term sum is bitwise the einsum over k, and faster
     pts = bary[:, 0] * v[0] + bary[:, 1] * v[1] + bary[:, 2] * v[2]  # (7, m, 2)
     # grad lambda_i = (b_i, c_i) / (2 area)

@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameter, PointOutsideDomain, TooCloseToBoundary
+from .errors import (InvalidParameter, MeshGenerationFailure, PointOutsideDomain,
+                     TooCloseToBoundary)
 
 RIDGE_TOL = 1e-9       # two boundary features closer than this => medial axis
 FD_STEP_FACTOR = 1e-4  # default finite-difference step, relative to D_int
@@ -382,7 +383,7 @@ class ConvexPolygon(_HalfSpaces):
         res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=-b,
                       bounds=[(None, None), (None, None), (0, None)], method="highs")
         if not res.success:
-            raise InvalidParameter(f"Chebyshev LP failed: {res.message}")
+            raise MeshGenerationFailure(f"Chebyshev LP failed: {res.message}")
         return np.array(res.x[:2]), float(res.x[2])
 
     def chebyshev_radius(self):

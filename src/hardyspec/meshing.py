@@ -4,6 +4,7 @@ Meshes carry their generating domain so that the exact boundary distance
 (not any polygonal proxy) is available at nodes and quadrature points.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +300,36 @@ def _cell_triangles(n_loops, m):
     return corners[..., [0, 1, 3, 0, 3, 2]].reshape(-1, 3)
 
 
+def _require_ring_budget(domain, center, h, spacing, grading, reach):
+    """Refuse a ring template of more than MAX_ELEMENTS triangles, counted in
+    O(1) before anything is built: two per cell, perimeter / spacing cells
+    around each ring, and width / h + log2(2 / grading) rings in each band
+    (the log counts the graded ones).  A band is one from the boundary to
+    the center, or one from each circle of an annulus to its middle ring.
+    With a reach it stops at the first ring whose least d reaches it, at
+    most h past the level reach * slope: a ring a level t in from a circle
+    has d = t, and on a polygon, scaled about the Chebyshev center, its
+    least d is t r / R, r the Chebyshev radius and R the farthest vertex.
+    Python float products never raise: an underflow of h * spacing to 0
+    refuses, as does a count that overflows."""
+    if isinstance(domain, ConvexPolygon):
+        v = domain.vertices
+        perimeter = float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
+        depth = float(np.linalg.norm(v - center, axis=1).max())
+        slope = depth / domain.chebyshev_radius()
+    else:
+        radius = domain.r_out if isinstance(domain, Annulus) else domain.radius
+        perimeter, depth, slope = 2 * np.pi * radius, radius, 1.0
+    bands = 1
+    if isinstance(domain, Annulus):
+        bands, depth = 2, (domain.r_out - domain.r_in) / 2
+    width = depth if reach is None else min(depth, float(reach) * slope + h)
+    width += h * math.log2(2 / float(grading))
+    if 2 * bands * perimeter * width > MAX_ELEMENTS * h * spacing:
+        raise MeshGenerationFailure(f"h = {h} with boundary spacing {spacing} "
+                                    f"exceeds the budget of {MAX_ELEMENTS} elements")
+
+
 def _ring_mesh(domain, h, grading, reach=None):
     """Rings of scaled boundary polylines.  On a disc or convex polygon they
     collapse onto an interior center; on an annulus the outer circle's loop
@@ -313,18 +344,11 @@ def _ring_mesh(domain, h, grading, reach=None):
     outward from its inner circle; the rings between the bands are never
     built."""
     spacing = h * (0.75 * grading if grading < 1 else 1.0)
-    # the work budget, before anything is built: the template has about
-    # 2 (perimeter / spacing) (depth / h) triangles, at most 4 area / (h spacing)
-    # on a circle and 2 pi diam^2 / (h spacing) on a polygon.  Python float
-    # products never raise: an underflow to 0 refuses and an overflow admits.
     polygon = isinstance(domain, ConvexPolygon)
-    size = 2 * np.pi * domain.diameter() ** 2 if polygon else 4 * domain.volume()
-    if size > MAX_ELEMENTS * float(h) * float(spacing):
-        raise MeshGenerationFailure(f"h = {h} with boundary spacing {spacing} "
-                                    f"exceeds the budget of {MAX_ELEMENTS} elements")
+    center = domain.chebyshev_center() if polygon else domain.center
+    _require_ring_budget(domain, center, float(h), float(spacing), grading, reach)
     loop = _boundary_polyline(domain, spacing)
     m = len(loop)
-    center = domain.chebyshev_center() if polygon else domain.center
     # levels measured along rays from the center: the radial leg of a cell
     # at the boundary is then exactly the first level everywhere
     depth = float(np.linalg.norm(loop - center, axis=1).max())

@@ -525,6 +525,16 @@ def test_annulus_and_polygon_domains(tmp_path, capsys):
         assert refused in capsys.readouterr().err
 
 
+def test_oblong_polygon_diagnose_dry_run(tmp_path):
+    # the dry run builds the k = 16 strip, 132,930 triangles of a ring
+    # template whose full depth would hold 1.7e6: the work budget counts
+    # only the rings the strip needs
+    cfg = write(tmp_path, "rect.ini", "[domain]\nvariant = convex_polygon\n"
+                "vertices = 0,0;4,0;4,1;0,1\n\n[form]\na = 1\nq = 0\n")
+    status, doc = run("diagnose", cfg, out_dir=str(tmp_path / "out"), dry_run=True)
+    assert status == 0 and doc["result"]["dry_run"] is True
+
+
 def test_jsonable_numpy_scalars():
     doc = jsonable({"x": np.float64(0.5), "n": np.int64(3), "ok": np.bool_(True)})
     assert doc == {"x": 0.5, "n": 3, "ok": True}
@@ -784,6 +794,11 @@ PROBE_BASES = {
         "persson", "[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n"
         "[numerics]\nk_min = 2\nk_max = 4\nstrip_elements = 16\n",
         FORM_KEYS[:3] + STRIP_KEYS + [("numerics", "k_max")]),
+    "persson-annulus": (
+        "persson", "[domain]\nvariant = annulus\nr_in = 0.5\nr_out = 1.0\n\n"
+        "[form]\na = 1\nq = 0\n\n[numerics]\nk_min = 5\nk_max = 8\n",
+        [("domain", "r_in"), ("domain", "r_out"), ("form", "a"), ("form", "q")]
+        + [("numerics", k) for k in ("k_min", "k_max", "tol")]),
     "criteria": (
         "criteria", "[domain]\nvariant = interval\n\n[form]\na = 1\nq = -0.1*d^-2\n\n"
         "[numerics]\nk_min = 2\nsamples = 200\n",

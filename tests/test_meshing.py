@@ -197,17 +197,22 @@ def test_work_budget_refuses_before_building(build):
 
 def test_work_budget_counts_the_ring_template(monkeypatch):
     # the 2D count is within a factor 2 of the triangles built, on the
-    # bench's hardy-disc mesh, an oblong polygon and a thin annulus
-    for domain, h, grading in ((Disc((0, 0), 1.0), 0.0625, 0.5),
-                               (ConvexPolygon([(0, 0), (3, 0), (3, 1), (0, 1)]), 0.02, 1.0),
-                               (Annulus((0, 0), 0.9, 1.0), 0.005, 1.0)):
+    # bench's hardy-disc mesh, an oblong polygon and a thin annulus, and on
+    # strips, whose rings stop just past the reach
+    oblong = ConvexPolygon([(0, 0), (4, 0), (4, 1), (0, 1)])
+    for domain, h, grading, reach in ((Disc((0, 0), 1.0), 0.0625, 0.5, None),
+                                      (oblong, 0.02, 1.0, None),
+                                      (Annulus((0, 0), 0.9, 1.0), 0.005, 1.0, None),
+                                      (oblong, 0.03125, 1.0, 0.25),
+                                      (oblong, 0.03125, 0.3, 0.125),
+                                      (Annulus((0, 0), 0.5, 1.0), 0.015625, 1.0, 0.125)):
         monkeypatch.undo()
-        built = len(build_trimesh(domain, h, grading).elements)
+        built = len(build_trimesh(domain, h, grading, reach).elements)
         monkeypatch.setattr(meshing, "MAX_ELEMENTS", 2 * built)
-        build_trimesh(domain, h, grading)
+        build_trimesh(domain, h, grading, reach)
         monkeypatch.setattr(meshing, "MAX_ELEMENTS", built // 2)
         with pytest.raises(MeshGenerationFailure, match="budget"):
-            build_trimesh(domain, h, grading)
+            build_trimesh(domain, h, grading, reach)
     # the 1D counts are exact
     monkeypatch.setattr(meshing, "MAX_ELEMENTS", 64)
     build_mesh_1d(Interval(0, 1), 64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyspec import (Disc, FormSpec, Interval, ProblemSpec, Torus, kappa,
+from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, ProblemSpec, Torus, kappa,
                        check_form_nonnegativity, check_pointwise_criterion,
                        discreteness_diagnostic, persson_sequence)
 from hardyspec.coefficients import power_of_d
@@ -201,6 +201,17 @@ def test_strip_too_thin_for_large_k():
     prob = _problem(1.0, 0.0, 0.0, 0.5, (2,))
     with pytest.raises(StripTooThin):
         strip_mesh(prob, 1)  # 1/k = 1 exceeds sup d = 1/2
+
+
+@pytest.mark.parametrize("domain, k, elements", [
+    (ConvexPolygon([(0, 0), (4, 0), (4, 1), (0, 1)]), 16, 132930),
+    (Annulus((0, 0), 0.5, 1.0), 64, 102944)])
+def test_strip_mesh_within_the_work_budget(domain, k, elements):
+    # the rings stop just past the strip, so the budget counts that band:
+    # counted to the full depth, these strips read 1.7e6 and 2.5e6
+    # triangles and were refused
+    prob = ProblemSpec(domain=domain, form=FormSpec(a=1.0, q=0.0), gamma=0.5, ks=(k,))
+    assert len(strip_mesh(prob, k).elements) == elements
 
 
 def test_pointwise_subcritical():
