@@ -301,31 +301,28 @@ def _cell_triangles(n_loops, m):
 
 
 def _require_ring_budget(domain, center, h, spacing, grading, reach):
-    """Refuse a ring template of more than MAX_ELEMENTS triangles, counted in
-    O(1) before anything is built: two per cell, perimeter / spacing cells
-    around each ring, and width / h + log2(2 / grading) rings in each band
-    (the log counts the graded ones).  A band is one from the boundary to
-    the center, or one from each circle of an annulus to its middle ring.
-    With a reach it stops at the first ring whose least d reaches it, at
-    most h past the level reach * slope: a ring a level t in from a circle
-    has d = t, and on a polygon, scaled about the Chebyshev center, its
-    least d is t r / R, r the Chebyshev radius and R the farthest vertex.
-    Python float products never raise: an underflow of h * spacing to 0
-    refuses, as does a count that overflows."""
+    """Refuse more than MAX_ELEMENTS triangles, counted in O(1) before
+    anything is built: 2 (perimeter / spacing) (depth / h + log2(2 / grading))
+    per band, one band or one from each circle of an annulus.  With a reach
+    a band ends h past the level t at which its rings' least d reaches it:
+    d = t in from a circle, t r / R on a polygon scaled about its Chebyshev
+    center (r the Chebyshev radius, R the farthest vertex).  An underflow of
+    h * spacing to 0 refuses, as does a count that overflows."""
+    bands, slope = 1, 1.0
     if isinstance(domain, ConvexPolygon):
         v = domain.vertices
         perimeter = float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
         depth = float(np.linalg.norm(v - center, axis=1).max())
         slope = depth / domain.chebyshev_radius()
-    else:
-        radius = domain.r_out if isinstance(domain, Annulus) else domain.radius
-        perimeter, depth, slope = 2 * np.pi * radius, radius, 1.0
-    bands = 1
-    if isinstance(domain, Annulus):
+    elif isinstance(domain, Annulus):
         bands, depth = 2, (domain.r_out - domain.r_in) / 2
-    width = depth if reach is None else min(depth, float(reach) * slope + h)
-    width += h * math.log2(2 / float(grading))
-    if 2 * bands * perimeter * width > MAX_ELEMENTS * h * spacing:
+        perimeter = 2 * np.pi * domain.r_out
+    else:
+        perimeter, depth = 2 * np.pi * domain.radius, domain.radius
+    if reach is not None:
+        depth = min(depth, float(reach) * slope + h)
+    depth += h * math.log2(2 / float(grading))
+    if 2 * bands * perimeter * depth > MAX_ELEMENTS * h * spacing:
         raise MeshGenerationFailure(f"h = {h} with boundary spacing {spacing} "
                                     f"exceeds the budget of {MAX_ELEMENTS} elements")
 
