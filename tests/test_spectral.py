@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, ProblemSpec, Torus, kappa,
+from hardyspec import (Annulus, ConvexPolygon, CriterionReport, DiagnosticReport, Disc,
+                       FormSpec, Interval, PerssonSequence, ProblemSpec, Torus, kappa,
                        check_form_nonnegativity, check_pointwise_criterion,
                        discreteness_diagnostic, persson_sequence)
 from hardyspec.coefficients import power_of_d
@@ -315,6 +316,55 @@ def test_diagnostic_needs_five_indices():
     prob = _problem(1.0, 0.0, 0.0, 0.5, (2, 3, 4))
     with pytest.raises(ValueError):
         discreteness_diagnostic(prob)
+
+
+KS5 = (2, 3, 4, 6, 8)
+PASSED = CriterionReport("pointwise", "PASS", 0.1, (0.2,), 1e-8)
+FAILED = CriterionReport("pointwise", "FAIL", -0.1, (0.2,), 1e-8)
+
+
+def _sequence(scale, power, fitted):
+    entries = [{"k": k, "delta": 1 / k, "dof": 9, "mu": scale * k**power} for k in KS5]
+    return PerssonSequence(entries, None, fitted, 0.0)
+
+
+# the report of each outcome, whole, from stage results given in turn: at
+# beta = 0 and gamma = 0.5 the curve is k^2 / 8 and the required exponent 1.9
+OUTCOMES = {
+    "pointwise fails": ((FAILED,), "INCONCLUSIVE", False,
+                        "pointwise criterion failed at stage 1"),
+    "form fails": ((PASSED, FAILED), "INCONCLUSIVE", False,
+                   "form nonnegativity failed at stage 2"),
+    "no growth fit": ((PASSED, PASSED, _sequence(-1.0, 2, None)), "INCONCLUSIVE", False,
+                      "strip minima not positive; no growth fit"),
+    "discrete": ((PASSED, PASSED, _sequence(10.0, 2, 2.0)), "DISCRETE", True,
+                 "all stages passed"),
+    "slow growth": ((PASSED, PASSED, _sequence(10.0, 1, 1.0)), "INCONCLUSIVE", True,
+                    "fitted exponent 1.000 below 1.900"),
+    "below the curve": ((PASSED, PASSED, _sequence(0.1, 2, 2.0)), "INCONCLUSIVE", False,
+                        "a strip minimum fell below the analytic curve"),
+    "both": ((PASSED, PASSED, _sequence(0.01, 1, 1.0)), "INCONCLUSIVE", False,
+             "fitted exponent 1.000 below 1.900; "
+             "a strip minimum fell below the analytic curve"),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+def test_diagnostic_report_of_each_outcome(monkeypatch, outcome):
+    stages, verdict, bound_ok, reason = OUTCOMES[outcome]
+    called = []
+    for i, name in enumerate(("check_pointwise_criterion", "check_form_nonnegativity",
+                              "persson_sequence")):
+        monkeypatch.setattr(spectral, name,
+                            lambda problem, i=i: called.append(i) or stages[i])
+    problem = _problem(1.0, 0.0, 0.0, 0.5, KS5)
+    rep = discreteness_diagnostic(problem)
+    # a failed stage is the last to run
+    assert called == list(range(len(stages)))
+    pointwise, form, seq = stages + (None,) * (3 - len(stages))
+    fitted = None if seq is None else seq.fitted_exponent
+    assert rep == DiagnosticReport(verdict, pointwise, form, seq, fitted,
+                                   problem.required_exponent, bound_ok, reason)
 
 
 def test_beta_taken_from_power_diffusion():
