@@ -313,46 +313,35 @@ def check_diagnostic(ks):
 
 def discreteness_diagnostic(problem):
     """Three-stage pipeline: pointwise criterion, form nonnegativity at k0,
-    then the strip sweep with a growth-exponent fit.
+    then the strip sweep with a growth-exponent fit.  The stages run in
+    order, and the first that fails gives the reason and ends the run.
 
     DISCRETE requires every stage to pass, the fitted exponent to reach
     `required_exponent`, (2 - beta) - EXPONENT_SLACK, and each strip
-    minimum to clear the analytic curve gamma kappa(beta) k^(2-beta).  Anything else is INCONCLUSIVE; the
-    diagnostic never claims the spectrum is *not* discrete.
+    minimum to clear the analytic curve gamma kappa(beta) k^(2-beta); each
+    of the last two that fails adds its reason.  Anything else is
+    INCONCLUSIVE; the diagnostic never claims the spectrum is *not* discrete.
     """
     check_diagnostic(problem.ks)
     beta, required = problem.beta, problem.required_exponent
-
+    form = seq = fitted = None
+    bound_ok, reasons = False, []
     pointwise = check_pointwise_criterion(problem)
     if pointwise.verdict != "PASS":
-        return DiagnosticReport("INCONCLUSIVE", pointwise, None, None, None,
-                                required, False,
-                                "pointwise criterion failed at stage 1")
-    form = check_form_nonnegativity(problem)
-    if form.verdict != "PASS":
-        return DiagnosticReport("INCONCLUSIVE", pointwise, form, None, None,
-                                required, False,
-                                "form nonnegativity failed at stage 2")
-    seq = persson_sequence(problem)
-    mus = seq.mus()
-    if seq.fitted_exponent is None:
-        return DiagnosticReport("INCONCLUSIVE", pointwise, form, seq, None,
-                                required, False,
-                                "strip minima not positive; no growth fit")
-    curve = problem.gamma * kappa(beta) \
-        * np.array([float(k) for k in problem.ks]) ** (2 - beta)
-    bound_ok = bool(np.all(mus >= curve * (1 - 1e-9)))
-    exponent_ok = seq.fitted_exponent >= required
-    if bound_ok and exponent_ok:
-        return DiagnosticReport("DISCRETE", pointwise, form, seq,
-                                seq.fitted_exponent, required, True,
-                                "all stages passed")
-    reason = []
-    if not exponent_ok:
-        reason.append(f"fitted exponent {seq.fitted_exponent:.3f} below "
-                      f"{required:.3f}")
-    if not bound_ok:
-        reason.append("a strip minimum fell below the analytic curve")
-    return DiagnosticReport("INCONCLUSIVE", pointwise, form, seq,
-                            seq.fitted_exponent, required, bound_ok,
-                            "; ".join(reason))
+        reasons.append("pointwise criterion failed at stage 1")
+    elif (form := check_form_nonnegativity(problem)).verdict != "PASS":
+        reasons.append("form nonnegativity failed at stage 2")
+    elif (seq := persson_sequence(problem)).fitted_exponent is None:
+        reasons.append("strip minima not positive; no growth fit")
+    else:
+        fitted = seq.fitted_exponent
+        curve = problem.gamma * kappa(beta) \
+            * np.array([float(k) for k in problem.ks]) ** (2 - beta)
+        bound_ok = bool(np.all(seq.mus() >= curve * (1 - 1e-9)))
+        if not fitted >= required:
+            reasons.append(f"fitted exponent {fitted:.3f} below {required:.3f}")
+        if not bound_ok:
+            reasons.append("a strip minimum fell below the analytic curve")
+    return DiagnosticReport("INCONCLUSIVE" if reasons else "DISCRETE", pointwise, form,
+                            seq, fitted, required, bound_ok,
+                            "; ".join(reasons) or "all stages passed")
