@@ -20,10 +20,10 @@ from .eigensolve import check_count, smallest_eigenpairs
 from .errors import ConfigError, HardySpecError
 from .forms import FormSpec, assemble_pencil, format_matrix_text
 from .hardy import check_ladder, lambda_bound, ladder_mesh, verify_hardy
-from .meshing import build_mesh_1d, build_trimesh, format_mesh_text
-from .spectral import (ProblemSpec, check_diagnostic, check_form_nonnegativity,
-                       check_pointwise_criterion, discreteness_diagnostic,
-                       persson_sequence, strip_mesh, strip_samples)
+from .meshing import build_mesh_1d, build_trimesh, format_mesh_text, require_ladder_budget
+from .spectral import (FORM_LEVELS, ProblemSpec, check_diagnostic,
+                       check_form_nonnegativity, check_pointwise_criterion,
+                       discreteness_diagnostic, persson_sequence, strip_mesh)
 
 COMMANDS = ("distance", "hardy", "spectrum", "persson", "criteria", "diagnose")
 SECTIONS = ("run", "domain", "form", "numerics", "output", "point")
@@ -136,20 +136,21 @@ def _problem_spec(command, domain, form, form_sec, num_sec, seed):
     """Read the keys a strip command uses: `persson` none of the criteria's,
     `criteria` no `k_max`, as it works on the strip at k0 alone."""
     k_min = num_sec.get_int("k_min", 2)
-    ks = (k_min,) if command == "criteria" else \
-        tuple(range(k_min, num_sec.get_int("k_max", 16) + 1))
+    k_max = k_min if command == "criteria" else num_sec.get_int("k_max", 16)
+    ks = range(k_min, k_max + 1)        # ProblemSpec counts it before building it
     criteria = {} if command == "persson" else dict(
         gamma=form_sec.get_float("gamma", 0.5), k0=num_sec.get_int("k0"),
         samples=num_sec.get_int("samples", 10000),
         lam=form_sec.get_float("lambda", 0.0), alpha=form_sec.get_float("alpha", 0.0))
     one_d = domain.section.dim == 1     # 2D strips use the uniform template
-    if command == "diagnose":
-        check_diagnostic(ks)
-    return ProblemSpec(
+    problem = ProblemSpec(
         domain=domain, ks=ks, form=replace(form, beta=form_sec.get_float("beta")),
         strip_elements=num_sec.get_int("strip_elements") if one_d else None,
         grading=num_sec.get_float("grading") if one_d else None,
         seed=seed, tol=num_sec.get_float("tol"), **criteria)
+    if command == "diagnose":
+        check_diagnostic(problem.ks)
+    return problem
 
 
 def run(command, config_path, out_dir=".", seed=None, dry_run=False,
@@ -250,11 +251,11 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         else:
             mesh = build_trimesh(section, size, grading)
         check_count(count, int(np.count_nonzero(~mesh.clamped)))
+        pencil = assemble_pencil(mesh, form, 1.0)
         if dry_run:
             result = {"dry_run": True, "nodes": mesh.n_nodes,
                       "elements": len(mesh.elements)}
         else:
-            pencil = assemble_pencil(mesh, form, 1.0)
             result = smallest_eigenpairs(pencil, count, tol=tol, seed=seed)
             csv_payload = ("spectrum_table.csv", ("index", "value", "residual"),
                            [(i, float(v), float(r)) for i, (v, r) in
@@ -273,13 +274,19 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
         problem = _problem_spec(command, domain, form, form_sec, num_sec, seed)
         _refuse_unread(parser, sections, command)
         if dry_run:
-            # the criteria also work on the k0 strip and stage 1's samples
+            # the first strip's pencil is assembled as in the run; the criteria
+            # also count the form check's ladder on the k0 strip, and run stage 1
             criteria = command != "persson"
             ks = problem.ks[:1] + problem.ks[-1:] + ((problem.k0,) if criteria else ())
-            sizes = {str(k): strip_mesh(problem, k).n_nodes for k in ks}
-            result = {"dry_run": True, "strip_nodes": sizes, "ks": list(problem.ks)}
+            strips = {k: strip_mesh(problem, k) for k in dict.fromkeys(ks)}
+            assemble_pencil(strips[ks[0]], problem.form, 1.0)
+            result = {"dry_run": True,
+                      "strip_nodes": {str(k): s.n_nodes for k, s in strips.items()},
+                      "ks": list(problem.ks)}
             if criteria:
-                result["samples"] = len(strip_samples(problem)[1])
+                k0 = strips[problem.k0]
+                require_ladder_budget(len(k0.elements), k0.dim, FORM_LEVELS + 1)
+                result["samples"] = check_pointwise_criterion(problem).detail["samples"]
         elif command == "criteria":
             pw = check_pointwise_criterion(problem)
             fm = check_form_nonnegativity(problem)

@@ -19,7 +19,7 @@ from .eigensolve import ladder
 from .errors import ExponentOutOfRange, InvalidParameter, MethodNotApplicable
 from .forms import FormSpec, assemble_pencil
 from .geometry import superharmonicity_scan
-from .meshing import build_mesh_1d, build_trimesh
+from .meshing import build_mesh_1d, build_trimesh, require_ladder_budget
 
 CERT_TOL = 1e-4          # absolute slack on the certified margin
 REFINE_FACTOR = 2        # nested bisections between ladder levels
@@ -220,14 +220,18 @@ def check_ladder(beta, lam, levels):
 def ladder_mesh(domain, n, h, grading, levels):
     """The first mesh of the `verify_hardy` ladder, on the domain's section:
     n elements in 1D, graded as steeply as float64 allows with room for the
-    ladder's bisections; target edge length h (default D_int/16) in 2D."""
+    ladder's bisections; target edge length h (default D_int/16) in 2D.
+    A ladder over the work budget is refused, in 1D before it is built."""
     section = domain.section
     if section.dim == 1:
+        require_ladder_budget(n, 1, levels, REFINE_FACTOR)
         return build_mesh_1d(section, n, grading,
                              bisections=REFINE_FACTOR * (levels - 1))
     if h is None:
         h = section.interior_diameter() / 16
-    return build_trimesh(section, h, grading)
+    mesh = build_trimesh(section, h, grading)
+    require_ladder_budget(len(mesh.elements), 2, levels, REFINE_FACTOR)
+    return mesh
 
 
 def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,

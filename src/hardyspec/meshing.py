@@ -97,13 +97,8 @@ def _first_side_size(half, m, grading):
     if grading == 1.0:
         return half / m
     r = 1.0 / grading
-    # h1 * (r^m - 1) / (r - 1) = half
-    log_rm = m * np.log(r)
-    if log_rm > 700:
-        raise InvalidGrading(
-            f"grading {grading} with {m} layers per side underflows float64")
-    h1 = half * (r - 1.0) / (r**m - 1.0)
-    if h1 < 1e-280:
+    # h1 * (r^m - 1) / (r - 1) = half, once r^m is known not to overflow
+    if m * np.log(r) > 700 or (h1 := half * (r - 1.0) / (r**m - 1.0)) < 1e-280:
         raise InvalidGrading(
             f"grading {grading} with {m} layers per side underflows float64")
     return h1
@@ -466,12 +461,24 @@ def refine_trimesh(mesh):
                 np.repeat(mesh.robin, 2), mesh.domain, clamped, parents=parents)
 
 
+def require_ladder_budget(elements, dim, levels, steps=1):
+    """Refuse a `nested` ladder whose finest level, elements (2^dim)^(steps
+    (levels - 1)), holds more than MAX_ELEMENTS; in O(1), as a shift capped
+    at MAX_ELEMENTS' bit length, past which any count exceeds it."""
+    shift = dim * steps * max(levels - 1, 0)
+    if elements << min(shift, MAX_ELEMENTS.bit_length()) > MAX_ELEMENTS:
+        raise MeshGenerationFailure(
+            f"{levels} levels of {steps} refinements from {elements} elements "
+            f"exceed the budget of {MAX_ELEMENTS} elements")
+
+
 def nested(mesh, levels, steps=1):
     """The mesh and its nested refinements: `levels` (mesh, parents) pairs,
     each mesh `steps` uniform refinements finer than the one before, and
     parents the list of those steps' `parents` arrays (empty at the first
     level), which `eigensolve.ladder` prolongs through.  Built lazily, so a
-    ladder holds one level at a time."""
+    ladder holds one level at a time, once its finest fits the budget."""
+    require_ladder_budget(len(mesh.elements), mesh.dim, levels, steps)
     for level in range(levels):
         parents = []
         if level:

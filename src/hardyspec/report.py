@@ -28,12 +28,8 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):     # a numpy scalar: its Python value
+        return obj.item()
     return obj
 
 

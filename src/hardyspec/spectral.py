@@ -14,11 +14,11 @@ import numpy as np
 
 from .coefficients import check_names, constant, environment
 from .eigensolve import ladder, smallest_eigenpairs
-from .errors import InvalidParameter, StripTooThin
+from .errors import InvalidParameter, MeshGenerationFailure, StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval
 from .hardy import kappa
-from .meshing import build_trimesh, mesh_1d_with_level, restrict_to_strip
+from .meshing import MAX_ELEMENTS, build_trimesh, mesh_1d_with_level, restrict_to_strip
 
 POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
@@ -34,12 +34,12 @@ class ProblemSpec:
     domain: object
     form: FormSpec
     gamma: float = 0.5
-    ks: tuple = (2, 3, 4, 6, 8, 12, 16)
+    ks: tuple = (2, 3, 4, 6, 8, 12, 16)    # or a range, counted without being built
     k0: int = None
     strip_elements: int = None     # an interval's only; default: 96
     grading: float = None          # an interval's only; default: uniform when
                                    # a and q are free of d, else 0.15
-    samples: int = 10000
+    samples: int = 10000           # at most MAX_DRAW / 4, stage 1's first draw
     lam: float = 0.0               # remainder bound used by the pointwise check
     alpha: float = 0.0
     seed: int = 0
@@ -48,16 +48,6 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0 < self.gamma < 1:
             raise InvalidParameter("gamma must lie in (0, 1)")
-        self.ks = tuple(sorted(set(int(k) for k in self.ks)))
-        if not self.ks:
-            raise InvalidParameter("the exhaustion range is empty")
-        if any(k < 1 for k in self.ks):
-            raise InvalidParameter("exhaustion indices must be positive")
-        if self.samples < 1:
-            raise InvalidParameter("samples must be at least 1")
-        if not np.isfinite([self.lam, self.alpha]).all():
-            raise InvalidParameter(f"lambda and alpha must be finite, got {self.lam} "
-                                   f"and {self.alpha}")
         if self.domain.section.dim == 2:
             for name in ("grading", "strip_elements"):
                 if getattr(self, name) is not None:
@@ -67,6 +57,26 @@ class ProblemSpec:
             self.strip_elements = 96
         elif self.strip_elements < 1:
             raise InvalidParameter("strip_elements must be at least 1")
+        # the sweep's work budget: an interval strip has at most 2 strip_elements
+        # + 1 elements, a 2D strip at least the 4 of `restrict_to_strip`; a
+        # range is counted in O(1), also past len()'s reach
+        per_strip = 4 if self.strip_elements is None else 2 * self.strip_elements + 1
+        ks = self.ks if isinstance(self.ks, range) else set(int(k) for k in self.ks)
+        strips = len(ks) if isinstance(ks, set) else -((ks.start - ks.stop) // ks.step)
+        if strips * per_strip > MAX_ELEMENTS:
+            raise MeshGenerationFailure(f"{strips} strips of {per_strip} elements "
+                                        f"exceed the budget of {MAX_ELEMENTS}")
+        self.ks = tuple(sorted(ks))
+        if not self.ks:
+            raise InvalidParameter("the exhaustion range is empty")
+        if any(k < 1 for k in self.ks):
+            raise InvalidParameter("exhaustion indices must be positive")
+        if not 1 <= self.samples <= MAX_DRAW // 4:
+            raise InvalidParameter(f"samples must lie in [1, {MAX_DRAW // 4}], "
+                                   f"got {self.samples}")
+        if not np.isfinite([self.lam, self.alpha]).all():
+            raise InvalidParameter(f"lambda and alpha must be finite, got {self.lam} "
+                                   f"and {self.alpha}")
         if self.grading is not None and not 0 < self.grading <= 1:
             raise InvalidParameter(f"grading must lie in (0, 1], got {self.grading}")
         check_names(self.domain.section, self.form.a, self.form.q)
@@ -121,11 +131,9 @@ class PerssonSequence:
     beta: float
 
     def csv_rows(self):
-        rows = []
-        for i, e in enumerate(self.entries):
-            b = self.bound[i] if self.bound is not None else ""
-            rows.append((e["k"], e["delta"], e["dof"], e["mu"], b))
-        return rows
+        bound = [""] * len(self.entries) if self.bound is None else self.bound
+        return [(e["k"], e["delta"], e["dof"], e["mu"], b)
+                for e, b in zip(self.entries, bound)]
 
     def mus(self):
         return np.array([e["mu"] for e in self.entries])
@@ -173,11 +181,9 @@ def persson_sequence(problem):
         and all(c >= 0 and g is None for c, _, g in q)
     bound = [kappa(beta) * k ** (2 - beta) for k in problem.ks] if proven else None
 
-    mus = np.array([e["mu"] for e in entries])
-    fitted = None
-    if np.all(mus > 0) and len(mus) >= 2:
-        ks = np.array([e["k"] for e in entries], dtype=float)
-        fitted = float(np.polyfit(np.log(ks), np.log(mus), 1)[0])
+    mus, ks = np.array([e["mu"] for e in entries]), np.array(problem.ks, dtype=float)
+    fitted = float(np.polyfit(np.log(ks), np.log(mus), 1)[0]) \
+        if np.all(mus > 0) and len(mus) >= 2 else None
     return PerssonSequence(entries, bound, fitted, beta)
 
 
@@ -227,13 +233,6 @@ def _halton_points(domain, lo, hi, n_keep, d_max):
     return np.vstack(out)[:n_keep], np.concatenate(out_d)[:n_keep]
 
 
-def strip_samples(problem):
-    """The points of `check_pointwise_criterion`, drawn in the domain's
-    strip {0 < d < 1/k0}, and their d."""
-    lo, hi = problem.domain.box()
-    return _halton_points(problem.domain, lo, hi, problem.samples, 1.0 / problem.k0)
-
-
 def check_pointwise_criterion(problem):
     """Pointwise domination of the negative part of the potential:
 
@@ -243,12 +242,11 @@ def check_pointwise_criterion(problem):
     {0 < d < 1/k0}, drawn in the domain and evaluated on its section.
     """
     lam, alpha, beta = problem.lam, problem.alpha, problem.beta
-    kap = kappa(beta)
-
-    pts, d = strip_samples(problem)
+    pts, d = _halton_points(problem.domain, *problem.domain.box(), problem.samples,
+                            1.0 / problem.k0)
     env = environment(problem.domain.to_section(pts), d)
     q_minus = np.broadcast_to(problem.form.q.negative_part().evaluate(env), d.shape)
-    allowed = (1 - problem.gamma) * (kap * d ** (beta - 2) + lam * d ** alpha)
+    allowed = (1 - problem.gamma) * (kappa(beta) * d ** (beta - 2) + lam * d ** alpha)
     margin = allowed - q_minus
     i = int(np.argmin(margin))
     worst = float(margin[i])
@@ -271,14 +269,12 @@ def check_form_nonnegativity(problem):
     check_form = FormSpec(a=constant(1.0 - problem.gamma) * problem.form.a,
                           q=-q_minus, beta=problem.form.beta)
 
-    def pencil(mesh):
-        return assemble_pencil(mesh, check_form, 1.0)
-
     # nested bisection keeps the ladder monotone; a 2D strip's refined
     # interface edges are not clamped (ROADMAP item 10)
-    dofs, minima = map(list, zip(*ladder(strip_mesh(problem, problem.k0),
-                                         FORM_LEVELS + 1, 1, pencil,
-                                         tol=problem.tol, seed=problem.seed)))
+    dofs, minima = map(list, zip(*ladder(
+        strip_mesh(problem, problem.k0), FORM_LEVELS + 1, 1,
+        lambda mesh: assemble_pencil(mesh, check_form, 1.0),
+        tol=problem.tol, seed=problem.seed)))
 
     final = minima[-1]
     verdict = "PASS" if final >= -FORM_TOL else "FAIL"

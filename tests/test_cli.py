@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hardyspec
-from hardyspec import cli
+from hardyspec import cli, meshing
 from hardyspec.cli import main, run
 from hardyspec.errors import ConfigError
 from hardyspec.report import jsonable
@@ -533,6 +533,75 @@ def test_oblong_polygon_diagnose_dry_run(tmp_path):
                 "vertices = 0,0;4,0;4,1;0,1\n\n[form]\na = 1\nq = 0\n")
     status, doc = run("diagnose", cfg, out_dir=str(tmp_path / "out"), dry_run=True)
     assert status == 0 and doc["result"]["dry_run"] is True
+
+
+HARDY_DISC_INI = """
+[domain]
+variant = disc
+
+[form]
+beta = 0.0
+lambda_method = hhl_volume
+
+[numerics]
+h = 0.0625
+grading = 0.5
+levels = {levels}
+"""
+
+
+def test_hardy_ladder_growth_refused_by_the_dry_run(tmp_path, capsys):
+    # each level has 16 times the triangles of the one before: from 8,877,
+    # 3 levels would build 2,272,512 and 6 about 9.3e9; dry runs only, as
+    # a run before the budget would build them
+    cfg = write(tmp_path, "ok.ini", HARDY_DISC_INI.format(levels=2))
+    status, doc = run("hardy", cfg, out_dir=str(tmp_path / "out"), dry_run=True)
+    assert status == 0 and doc["result"]["elements"] == 8877
+    for levels in (3, 6, 2**62):
+        cfg = write(tmp_path, f"l{levels}.ini", HARDY_DISC_INI.format(levels=levels))
+        code = main(["hardy", "--config", cfg, "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert f"{levels} levels of 2 refinements from 8877 elements exceed the budget" \
+            in capsys.readouterr().err
+
+
+def test_form_check_ladder_counted_by_the_dry_run(tmp_path, capsys, monkeypatch):
+    # the k0 = 2 strip has 32 elements, and the form check refines it twice
+    cfg = write(tmp_path, "d.ini", "[domain]\nvariant = interval\n\n[form]\na = 1\n"
+                "q = 0\n\n[numerics]\nk_min = 2\nsamples = 200\n"
+                "strip_elements = 16\n")
+    for command in ("criteria", "diagnose"):
+        monkeypatch.setattr(meshing, "MAX_ELEMENTS", 128)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--dry-run"]) == 0
+        monkeypatch.setattr(meshing, "MAX_ELEMENTS", 127)
+        for flags in ([], ["--dry-run"]):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                         *flags]) == 2
+            assert "3 levels of 1 refinements from 32 elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("samples", "2000000", "samples must lie in [1, 100000], got 2000000"),
+    ("k_max", "2000000", "1999999 strips of 193 elements exceed the budget"),
+    ("k_max", str(2**64), f"{2**64 - 1} strips of 193 elements exceed the budget")])
+def test_diagnose_work_refused_by_the_dry_run(tmp_path, capsys, key, value, words):
+    # counted in O(1): the dry run neither draws the samples nor builds the
+    # range of indices
+    text = "[domain]\nvariant = interval\n\n[form]\na = 1\nq = 0\n\n[numerics]\n"
+    cfg = write(tmp_path, "d.ini", text + f"{key} = {value}\n")
+    code = main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out"), "--dry-run"])
+    assert code == 2 and words in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, variant, numerics", [
+    ("spectrum", "disc", "h = 0.1\n"), ("persson", "interval", "k_max = 4\n"),
+    ("criteria", "interval", "samples = 200\n"), ("diagnose", "interval", "samples = 200\n")])
+def test_dry_run_assembles_as_the_run(tmp_path, capsys, command, variant, numerics):
+    # only assembly evaluates a, so the dry run assembles the run's first pencil
+    text = f"[domain]\nvariant = {variant}\n\n[form]\na = -1\nq = 0\n\n[numerics]\n"
+    _refused_with(tmp_path, capsys, command, text + numerics,
+                  "error: diffusion coefficient is not positive at a quadrature point")
 
 
 def test_jsonable_numpy_scalars():

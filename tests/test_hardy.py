@@ -6,7 +6,8 @@ from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
                        counting_function, hardy_constants, kappa, lambda_bound,
                        verify_hardy)
 from hardyspec.eigensolve import ladder
-from hardyspec.errors import ExponentOutOfRange, MethodNotApplicable
+from hardyspec import hardy, meshing
+from hardyspec.errors import ExponentOutOfRange, MeshGenerationFailure, MethodNotApplicable
 from hardyspec.hardy import (CERT_TOL, REFINE_FACTOR, fmt_constant, hardy_pencil,
                              ladder_mesh, tubular_constant)
 from hardyspec.meshing import nested
@@ -190,6 +191,20 @@ def test_certificate_serialization():
     assert "upper bounds" in doc["semantics"] or "bound" in doc["semantics"]
     rows = cert.csv_rows()
     assert len(rows) == 1 and len(rows[0]) == 7
+
+
+def test_ladder_over_the_budget_refused_before_any_level(monkeypatch):
+    # a 2D ladder's finest level holds 16^(levels - 1) times the first
+    # mesh's triangles; nothing is assembled before the refusal
+    first = len(ladder_mesh(UNIT_DISC, None, 0.25, 1.0, 1).elements)
+    monkeypatch.setattr(meshing, "MAX_ELEMENTS", 16 * first - 1)
+    monkeypatch.setattr(hardy, "hardy_pencil", lambda *args: pytest.fail("assembled"))
+    with pytest.raises(MeshGenerationFailure, match="budget"):
+        verify_hardy(UNIT_DISC, 0.0, h=0.25, grading=1.0, levels=2)
+    # in 1D the count comes from n, before the grading floor's room for
+    # 2 (levels - 1) bisections would overflow
+    with pytest.raises(MeshGenerationFailure, match="budget"):
+        verify_hardy(IV, 0.0, n=32, levels=2**62)
 
 
 def test_torus_certification():

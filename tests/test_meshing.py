@@ -19,7 +19,7 @@ from hardyspec.hardy import hardy_pencil
 from hardyspec.meshing import (_boundary_polyline,
                                _geometric_side_sizes, _layer_depths, _ring_mesh,
                                feasible_grading, format_mesh_text, grading_floor,
-                               nested)
+                               nested, require_ladder_budget)
 from hardyspec.spectral import ProblemSpec, strip_mesh
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -221,6 +221,32 @@ def test_work_budget_counts_the_ring_template(monkeypatch):
         build_mesh_1d(Interval(0, 1), 66)
     with pytest.raises(MeshGenerationFailure, match="budget"):
         mesh_1d_with_level(Interval(0, 1), 0.25, 32)
+
+
+def test_ladder_budget_counts_the_finest_level():
+    # 10^6 = 15625 * 4^3 = 15625 * 2^6: the count is exact at the budget
+    for elements, dim, levels, steps in ((15625, 2, 4, 1), (15625, 1, 7, 1),
+                                         (15625, 2, 2, 3), (10**6, 2, 1, 5)):
+        require_ladder_budget(elements, dim, levels, steps)
+        with pytest.raises(MeshGenerationFailure, match="budget"):
+            require_ladder_budget(elements + 1, dim, levels, steps)
+    # a shift past the budget's bit length is not taken, so any level
+    # count is refused in O(1)
+    for levels in (21, 2**62, 10**30):
+        with pytest.raises(MeshGenerationFailure, match="budget"):
+            require_ladder_budget(1, 1, levels)
+
+
+def test_nested_refuses_before_its_first_refinement(monkeypatch):
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.25)
+    finest = len(mesh.elements) * 4**2
+    assert len(list(nested(mesh, 3))[-1][0].elements) == finest
+    refined = []
+    monkeypatch.setattr(meshing, "refine_trimesh", lambda m: refined.append(m))
+    monkeypatch.setattr(meshing, "MAX_ELEMENTS", finest - 1)
+    with pytest.raises(MeshGenerationFailure, match="3 levels of 1 refinements"):
+        next(nested(mesh, 3))
+    assert refined == []
 
 
 def test_unknown_end_tag_refused():

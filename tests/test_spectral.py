@@ -7,7 +7,7 @@ from hardyspec import (Annulus, ConvexPolygon, CriterionReport, DiagnosticReport
                        check_form_nonnegativity, check_pointwise_criterion,
                        discreteness_diagnostic, persson_sequence)
 from hardyspec.coefficients import power_of_d
-from hardyspec.errors import StripTooThin
+from hardyspec.errors import InvalidParameter, MeshGenerationFailure, StripTooThin
 from hardyspec.report import jsonable
 from hardyspec import eigensolve, spectral
 from hardyspec.eigensolve import _factor, smallest_eigenpairs
@@ -377,6 +377,29 @@ def test_beta_taken_from_power_diffusion():
         _problem("d^0.5", 0.0, 0.3, 0.5, (2,))
     with pytest.raises(ValueError, match="contradicts"):
         _problem(1.0, 0.0, 0.5, 0.5, (2,))
+
+
+def test_samples_bounded_by_the_first_draw():
+    # the first Halton batch draws 4 x samples indices, at most MAX_DRAW
+    top = spectral.MAX_DRAW // 4
+    assert _problem(1.0, 0.0, 0.0, 0.5, (2,), samples=top).samples == 100000
+    for samples in (0, top + 1, 10**8):
+        with pytest.raises(InvalidParameter, match=r"samples must lie in \[1, 100000\]"):
+            _problem(1.0, 0.0, 0.0, 0.5, (2,), samples=samples)
+
+
+def test_sweep_counted_before_its_indices_are_built():
+    # 193 elements per interval strip at the default 96, at least 4 per 2D
+    # strip; 5181 * 193 = 999,933 and 250,000 * 4 = 10^6 fit the budget
+    for domain, strips in ((IV, 5181), (Disc((0, 0), 1.0), 250000)):
+        for ks in (range(1, strips + 1), tuple(range(1, strips + 1)) * 2):
+            assert len(ProblemSpec(domain, FormSpec(a=1.0, q=0.0), ks=ks).ks) == strips
+        with pytest.raises(MeshGenerationFailure, match=f"{strips + 1} strips"):
+            ProblemSpec(domain, FormSpec(a=1.0, q=0.0), ks=range(1, strips + 2))
+    # a range is counted past len()'s limit, and with its step
+    with pytest.raises(MeshGenerationFailure, match="budget"):
+        _problem(1.0, 0.0, 0.0, 0.5, range(2, 2**64))
+    assert _problem(1.0, 0.0, 0.0, 0.5, range(16, 1, -3)).ks == (4, 7, 10, 13, 16)
 
 
 def test_gamma_validation():
