@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, InvalidParameter, NoConvergence
@@ -26,6 +27,9 @@ from .meshing import nested
 EPS23 = (0.5 * np.finfo(float).eps) ** (2 / 3)    # ARPACK's eps23, from dlamch('E')
 PANEL_SIZE = 1          # SuperLU's panel width, the fastest measured (see _factor)
 BLOCK = 2               # Lanczos block width for more than one eigenpair (see _slice)
+# A pencil whose ||K||_1 exceeds ||M||_1 by more than SCALE_ABOVE binades is
+# solved with K scaled to SCALE_TO binades above (see smallest_eigenpairs)
+SCALE_ABOVE, SCALE_TO = 60, 36
 
 # One generator for every start vector, reseeded under the lock before each
 # draw, so no call sees another's state; RandomState(seed) would first seed a
@@ -52,6 +56,18 @@ class SpectralReport:
     mesh_info: dict = field(default_factory=dict)
 
 
+def _shifted(K, M, sigma):
+    """K - sigma M in CSR form.  When K and M share one pattern it is
+    K.data - sigma M.data on that pattern, bitwise the sparse difference
+    unless an entry is exactly 0, which the sparse difference drops; so
+    two patterns, or a 0 in the difference, take the sparse difference."""
+    if np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices):
+        data = K.data - sigma * M.data
+        if data.all():
+            return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+    return (K - sigma * M).tocsr()
+
+
 def _factor(K, M, sigma):
     """Factor K - sigma M with diagonal pivots only; returns the factor,
     the number of pencil eigenvalues below sigma, and sigma.
@@ -73,7 +89,7 @@ def _factor(K, M, sigma):
     """
     for attempt in range(4):
         try:
-            lu = spla.splu((K - sigma * M).tocsr().T, permc_spec="MMD_AT_PLUS_A",
+            lu = spla.splu(_shifted(K, M, sigma).T, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0, panel_size=PANEL_SIZE,
                            options={"SymmetricMode": True})
             break
@@ -328,6 +344,18 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
     backward error is within tol, in (0, 1); one that fails both raises
     NoConvergence, whose `partial` holds the pairs that pass.  `maxiter` bounds the LU
     solves of each Lanczos run (see `_lanczos`).
+
+    The shifts and tests hold absolute constants (the floor's default, the
+    bisection's scale 1 + |hi|, ARPACK's eps^(2/3)), which do not fit a
+    spectrum near float64's overflow: with a = 1e300 the projected matrix
+    underflows.  So when ||K||_1 exceeds ||M||_1 by more than SCALE_ABOVE
+    binades (frexp exponents), K and the floor are scaled by the power of
+    two that brings the gap to SCALE_TO, and the values, residuals and
+    shift back by its inverse; both steps are exact while no entry leaves
+    float64's normal range.  The bottoms of the pencils the tests and the
+    benchmark solve lie 0 to 47 binades below ||K||_1 / ||M||_1 (47 on
+    graded strips, where the gap reaches 58), so at SCALE_TO a bottom lies
+    where the constants fit.
     """
     n = pencil.dof
     check_count(count, n)
@@ -338,22 +366,35 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
         tol = 1e-10 if pencil.meta.get("dim", 1) == 1 else 1e-8
     if not 0 < tol < 1:
         raise InvalidParameter(f"tol must lie in (0, 1), got {tol}")
+    normK, normM = _norm1(K), _norm1(M)
+    scale = int(np.frexp(normK)[1] - np.frexp(normM)[1])
+    scale = scale - SCALE_TO if scale > SCALE_ABOVE else 0
+    if scale:
+        K = K.copy()
+        K.data, normK = np.ldexp(K.data, -scale), np.ldexp(normK, -scale)
+        floor = np.ldexp(np.asarray(floor, dtype=float), -scale)
     start = _start_vector(seed, n)
     if v0 is not None:
         start = v0 / np.linalg.norm(v0) + 1e-3 * start / np.linalg.norm(start)
-    vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter, floor, seed)
+    try:
+        vals, vecs, sigma, solver_calls = _slice(K, M, count, start, tol, maxiter,
+                                                 floor, seed)
+    except NoConvergence as exc:
+        if exc.partial is not None:
+            exc.partial.eigenvalues = np.ldexp(exc.partial.eigenvalues, scale)
+        raise
 
     # normalize in the M inner product
     for j in range(vecs.shape[1]):
         vecs[:, j] /= np.sqrt(abs(vecs[:, j] @ (M @ vecs[:, j])))
 
     residuals, backward = np.empty(count), np.empty(count)
-    normK, normM = _norm1(K), _norm1(M)
     for j in range(count):
         x = vecs[:, j]
         r = np.linalg.norm(K @ x - vals[j] * (M @ x))
         residuals[j] = r / max(np.linalg.norm(M @ x), 1e-300)
         backward[j] = r / max((normK + abs(vals[j]) * normM) * np.linalg.norm(x), 1e-300)
+    vals, residuals, sigma = (np.ldexp(x, scale) for x in (vals, residuals, sigma))
     ok = (residuals <= tol) | (backward <= tol)
     if not ok.all():
         partial = SimpleNamespace(eigenvalues=vals[ok], eigenvectors=vecs[:, ok])

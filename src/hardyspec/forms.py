@@ -115,6 +115,8 @@ def _c_malloc_trim():
 
 
 _MALLOC_TRIM = _c_malloc_trim()
+# glibc's default M_MMAP_THRESHOLD: smaller blocks always come from the heap
+MMAP_THRESHOLD = 128 * 1024
 
 
 def assemble_pencil(mesh, form, denominator):
@@ -134,12 +136,19 @@ def assemble_pencil(mesh, form, denominator):
     K, M = _assemble(mesh, form, denominator, QUAD_POINTS, QUAD_SUBDIV, mw, free)
     if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
         raise AssemblyError("the pencil has entries that overflow float64")
-    if _MALLOC_TRIM is not None:
+    rule = QUAD_POINTS * QUAD_SUBDIV if mesh.dim == 1 else len(TRI_W)
+    points_bytes = len(mesh.elements) * rule * mesh.dim * 8     # float64
+    if _MALLOC_TRIM is not None and points_bytes > MMAP_THRESHOLD:
         # Hand the freed quadrature arrays back to the OS before the solver
         # factors.  Once glibc has freed a large block it serves blocks of
         # that size from its heap, whose freed pages stay resident, so how
         # much of the assembly stayed resident under the factor depended on
         # the heap's layout, and the process peak varied from run to run.
+        # The quadrature points stand for the assembly's arrays, which are
+        # within twice their size.  While they fit below MMAP_THRESHOLD, the
+        # freed blocks are heap blocks that the next assembly reuses, and a
+        # trim would only hand back pages the next solve faults straight
+        # back in.
         _MALLOC_TRIM(0)
     if len(free) == 0:
         raise AssemblyError("no free degrees of freedom after clamping")

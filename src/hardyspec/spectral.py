@@ -39,7 +39,8 @@ class ProblemSpec:
     strip_elements: int = None     # an interval's only; default: 96
     grading: float = None          # an interval's only; default: uniform when
                                    # a and q are free of d, else 0.15
-    samples: int = 10000           # at most MAX_DRAW / 4, stage 1's first draw
+    samples: int = 10000           # at most MAX_DRAW / 4, which a strip that
+                                   # keeps a quarter of the box fills
     lam: float = 0.0               # remainder bound used by the pointwise check
     alpha: float = 0.0
     seed: int = 0
@@ -207,27 +208,32 @@ def _halton(idx, base):
     f, r = 1.0, np.zeros(idx.shape)
     while idx.any():
         f /= base
-        r += f * (idx % base)
-        idx //= base
+        idx, digit = np.divmod(idx, base)
+        r += f * digit
     return r
 
 
 def _halton_points(domain, lo, hi, n_keep, d_max):
-    """Deterministic low-discrepancy points with 0 < d < d_max, and their d."""
+    """Deterministic low-discrepancy points with 0 < d < d_max, and their d:
+    the first n_keep such points of the Halton sequence's indices 1 to
+    MAX_DRAW, or as many as those hold.  The first batch draws n_keep
+    indices, each later one as many as the acceptance rate so far says the
+    rest need; every batch draws at least 1024, and while none was kept,
+    as many as were drawn."""
     bases = (2, 3, 5)[:len(lo)]
-    kept = 0
-    batch = max(4 * n_keep, 1024)
-    start = 1
+    kept, start, batch = 0, 1, max(n_keep, 1024)
     out, out_d = [], []
-    while kept < n_keep and start < MAX_DRAW:
-        idx = np.arange(start, start + batch)
+    while kept < n_keep and start <= MAX_DRAW:
+        idx = np.arange(start, min(start + batch, MAX_DRAW + 1))
         p = lo + np.column_stack([_halton(idx, b) for b in bases]) * (hi - lo)
         d = domain.distance_many(p)
         good = (d > 0) & (d < d_max)
         out.append(p[good])
         out_d.append(d[good])
         kept += int(good.sum())
-        start += batch
+        start += len(idx)
+        drawn = start - 1
+        batch = max(1024, -(-(n_keep - kept) * drawn // kept) if kept else drawn)
     if kept == 0:
         raise StripTooThin(f"no sample point landed in the strip 0 < d < {d_max}")
     return np.vstack(out)[:n_keep], np.concatenate(out_d)[:n_keep]

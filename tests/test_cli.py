@@ -415,9 +415,6 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
              ("spectrum", torus),
              ("spectrum", disc + "h = -0.1\n"),
              ("spectrum", disc + "h = 0\n"),
-             # solves near the underflow threshold: the projected matrix loses
-             # its scale, where LAPACK's "sbevx did not converge" escaped
-             ("spectrum", disc.replace("a = 1", "a = 1e300") + "h = 0.1\n"),
              *checked]
     for i, (command, text) in enumerate(cases):
         cfg = write(tmp_path, f"bad{i}.ini", text)
@@ -439,6 +436,23 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
             assert main(["diagnose", "--config", cfg, "--out", str(tmp_path / "out"),
                          f"--seed={seed}", *extra]) == 2
             assert f"seed {seed} lies outside" in capsys.readouterr().err
+
+
+def test_spectrum_of_a_diffusion_near_overflow(tmp_path, capfd):
+    # a = 1e300 put the projected matrix near float64's underflow, where
+    # LAPACK printed a DLASCL complaint and the solve exited 2; K is now
+    # scaled by a power of two and the values back
+    disc = "[domain]\nvariant = disc\n\n[form]\na = {a}\nq = 0\n\n[numerics]\nh = 0.1\n"
+    values = {}
+    for a in ("1", "1e300"):
+        cfg = write(tmp_path, f"a{a}.ini", disc.format(a=a))
+        status, doc = run("spectrum", cfg, out_dir=str(tmp_path / a))
+        assert status == 0
+        values[a] = np.array(doc["result"]["eigenvalues"])
+    assert len(values["1"]) == 5
+    np.testing.assert_allclose(values["1e300"], 1e300 * values["1"], rtol=1e-8)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
 
 
 def test_spectrum_clamps_the_grading_as_hardy_does(tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,58 @@ def test_counting_function():
     assert counting_function(p, 0.0) == 0
     assert counting_function(p, 3.0) == 2  # strictly below the threshold
     assert counting_function(p, 1e6) == 3  # every eigenvalue, none computed
+
+
+def test_shift_on_the_shared_pattern_is_the_sparse_difference():
+    # K - sigma M formed from the data on the pattern K and M share is
+    # bitwise the sparse difference, and so are its factor's pivots and
+    # inertia.  A Robin pencil shares the pattern too (its facets are
+    # element edges); with a = 1, q = 0 K drops two exact zeros, so the
+    # patterns differ, and an exact 0 in the difference, which the sparse
+    # difference drops, also takes the sparse difference
+    def same(a, b):
+        return all(np.array_equal(getattr(a, x), getattr(b, x))
+                   for x in ("indptr", "indices")) \
+            and a.data.tobytes() == b.data.tobytes()
+
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5)
+    shared = assemble_pencil(mesh, FormSpec(a="1+d", q=0.0), 1.0)
+    split = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
+    robin = assemble_pencil(replace(mesh, robin=np.ones(len(mesh.facets), dtype=bool),
+                                    clamped=np.zeros(mesh.n_nodes, dtype=bool)),
+                            FormSpec(a=1.0, q=1.0, sigma=1.0), 1.0)
+    assert shared.K.nnz == shared.M.nnz and split.K.nnz == split.M.nnz - 2
+    for pencil in (shared, robin, split):
+        K, M = pencil.K, pencil.M
+        for sigma in (-0.01, 5.0, 40.0):
+            sparse = (K - sigma * M).tocsr()
+            assert same(eigensolve._shifted(K, M, sigma), sparse)
+            lu = spla.splu(sparse.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           panel_size=eigensolve.PANEL_SIZE,
+                           options={"SymmetricMode": True})
+            ours, below, _ = _factor(K, M, sigma)
+            assert ours.U.diagonal().tobytes() == lu.U.diagonal().tobytes()
+            assert below == np.count_nonzero(lu.U.diagonal() < 0)
+    M = shared.M
+    K = 3.0 * M
+    K.data[0] += 1.0
+    diff = eigensolve._shifted(K, M, 3.0)
+    assert diff.nnz == 1 and same(diff, (K - 3.0 * M).tocsr())
+
+
+def test_pencil_far_above_its_mass_solved_scaled():
+    # ||K||_1 about 2^1000 ||M||_1: K is scaled by a power of two, and the
+    # values, the shift and a stalled run's partial values come back in the
+    # pencil's own units
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.25, 1.0)
+    one = assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
+    big = assemble_pencil(mesh, FormSpec(a=1e300, q=0.0), 1.0)
+    a, b = smallest_eigenpairs(one, 3, seed=1), smallest_eigenpairs(big, 3, seed=1)
+    assert_allclose(b.eigenvalues, 1e300 * a.eigenvalues, rtol=1e-12)
+    assert b.sigma == -0.01 and (b.backward_errors < 1e-8).all()
+    with pytest.raises(NoConvergence) as caught:
+        smallest_eigenpairs(big, 1, seed=1, maxiter=4)
+    assert_allclose(caught.value.partial.eigenvalues, 1e300 * a.eigenvalues[0], rtol=1e-3)
 
 
 @st.composite

@@ -159,16 +159,30 @@ def _all_robin(mesh):
 
 
 def test_heap_trim_leaves_pencil_unchanged(monkeypatch):
-    # the trim after assembly only hands freed memory back; without a C
-    # library malloc_trim the pencil is byte for byte the same
-    mesh = build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5)
-    form = FormSpec(a=power_of_d(0.5), q=0.0)
-    with_trim = assemble_pencil(mesh, form, power_of_d(-1.5))
-    monkeypatch.setattr(forms, "_MALLOC_TRIM", None)
-    without = assemble_pencil(mesh, form, power_of_d(-1.5))
-    for a, b in ((with_trim.K, without.K), (with_trim.M, without.M)):
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+    # the trim after assembly only hands freed memory back, and only when
+    # the quadrature points pass glibc's default mmap threshold: a disc
+    # pencil of 2D points (7 per triangle) above it trims once, a 190-dof
+    # strip of the diagnose bench config (24 1D points per element) does
+    # not; without a C library malloc_trim both are byte for byte the same
+    problem = ProblemSpec(IV, FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5),
+                          ks=(2, 3, 4, 5, 6))
+    disc = build_trimesh(Disc((0, 0), 1.0), 0.125, 0.5)
+    strip = strip_mesh(problem, 2)
+    assert len(disc.elements) * 7 * 2 * 8 > forms.MMAP_THRESHOLD
+    assert len(strip.elements) * 24 * 8 < forms.MMAP_THRESHOLD
+    assert np.count_nonzero(~strip.clamped) == 190
+    calls = []
+    for mesh, form, trims in ((disc, FormSpec(a=power_of_d(0.5), q=0.0), 1),
+                              (strip, problem.form, 0)):
+        monkeypatch.setattr(forms, "_MALLOC_TRIM", calls.append)
+        with_trim = assemble_pencil(mesh, form, power_of_d(-1.5))
+        assert calls == [0] * trims
+        calls.clear()
+        monkeypatch.setattr(forms, "_MALLOC_TRIM", None)
+        without = assemble_pencil(mesh, form, power_of_d(-1.5))
+        for a, b in ((with_trim.K, without.K), (with_trim.M, without.M)):
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
 
 
 def test_gauss_panels_built_once_read_only():

@@ -56,6 +56,43 @@ def test_halton_points_match_scalar_oracle():
         assert np.array_equal(pts_d, oracle_d)
 
 
+def _counted_draws(monkeypatch):
+    """The index batches `_halton_points` draws, by monkeypatching `_halton`."""
+    batches, halton = [], spectral._halton
+    def counted(idx, base):
+        if base == 2:
+            batches.append(len(idx))
+        return halton(idx, base)
+    monkeypatch.setattr(spectral, "_halton", counted)
+    return batches
+
+
+def test_halton_draw_sized_to_what_it_keeps(monkeypatch):
+    # the first batch draws `samples` indices, the next what the acceptance
+    # rate asks for, at least 1024: on the diagnose bench strip {d < 1/2},
+    # where x = 1/2 is the one miss, 11,024 indices in place of 4 x 10,000
+    batches = _counted_draws(monkeypatch)
+    pts, d = _halton_points(IV, *IV.box(), 10000, 0.5)
+    assert batches == [10000, 1024] and len(d) == 10000
+    batches.clear()
+    torus = Torus(3.0, 1.0)
+    pts, d = _halton_points(torus, *torus.box(), 10000, 0.5)
+    assert 10000 < sum(batches) < 30000 and len(d) == 10000
+
+
+def test_halton_draw_stops_at_max_draw(monkeypatch):
+    # no more than MAX_DRAW indices: the strip {d < 4e-6} holds 3 of them,
+    # the in-strip points of the one sequence from 1 to MAX_DRAW
+    batches = _counted_draws(monkeypatch)
+    pts, d = _halton_points(IV, *IV.box(), 10, 4e-6)
+    assert sum(batches) == spectral.MAX_DRAW
+    x = _halton(np.arange(1, spectral.MAX_DRAW + 1), 2)
+    oracle = x[np.minimum(x, 1 - x) < 4e-6]
+    assert len(oracle) == 3
+    assert np.array_equal(pts[:, 0], oracle)
+    assert np.array_equal(d, np.minimum(oracle, 1 - oracle))
+
+
 def test_persson_laplacian_matches_strip_modes():
     # the strip {d < 1/k} splits into two intervals of length 1/k, so the
     # smallest clamped mode is (pi k)^2
@@ -380,7 +417,8 @@ def test_beta_taken_from_power_diffusion():
 
 
 def test_samples_bounded_by_the_first_draw():
-    # the first Halton batch draws 4 x samples indices, at most MAX_DRAW
+    # stage 1 tries at most MAX_DRAW Halton indices, so samples stops at
+    # MAX_DRAW / 4: a strip that keeps a quarter of them fills any sample
     top = spectral.MAX_DRAW // 4
     assert _problem(1.0, 0.0, 0.0, 0.5, (2,), samples=top).samples == 100000
     for samples in (0, top + 1, 10**8):
