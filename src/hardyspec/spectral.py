@@ -218,8 +218,8 @@ def _halton_points(domain, lo, hi, n_keep, d_max):
     the first n_keep such points of the Halton sequence's indices 1 to
     MAX_DRAW, or as many as those hold.  The first batch draws n_keep
     indices, each later one as many as the acceptance rate so far says the
-    rest need; every batch draws at least 1024, and while none was kept,
-    as many as were drawn."""
+    rest need; every batch but one cut at MAX_DRAW draws at least 1024,
+    and while none was kept, as many as were drawn."""
     bases = (2, 3, 5)[:len(lo)]
     kept, start, batch = 0, 1, max(n_keep, 1024)
     out, out_d = [], []

@@ -171,10 +171,15 @@ def test_heap_trim_leaves_pencil_unchanged(monkeypatch):
     assert len(disc.elements) * 7 * 2 * 8 > forms.MMAP_THRESHOLD
     assert len(strip.elements) * 24 * 8 < forms.MMAP_THRESHOLD
     assert np.count_nonzero(~strip.clamped) == 190
-    calls = []
+    calls, trim = [], forms._MALLOC_TRIM
+
+    def counted(pad):       # the C library's trim, where there is one, counted
+        calls.append(pad)
+        return trim(pad) if trim is not None else 0
+
     for mesh, form, trims in ((disc, FormSpec(a=power_of_d(0.5), q=0.0), 1),
                               (strip, problem.form, 0)):
-        monkeypatch.setattr(forms, "_MALLOC_TRIM", calls.append)
+        monkeypatch.setattr(forms, "_MALLOC_TRIM", counted)
         with_trim = assemble_pencil(mesh, form, power_of_d(-1.5))
         assert calls == [0] * trims
         calls.clear()
