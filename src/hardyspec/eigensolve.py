@@ -367,8 +367,8 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
     if not 0 < tol < 1:
         raise InvalidParameter(f"tol must lie in (0, 1), got {tol}")
     normK, normM = _norm1(K), _norm1(M)
-    scale = int(np.frexp(normK)[1] - np.frexp(normM)[1])
-    scale = scale - SCALE_TO if scale > SCALE_ABOVE else 0
+    gap = int(np.frexp(normK)[1] - np.frexp(normM)[1])     # binades
+    scale = gap - SCALE_TO if gap > SCALE_ABOVE else 0
     if scale:
         K = K.copy()
         K.data, normK = np.ldexp(K.data, -scale), np.ldexp(normK, -scale)
