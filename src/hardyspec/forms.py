@@ -115,8 +115,16 @@ def _c_malloc_trim():
 
 
 _MALLOC_TRIM = _c_malloc_trim()
-# glibc's default M_MMAP_THRESHOLD: smaller blocks always come from the heap
-MMAP_THRESHOLD = 128 * 1024
+# Triplet storage (pairs x elements x 24 bytes: two int32 keys and K + iM)
+# above which an assembly hands its freed memory back (see assemble_pencil)
+TRIM_ABOVE = 2 * 1024 * 1024
+# Elements per assembly block.  The quadrature points, distances,
+# coefficient values and pair integrals exist for one block at a time, so
+# an assembly's working set is its triplet storage plus a few MB at any
+# mesh size.  8192 was the fastest measured: torus sections of 3,528 to
+# 54,351 triangles and an 84,638-triangle disc assembled in 107 ms, against
+# 118-122 ms at 2048, 4096 and 16384 and 158 ms in one block.
+BLOCK = 8192
 
 
 def assemble_pencil(mesh, form, denominator):
@@ -136,19 +144,17 @@ def assemble_pencil(mesh, form, denominator):
     K, M = _assemble(mesh, form, denominator, QUAD_POINTS, QUAD_SUBDIV, mw, free)
     if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
         raise AssemblyError("the pencil has entries that overflow float64")
-    rule = QUAD_POINTS * QUAD_SUBDIV if mesh.dim == 1 else len(TRI_W)
-    points_bytes = len(mesh.elements) * rule * mesh.dim * 8     # float64
-    if _MALLOC_TRIM is not None and points_bytes > MMAP_THRESHOLD:
-        # Hand the freed quadrature arrays back to the OS before the solver
-        # factors.  Once glibc has freed a large block it serves blocks of
-        # that size from its heap, whose freed pages stay resident, so how
-        # much of the assembly stayed resident under the factor depended on
-        # the heap's layout, and the process peak varied from run to run.
-        # The quadrature points stand for the assembly's arrays, which are
-        # within twice their size.  While they fit below MMAP_THRESHOLD, the
-        # freed blocks are heap blocks that the next assembly reuses, and a
-        # trim would only hand back pages the next solve faults straight
-        # back in.
+    nloc = mesh.dim + 1
+    triplet_bytes = nloc * (nloc + 1) // 2 * len(mesh.elements) * 24
+    if _MALLOC_TRIM is not None and triplet_bytes > TRIM_ABOVE:
+        # Hand the freed triplets and sparse build back to the OS before
+        # the solver factors.  Once glibc has freed a large block it serves
+        # blocks of that size from its heap, whose freed pages stay
+        # resident, so without the trim how much of a large assembly stayed
+        # resident under the factor depended on the heap's layout, and the
+        # process peak varied from run to run.  Below TRIM_ABOVE the freed
+        # blocks are reused by the next assembly, and a trim only hands
+        # back pages that the next solve faults straight back in.
         _MALLOC_TRIM(0)
     if len(free) == 0:
         raise AssemblyError("no free degrees of freedom after clamping")
@@ -167,10 +173,12 @@ def assemble_pencil(mesh, form, denominator):
     return Pencil(K, M, free, meta)
 
 
-def _element_rule(mesh, quad_points, quad_subdiv):
-    """Per-element quadrature and P1 data: connectivity (m, nloc), points,
-    weights, basis values at the points, constant basis gradients
-    (m, nloc, dim) and the quadrature axis the integrals sum over.
+def _element_rule(mesh, elements, quad_points, quad_subdiv):
+    """Quadrature and P1 data of the mesh's elements `elements` (rows of
+    its connectivity): points, weights, basis values at the points,
+    constant basis gradients (m, nloc, dim) and the quadrature axis the
+    integrals sum over.  Every value is the element's own, so a block of
+    elements gets the bits the whole mesh would.
 
     1D: quad_subdiv Gauss panels of quad_points, element-major: points
     (m, nq, 1), weights (m, nq), basis (m, nq, 2) as rounded (graded
@@ -181,15 +189,15 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     """
     if mesh.dim == 1:
         t, w = gauss_panels(quad_points, quad_subdiv)
-        x0 = mesh.points[mesh.elements[:, 0]]
-        h = mesh.element_sizes()[:, None]
+        x0 = mesh.points[elements[:, 0]]
+        h = (mesh.points[elements[:, 1], 0] - mesh.points[elements[:, 0], 0])[:, None]
         pts = x0 + t[None, :] * h
         phi_r = (pts - x0) / h
         basis = np.stack([1.0 - phi_r, phi_r], axis=2)
         grads = np.stack([-1.0 / h, 1.0 / h], axis=1)          # (m, 2, 1)
-        return mesh.elements, pts[:, :, None], w[None, :] * h, basis, grads, 1
+        return pts[:, :, None], w[None, :] * h, basis, grads, 1
     bary, w = TRI_BARY[:, :, None, None], TRI_W
-    v = mesh.points[mesh.elements.T]                            # (3, m, 2)
+    v = mesh.points[elements.T]                                 # (3, m, 2)
     area = triangle_areas(v)
     if np.any(area <= 0):
         raise MeshGenerationFailure("mesh has an inverted triangle")
@@ -200,28 +208,26 @@ def _element_rule(mesh, quad_points, quad_subdiv):
     b = np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
     c = np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
     grads = np.stack([b, c], axis=2) / (2 * area[:, None, None])
-    return mesh.elements, pts, w[:, None] * area, TRI_BARY[:, None], grads, 0
+    return pts, w[:, None] * area, TRI_BARY[:, None], grads, 0
 
 
 @np.errstate(over="ignore", invalid="ignore")    # assemble_pencil refuses an inf
 def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
     """K and M on the nodes `free`, exactly symmetric.
 
-    Each matrix's triplets are summed by scipy's COO -> CSR, whose per-row
-    sort sets the order of the additions and so the bits.  K and M share
-    the keys, and the sum keeps zeros, so both sums have one pattern and
-    the free-node pattern is worked out once.  M is summed only after K is
-    built, for peak memory.  Robin terms are added when the form has some.
+    The triplets are summed by one scipy COO -> CSR of the complex values
+    K + iM.  Its per-row sort compares column indices only, so it orders
+    the triplets as it would K's or M's values alone, and a complex sum
+    adds the real and the imaginary parts each on its own: both parts are
+    bitwise the separate real sums.  The sum keeps zeros, so K and M share
+    one pattern, and the free-node pattern is worked out once.  Robin
+    terms are added when the form has some.
     """
     n = mesh.n_nodes
-    rows, cols, k_vals, m_vals = _upper_triplets(mesh, form, denominator,
-                                                 quad_points, quad_subdiv, mw)
-    upper = sp.coo_matrix((k_vals, (rows, cols)), shape=(n, n)).tocsr()
+    upper = _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv,
+                            mw).tocsr()
     where = _mirror_free(upper.indptr, upper.indices, n, free)
-    K = _gathered(upper.data, *where)
-    del upper
-    M = _gathered(sp.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr().data,
-                  *where)
+    K, M = (_gathered(part, *where) for part in (upper.data.real, upper.data.imag))
     if form.sigma is not None and mesh.robin.any():
         rows, cols, vals = _robin(mesh, form.sigma)
         new = _renumbering(n, free)
@@ -232,13 +238,49 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
 
 
 def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
-    """Rows, columns and K and M values of every element's upper-triangle
-    pairs (i, j), rows <= cols.  The keys are int32 while the nodes fit, so
-    that scipy's COO -> CSR neither scans nor converts them.  The points,
-    distances and coefficient values are dropped before the pair loop, the
-    other quadrature arrays on return, before the sparse build."""
-    conn, pts, wts, basis, grads, axis = _element_rule(mesh, quad_points, quad_subdiv)
-    conn = conn.astype(np.int32 if mesh.n_nodes <= np.iinfo(np.int32).max else np.int64)
+    """Every element's upper-triangle pairs (i, j), rows <= cols, as an
+    n x n COO matrix of the values K + iM, pair by pair and element by
+    element within a pair.  The keys are int32 while the nodes fit, so that
+    scipy's COO -> CSR neither scans nor converts them.
+
+    The weights are computed for BLOCK elements at a time, and each pair's
+    values written into its slice of the preallocated triplets; every value
+    is its element's own, so the triplets are bitwise those of one
+    whole-mesh pass.  A block is checked before the next is computed, so of
+    two faults in two blocks the one in the earlier block is reported.
+    """
+    n, elements = mesh.n_nodes, mesh.elements
+    conn = elements.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    m, nloc = conn.shape
+    pairs = [(i, j) for i in range(nloc) for j in range(i, nloc)]
+    rows, cols = np.empty((2, len(pairs), m), dtype=conn.dtype)
+    vals = np.empty((len(pairs), m), dtype=complex)
+    for p, (i, j) in enumerate(pairs):
+        np.minimum(conn[:, i], conn[:, j], out=rows[p])
+        np.maximum(conn[:, i], conn[:, j], out=cols[p])
+    for start in range(0, m, BLOCK):
+        block = slice(start, start + BLOCK)
+        wa, wq, wden, basis, grads, axis = _weights(
+            mesh, elements[block], form, denominator, quad_points, quad_subdiv, mw)
+        # gradient dot products sum over rows, faster
+        g = np.ascontiguousarray(grads.transpose(2, 1, 0))      # (dim, nloc, m)
+        for p, (i, j) in enumerate(pairs):
+            if i == j:                  # the first pair of row i
+                wq_i, wden_i = wq * basis[..., i], wden * basis[..., i]
+            gij = (g[:, i] * g[:, j]).sum(axis=0)
+            vals.real[p, block] = wa * gij + (wq_i * basis[..., j]).sum(axis=axis)
+            vals.imag[p, block] = (wden_i * basis[..., j]).sum(axis=axis)
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+
+def _weights(mesh, elements, form, denominator, quad_points, quad_subdiv, mw):
+    """The weighted quadrature of the elements `elements`: the diffusion
+    weight summed over each element, the potential and denominator weights
+    at the points, and the basis values, gradients and axis of
+    `_element_rule`.  The points, distances and coefficient values are
+    freed on return, before the pair integrals: a 1D element holds 24
+    points.  Refuses d <= 0 and a nonpositive diffusion or weight."""
+    pts, wts, basis, grads, axis = _element_rule(mesh, elements, quad_points, quad_subdiv)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
     if np.any(d <= 0):
@@ -259,23 +301,7 @@ def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
         if np.any(scale <= 0):
             raise NonpositiveWeight("measure weight is not positive at a quadrature point")
         wa, wq, wden = wa * scale, wq * scale, wden * scale
-    wa = wa.sum(axis=axis)                             # (m,)
-    del pts, wts, d, env, a, q, den                    # for peak memory
-
-    # One i's weighted basis products live at a time, for peak memory;
-    # gradient dot products sum over rows, faster.
-    g = np.ascontiguousarray(grads.transpose(2, 1, 0))      # (dim, nloc, m)
-    rows, cols, k_vals, m_vals = [], [], [], []
-    for i in range(conn.shape[1]):
-        wq_i, wden_i = wq * basis[..., i], wden * basis[..., i]
-        for j in range(i, conn.shape[1]):
-            gij = (g[:, i] * g[:, j]).sum(axis=0)
-            k_vals.append(wa * gij + (wq_i * basis[..., j]).sum(axis=axis))
-            m_vals.append((wden_i * basis[..., j]).sum(axis=axis))
-            rows.append(np.minimum(conn[:, i], conn[:, j]))
-            cols.append(np.maximum(conn[:, i], conn[:, j]))
-        del wq_i, wden_i
-    return tuple(map(np.concatenate, (rows, cols, k_vals, m_vals)))
+    return wa.sum(axis=axis), wq, wden, basis, grads, axis
 
 
 def _renumbering(n, free, dtype=np.intp):
@@ -468,28 +494,31 @@ def ims_identity_residual(mesh, partition, u, a):
         a |grad(phi_j u)|^2 = phi_j^2 a |grad u|^2 + a |grad phi_j|^2 u^2
                               + a grad(phi_j^2) . (u grad u)
 
-    summed over j = 1, 2, with gradients taken exactly elementwise.
+    summed over j = 1, 2, with gradients taken exactly elementwise, over
+    BLOCK elements at a time.
     """
     a = as_coefficient(a)
     u = np.asarray(u, dtype=float)
 
-    conn, pts, _, basis, grads, axis = _element_rule(mesh, IMS_QUAD_POINTS, 1)
-    flat = pts.reshape(-1, mesh.dim)
-    d = np.maximum(mesh.domain.distance_many(flat), 0.0).reshape(pts.shape[:2])
-    grad_d = mesh.domain.calculus_many(flat)[0].reshape(pts.shape)
-    u_loc = u[conn]
-    u_q = (basis * np.expand_dims(u_loc, axis)).sum(axis=2)
-    grad_u = np.expand_dims(np.einsum("mk,mkj->mj", u_loc, grads), axis)  # per element
-    a_q = _eval_on(a, environment(pts, d), d.shape)
-
-    phi1, phi2 = partition.values_at(d)
-    g1, g2 = partition.gradients_at(d, grad_d)
     worst = 0.0
-    for phi, g in ((phi1, g1), (phi2, g2)):
-        full = phi[..., None] * grad_u + u_q[..., None] * g
-        lhs = a_q * (full**2).sum(axis=-1)
-        rhs = (a_q * phi**2 * (grad_u**2).sum(axis=-1)
-               + a_q * (g**2).sum(axis=-1) * u_q**2
-               + a_q * (2 * phi * u_q) * (g * grad_u).sum(axis=-1))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    for start in range(0, len(mesh.elements), BLOCK):
+        conn = mesh.elements[start:start + BLOCK]
+        pts, _, basis, grads, axis = _element_rule(mesh, conn, IMS_QUAD_POINTS, 1)
+        flat = pts.reshape(-1, mesh.dim)
+        d = np.maximum(mesh.domain.distance_many(flat), 0.0).reshape(pts.shape[:2])
+        grad_d = mesh.domain.calculus_many(flat)[0].reshape(pts.shape)
+        u_loc = u[conn]
+        u_q = (basis * np.expand_dims(u_loc, axis)).sum(axis=2)
+        grad_u = np.expand_dims(np.einsum("mk,mkj->mj", u_loc, grads), axis)  # per element
+        a_q = _eval_on(a, environment(pts, d), d.shape)
+
+        phi1, phi2 = partition.values_at(d)
+        g1, g2 = partition.gradients_at(d, grad_d)
+        for phi, g in ((phi1, g1), (phi2, g2)):
+            full = phi[..., None] * grad_u + u_q[..., None] * g
+            lhs = a_q * (full**2).sum(axis=-1)
+            rhs = (a_q * phi**2 * (grad_u**2).sum(axis=-1)
+                   + a_q * (g**2).sum(axis=-1) * u_q**2
+                   + a_q * (2 * phi * u_q) * (g * grad_u).sum(axis=-1))
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst

@@ -455,6 +455,18 @@ def test_spectrum_of_a_diffusion_near_overflow(tmp_path, capfd):
     assert "DLASCL" not in out + err
 
 
+def test_spectrum_far_below_the_mass_scale_exits_two(tmp_path, capsys):
+    # with a = 1e-30 the bottom, 5.8e-30, lies far below the default floor's
+    # reach: the pairs found are rounding noise of the shift (-1.04e-17),
+    # whose residuals are small in absolute terms but whose backward errors
+    # are not, so no spectrum is reported
+    disc = "[domain]\nvariant = disc\n\n[form]\na = 1e-30\nq = 0\n\n[numerics]\nh = 0.1\n"
+    cfg = write(tmp_path, "tiny.ini", disc)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "fail the backward-error test" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_spectrum_clamps_the_grading_as_hardy_does(tmp_path):
     # 128 geometric layers a side at 0.5 fall below float64's spacing at
     # x = 1; the builder clamps the grading for spectrum as for a ladder
@@ -499,7 +511,8 @@ def test_diagnose_inconclusive_past_stage_one(tmp_path, q, extra, reason):
 
 
 def test_unconverged_pair_exits_two(tmp_path, capsys, monkeypatch):
-    # a Lanczos vector that fails both tests ends the run, with no report
+    # a Lanczos vector that fails the backward-error test ends the run, with
+    # no report
     lanczos = hardyspec.eigensolve._lanczos
 
     def perturbed(*args):
@@ -510,7 +523,7 @@ def test_unconverged_pair_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hardyspec.eigensolve, "_lanczos", perturbed)
     cfg = write(tmp_path, "h.ini", HARDY_INI)
     assert main(["hardy", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert "fail both the residual and the backward-error test" in capsys.readouterr().err
+    assert "fail the backward-error test" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

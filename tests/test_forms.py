@@ -1,5 +1,6 @@
 import re
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, Mesh,
                        parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
 from hardyspec import forms
 from hardyspec.coefficients import constant, power_of_d
-from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion,
+from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
                               SingularQuadrature)
 from hardyspec.forms import format_matrix_text
 from hardyspec.hardy import hardy_pencil
@@ -110,19 +111,52 @@ def test_monotone_under_nested_refinement():
     assert values[2] <= values[1] + 1e-8
 
 
-def test_nonpositive_diffusion_rejected():
+DIFFUSION_REFUSED = "diffusion coefficient is not positive at a quadrature point"
+SINGULAR_REFUSED = "a quadrature point touched the boundary (d <= 0)"
+WEIGHT_REFUSED = "denominator weight is not positive at a quadrature point"
+
+
+def _uniform_1d(n, right=1.0):
+    """n equal elements of [0, 1] in order, the last node moved to `right`."""
+    nodes = np.linspace(0.0, 1.0, n + 1)[:, None]
+    nodes[-1] = right
+    return Mesh(nodes, np.column_stack([np.arange(n), np.arange(1, n + 1)]),
+                np.array([[0], [n]]), np.zeros(2, dtype=bool), IV)
+
+
+def test_nonpositive_diffusion_rejected(monkeypatch):
     mesh = build_mesh_1d(IV, 8)
     with pytest.raises(NonpositiveDiffusion):
         assemble_pencil(mesh, FormSpec(a="d - 1", q=0.0), 1.0)
+    # a < 0 on the last 2 of 40 elements only, in the last of 6 blocks
+    monkeypatch.setattr(forms, "BLOCK", 7)
+    with pytest.raises(NonpositiveDiffusion, match=f"^{re.escape(DIFFUSION_REFUSED)}$"):
+        assemble_pencil(_uniform_1d(40), FormSpec(a="0.95 - x", q=0.0), 1.0)
 
 
-def test_singular_quadrature_guard():
+def test_nonpositive_weight_rejected(monkeypatch):
+    monkeypatch.setattr(forms, "BLOCK", 7)
+    with pytest.raises(NonpositiveWeight, match=f"^{re.escape(WEIGHT_REFUSED)}$"):
+        assemble_pencil(_uniform_1d(40), FormSpec(a=1.0, q=0.0), "0.95 - x")
+
+
+def test_singular_quadrature_guard(monkeypatch):
     # a node placed outside the domain puts quadrature points at d <= 0
     nodes = np.array([[-0.1], [0.5], [1.0]])
     mesh = Mesh(nodes, np.array([[0, 1], [1, 2]]), np.array([[0], [2]]),
                 np.zeros(2, dtype=bool), IV)
     with pytest.raises(SingularQuadrature):
         assemble_pencil(mesh, FormSpec(a=1.0, q=0.0), 1.0)
+    # the last node outside, in the last of 6 blocks
+    monkeypatch.setattr(forms, "BLOCK", 7)
+    beyond = _uniform_1d(40, right=1.05)
+    with pytest.raises(SingularQuadrature, match=f"^{re.escape(SINGULAR_REFUSED)}$"):
+        assemble_pencil(beyond, FormSpec(a=1.0, q=0.0), 1.0)
+    # each block is checked before the next is computed, so a fault in an
+    # earlier block is reported first, here a < 0 on the first 2 elements;
+    # a whole-mesh pass checked d first and reported SingularQuadrature
+    with pytest.raises(NonpositiveDiffusion, match=f"^{re.escape(DIFFUSION_REFUSED)}$"):
+        assemble_pencil(beyond, FormSpec(a="x - 0.05", q=0.0), 1.0)
 
 
 def test_quadrature_points_interior():
@@ -160,17 +194,17 @@ def _all_robin(mesh):
 
 def test_heap_trim_leaves_pencil_unchanged(monkeypatch):
     # the trim after assembly only hands freed memory back, and only when
-    # the quadrature points pass glibc's default mmap threshold: a disc
-    # pencil of 2D points (7 per triangle) above it trims once, a 190-dof
-    # strip of the diagnose bench config (24 1D points per element) does
-    # not; without a C library malloc_trim both are byte for byte the same
-    problem = ProblemSpec(IV, FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5),
+    # the triplets (6 pairs of 24 bytes a triangle) pass TRIM_ABOVE: a disc
+    # pencil above it trims once, a pencil of diagnose-torus's k = 2 strip
+    # does not; without a C library malloc_trim both are byte for byte the
+    # same
+    problem = ProblemSpec(Torus(3.0, 1.0), FormSpec(a=1.0, q="-0.05*d^-2"),
                           ks=(2, 3, 4, 5, 6))
-    disc = build_trimesh(Disc((0, 0), 1.0), 0.125, 0.5)
+    disc = build_trimesh(Disc((0, 0), 1.0), 0.04, 0.5)
     strip = strip_mesh(problem, 2)
-    assert len(disc.elements) * 7 * 2 * 8 > forms.MMAP_THRESHOLD
-    assert len(strip.elements) * 24 * 8 < forms.MMAP_THRESHOLD
-    assert np.count_nonzero(~strip.clamped) == 190
+    assert 6 * len(disc.elements) * 24 > forms.TRIM_ABOVE
+    assert 6 * len(strip.elements) * 24 < forms.TRIM_ABOVE
+    assert np.count_nonzero(~strip.clamped) == 707
     calls, trim = [], forms._MALLOC_TRIM
 
     def counted(pad):       # the C library's trim, where there is one, counted
@@ -180,14 +214,31 @@ def test_heap_trim_leaves_pencil_unchanged(monkeypatch):
     for mesh, form, trims in ((disc, FormSpec(a=power_of_d(0.5), q=0.0), 1),
                               (strip, problem.form, 0)):
         monkeypatch.setattr(forms, "_MALLOC_TRIM", counted)
-        with_trim = assemble_pencil(mesh, form, power_of_d(-1.5))
+        with_trim = assemble_pencil(mesh, form, 1.0)
         assert calls == [0] * trims
         calls.clear()
         monkeypatch.setattr(forms, "_MALLOC_TRIM", None)
-        without = assemble_pencil(mesh, form, power_of_d(-1.5))
-        for a, b in ((with_trim.K, without.K), (with_trim.M, without.M)):
-            for attr in ("indptr", "indices", "data"):
-                assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+        without = assemble_pencil(mesh, form, 1.0)
+        assert _same_bytes(with_trim.K, without.K) and _same_bytes(with_trim.M, without.M)
+
+
+def test_assembly_working_set_bounded(monkeypatch):
+    # tracemalloc sees numpy's buffers.  A disc pencil in 14 blocks of 1,024
+    # triangles peaks at its triplets (6 pairs of 24 bytes a triangle) and
+    # their sparse sum, 2.2 times the triplets, plus one block's quadrature
+    # arrays, under 1 KiB a triangle; a whole-mesh pass held 4 times the
+    # triplets in quadrature arrays
+    monkeypatch.setattr(forms, "BLOCK", 1024)
+    mesh = build_trimesh(Disc((0, 0), 1.0), 0.05, 0.5)
+    assert len(mesh.elements) > 13 * forms.BLOCK
+    triplets = 6 * len(mesh.elements) * 24
+    tracemalloc.start()
+    try:
+        assemble_pencil(mesh, FormSpec(a=power_of_d(0.5), q="-0.1*d^-1.5"), "d^-1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * triplets + 1024 * forms.BLOCK
 
 
 def test_gauss_panels_built_once_read_only():
@@ -338,6 +389,26 @@ def oracle_checked(monkeypatch):
 
 
 def test_assembly_matches_oracle_bitwise(oracle_checked, monkeypatch):
+    _assemble_oracle_cases(monkeypatch)
+    assert len(oracle_checked) == 12
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_assembly_in_small_blocks_matches_oracle_bitwise(oracle_checked, monkeypatch,
+                                                         block):
+    # every mesh then spans several blocks, most with a ragged last one;
+    # 448 = 7 * 64 elements end on a whole block
+    monkeypatch.setattr(forms, "BLOCK", block)
+    _assemble_oracle_cases(monkeypatch)
+    exact = build_mesh_1d(IV, 448, 0.5)
+    assert len(exact.elements) % block == 0
+    assemble_pencil(exact, FormSpec(a="d^0.5", q="-0.03*d^-1.5"), "d^-1")
+    assert len(oracle_checked) == 13
+
+
+def _assemble_oracle_cases(monkeypatch):
+    """Assemble the oracle-checked pencils: 2D domains with and without a
+    measure weight or Robin edges, 1D with Robin ends and another rule."""
     disc = build_trimesh(Disc((0, 0), 1.0), 0.2, 0.5)
     hardy_pencil(disc, 0.0, 0.0, 0.0)
     hardy_pencil(disc, 0.5, -0.5, 0.3)
@@ -377,7 +448,6 @@ def test_assembly_matches_oracle_bitwise(oracle_checked, monkeypatch):
     clamped = np.sort(strip.points[strip.clamped, 0])
     assert_allclose(clamped, [0.0, 0.2, 0.8, 1.0], rtol=0, atol=1e-15)
     assemble_pencil(strip, problem.form, 1.0)
-    assert len(oracle_checked) == 12
 
 
 def test_explicit_zeros_dropped(oracle_checked):
@@ -560,6 +630,18 @@ def _identity_residual_oracle(mesh, partition, u, a, quad_points=4):
 
 
 def test_identity_residual_matches_oracle(monkeypatch):
+    _identity_residual_cases(monkeypatch)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_identity_residual_in_small_blocks_matches_oracle(monkeypatch, block):
+    monkeypatch.setattr(forms, "BLOCK", block)
+    _identity_residual_cases(monkeypatch)
+
+
+def _identity_residual_cases(monkeypatch):
+    """The identity residual equals the oracle's on a graded interval, a
+    square and a disc, at 3 and 4 Gauss points."""
     rng = np.random.RandomState(11)
     a = parse_coefficient("1 + d^2")
     meshes = [build_mesh_1d(IV, 128, 0.9),
