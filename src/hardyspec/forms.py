@@ -116,8 +116,11 @@ def _c_malloc_trim():
 
 _MALLOC_TRIM = _c_malloc_trim()
 # Triplet storage (pairs x elements x 24 bytes: two int32 keys and K + iM)
-# above which an assembly hands its freed memory back (see assemble_pencil)
-TRIM_ABOVE = 2 * 1024 * 1024
+# above which an assembly hands its freed memory back (see assemble_pencil).
+# The power of two below the smallest assembly whose trim was measured to
+# hold a process peak down: 1.2 MiB of triplets, whose untrimmed heap kept
+# the peak of the ladder that followed 4 MB higher.
+TRIM_ABOVE = 1024 * 1024
 # Elements per assembly block.  The quadrature points, distances,
 # coefficient values and pair integrals exist for one block at a time, so
 # an assembly's working set is its triplet storage plus a few MB at any
@@ -150,11 +153,10 @@ def assemble_pencil(mesh, form, denominator):
         # Hand the freed triplets and sparse build back to the OS before
         # the solver factors.  Once glibc has freed a large block it serves
         # blocks of that size from its heap, whose freed pages stay
-        # resident, so without the trim how much of a large assembly stayed
-        # resident under the factor depended on the heap's layout, and the
-        # process peak varied from run to run.  Below TRIM_ABOVE the freed
-        # blocks are reused by the next assembly, and a trim only hands
-        # back pages that the next solve faults straight back in.
+        # resident, so without the trim a large assembly stayed resident
+        # under the factor and raised the process peak.  Below TRIM_ABOVE
+        # the freed blocks are reused by the next assembly, and a trim only
+        # hands back pages that the next solve faults straight back in.
         _MALLOC_TRIM(0)
     if len(free) == 0:
         raise AssemblyError("no free degrees of freedom after clamping")
