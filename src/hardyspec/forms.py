@@ -252,18 +252,15 @@ def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
     two faults in two blocks the one in the earlier block is reported.
     """
     n, elements = mesh.n_nodes, mesh.elements
-    conn = elements.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-    m, nloc = conn.shape
+    m, nloc = elements.shape
     pairs = [(i, j) for i in range(nloc) for j in range(i, nloc)]
-    rows, cols = np.empty((2, len(pairs), m), dtype=conn.dtype)
-    vals = np.empty((len(pairs), m), dtype=complex)
-    for p, (i, j) in enumerate(pairs):
-        np.minimum(conn[:, i], conn[:, j], out=rows[p])
-        np.maximum(conn[:, i], conn[:, j], out=cols[p])
+    vals = np.empty((len(pairs), 0), dtype=complex)
     for start in range(0, m, BLOCK):
         block = slice(start, start + BLOCK)
         wa, wq, wden, basis, grads, axis = _weights(
             mesh, elements[block], form, denominator, quad_points, quad_subdiv, mw)
+        if start == 0:      # once the first block's points and coefficients are freed
+            vals = np.empty((len(pairs), m), dtype=complex)
         # gradient dot products sum over rows, faster
         g = np.ascontiguousarray(grads.transpose(2, 1, 0))      # (dim, nloc, m)
         for p, (i, j) in enumerate(pairs):
@@ -272,6 +269,11 @@ def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
             gij = (g[:, i] * g[:, j]).sum(axis=0)
             vals.real[p, block] = wa * gij + (wq_i * basis[..., j]).sum(axis=axis)
             vals.imag[p, block] = (wden_i * basis[..., j]).sum(axis=axis)
+    conn = elements.astype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+    rows, cols = np.empty((2, len(pairs), m), dtype=conn.dtype)
+    for p, (i, j) in enumerate(pairs):
+        np.minimum(conn[:, i], conn[:, j], out=rows[p])
+        np.maximum(conn[:, i], conn[:, j], out=cols[p])
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
