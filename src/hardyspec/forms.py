@@ -246,7 +246,7 @@ def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
     scipy's COO -> CSR neither scans nor converts them.
 
     The weights are computed for BLOCK elements at a time, and each pair's
-    values written into its slice of the preallocated triplets; every value
+    values written into its slice of triplets allocated once; every value
     is its element's own, so the triplets are bitwise those of one
     whole-mesh pass.  A block is checked before the next is computed, so of
     two faults in two blocks the one in the earlier block is reported.
