@@ -148,7 +148,11 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
     (Ericsson & Ruhe 1980).  `lu` factors K - sigma M.  The b columns of V
     (one for a vector) start a block, which holds up to b copies of a
     repeated eigenvalue (Golub & Underwood 1977).  ARPACK's rules, no restarts:
-    - one solve forces V into OP's range; a step is one solve of b columns;
+    - one solve forces V into OP's range; a step is one solve of b columns,
+      by SuperLU's transposed kernel for one column and its plain kernel
+      for more: K - sigma M equals its transpose bitwise, so both solve
+      the same system, and the transposed one is the faster for one
+      vector, the slower for two or more (see the README);
     - each new vector is M-orthogonalized against the whole basis, repeated
       while a pass leaves less than 0.717 of the norm (DGKS): column by
       column the QR of the block, so T, OP in the basis, has bandwidth b.
@@ -164,7 +168,13 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
     `partial` holds the pairs that passed the test, or the lowest Ritz pair.
     """
     n = M.shape[0]
-    W = lu.solve(M @ V).reshape(n, -1)
+
+    def solve(rhs):     # OP's solve of a vector or of columns, as columns
+        if rhs.ndim == 1:
+            return lu.solve(rhs, trans="T")[:, None]
+        return lu.solve(rhs)
+
+    W = solve(M @ V)
     b = solves = W.shape[1]
     first = min(n, 12 if k == 1 else max(2 * k + 1, 20))
     maxiter = max(400, 2 * first) if maxiter is None else maxiter
@@ -204,7 +214,8 @@ def _lanczos(M, lu, sigma, V, tol, maxiter, k=1):
     for w in W.T:
         append(w)
     while True:
-        W, met, solves = lu.solve(np.array(ahead).T), len(band), solves + len(ahead)
+        rhs = ahead[0] if len(ahead) == 1 else np.array(ahead).T
+        W, met, solves = solve(rhs), len(band), solves + len(ahead)
         ahead.clear()
         for w in W.T:
             coef, norm = append(w)
@@ -388,16 +399,16 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
             exc.partial.eigenvalues = np.ldexp(exc.partial.eigenvalues, scale)
         raise
 
-    # normalize in the M inner product
-    for j in range(vecs.shape[1]):
-        vecs[:, j] /= np.sqrt(abs(vecs[:, j] @ (M @ vecs[:, j])))
-
-    residuals, backward = np.empty(count), np.empty(count)
-    for j in range(count):
-        x = vecs[:, j]
-        r = np.linalg.norm(K @ x - vals[j] * (M @ x))
-        residuals[j] = r / max(np.linalg.norm(M @ x), 1e-300)
-        backward[j] = r / max((normK + abs(vals[j]) * normM) * np.linalg.norm(x), 1e-300)
+    # normalize in the M inner product; one product each with M and K
+    # serves every pair
+    Mx = M @ vecs
+    norms = np.sqrt(abs(np.einsum("ij,ij->j", vecs, Mx)))
+    vecs /= norms
+    Mx /= norms
+    r = np.linalg.norm(K @ vecs - vals * Mx, axis=0)
+    residuals = r / np.maximum(np.linalg.norm(Mx, axis=0), 1e-300)
+    backward = r / np.maximum((normK + np.abs(vals) * normM)
+                              * np.linalg.norm(vecs, axis=0), 1e-300)
     vals, residuals, sigma = (np.ldexp(x, scale) for x in (vals, residuals, sigma))
     ok = backward <= tol
     if not ok.all():

@@ -512,19 +512,24 @@ def restrict_to_strip(mesh, delta):
     # resolvability: each quarter of the band must hold an element
     edges_q = np.linspace(0.0, delta, 5)
     band = np.clip(np.searchsorted(edges_q, bary_d[kept], side="right") - 1, 0, 3)
-    if len(np.unique(band)) < 4:
+    if not np.bincount(band, minlength=4).all():
         raise StripTooThin(f"strip {{0 < d < {delta}}} is not resolved by "
                            "4 element layers")
 
+    # node masks: of the kept elements' nodes, and of the dropped ones'
     kept_elems = elems[kept]
-    used = np.unique(kept_elems)
+    on_kept = np.zeros(mesh.n_nodes, dtype=bool)
+    on_kept[kept_elems] = True
+    on_dropped = np.zeros(mesh.n_nodes, dtype=bool)
+    on_dropped[elems[~keep]] = True
+    used = np.flatnonzero(on_kept)
     # new number of each old node, -1 for the nodes the strip drops
     index = np.full(mesh.n_nodes, -1)
     index[used] = np.arange(len(used))
     new_elems = index[kept_elems]
 
     node_d = mesh.node_d[used]
-    interface = np.isin(used, elems[~keep]) | (node_d >= delta - tol)
+    interface = on_dropped[used] | (node_d >= delta - tol)
     facets = index[mesh.facets]
     kept_f = (facets >= 0).all(axis=1)
     return Mesh(mesh.points[used], new_elems, facets[kept_f], mesh.robin[kept_f],

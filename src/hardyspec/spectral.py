@@ -9,6 +9,7 @@ diagnostic pipeline checks at desk scale.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ POINTWISE_TOL = 1e-8    # pure arithmetic
 FORM_TOL = 1e-4         # discretization-limited
 FORM_LEVELS = 2         # nested bisections of the form check's strip mesh
 MAX_DRAW = 400000       # Halton indices tried for strip samples
+HALTON_TABLE = 4096     # entries at most of each base's low-digit table (see _halton)
 EXPONENT_SLACK = 0.1    # how far below 2 - beta a DISCRETE growth fit may fall
 
 
@@ -202,15 +204,38 @@ class CriterionReport:
     detail: dict = field(default_factory=dict)
 
 
-def _halton(idx, base):
-    """Radical inverse of each index in `base` (the Halton coordinate)."""
-    idx = np.array(idx)
-    f, r = 1.0, np.zeros(idx.shape)
+def _digits(idx, base, f, r):
+    """r plus the base-`base` digits of idx, lowest first, the j-th weighted
+    f / base^j; and f / base^(number of digits of the largest index)."""
     while idx.any():
         f /= base
         idx, digit = np.divmod(idx, base)
         r += f * digit
-    return r
+    return r, f
+
+
+@lru_cache
+def _halton_table(base):
+    """The radical inverses of 0 .. base^k - 1, base^k the largest power of
+    base up to HALTON_TABLE, as `_digits` sums them; base^k; and the weight
+    base^-k those sums reach.  Computed once per base; read-only, since every
+    caller shares it."""
+    size = base
+    while size * base <= HALTON_TABLE:
+        size *= base
+    table, f = _digits(np.arange(size), base, 1.0, np.zeros(size))
+    table.flags.writeable = False
+    return table, size, f
+
+
+def _halton(idx, base):
+    """Radical inverse of each index in `base` (the Halton coordinate).  The
+    low digits' partial sum is read from the base's table, the higher digits
+    continue the sum: the same additions in the same order as digit by
+    digit, so the same bits."""
+    table, size, f = _halton_table(base)
+    high, low = np.divmod(np.asarray(idx), size)
+    return _digits(high, base, f, table[low])[0]
 
 
 def _halton_points(domain, lo, hi, n_keep, d_max):

@@ -490,6 +490,14 @@ def test_shifted_pencils_are_exactly_symmetric(sigma):
         lu_csc, below_csc, _ = _factor(pencil.K.tocsc(), pencil.M.tocsc(), sigma)
         assert below_csc == below
         assert np.array_equal(lu_csc.U.diagonal(), lu.U.diagonal())
+        # so the transposed solve, which Lanczos uses for one vector, solves
+        # the same system, as backward-accurately as the plain one; at 40 the
+        # 421-dof factor grows its pivots, and both solutions part by 1.2e-12
+        b = np.random.default_rng(pencil.dof).standard_normal(pencil.dof)
+        norm1 = eigensolve._norm1(A)
+        def backward(x):
+            return np.linalg.norm(A @ x - b) / (norm1 * np.linalg.norm(x) + np.linalg.norm(b))
+        assert backward(lu.solve(b, trans="T")) <= 2 * backward(lu.solve(b)) + 1e-16
 
 
 def test_slicing_matches_dense():
@@ -663,9 +671,9 @@ def test_iterations_count_lu_solves(monkeypatch):
         def __init__(self, lu):
             self.lu, self.U = lu, lu.U
 
-        def solve(self, b):
+        def solve(self, b, trans="N"):
             solves.append(1 if b.ndim == 1 else b.shape[1])     # right-hand sides
-            return self.lu.solve(b)
+            return self.lu.solve(b, trans=trans)
 
     def counted(*args):
         lu, below, sigma = _factor(*args)

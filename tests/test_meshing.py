@@ -339,6 +339,45 @@ def test_restrict_trimesh():
     assert np.any(sub.clamped & (sub.node_d > 0.2))  # the cut interface is clamped
 
 
+def _restrict_oracle(mesh, delta):
+    """Oracle: the strip of `restrict_to_strip` cut with sorts, np.unique
+    for the kept nodes and np.isin for the interface."""
+    elems = mesh.elements
+    bary_d = np.maximum(mesh.domain.distance_many(mesh.barycenters()), 0.0)
+    keep = (bary_d > 0) & (bary_d < delta)
+    kept_elems = elems[keep]
+    used = np.unique(kept_elems)
+    index = np.full(mesh.n_nodes, -1)
+    index[used] = np.arange(len(used))
+    node_d = mesh.node_d[used]
+    interface = np.isin(used, elems[~keep]) | (node_d >= delta - mesh.domain.length_tol())
+    facets = index[mesh.facets]
+    kept_f = (facets >= 0).all(axis=1)
+    return Mesh(mesh.points[used], index[kept_elems], facets[kept_f], mesh.robin[kept_f],
+                mesh.domain, mesh.clamped[used] | interface, node_d)
+
+
+def test_restrict_matches_sort_oracle():
+    disc_strip = restrict_to_strip(build_trimesh(Disc((0, 0), 1.0), 0.05, 1.0), 0.3)
+    torus = Torus(3.0, 1.0).section
+    cases = [
+        (mesh_1d_with_level(Interval(0, 1), 0.25, 96, 0.15, bisections=6), 0.25),
+        (build_mesh_1d(Interval(0, 1), 64, 0.8, tags=("robin", "dirichlet")), 0.25),
+        (build_trimesh(Disc((0.3, -0.2), 0.7), 0.05, 0.5), 0.2),
+        # a band from each circle
+        (build_trimesh(Annulus((0.2, 0.1), 0.5, 1.5), 0.05, 1.0), 0.25),
+        (build_trimesh(ConvexPolygon([(0, 0), (4, 0), (4, 1), (0, 1)]), 0.05, 1.0), 0.2),
+        (build_trimesh(torus, 1 / 24, 1.0, reach=1 / 3), 1 / 3),
+        # the cut interface of the coarser strip stays clamped
+        (refine_trimesh(disc_strip), 0.15),
+    ]
+    for mesh, delta in cases:
+        sub, oracle = restrict_to_strip(mesh, delta), _restrict_oracle(mesh, delta)
+        assert 0 < len(sub.elements) < len(mesh.elements)
+        assert sub.clamped.any() and not sub.clamped.all()
+        _assert_same_mesh(sub, oracle)
+
+
 def _ring_mesh_loop(domain, h, grading):
     """Oracle: the ring template, one triangle at a time."""
     spacing = h * (0.75 * grading if grading < 1 else 1.0)

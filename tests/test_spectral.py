@@ -32,10 +32,18 @@ def _halton_scalar(index, base):
 
 
 def test_halton_matches_scalar_oracle():
-    idx = np.arange(1, 20001)
-    for base in (2, 3, 5):
-        oracle = np.array([_halton_scalar(i, base) for i in idx])
-        assert np.array_equal(_halton(idx, base), oracle)
+    # the low digits come from each base's table (4,096, 2,187 and 3,125
+    # entries): ranges across its end, far beyond it, up to MAX_DRAW, and
+    # one out of order
+    top = spectral.MAX_DRAW
+    arrays = [np.arange(1, 20001), np.arange(4090, 4111), np.arange(199990, 200011),
+              np.arange(top - 100, top + 1), np.array([top, 0, 2187, 3124, 7, 4096, 3125,
+                                                       2186, 390625, 6561, 4095])]
+    for idx in arrays:
+        for base in (2, 3, 5):
+            oracle = np.array([_halton_scalar(i, base) for i in idx])
+            assert np.array_equal(_halton(idx, base), oracle)
+    assert [len(spectral._halton_table(b)[0]) for b in (2, 3, 5)] == [4096, 2187, 3125]
 
 
 def test_halton_points_match_scalar_oracle():
