@@ -259,12 +259,12 @@ def _slice(K, M, count, v0, tol, maxiter, floor, seed):
     Each window is solved by `_lanczos` at a certified shift, the first
     started at `floor`.  One eigenpair is certified by the empty count
     below it and solved from v0 alone.  For more, the block is v0 and
-    BLOCK - 1 columns more of the seeded draw, and the inertia count just
-    above the wanted values must equal the values accepted and returned.
-    Else Lanczos skipped some (a cluster wider than the block): the
-    clusters that inertia confirms are kept and the next window opens
-    above them; one cluster with nothing below it is kept whole; otherwise
-    the block is widened to the count inertia finds.  Cuts lie 1e-6
+    BLOCK - 1 columns more of the seeded draw, and the window is certified
+    when the inertia count just above its values is `count`, or when they
+    form one cluster wider than the block with only the accepted values
+    below it.  Else Lanczos skipped some: the clusters that inertia
+    confirms are kept and the next window opens above them, or, if none
+    is, the block is widened to the count inertia finds.  Cuts lie 1e-6
     relative above a cluster, never inside one: inside a cluster that only
     rounding parts (about 1e-14 relative) the float count is not exact.
     """
@@ -277,42 +277,38 @@ def _slice(K, M, count, v0, tol, maxiter, floor, seed):
     vals, vecs = np.empty(0), np.empty((0, n))
     for _ in range(2 * count + 5):
         if lu is None:      # the same window, solved again with a wider block
-            lu = _factor(K, M, sigma)[0]
+            lu, _, sigma = _factor(K, M, sigma)
         need = count - len(vals)
         start = np.vstack([v0, _start_vector(seed, width * n)[n:].reshape(-1, n)])
         got, gvecs, spent = _lanczos(M, lu, sigma, start.T, tol, maxiter, need)
         lu, solves = None, solves + spent       # one factor alive at a time
-        # well above the Lanczos error, which grows with the distance to sigma
+        # well above the Lanczos error, which grows with the distance to sigma.
+        # Every returned value lies below the cut: the pad is at least
+        # 1e-6 (1 + |lam|), and _factor's nudges lower a shift by at most
+        # 6e-8 (1 + |shift|), so the count above the window includes them all
         pad = 1e-6 * (1.0 + np.abs(got) + (got - sigma))
         below, top = _factor(K, M, got[need - 1] + pad[need - 1])[1:]
-        inside = int(np.count_nonzero(got <= top))
-        if below < len(vals) + inside:
+        if below < count:
             raise NoConvergence("inertia counts fewer eigenvalues than Lanczos returned")
-        if below == len(vals) + inside:
-            m = inside
-        else:
-            # bisect the cuts just above each returned cluster for the last
-            # one whose count confirms every value below it; the first cut
-            # that fails bounds the next eigenvalue from above
-            ends = [j for j in range(need - 1) if got[j] + pad[j] < got[j + 1]]
-            first, last, m, bound = 0, len(ends), 0, (top, below)
-            while first < last:
-                mid = (first + last) // 2
-                j = ends[mid]
-                below_j, cut_j = _factor(K, M, got[j] + pad[j])[1:]
-                if below_j == len(vals) + j + 1:
-                    m, cut, first = j + 1, cut_j, mid + 1
-                else:
-                    bound, last = (cut_j, below_j), mid
-            # one cluster wider than the block: certified by the count below it
-            if m == 0 and not ends and _factor(K, M, got[0] - pad[0])[1] == len(vals):
-                m = need
-            elif m == 0:
-                width = max(width + 1, bound[1] - len(vals))
-                continue
+        ends = [j for j in range(need - 1) if got[j] + pad[j] < got[j + 1]]
+        if below == count or not ends and _factor(K, M, got[0] - pad[0])[1] == len(vals):
+            return np.concatenate([vals, got]), np.vstack([vecs, gvecs]).T, sigma0, solves
+        # bisect the cuts just above each returned cluster for the last one
+        # whose count confirms every value below it; the first cut that
+        # fails bounds the next eigenvalue from above
+        first, last, m, bound = 0, len(ends), 0, (top, below)
+        while first < last:
+            mid = (first + last) // 2
+            j = ends[mid]
+            below_j, cut_j = _factor(K, M, got[j] + pad[j])[1:]
+            if below_j == len(vals) + j + 1:
+                m, cut, first = j + 1, cut_j, mid + 1
+            else:
+                bound, last = (cut_j, below_j), mid
+        if m == 0:
+            width = max(width + 1, bound[1] - len(vals))
+            continue
         vals, vecs = np.concatenate([vals, got[:m]]), np.vstack([vecs, gvecs[:m]])
-        if len(vals) >= count:
-            return vals[:count], vecs[:count].T, sigma0, solves
         lu, sigma = _shift(K, M, cut, bound[0], len(vals))
         width = BLOCK
     raise NoConvergence(f"spectrum slicing did not certify {count} eigenvalues")

@@ -448,8 +448,6 @@ class IMSPartition:
     delta_out: float
     phi1: np.ndarray
     phi2: np.ndarray
-    grad_phi1: np.ndarray
-    grad_phi2: np.ndarray
 
     def theta(self, d):
         t = np.clip((np.asarray(d, dtype=float) - self.delta_in)
@@ -484,11 +482,8 @@ def ims_partition(mesh, delta_in, delta_out):
             f"transition band {delta_out - delta_in:.3g} thinner than 4 local "
             f"element sizes ({local:.3g})")
 
-    d = mesh.node_d
-    grad_d = mesh.domain.calculus_many(mesh.points)[0]
-    part = IMSPartition(delta_in, delta_out, None, None, None, None)
-    part.phi1, part.phi2 = part.values_at(d)
-    part.grad_phi1, part.grad_phi2 = part.gradients_at(d, grad_d)
+    part = IMSPartition(delta_in, delta_out, None, None)
+    part.phi1, part.phi2 = part.values_at(mesh.node_d)
     return part
 
 

@@ -107,10 +107,7 @@ def _first_side_size(half, m, grading):
 def _geometric_side_sizes(half, m, grading):
     """Element sizes covering [0, half], geometric with the given ratio,
     smallest first (adjacent to the endpoint)."""
-    h1 = _first_side_size(half, m, grading)
-    if grading == 1.0:
-        return np.full(m, h1)
-    return h1 * (1.0 / grading)**np.arange(m)
+    return _first_side_size(half, m, grading) * (1.0 / grading)**np.arange(m)
 
 
 def grading_floor(interval, headroom=1.0):

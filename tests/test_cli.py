@@ -127,6 +127,16 @@ def test_status_zero_on_certified(tmp_path):
     assert (tmp_path / "out" / "hardy_table.csv").exists()
 
 
+def test_hardy_without_a_lambda_method_certifies_as_lambda_zero(tmp_path):
+    docs = []
+    for line in ("lambda = 0.0\n", "lambda_method = none\n"):
+        cfg = write(tmp_path, "h.ini", HARDY_INI.replace("lambda = 3.0\n", line))
+        status, doc = run("hardy", cfg, out_dir=str(tmp_path / "out"))
+        assert status == 0 and doc["result"]["verdict"] == "CERTIFIED"
+        docs.append(doc["result"])
+    assert docs[0] == docs[1] and docs[1]["lambda"] == 0.0
+
+
 def test_status_one_on_fail(tmp_path):
     cfg = write(tmp_path, "c.ini", CRITERIA_FAIL_INI)
     status, doc = run("criteria", cfg, out_dir=str(tmp_path / "out"))

@@ -800,6 +800,69 @@ def test_cluster_wider_than_the_block(monkeypatch):
     assert counting_function(pencil, rep.eigenvalues[-1] * (1 + 1e-6)) == 4
 
 
+def _nudge_every_factor(monkeypatch):
+    """Make SuperLU refuse the first three attempts of every factorization,
+    so each shift `_factor` returns is nudged as far down as it can be;
+    returns the (asked, nudged, count) of each factorization."""
+    splu, factor, attempts, factors = spla.splu, eigensolve._factor, [], []
+
+    def refused(*args, **kwargs):
+        attempts.append(None)
+        if len(attempts) % 4:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    def recorded(K, M, sigma):
+        lu, below, nudged = factor(K, M, sigma)
+        factors.append((sigma, nudged, below))
+        return lu, below, nudged
+
+    monkeypatch.setattr(spla, "splu", refused)
+    monkeypatch.setattr(eigensolve, "_factor", recorded)
+    return factors
+
+
+def test_slicing_under_the_largest_nudges(monkeypatch):
+    # _slice counts every value Lanczos returned below the cut above its
+    # window without testing them: its 1e-6 relative pad dwarfs the nudges,
+    # at most 6e-8 (1 + |sigma|) together
+    pencil = _disc_pencil(0.1)
+    assert pencil.dof == 568
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    factors = _nudge_every_factor(monkeypatch)
+    for count in (2, 5, 7):
+        factors.clear()
+        rep = smallest_eigenpairs(pencil, count)
+        assert_allclose(rep.eigenvalues, vals[:count], rtol=1e-10)
+        for asked, nudged, below in factors:
+            assert asked - nudged == pytest.approx(6e-8 * (1 + abs(asked)), rel=1e-6)
+            assert below == np.count_nonzero(vals < nudged)
+        # every count taken above the window counts all its values
+        above = [below for _, nudged, below in factors if nudged > rep.eigenvalues[-1]]
+        assert above and min(above) >= count
+    assert factors[0][1] == rep.sigma and factors[0][2] == 0
+
+
+def test_cluster_wider_than_the_block_under_the_largest_nudges(monkeypatch):
+    one = assemble_pencil(build_mesh_1d(IV, 24), FormSpec(a=1.0, q=0.0), 1.0)
+    pencil = _pencil(sp.block_diag([one.K] * 3 + [sp.identity(1) * 20.0]),
+                     sp.block_diag([one.M] * 3 + [sp.identity(1)]))
+    vals = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+    widths = []
+    lanczos = eigensolve._lanczos
+
+    def recorded(M, lu, sigma, V, *args):
+        widths.append(V.reshape(len(V), -1).shape[1])
+        return lanczos(M, lu, sigma, V, *args)
+
+    monkeypatch.setattr(eigensolve, "_lanczos", recorded)
+    factors = _nudge_every_factor(monkeypatch)
+    rep = smallest_eigenpairs(pencil, 4, tol=1e-8)
+    assert widths == [2, 3]
+    assert np.max(np.abs(rep.eigenvalues - vals[:4])) <= 1e-8
+    assert all(below == np.count_nonzero(vals < nudged) for _, nudged, below in factors)
+
+
 def test_no_convergence_carries_partial_eigenvalues():
     # 24 right-hand sides (the first test at 20 vectors, then one block)
     # converge 3 of the 5 wanted values on this pencil: the bottom and the

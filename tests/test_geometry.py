@@ -155,6 +155,18 @@ def test_torus_neg_laplacian_closed_form():
     assert fd.provenance == "finite_difference"
 
 
+def test_finite_difference_default_step():
+    # the default step is 1e-4 D_int: 2e-4 on the unit disc, 1e-4 on [0, 1]
+    for dom, p, h in ((Disc((0, 0), 1.0), [0.5, 0.2], 2e-4), (Interval(0, 1), 0.3, 1e-4)):
+        fd = dom.distance_calculus(p, method="finite_difference")
+        step = dom.distance_calculus(p, h=h, method="finite_difference")
+        assert np.array_equal(fd.grad_d, step.grad_d)
+        assert fd.neg_laplacian_d == step.neg_laplacian_d
+        exact = dom.distance_calculus(p)
+        assert_allclose(fd.grad_d, exact.grad_d, atol=1e-8)
+        assert fd.neg_laplacian_d == pytest.approx(exact.neg_laplacian_d, abs=1e-5)
+
+
 def _off_ridge_samples(dom, rng, n):
     """n random interior points with d > 0.05 and at least 0.01 away from
     the medial axis, where the fixed-step differences stay smooth."""

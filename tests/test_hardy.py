@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
+from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus, build_trimesh,
                        counting_function, hardy_constants, kappa, lambda_bound,
                        verify_hardy)
 from hardyspec.eigensolve import ladder
@@ -117,6 +117,22 @@ def test_tubular_bound():
     for domain in (Torus(1.8, 1), Annulus((0, 0), 0.5, 1.0)):
         with pytest.raises(MethodNotApplicable):
             lambda_bound(domain, "tubular", alpha=0.0, beta=0.0, delta=0.25)
+
+
+def test_no_method_is_lambda_zero():
+    for domain in (IV, UNIT_DISC, Annulus((0, 0), 0.5, 1.0)):
+        spec = lambda_bound(domain, "none", beta=0.5)
+        assert (spec.lam, spec.alpha, spec.beta, spec.method) == (0.0, 0.0, 0.5, "none")
+        assert spec.kappa == kappa(0.5)
+    assert lambda_bound(IV, "none", alpha=2.0).alpha == 2.0
+
+
+def test_ladder_mesh_default_edge_length():
+    # a 2D ladder without h starts at D_int/16, 1/8 on the unit disc
+    default = ladder_mesh(UNIT_DISC, None, None, 1.0, 1)
+    explicit = build_trimesh(UNIT_DISC, 0.125, 1.0)
+    assert np.array_equal(default.points, explicit.points)
+    assert np.array_equal(default.elements, explicit.elements)
 
 
 def test_unknown_method():

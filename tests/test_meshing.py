@@ -137,6 +137,15 @@ def _feasible_grading_array(requested, layers, span, floor, one_sided=False):
     return hi
 
 
+def test_uniform_side_sizes():
+    # the geometric law at ratio 1 is the uniform one, bitwise, through the
+    # first size's own uniform branch: feasible_grading's bisection reaches
+    # 1.0 from one ulp below, where the general formula divides 0 by 0
+    assert 0.5 * (np.nextafter(1.0, 0.0) + 1.0) == 1.0
+    for half, m in ((0.5, 8), (1.0 / 3.0, 7), (2.5, 48)):
+        assert np.array_equal(_geometric_side_sizes(half, m, 1.0), np.full(m, half / m))
+
+
 def test_feasible_grading_matches_array_oracle():
     # bitwise on the strips of the diagnose-interval benchmark
     floor = grading_floor(Interval(0, 1), headroom=6)

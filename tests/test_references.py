@@ -1,0 +1,106 @@
+"""Discrete minima against the continuum answers that have a closed form.
+
+On an interval, a = d^beta and q = c d^(beta - 2) make the bottom of the
+strip {0 < d < 1/k} exactly C k^(2 - beta): u = d^((1 - beta)/2)
+J_nu(2 sqrt(mu) d^((2 - beta)/2) / (2 - beta)) vanishes at d = 1/k when
+C = ((2 - beta) j_{nu,1} / 2)^2, with nu = sqrt((1 - beta)^2 + 4c) / (2 - beta).
+The unit disc's Dirichlet values are j_{n,m}^2, each twice for n >= 1.
+Conforming P1 minima bound both from above.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+import scipy.optimize
+import scipy.special
+
+from hardyspec import (Disc, FormSpec, Interval, assemble_pencil, build_trimesh,
+                       smallest_eigenpairs)
+from hardyspec.spectral import ProblemSpec, persson_sequence
+
+SWEEP = [(-0.5, 0.0), (-0.5, -0.3), (0.0, 0.0), (0.0, -0.2), (0.5, -0.03), (0.9, 0.0)]
+KS = (2, 4, 16)
+
+
+def bessel_zero(nu):
+    """j_{nu,1}, the first positive zero of J_nu for nu >= 0: J_nu > 0 on
+    (0, j_{nu,1}), j_{nu,1} > nu, and nu + 2 nu^(1/3) + 2.5 lies between
+    the first zero and the second."""
+    return scipy.optimize.brentq(lambda x: scipy.special.jv(nu, x),
+                                 nu, nu + 2 * nu ** (1 / 3) + 2.5, xtol=1e-15)
+
+
+def strip_constant(beta, c):
+    """(nu, C): the Bessel order of the strip problem and the constant of
+    its bottom C k^(2 - beta)."""
+    nu = np.sqrt((1 - beta) ** 2 + 4 * c) / (2 - beta)
+    return nu, ((2 - beta) * bessel_zero(nu) / 2) ** 2
+
+
+def disc_dirichlet_values(count):
+    """The `count` smallest Dirichlet eigenvalues of -Laplace on the unit
+    disc, with multiplicity."""
+    vals = [z ** 2 for n in range(count) for z in scipy.special.jn_zeros(n, count)
+            for _ in range(1 if n == 0 else 2)]
+    return np.sort(vals)[:count]
+
+
+def strip_minima(beta, c, strip_elements, ks=KS):
+    q = 0.0 if c == 0 else f"{c}*d^{beta - 2}"
+    problem = ProblemSpec(domain=Interval(0, 1), ks=ks, strip_elements=strip_elements,
+                          form=FormSpec(a=f"d^{beta}", q=q, beta=beta))
+    return persson_sequence(problem).mus()
+
+
+@pytest.mark.parametrize("beta, c", SWEEP)
+def test_bessel_zero_matches_mpmath(beta, c):
+    nu = strip_constant(beta, c)[0]
+    exact = float(mpmath.besseljzero(mpmath.mpf(nu), 1))
+    assert bessel_zero(nu) == pytest.approx(exact, rel=1e-12)
+
+
+def test_disc_values_are_squared_bessel_zeros():
+    j01, j11, j21 = (scipy.special.jn_zeros(n, 1)[0] for n in range(3))
+    assert np.array_equal(disc_dirichlet_values(5), [j01 ** 2, j11 ** 2, j11 ** 2,
+                                                     j21 ** 2, j21 ** 2])
+
+
+def test_diagnose_interval_strips_lie_just_above_the_bessel_minima():
+    # the strip sweep of the diagnose-interval config
+    nu, C = strip_constant(0.5, -0.03)
+    assert nu == pytest.approx(0.240370, abs=5e-7)
+    assert C == pytest.approx(4.3057892, abs=5e-8)
+    ks = tuple(range(2, 17))
+    rel = strip_minima(0.5, -0.03, 96, ks) / (C * np.array(ks, dtype=float) ** 1.5) - 1
+    assert len(rel) == 15 and np.all((0 <= rel) & (rel < 5e-3)), rel
+
+
+@pytest.mark.parametrize("beta, c", SWEEP)
+def test_strip_minima_lie_above_the_exact_values(beta, c):
+    exact = strip_constant(beta, c)[1] * np.array(KS, dtype=float) ** (2 - beta)
+    for strip_elements in (48, 96, 192):
+        assert np.all(strip_minima(beta, c, strip_elements) >= exact)
+
+
+# at beta = 0.9 the error does not fall with refinement at all (ROADMAP
+# item 13), so it has no case here
+@pytest.mark.parametrize("beta, c, k", [
+    pytest.param(beta, c, k, marks=pytest.mark.xfail(
+        strict=True, reason="the float64 grading floor is absolute in x, so on "
+        "the k = 16 strip its smallest element is 8 times the k = 2 strip's "
+        "relative to the strip: 96 -> 192 elements divides the error by 3.2"))
+    if (beta, c, k) == (0.5, -0.03, 16) else (beta, c, k)
+    for beta, c in SWEEP if beta <= 0.5 for k in KS])
+def test_strip_minima_converge_at_second_order(beta, c, k):
+    exact = strip_constant(beta, c)[1] * k ** (2 - beta)
+    err = np.array([strip_minima(beta, c, n, (k,))[0] - exact for n in (48, 96, 192)])
+    ratio = err[:-1] / err[1:]
+    assert np.all((3.5 <= ratio) & (ratio <= 5)), ratio
+
+
+def test_spectrum_disc_write_values_lie_just_above_the_bessel_values():
+    # the spectrum-disc-write config: the unit disc at h = 0.02, five values
+    pencil = assemble_pencil(build_trimesh(Disc((0, 0), 1.0), 0.02, 1.0),
+                             FormSpec(a=1.0, q=0.0), 1.0)
+    rel = smallest_eigenpairs(pencil, 5).eigenvalues / disc_dirichlet_values(5) - 1
+    assert np.all((0 < rel) & (rel < 1e-3)), rel
