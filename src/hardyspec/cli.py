@@ -263,11 +263,11 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             if write_mesh:
                 report._atomic_write(os.path.join(out_dir, "mesh.txt"),
                                      format_mesh_text(mesh))
-            if write_pencil:
-                report._atomic_write(os.path.join(out_dir, "pencil_K.txt"),
-                                     format_matrix_text(pencil.K))
-                report._atomic_write(os.path.join(out_dir, "pencil_M.txt"),
-                                     format_matrix_text(pencil.M))
+            for name, mat in (("K", pencil.K), ("M", pencil.M)) if write_pencil else ():
+                mat = mat.copy()
+                mat.eliminate_zeros()       # the files list entries: K's exact zeros go
+                report._atomic_write(os.path.join(out_dir, f"pencil_{name}.txt"),
+                                     format_matrix_text(mat))
 
     elif command in ("persson", "criteria", "diagnose"):
         form = _build_form(form_sec)

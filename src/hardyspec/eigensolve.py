@@ -12,6 +12,7 @@ shows that none was skipped, or the spectrum is sliced again above the
 confirmed clusters (Grimes, Lewis & Simon 1994).
 """
 
+import numbers
 import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -57,15 +58,9 @@ class SpectralReport:
 
 
 def _shifted(K, M, sigma):
-    """K - sigma M in CSR form.  When K and M share one pattern it is
-    K.data - sigma M.data on that pattern, bitwise the sparse difference
-    unless an entry is exactly 0, which the sparse difference drops; so
-    two patterns, or a 0 in the difference, take the sparse difference."""
-    if np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices):
-        data = K.data - sigma * M.data
-        if data.all():
-            return sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
-    return (K - sigma * M).tocsr()
+    """K - sigma M in CSR form, on the one pattern a Pencil's K and M share;
+    an exactly 0 entry stays stored."""
+    return sp.csr_matrix((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
 
 
 def _factor(K, M, sigma):
@@ -323,8 +318,8 @@ def _norm1(A):
 
 def check_count(count, dof):
     """Refuse a count of eigenpairs that a dof-unknown pencil cannot give."""
-    if not 1 <= count <= dof:
-        raise InvalidParameter(f"count = {count} must lie in [1, {dof}], the pencil's dof")
+    if not (isinstance(count, numbers.Integral) and 1 <= count <= dof):
+        raise InvalidParameter(f"count = {count!r} must be an integer in [1, dof = {dof}]")
 
 
 def _start_vector(seed, n):
@@ -370,6 +365,12 @@ def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None
     """
     n = pencil.dof
     check_count(count, n)
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**32):
+        raise InvalidParameter(f"seed = {seed!r} must be an integer in [0, 2**32)")
+    if v0 is not None and np.shape(v0) != (n,):
+        raise InvalidParameter(f"v0 has shape {np.shape(v0)}, not the pencil's ({n},)")
+    if not (np.size(floor) and np.isfinite(floor).all()):
+        raise InvalidParameter(f"floor = {floor!r} must be finite shifts, at least one")
     K, M = pencil.K, pencil.M
     if np.any(M.diagonal() <= 0):
         raise FactorizationFailure("denominator matrix has a nonpositive diagonal")

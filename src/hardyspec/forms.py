@@ -9,6 +9,7 @@ at d > 0.
 """
 
 import ctypes
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,16 +37,29 @@ class FormSpec:
         self.q = as_coefficient(self.q)
         if self.beta is not None and self.beta >= 1:
             raise InvalidParameter("the power form requires beta < 1")
+        values = self.sigma if isinstance(self.sigma, (tuple, list)) else [self.sigma, 0.0]
+        if self.sigma is not None and not (len(values) == 2 and all(
+                isinstance(s, numbers.Real) and np.isfinite(s) for s in values)):
+            raise InvalidParameter("sigma must be one finite real number or a pair "
+                                   f"of them, got {self.sigma!r}")
 
 
 @dataclass
 class Pencil:
-    """Sparse symmetric pair (K, M) on the free (non-clamped) nodes."""
+    """Sparse symmetric pair (K, M) on the free (non-clamped) nodes, CSR
+    matrices on one pattern, so K - sigma M is arithmetic on their data."""
 
     K: sp.csr_matrix
     M: sp.csr_matrix
     free_nodes: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        K, M = self.K, self.M
+        if not (getattr(K, "format", "") == getattr(M, "format", "") == "csr"
+                and K.shape == M.shape and np.array_equal(K.indptr, M.indptr)
+                and np.array_equal(K.indices, M.indices)):
+            raise InvalidParameter("K and M must be CSR matrices on one pattern")
 
     @property
     def dof(self):
@@ -215,28 +229,29 @@ def _element_rule(mesh, elements, quad_points, quad_subdiv):
 
 @np.errstate(over="ignore", invalid="ignore")    # assemble_pencil refuses an inf
 def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
-    """K and M on the nodes `free`, exactly symmetric.
+    """K and M on the nodes `free`, exactly symmetric, on one CSR pattern.
 
     The triplets are summed by one scipy COO -> CSR of the complex values
     K + iM.  Its per-row sort compares column indices only, so it orders
     the triplets as it would K's or M's values alone, and a complex sum
     adds the real and the imaginary parts each on its own: both parts are
-    bitwise the separate real sums.  The sum keeps zeros, so K and M share
-    one pattern, and the free-node pattern is worked out once.  Robin
-    terms are added when the form has some.
+    bitwise the separate real sums.  M is positive on every element pair,
+    so the sum keeps every pair, and K keeps its exact zeros on M's
+    pattern.  The Robin terms of the upper triangle, summed on their own
+    (a node lies on at most two facets, and two terms sum alike in either
+    order), are added to K's part in one addition per entry, as a sparse
+    sum K + R would add them.
     """
     n = mesh.n_nodes
     upper = _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv,
                             mw).tocsr()
-    where = _mirror_free(upper.indptr, upper.indices, n, free)
-    K, M = (_gathered(part, *where) for part in (upper.data.real, upper.data.imag))
     if form.sigma is not None and mesh.robin.any():
         rows, cols, vals = _robin(mesh, form.sigma)
-        new = _renumbering(n, free)
-        both = (new[rows] >= 0) & (new[cols] >= 0)     # clamped rows go
-        K = K + sp.csr_matrix((vals[both], (new[rows[both]], new[cols[both]])),
-                              shape=K.shape)
-    return K, M
+        up = rows <= cols
+        upper = upper + sp.csr_matrix((vals[up], (rows[up], cols[up])), shape=(n, n))
+    gather, indptr, indices, shape = _mirror_free(upper.indptr, upper.indices, n, free)
+    return tuple(sp.csr_matrix((part[gather], indices, indptr), shape=shape)
+                 for part in (upper.data.real, upper.data.imag))
 
 
 def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
@@ -308,13 +323,6 @@ def _weights(mesh, elements, form, denominator, quad_points, quad_subdiv, mw):
     return wa.sum(axis=axis), wq, wden, basis, grads, axis
 
 
-def _renumbering(n, free, dtype=np.intp):
-    """Each node's number among the free nodes, -1 for a clamped node."""
-    new = np.full(n, -1, dtype=dtype)
-    new[free] = np.arange(len(free))
-    return new
-
-
 def _mirror_free(indptr, indices, n, free):
     """Pattern of the symmetric matrix on the nodes `free` whose upper
     triangle, diagonal included, is the canonical CSR pattern (indptr,
@@ -330,7 +338,8 @@ def _mirror_free(indptr, indices, n, free):
     """
     nf = len(free)
     idx = np.int32 if max(2 * len(indices), n) <= np.iinfo(np.int32).max else np.int64
-    new = _renumbering(n, free, idx)
+    new = np.full(n, -1, dtype=idx)                 # -1 for a clamped node
+    new[free] = np.arange(nf)
     r, c = np.repeat(new, np.diff(indptr)), new[indices]
     keep = (r | c) >= 0                             # both ends free
     src = np.flatnonzero(keep)
@@ -354,18 +363,6 @@ def _mirror_free(indptr, indices, n, free):
     return gather, out_ptr, out_idx, (nf, nf)
 
 
-def _gathered(data, gather, indptr, indices, shape):
-    """The CSR matrix of data[gather] on the pattern (indptr, indices),
-    exact zeros dropped."""
-    vals = data[gather]
-    nonzero = vals != 0
-    if not nonzero.all():
-        kept = np.zeros(len(vals) + 1, dtype=indptr.dtype)
-        np.cumsum(nonzero, out=kept[1:])
-        indptr, indices, vals = kept[indptr], indices[nonzero], vals[nonzero]
-    return sp.csr_matrix((vals, indices, indptr), shape=shape)
-
-
 def _robin(mesh, sigma):
     """Rows, columns and values of the Robin facet terms, facet by facet:
     the exact P1 facet mass sigma |f| / ((k+1)(k+2)) (1 + delta_ij) of a
@@ -381,6 +378,8 @@ def _robin(mesh, sigma):
         p = mesh.points
         size = np.array([np.linalg.norm(p[j] - p[i]) for i, j in facets.tolist()])
     if np.ndim(sigma):
+        if mesh.dim != 1:
+            raise InvalidParameter("a (left, right) sigma needs an interval mesh")
         x, a, b = mesh.points[facets[:, 0], 0], mesh.domain.a, mesh.domain.b
         sigma = np.where(np.abs(x - a) <= np.abs(x - b), float(sigma[0]), float(sigma[1]))
     else:
@@ -414,7 +413,7 @@ def format_matrix_text(mat):
     joins the columns side by side and drops the pads, which no text
     holds.  A COO input's duplicate entries keep one line each.  The
     value keeps numpy's scalar form np.float64(x) until the pencil digests
-    in bench/references.json are re-recorded (ROADMAP item 1).
+    in bench/references.json are re-recorded (ROADMAP item 22).
     """
     coo = sp.coo_matrix(mat)
     order = np.lexsort((coo.col, coo.row))

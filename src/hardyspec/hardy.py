@@ -25,8 +25,16 @@ CERT_TOL = 1e-4          # absolute slack on the certified margin
 REFINE_FACTOR = 2        # nested bisections between ladder levels
 LAMBDA0 = 0.94           # pinned lower bound for the Avkhadiev-Wirths constant
 
-CATALOGUE_METHODS = ("none", "brezis_marcus", "fmt_dint", "avkhadiev_wirths",
-                     "hhl_volume", "evans_lewis_volume", "fmt_weighted", "tubular")
+# the unweighted catalogue (alpha = beta = 0, convex domains): lambda(domain)
+_UNWEIGHTED = {
+    "brezis_marcus": lambda dom: 1.0 / (4.0 * dom.diameter() ** 2),
+    "fmt_dint": lambda dom: 3.0 / dom.interior_diameter() ** 2,
+    "avkhadiev_wirths": lambda dom: 4.0 * LAMBDA0 / dom.interior_diameter() ** 2,
+    "hhl_volume": lambda dom: volume_constant(dom.dim) / (4.0 * dom.volume() ** (2 / dom.dim)),
+    "evans_lewis_volume": lambda dom: (3.0 * volume_constant(dom.dim)
+                                       / (2.0 * dom.volume() ** (2 / dom.dim))),
+}
+CATALOGUE_METHODS = ("none", *_UNWEIGHTED, "fmt_weighted", "tubular")
 
 
 def kappa(beta):
@@ -125,26 +133,15 @@ def lambda_bound(domain, method, alpha=None, beta=0.0, delta=None):
         return HardyBoundSpec(beta, 0.0 if alpha is None else alpha,
                               kappa(beta), method, 0.0, notes)
 
-    if method in ("brezis_marcus", "fmt_dint", "avkhadiev_wirths",
-                  "hhl_volume", "evans_lewis_volume"):
+    if method in _UNWEIGHTED:
         if beta != 0.0 or (alpha not in (None, 0.0)):
             raise MethodNotApplicable(
                 f"{method} is stated for the unweighted case alpha = beta = 0")
         if not domain.is_convex:
             raise MethodNotApplicable(f"{method} requires a convex domain; "
                                       f"{type(domain).__name__} is not")
-        n = domain.dim
-        if method == "brezis_marcus":
-            lam = 1.0 / (4.0 * domain.diameter() ** 2)
-        elif method == "fmt_dint":
-            lam = 3.0 / domain.interior_diameter() ** 2
-        elif method == "avkhadiev_wirths":
-            lam = 4.0 * LAMBDA0 / domain.interior_diameter() ** 2
-        elif method == "hhl_volume":
-            lam = volume_constant(n) / (4.0 * domain.volume() ** (2 / n))
-        else:
-            lam = 3.0 * volume_constant(n) / (2.0 * domain.volume() ** (2 / n))
-        return HardyBoundSpec(0.0, 0.0, kappa(0.0), method, lam, notes)
+        return HardyBoundSpec(0.0, 0.0, kappa(0.0), method, _UNWEIGHTED[method](domain),
+                              notes)
 
     if alpha is None:
         raise MethodNotApplicable(f"{method} needs the weight exponent alpha")

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from hardyspec import (Disc, FormSpec, Interval, Pencil, Torus,
 from hardyspec import eigensolve
 from hardyspec.coefficients import constant
 from hardyspec.eigensolve import _factor, ladder
-from hardyspec.errors import FactorizationFailure, NoConvergence
+from hardyspec.errors import FactorizationFailure, InvalidParameter, NoConvergence
 from hardyspec.hardy import (CERT_TOL, REFINE_FACTOR, hardy_pencil, kappa, ladder_mesh,
                              verify_hardy)
 from hardyspec.meshing import nested
@@ -197,13 +198,17 @@ def test_shift_on_the_shared_pattern_is_the_sparse_difference():
     # K - sigma M formed from the data on the pattern K and M share is
     # bitwise the sparse difference, and so are its factor's pivots and
     # inertia.  A Robin pencil shares the pattern too (its facets are
-    # element edges); with a = 1, q = 0 K drops two exact zeros, so the
-    # patterns differ, and an exact 0 in the difference, which the sparse
-    # difference drops, also takes the sparse difference
+    # element edges), and so does K with a = 1, q = 0, which stores two
+    # exact zeros
     def same(a, b):
         return all(np.array_equal(getattr(a, x), getattr(b, x))
                    for x in ("indptr", "indices")) \
             and a.data.tobytes() == b.data.tobytes()
+
+    def inertia(A):
+        lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       panel_size=eigensolve.PANEL_SIZE, options={"SymmetricMode": True})
+        return lu.U.diagonal()
 
     mesh = build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5)
     shared = assemble_pencil(mesh, FormSpec(a="1+d", q=0.0), 1.0)
@@ -211,23 +216,47 @@ def test_shift_on_the_shared_pattern_is_the_sparse_difference():
     robin = assemble_pencil(replace(mesh, robin=np.ones(len(mesh.facets), dtype=bool),
                                     clamped=np.zeros(mesh.n_nodes, dtype=bool)),
                             FormSpec(a=1.0, q=1.0, sigma=1.0), 1.0)
-    assert shared.K.nnz == shared.M.nnz and split.K.nnz == split.M.nnz - 2
+    assert split.K.nnz == split.M.nnz and np.count_nonzero(split.K.data == 0) == 2
     for pencil in (shared, robin, split):
         K, M = pencil.K, pencil.M
         for sigma in (-0.01, 5.0, 40.0):
             sparse = (K - sigma * M).tocsr()
             assert same(eigensolve._shifted(K, M, sigma), sparse)
-            lu = spla.splu(sparse.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           panel_size=eigensolve.PANEL_SIZE,
-                           options={"SymmetricMode": True})
+            pivots = inertia(sparse)
             ours, below, _ = _factor(K, M, sigma)
-            assert ours.U.diagonal().tobytes() == lu.U.diagonal().tobytes()
-            assert below == np.count_nonzero(lu.U.diagonal() < 0)
-    M = shared.M
-    K = 3.0 * M
-    K.data[0] += 1.0
-    diff = eigensolve._shifted(K, M, 3.0)
-    assert diff.nnz == 1 and same(diff, (K - 3.0 * M).tocsr())
+            assert ours.U.diagonal().tobytes() == pivots.tobytes()
+            assert below == np.count_nonzero(pivots < 0)
+    # an exact 0 in the difference stays stored, where the sparse difference
+    # drops it; the inertia is the same
+    K, M, sigma = shared.K.copy(), shared.M, 40.0
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    p = np.flatnonzero(rows != K.indices)[0]
+    i, j = rows[p], K.indices[p]
+    q = K.indptr[j] + np.searchsorted(K.indices[K.indptr[j]:K.indptr[j + 1]], i)
+    K.data[[p, q]] = sigma * M.data[[p, q]]
+    diff = eigensolve._shifted(K, M, sigma)
+    sparse = (K - sigma * M).tocsr()
+    assert diff.nnz == K.nnz and np.flatnonzero(diff.data == 0).tolist() == sorted([p, q])
+    assert sparse.nnz == K.nnz - 2
+    assert _factor(K, M, sigma)[1] == np.count_nonzero(inertia(sparse) < 0) > 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed = -1 must be an integer in [0, 2**32)"),
+    ({"seed": 2**32}, "seed = 4294967296 must be an integer"),
+    ({"seed": 1.5}, "seed = 1.5 must be an integer"),
+    ({"count": 2.0}, "count = 2.0 must be an integer in [1, dof = 273]"),
+    ({"v0": np.ones(272)}, "v0 has shape (272,), not the pencil's (273,)"),
+    ({"floor": float("nan")}, "floor = nan must be finite shifts"),
+    ({"floor": [-1.0, -np.inf]}, "must be finite shifts"),
+    ({"floor": []}, "at least one"),
+])
+def test_malformed_solve_arguments_refused(kwargs, message):
+    # each was a bare numpy or Python error, or a FactorizationFailure
+    pencil = assemble_pencil(build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5),
+                             FormSpec(a=1.0, q=0.0), 1.0)
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        smallest_eigenpairs(pencil, **kwargs)
 
 
 def test_pencil_far_above_its_mass_solved_scaled():

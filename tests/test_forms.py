@@ -13,12 +13,13 @@ from hardyspec import (Annulus, ConvexPolygon, Disc, FormSpec, Interval, Mesh,
                        Torus, build_mesh_1d, build_trimesh,
                        assemble_pencil, ims_identity_residual, ims_partition,
                        parse_coefficient, refine_mesh_1d, smallest_eigenpairs)
-from hardyspec import forms
+from hardyspec import cli, forms
 from hardyspec.coefficients import constant, power_of_d
-from hardyspec.errors import (DegenerateBand, NonpositiveDiffusion, NonpositiveWeight,
-                              SingularQuadrature)
-from hardyspec.forms import format_matrix_text
+from hardyspec.errors import (DegenerateBand, InvalidParameter, NonpositiveDiffusion,
+                              NonpositiveWeight, SingularQuadrature)
+from hardyspec.forms import Pencil, format_matrix_text
 from hardyspec.hardy import hardy_pencil
+from hardyspec.meshing import nested
 from hardyspec.spectral import ProblemSpec, strip_mesh
 
 IV = Interval(0, 1)
@@ -184,6 +185,24 @@ def test_robin_edges_2d():
     rep = smallest_eigenpairs(pencil, 1)
     # the constant trial bounds the quotient by perimeter / area = 4
     assert 0 < rep.eigenvalues[0] <= 4.0
+
+
+@pytest.mark.parametrize("sigma", [(1.0,), "x", (1, 2, 3), float("nan"), (0.5, float("inf")),
+                                   ("1", 2.0), [[1.0, 2.0]], np.array([1.0, 2.0])])
+def test_malformed_robin_sigma_refused(sigma):
+    with pytest.raises(InvalidParameter, match="sigma must be one finite real number"):
+        FormSpec(a=1.0, q=0.0, sigma=sigma)
+
+
+def test_robin_sigma_forms_accepted():
+    for sigma in (None, 2, 0.5, np.float64(-1.0), (0.5, 2), [0.0, 1.5]):
+        assert FormSpec(a=1.0, q=0.0, sigma=sigma).sigma is sigma
+
+
+def test_robin_sigma_pair_off_an_interval_refused():
+    mesh = _all_robin(build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5))
+    with pytest.raises(InvalidParameter, match="needs an interval mesh"):
+        assemble_pencil(mesh, FormSpec(a=1.0, q=0.0, sigma=(1.0, 2.0)), 1.0)
 
 
 def _all_robin(mesh):
@@ -372,15 +391,20 @@ def _same_bytes(got, want):
 
 @pytest.fixture
 def oracle_checked(monkeypatch):
-    """Every _assemble call also runs the oracle and requires the free-node
-    K and M equal to it byte for byte; yields the list of meshes assembled."""
+    """Every _assemble call also runs the oracle and requires K and M on
+    one pattern, and the free-node M and K, its exact zeros eliminated from
+    a copy, equal to the oracle's byte for byte; yields the list of meshes
+    assembled."""
     meshes = []
     assemble = forms._assemble
 
     def checked(mesh, *args):
         K, M = assemble(mesh, *args)
         K0, M0 = _assemble_oracle(mesh, *args)
-        assert _same_bytes(K, K0) and _same_bytes(M, M0)
+        assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+        nonzero = K.copy()
+        nonzero.eliminate_zeros()
+        assert _same_bytes(nonzero, K0) and _same_bytes(M, M0)
         meshes.append(mesh)
         return K, M
 
@@ -450,9 +474,11 @@ def _assemble_oracle_cases(monkeypatch):
     assemble_pencil(strip, problem.form, 1.0)
 
 
-def test_explicit_zeros_dropped(oracle_checked):
+def test_explicit_zeros_stay_on_the_shared_pattern(oracle_checked, monkeypatch,
+                                                   tmp_path):
     # the P1 Laplacian on the structured square cancels on each cell's
-    # diagonal: those stiffness entries are exact zeros and are not stored.
+    # diagonal: those stiffness entries are exact zeros, stored on the
+    # pattern K shares with M and left out of the exported text.
     # Node 9i + j of the 8 x 8 grid sits at (i/8, j/8), and each cell is cut
     # along its diagonal from the lower left corner
     g = np.linspace(0.0, 1.0, 9)
@@ -466,9 +492,48 @@ def test_explicit_zeros_dropped(oracle_checked):
                   clamped=np.isin(np.arange(81), rim))
     assert np.all(square.areas() == 1 / 128)
     pencil = assemble_pencil(square, FormSpec(a=1.0, q=0.0), 1.0)
-    assert len(oracle_checked) == 1
-    assert (pencil.K.nnz, pencil.M.nnz) == (217, 289)
-    assert np.all(pencil.K.data != 0) and np.all(pencil.M.data != 0)
+    assert len(oracle_checked) == 1       # the nonzero entries, byte for byte
+    assert (pencil.K.nnz, pencil.M.nnz) == (289, 289)
+    assert np.count_nonzero(pencil.K.data == 0) == 72 and np.all(pencil.M.data != 0)
+    # the spectrum command, run on this mesh, lists K's 217 nonzero entries
+    monkeypatch.setattr(cli, "build_trimesh", lambda *args: square)
+    config = tmp_path / "square.ini"
+    config.write_text("[domain]\nvariant = convex_polygon\nvertices = 0,0; 1,0; 1,1; 0,1\n"
+                      "[form]\na = 1\nq = 0\n[numerics]\ncount = 1\n"
+                      "[output]\nwrite_pencil = true\n")
+    assert cli.run("spectrum", str(config), out_dir=str(tmp_path))[0] == 0
+    heads = [(tmp_path / f"pencil_{x}.txt").read_text().split("\n", 1)[0] for x in "KM"]
+    assert heads == ["49 49 217", "49 49 289"]
+
+
+def test_every_pencil_shares_one_pattern():
+    # K and M leave assembly on one CSR pattern, on every domain family and
+    # after a refinement, and a Pencil refuses two patterns
+    problem = ProblemSpec(IV, FormSpec(a="d^0.5", q="-0.03*d^-1.5", beta=0.5), 0.5,
+                          ks=range(2, 17))
+    polygon = ConvexPolygon([(0, 0), (2, 0), (2.5, 1), (0.5, 1.5)])
+    cases = [
+        (build_mesh_1d(IV, 40, 0.6, tags=("robin", "robin")),
+         FormSpec(a="1 + x", q="d^-1", sigma=(0.7, 3.0))),
+        (strip_mesh(problem, 5), problem.form),
+        (build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5), FormSpec(a=1.0, q=0.0)),
+        (build_trimesh(Annulus((0, 0), 0.5, 1.0), 0.125, 0.5), FormSpec(a="1 + d", q=0.0)),
+        (_all_robin(build_trimesh(polygon, 0.25, 1.0)), FormSpec(a=1.0, q="y", sigma=1.5)),
+        (build_trimesh(Torus(3.0, 1.0).section, 0.25, 0.5), FormSpec(a=1.0, q="4/r^2")),
+    ]
+    for mesh, form in cases:
+        for fine, _ in nested(mesh, 2):
+            pencil = assemble_pencil(fine, form, 1.0)
+            K, M = pencil.K, pencil.M
+            assert np.array_equal(K.indptr, M.indptr)
+            assert np.array_equal(K.indices, M.indices)
+    nonzero = K.copy()
+    nonzero.data[0] = 0.0
+    nonzero.eliminate_zeros()
+    for K2, M2 in ((nonzero, M), (K, sp.identity(K.shape[0], format="csr")),
+                   (K.tocsc(), M.tocsc()), (K, M[:-1])):
+        with pytest.raises(InvalidParameter, match="one pattern"):
+            Pencil(K2, M2, pencil.free_nodes)
 
 
 def _matrix_text_oracle(mat):

@@ -4,8 +4,10 @@ On an interval, a = d^beta and q = c d^(beta - 2) make the bottom of the
 strip {0 < d < 1/k} exactly C k^(2 - beta): u = d^((1 - beta)/2)
 J_nu(2 sqrt(mu) d^((2 - beta)/2) / (2 - beta)) vanishes at d = 1/k when
 C = ((2 - beta) j_{nu,1} / 2)^2, with nu = sqrt((1 - beta)^2 + 4c) / (2 - beta).
-The unit disc's Dirichlet values are j_{n,m}^2, each twice for n >= 1.
-Conforming P1 minima bound both from above.
+The unit disc's Dirichlet values are j_{n,m}^2, each twice for n >= 1, and
+the bottom of the annulus r0 < r < 1 is x^2 for the first root x of
+J0(r0 x) Y0(x) - J0(x) Y0(r0 x).  Conforming P1 minima bound all of them
+from above.
 """
 
 import mpmath
@@ -16,7 +18,8 @@ import scipy.special
 
 from hardyspec import (Disc, FormSpec, Interval, assemble_pencil, build_trimesh,
                        smallest_eigenpairs)
-from hardyspec.spectral import ProblemSpec, persson_sequence
+from hardyspec.eigensolve import ladder
+from hardyspec.spectral import ProblemSpec, persson_sequence, strip_mesh
 
 SWEEP = [(-0.5, 0.0), (-0.5, -0.3), (0.0, 0.0), (0.0, -0.2), (0.5, -0.03), (0.9, 0.0)]
 KS = (2, 4, 16)
@@ -43,6 +46,17 @@ def disc_dirichlet_values(count):
     vals = [z ** 2 for n in range(count) for z in scipy.special.jn_zeros(n, count)
             for _ in range(1 if n == 0 else 2)]
     return np.sort(vals)[:count]
+
+
+def annulus_bottom(r0):
+    """The smallest Dirichlet eigenvalue of -Laplace on r0 < r < 1: the
+    cross product's roots lie near n pi / (1 - r0), so the first is the one
+    root between half and one and a half times pi / (1 - r0)."""
+    def cross(x):
+        return (scipy.special.j0(r0 * x) * scipy.special.y0(x)
+                - scipy.special.j0(x) * scipy.special.y0(r0 * x))
+    near = np.pi / (1 - r0)
+    return scipy.optimize.brentq(cross, 0.5 * near, 1.5 * near, xtol=1e-15) ** 2
 
 
 def strip_minima(beta, c, strip_elements, ks=KS):
@@ -104,3 +118,23 @@ def test_spectrum_disc_write_values_lie_just_above_the_bessel_values():
                              FormSpec(a=1.0, q=0.0), 1.0)
     rel = smallest_eigenpairs(pencil, 5).eigenvalues / disc_dirichlet_values(5) - 1
     assert np.all((0 < rel) & (rel < 1e-3)), rel
+
+
+def test_annulus_bottom_matches_mpmath():
+    x = mpmath.findroot(lambda x: (mpmath.besselj(0, 0.75 * x) * mpmath.bessely(0, x)
+                                   - mpmath.besselj(0, x) * mpmath.bessely(0, 0.75 * x)),
+                        mpmath.mpf(12.5))
+    assert annulus_bottom(0.75) == pytest.approx(float(x ** 2), rel=1e-12)
+    assert annulus_bottom(0.75) == pytest.approx(157.58449631936503, rel=1e-14)
+
+
+@pytest.mark.xfail(strict=True, reason="a refined 2D strip's interface edges are not "
+                   "clamped, so its minima fall below the strip's bottom (ROADMAP item 10)")
+def test_disc_strip_ladder_stays_above_the_annulus_bottom():
+    # the disc strip {d < 1/4}, a = 1, q = 0, is the annulus 0.75 < r < 1,
+    # clamped at both circles; it reads 159.672, 153.858 and 148.581 at
+    # 1,414, 6,262 and 25,654 dof
+    form = FormSpec(a=1.0, q=0.0)
+    strip = strip_mesh(ProblemSpec(domain=Disc((0, 0), 1.0), form=form, ks=(4,)), 4)
+    minima = [mu for _, mu in ladder(strip, 3, 1, lambda m: assemble_pencil(m, form, 1.0))]
+    assert np.all(np.array(minima) >= annulus_bottom(0.75)), minima
