@@ -142,11 +142,10 @@ def _problem_spec(command, domain, form, form_sec, num_sec, seed):
         gamma=form_sec.get_float("gamma", 0.5), k0=num_sec.get_int("k0"),
         samples=num_sec.get_int("samples", 10000),
         lam=form_sec.get_float("lambda", 0.0), alpha=form_sec.get_float("alpha", 0.0))
-    one_d = domain.section.dim == 1     # 2D strips use the uniform template
     problem = ProblemSpec(
         domain=domain, ks=ks, form=replace(form, beta=form_sec.get_float("beta")),
-        strip_elements=num_sec.get_int("strip_elements") if one_d else None,
-        grading=num_sec.get_float("grading") if one_d else None,
+        strip_elements=num_sec.get_int("strip_elements"),
+        grading=num_sec.get_float("grading"),
         seed=seed, tol=num_sec.get_float("tol"), **criteria)
     if command == "diagnose":
         check_diagnostic(problem.ks)
@@ -229,7 +228,7 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
                 sigma = tuple(s or 0.0 for s in sigmas)
             size = num_sec.get_int("n", 256)
         else:
-            size = num_sec.get_float("h", section.interior_diameter() / 16)
+            size = num_sec.get_float("h")
         form = _build_form(form_sec, sigma)
         count = num_sec.get_int("count", 5)
         grading = num_sec.get_float("grading", 1.0)
@@ -242,6 +241,9 @@ def run(command, config_path, out_dir=".", seed=None, dry_run=False,
             mode = num_sec.get_int("mode", 0)
             if mode < 0:
                 raise ConfigError(f"[numerics] mode = {mode} must be nonnegative")
+            if mode**2 > sys.float_info.max:    # exact: an int compares with a float
+                raise ConfigError("[numerics] mode is too large: its square "
+                                  "overflows float64")
             if mode:
                 form = replace(form, q=form.q + form.a
                                * parse_coefficient(f"{mode**2}/r^2"))

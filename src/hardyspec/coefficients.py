@@ -30,6 +30,14 @@ import numpy as np
 
 from .errors import DivisionByZero, NotAxisymmetric, ParseError, UnknownVariable
 
+# The deepest expression accepted, as written (nested parentheses, calls
+# and signs, each a descent of the parser) and as a tree (its levels, a leaf
+# one).  The parser and every walk of a tree recurse, the parser seven
+# Python frames a level and a walk at most two, so a tree of this depth,
+# composed a few levels deeper by the form check and a torus mode, stays
+# far inside Python's recursion limit of 1000.
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
@@ -104,6 +112,18 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.level = 0
+
+    def descend(self, parse):
+        """parse() one level deeper; past MAX_DEPTH levels, refused before
+        the recursion can reach Python's limit."""
+        if self.level == MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             self.peek()[2])
+        self.level += 1
+        node = parse()
+        self.level -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -149,7 +169,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return ("minus", self.factor())
+            return ("minus", self.descend(self.factor))
         node = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -182,10 +202,10 @@ class _Parser:
                     raise ParseError(f"unknown function {value!r}", pos,
                                      expected=tuple(sorted(filter(_function, _OPS))))
                 self.advance()
-                args = [self.expr()]
+                args = [self.descend(self.expr)]
                 while self.peek()[:2] == ("op", ","):
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.descend(self.expr))
                 self.expect_op(")")
                 lo, hi = entry[2]
                 if len(args) < lo or (hi is not None and len(args) > hi):
@@ -194,7 +214,7 @@ class _Parser:
                 return (value, *args)
             return ("var", value)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.descend(self.expr)
             self.expect_op(")")
             return node
         raise ParseError(f"expected a number, identifier or '(', found "
@@ -246,6 +266,17 @@ def _eval(node, env):
             raise UnknownVariable(f"unknown variable {node[1]!r}; available: "
                                   f"{sorted(env)}") from None
     return _OPS[kind][0](*[_eval(child, env) for child in node[1:]])
+
+
+def _depth(node):
+    """The levels of a tree, a leaf one, counted without recursion."""
+    depth, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        if node[0] not in ("num", "var"):
+            stack.extend((child, level + 1) for child in node[1:])
+    return depth
 
 
 def _variables(node, acc):
@@ -361,10 +392,13 @@ class Coefficient:
 
 
 def parse_coefficient(text):
-    """Parse an expression string into a Coefficient."""
+    """Parse an expression string into a Coefficient; one nested deeper
+    than MAX_DEPTH levels, as written or as a tree, is refused."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0, expected=("expression",))
     ast = _Parser(text).parse()
+    if _depth(ast) > MAX_DEPTH:
+        raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
     return Coefficient(ast, text)
 
 

@@ -31,6 +31,7 @@ BLOCK = 2               # Lanczos block width for more than one eigenpair (see _
 # A pencil whose ||K||_1 exceeds ||M||_1 by more than SCALE_ABOVE binades is
 # solved with K scaled to SCALE_TO binades above (see smallest_eigenpairs)
 SCALE_ABOVE, SCALE_TO = 60, 36
+FLOOR = -0.01           # the default first shift, below a nonnegative form's bottom
 
 # One generator for every start vector, reseeded under the lock before each
 # draw, so no call sees another's state; RandomState(seed) would first seed a
@@ -332,7 +333,7 @@ def _start_vector(seed, n):
 # an overflow leaves an inf or NaN, which the convergence tests refuse
 @np.errstate(over="ignore", invalid="ignore")
 def smallest_eigenpairs(pencil, count=1, tol=None, seed=0, maxiter=None, v0=None,
-                        floor=-0.01):
+                        floor=FLOOR):
     """The `count` algebraically smallest eigenpairs of K x = lambda M x,
     ascending, for every count from 1 to dof.
 
@@ -422,9 +423,9 @@ def counting_function(pencil, lam):
     return _factor(pencil.K, pencil.M, lam)[1]
 
 
-def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0, floor=-0.01):
-    """(dof, smallest eigenvalue) of `make_pencil` on each of the `levels`
-    meshes of `meshing.nested(mesh, levels, steps)`.
+def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0, floor=FLOOR):
+    """(elements, dof, smallest eigenvalue) of `make_pencil` on each of the
+    `levels` meshes of `meshing.nested(mesh, levels, steps)`.
 
     Every level's first shift is `floor` (see `smallest_eigenpairs`), not
     the coarse minimum: refinement lowers the bottom, and several fine
@@ -444,7 +445,7 @@ def ladder(mesh, levels, steps, make_pencil, tol=None, seed=0, floor=-0.01):
                 u = 0.5 * (u[p[:, 0]] + u[p[:, 1]])
             v0 = u[pencil.free_nodes]
         rep = smallest_eigenpairs(pencil, 1, tol=tol, seed=seed, v0=v0, floor=floor)
-        rows.append((pencil.dof, float(rep.eigenvalues[0])))
+        rows.append((len(fine.elements), pencil.dof, float(rep.eigenvalues[0])))
         u = np.zeros(fine.n_nodes)     # zero at the clamped nodes
         u[pencil.free_nodes] = rep.eigenvectors[:, 0]
         del pencil, rep

@@ -47,7 +47,9 @@ class FormSpec:
 @dataclass
 class Pencil:
     """Sparse symmetric pair (K, M) on the free (non-clamped) nodes, CSR
-    matrices on one pattern, so K - sigma M is arithmetic on their data."""
+    matrices on one pattern, so K - sigma M is arithmetic on their data.
+    K and M may share the pattern's arrays, which are read-only, so an
+    in-place pattern change raises rather than corrupting the other."""
 
     K: sp.csr_matrix
     M: sp.csr_matrix
@@ -60,6 +62,8 @@ class Pencil:
                 and K.shape == M.shape and np.array_equal(K.indptr, M.indptr)
                 and np.array_equal(K.indices, M.indices)):
             raise InvalidParameter("K and M must be CSR matrices on one pattern")
+        for pattern in (K.indptr, K.indices, M.indptr, M.indices):
+            pattern.flags.writeable = False
 
     @property
     def dof(self):
@@ -158,7 +162,7 @@ def assemble_pencil(mesh, form, denominator):
     mw = as_coefficient(mw) if mw is not None else None
 
     free = np.flatnonzero(~mesh.clamped)
-    K, M = _assemble(mesh, form, denominator, QUAD_POINTS, QUAD_SUBDIV, mw, free)
+    K, M = _assemble(mesh, form, denominator, mw, free)
     if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
         raise AssemblyError("the pencil has entries that overflow float64")
     nloc = mesh.dim + 1
@@ -228,7 +232,7 @@ def _element_rule(mesh, elements, quad_points, quad_subdiv):
 
 
 @np.errstate(over="ignore", invalid="ignore")    # assemble_pencil refuses an inf
-def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
+def _assemble(mesh, form, denominator, mw, free):
     """K and M on the nodes `free`, exactly symmetric, on one CSR pattern.
 
     The triplets are summed by one scipy COO -> CSR of the complex values
@@ -243,8 +247,7 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
     sum K + R would add them.
     """
     n = mesh.n_nodes
-    upper = _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv,
-                            mw).tocsr()
+    upper = _upper_triplets(mesh, form, denominator, mw).tocsr()
     if form.sigma is not None and mesh.robin.any():
         rows, cols, vals = _robin(mesh, form.sigma)
         up = rows <= cols
@@ -254,7 +257,7 @@ def _assemble(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
                  for part in (upper.data.real, upper.data.imag))
 
 
-def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
+def _upper_triplets(mesh, form, denominator, mw):
     """Every element's upper-triangle pairs (i, j), rows <= cols, as an
     n x n COO matrix of the values K + iM, pair by pair and element by
     element within a pair.  The keys are int32 while the nodes fit, so that
@@ -272,8 +275,8 @@ def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
     vals = np.empty((len(pairs), 0), dtype=complex)
     for start in range(0, m, BLOCK):
         block = slice(start, start + BLOCK)
-        wa, wq, wden, basis, grads, axis = _weights(
-            mesh, elements[block], form, denominator, quad_points, quad_subdiv, mw)
+        wa, wq, wden, basis, grads, axis = _weights(mesh, elements[block], form,
+                                                    denominator, mw)
         if start == 0:      # once the first block's points and coefficients are freed
             vals = np.empty((len(pairs), m), dtype=complex)
         # gradient dot products sum over rows, faster
@@ -292,14 +295,14 @@ def _upper_triplets(mesh, form, denominator, quad_points, quad_subdiv, mw):
     return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
-def _weights(mesh, elements, form, denominator, quad_points, quad_subdiv, mw):
-    """The weighted quadrature of the elements `elements`: the diffusion
-    weight summed over each element, the potential and denominator weights
-    at the points, and the basis values, gradients and axis of
-    `_element_rule`.  The points, distances and coefficient values are
-    freed on return, before the pair integrals: a 1D element holds 24
+def _weights(mesh, elements, form, denominator, mw):
+    """The weighted quadrature of the elements `elements` under the pencil
+    rule: the diffusion weight summed over each element, the potential and
+    denominator weights at the points, and the basis values, gradients and
+    axis of `_element_rule`.  The points, distances and coefficient values
+    are freed on return, before the pair integrals: a 1D element holds 24
     points.  Refuses d <= 0 and a nonpositive diffusion or weight."""
-    pts, wts, basis, grads, axis = _element_rule(mesh, elements, quad_points, quad_subdiv)
+    pts, wts, basis, grads, axis = _element_rule(mesh, elements, QUAD_POINTS, QUAD_SUBDIV)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
     if np.any(d <= 0):

@@ -40,6 +40,7 @@ def _as_point(p, dim):
     q = np.atleast_1d(np.asarray(p, dtype=float))
     if q.shape != (dim,):
         raise InvalidParameter(f"a point needs {dim} coordinates, got shape {q.shape}")
+    _require_finite(point=q)
     return q
 
 

@@ -217,15 +217,13 @@ def check_ladder(beta, lam, levels):
 def ladder_mesh(domain, n, h, grading, levels):
     """The first mesh of the `verify_hardy` ladder, on the domain's section:
     n elements in 1D, graded as steeply as float64 allows with room for the
-    ladder's bisections; target edge length h (default D_int/16) in 2D.
+    ladder's bisections; target edge length h in 2D (None: build_trimesh's).
     A ladder over the work budget is refused, in 1D before it is built."""
     section = domain.section
     if section.dim == 1:
         require_ladder_budget(n, 1, levels, REFINE_FACTOR)
         return build_mesh_1d(section, n, grading,
                              bisections=REFINE_FACTOR * (levels - 1))
-    if h is None:
-        h = section.interior_diameter() / 16
     mesh = build_trimesh(section, h, grading)
     require_ladder_budget(len(mesh.elements), 2, levels, REFINE_FACTOR)
     return mesh
@@ -246,18 +244,12 @@ def verify_hardy(domain, beta, alpha=0.0, lam=0.0, n=256, h=None,
     check_ladder(beta, lam, levels)
     kap = kappa(beta)
     mesh = ladder_mesh(domain, n, h, grading, levels)
-
-    sizes = []
-
-    def pencil(fine):
-        sizes.append(len(fine.elements))
-        return hardy_pencil(fine, beta, alpha, lam)
-
-    minima = ladder(mesh, levels, REFINE_FACTOR, pencil, tol=tol, seed=seed,
-                    floor=kap - CERT_TOL)
+    solved = ladder(mesh, levels, REFINE_FACTOR,
+                    lambda fine: hardy_pencil(fine, beta, alpha, lam),
+                    tol=tol, seed=seed, floor=kap - CERT_TOL)
     rows = [{"level": level, "size": size, "dof": dof, "minimum": mu,
              "margin": mu - kap}
-            for level, (size, (dof, mu)) in enumerate(zip(sizes, minima))]
+            for level, (size, dof, mu) in enumerate(solved)]
 
     certified = all(r["margin"] >= -CERT_TOL for r in rows)
     return HardyCertificate(repr(domain), beta, alpha, lam, kap, rows,

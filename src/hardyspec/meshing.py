@@ -387,10 +387,10 @@ def _ring_mesh(domain, h, grading, reach=None):
     return mesh
 
 
-def build_trimesh(domain, h, grading=1.0, reach=None):
-    """Conforming triangulation with target interior edge length h, from the
-    ring template (`_ring_mesh`) on a disc, torus section, convex polygon
-    or annulus.
+def build_trimesh(domain, h=None, grading=1.0, reach=None):
+    """Conforming triangulation with target interior edge length h (by
+    default D_int/16), from the ring template (`_ring_mesh`) on a disc,
+    torus section, convex polygon or annulus.
 
     With grading < 1 the elements touching the boundary have diameter at
     most about grading*h (fine tangential spacing plus a thin first layer).
@@ -402,6 +402,8 @@ def build_trimesh(domain, h, grading=1.0, reach=None):
     """
     if domain.dim != 2:
         raise InvalidParameter("build_trimesh needs a 2D domain")
+    if h is None:
+        h = domain.interior_diameter() / 16
     if not 0 < grading <= 1:
         raise InvalidGrading(f"grading must lie in (0, 1], got {grading}")
     if not h > 0:

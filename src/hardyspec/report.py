@@ -58,9 +58,9 @@ def _atomic_write(path, text):
         raise
 
 
-def write_json(path, obj):
+def write_json(path, doc):
     # floats serialize with Python's shortest round-trip repr: lossless
-    _atomic_write(path, json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, header, rows):

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coefficients import check_names, constant, environment
-from .eigensolve import ladder, smallest_eigenpairs
+from .eigensolve import FLOOR, ladder, smallest_eigenpairs
 from .errors import InvalidParameter, MeshGenerationFailure, StripTooThin
 from .forms import FormSpec, assemble_pencil
 from .geometry import Interval
@@ -152,7 +152,7 @@ def persson_sequence(problem):
 
     The strips nest, {d < 1/(k+1)} in {d < 1/k}, so mu_k grows with k, and
     the minimum of the strip before is a floor for the next (the first
-    strip's is the default of `smallest_eigenpairs`).  A shift closer to
+    strip's is the eigensolver's default, FLOOR).  A shift closer to
     the bottom saves Lanczos solves, so strip k is first tried at the least
     minimum the diagnostic would still call DISCRETE, the previous one grown
     at the required exponent: mu_prev (k / k_prev)^required, when mu_prev is
@@ -161,7 +161,7 @@ def persson_sequence(problem):
     mu_prev for one factorization more and the same minimum, and the later
     strips start at the previous minimum.
     """
-    entries, floor, guessing = [], [-0.01], True
+    entries, floor, guessing = [], [FLOOR], True
     for k in problem.ks:
         if entries:
             mu, k_prev = entries[-1]["mu"], entries[-1]["k"]
@@ -297,12 +297,11 @@ def check_form_nonnegativity(problem):
     infinity under refinement.
     """
     q_minus = problem.form.q.negative_part()
-    check_form = FormSpec(a=constant(1.0 - problem.gamma) * problem.form.a,
-                          q=-q_minus, beta=problem.form.beta)
+    check_form = FormSpec(a=constant(1.0 - problem.gamma) * problem.form.a, q=-q_minus)
 
     # nested bisection keeps the ladder monotone; a 2D strip's refined
     # interface edges are not clamped (ROADMAP item 10)
-    dofs, minima = map(list, zip(*ladder(
+    _, dofs, minima = map(list, zip(*ladder(
         strip_mesh(problem, problem.k0), FORM_LEVELS + 1, 1,
         lambda mesh: assemble_pencil(mesh, check_form, 1.0),
         tol=problem.tol, seed=problem.seed)))

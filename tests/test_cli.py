@@ -10,10 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hardyspec
-from hardyspec import cli, meshing
+from hardyspec import cli, meshing, report
 from hardyspec.cli import main, run
 from hardyspec.errors import ConfigError
 from hardyspec.report import jsonable
+
+
+# coefficient texts that recursed past Python's limit, each a RecursionError
+# traceback with exit 1: q in 250 parentheses, 1,200 unary minuses, and a
+# sum of 3,000 terms that parsed and then overflowed the name check
+DEEP = ("(" * 250 + "q" + ")" * 250, "-" * 1200 + "q", "+".join(["d"] * 3000))
 
 
 def write(tmp_path, name, text):
@@ -342,8 +348,33 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
     hardy = ("[domain]\nvariant = interval\n\n[form]\nbeta = 0.0\n{extra}\n"
              "[numerics]\nn = 32\n")
     plain = diagnose.format(extra="")
+    interval = ("[domain]\nvariant = interval\n\n[form]\na = {a}\nq = {q}\n\n"
+                "[numerics]\nn = 16\n")
+    # strip keys that 2D strips, on the uniform template, never read: the
+    # CLI reads them on every section, and ProblemSpec alone refuses them
+    only_1d = [("diagnose", torus_diagnose + "grading = 0.3\n"),
+               ("persson", disc + "k_min = 2\nk_max = 4\nstrip_elements = 48\n")]
     # refused alike in a run and under --dry-run
-    checked = [("spectrum", disc + "h = 0.25\ncount = 0\n"),
+    checked = [*only_1d,
+               # coefficient expressions too deep for the recursive walks
+               *(("spectrum", interval.format(a=1, q=text)) for text in DEEP),
+               *(("spectrum", interval.format(a=text, q=0)) for text in DEEP),
+               # a torus mode whose square overflows float64, and so its text
+               ("spectrum", "[domain]\nvariant = torus\n\n[numerics]\nh = 0.25\n"
+                            f"mode = {10**2150}\n"),
+               # a point that is not finite
+               ("distance", "[domain]\nvariant = interval\n\n[point]\nx = nan\n"),
+               ("distance", "[domain]\nvariant = torus\n\n[point]\nx = nan\ny = 0\n"
+                            "z = 0\n"),
+               # a [domain] without its variant, and a config with no section header
+               ("distance", "[domain]\na = 0\n\n[point]\nx = 0.5\n"),
+               ("distance", "variant = interval\n"),
+               # weighted and tubular bounds outside their ranges
+               ("hardy", hardy.format(extra="lambda_method = fmt_weighted\nalpha = -3")),
+               ("hardy", hardy.format(extra="lambda_method = tubular")),
+               ("hardy", hardy.format(extra="lambda_method = tubular\nalpha = -2\n"
+                                            "delta = 0.25")),
+               ("spectrum", disc + "h = 0.25\ncount = 0\n"),
                ("spectrum", disc + "h = 0.25\ncount = 100000\n"),
                ("spectrum", "[domain]\nvariant = interval\n\n[numerics]\nn = 1\n"),
                ("spectrum", "[domain]\nvariant = torus\n\n[numerics]\nh = 0.25\n"
@@ -356,9 +387,6 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
                ("hardy", "[domain]\nvariant = torus\n\n[form]\nbeta = 0.0\n\n"
                          "[numerics]\nh = 0.25\nlevels = 1\nmode = 2\n"),
                ("diagnose", plain + "strip_elements = 0\n"),
-               # strip keys that 2D strips, on the uniform template, never read
-               ("diagnose", torus_diagnose + "grading = 0.3\n"),
-               ("persson", disc + "k_min = 2\nk_max = 4\nstrip_elements = 48\n"),
                ("hardy", hardy.format(extra="lambda = -1")),
                ("hardy", hardy.format(extra="") + "levels = 0\n"),
                # an odd graded ladder mesh, and a zero edge length
@@ -434,6 +462,8 @@ def test_bad_form_parameters_exit_two(tmp_path, capsys):
         assert err.startswith("error: ")
         if (command, text) in zero:
             assert "divides by a constant zero" in err
+        if (command, text) in only_1d:
+            assert "applies only on an interval: 2D strips use the uniform template" in err
         if (command, text) in checked:
             code = main([command, "--config", cfg, "--out", str(tmp_path / "out"),
                          "--dry-run"])
@@ -645,6 +675,15 @@ def test_jsonable_numpy_scalars():
     doc = jsonable({"x": np.float64(0.5), "n": np.int64(3), "ok": np.bool_(True)})
     assert doc == {"x": 0.5, "n": 3, "ok": True}
     assert [type(v) for v in doc.values()] == [float, int, bool]
+
+
+def test_atomic_write_onto_a_directory_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "spectrum_report.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        report._atomic_write(str(target), "{}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum_report.json"]
+    assert target.is_dir() and not any(target.iterdir())
 
 
 def test_unknown_identifier_exit_two(tmp_path, capsys):
@@ -867,7 +906,7 @@ def test_cli_main_entry(tmp_path):
 # No value here would, if its refusal failed, build a mesh numpy allows.
 EDGE = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "", "abc", "2.5")
 EDGE_EXTRA = {"n": (str(2**62),), "strip_elements": (str(2**62),),
-              "a": ("d^^2", "y", "1/0"), "q": ("d^^2", "y", "-0.5*d^-2"),
+              "a": ("d^^2", "y", "1/0", *DEEP), "q": ("d^^2", "y", "-0.5*d^-2", *DEEP),
               "bc_left": ("robin", "Robin", "neumann"),
               "lambda_method": ("none", "tubular"),
               "variant": ("disc", "dodecahedron")}

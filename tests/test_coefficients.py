@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import hardyspec
 from hardyspec import Coefficient, hardy, parse_coefficient
-from hardyspec.coefficients import constant, power_of_d
+from hardyspec.coefficients import MAX_DEPTH, constant, power_of_d
 from hardyspec.errors import DivisionByZero, ParseError
 
 
@@ -114,6 +114,32 @@ def test_expected_tokens_reported():
     with pytest.raises(ParseError) as err:
         parse_coefficient("1 + ")
     assert "number" in err.value.expected
+
+
+def test_bad_character_and_unclosed_call_report_their_offset():
+    with pytest.raises(ParseError) as err:
+        parse_coefficient("d$2")
+    assert err.value.position == 1 and "unexpected character '$'" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_coefficient("abs(d")
+    assert err.value.position == 5 and err.value.expected == {")"}
+
+
+@pytest.mark.parametrize("at_bound, deeper", [
+    # a tree of MAX_DEPTH levels: signs, left-deep sums, calls
+    ("-" * (MAX_DEPTH - 1) + "d", "-" * MAX_DEPTH + "d"),
+    ("d+" * (MAX_DEPTH - 1) + "d", "d+" * MAX_DEPTH + "d"),
+    ("abs(" * (MAX_DEPTH - 1) + "d" + ")" * (MAX_DEPTH - 1),
+     "abs(" * MAX_DEPTH + "d" + ")" * MAX_DEPTH),
+    # MAX_DEPTH nested parentheses, which the tree does not keep
+    ("(" * MAX_DEPTH + "d" + ")" * MAX_DEPTH,
+     "(" * (MAX_DEPTH + 1) + "d" + ")" * (MAX_DEPTH + 1))])
+def test_depth_bound(at_bound, deeper):
+    d = np.array([0.25, 0.5])
+    value = parse_coefficient(at_bound).evaluate({"d": d})
+    assert value.shape == (2,) and np.all(np.abs(value) >= 0.25)
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_coefficient(deeper)
 
 
 def test_unknown_variable_at_eval():

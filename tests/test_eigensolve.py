@@ -259,6 +259,15 @@ def test_malformed_solve_arguments_refused(kwargs, message):
         smallest_eigenpairs(pencil, **kwargs)
 
 
+def test_zero_on_the_mass_diagonal_refused():
+    # a hand-built pencil whose M stores a 0 on its diagonal, on K's pattern
+    pattern = (np.arange(3), np.arange(4))
+    pencil = Pencil(sp.csr_matrix((np.array([1.0, 2.0, 3.0]), *pattern)),
+                    sp.csr_matrix((np.array([1.0, 0.0, 1.0]), *pattern)), np.arange(3))
+    with pytest.raises(FactorizationFailure, match="nonpositive diagonal"):
+        smallest_eigenpairs(pencil)
+
+
 def test_pencil_far_above_its_mass_solved_scaled():
     # ||K||_1 about 2^1000 ||M||_1: K is scaled by a power of two, and the
     # values, the shift and a stalled run's partial values come back in the
@@ -787,8 +796,8 @@ def test_form_check_ladder_matches_a_tight_solve():
                         q=-prob.form.q.negative_part(), beta=0.5)
         tight = ladder(strip_mesh(prob, prob.k0), 3, 1,
                        lambda mesh: assemble_pencil(mesh, form, 1.0), tol=1e-15)
-        assert detail["dofs"] == [dof for dof, _ in tight] == [190, 382, 766]
-        assert_allclose(detail["minima"], [mu for _, mu in tight], rtol=0, atol=1e-12)
+        assert detail["dofs"] == [dof for _, dof, _ in tight] == [190, 382, 766]
+        assert_allclose(detail["minima"], [mu for _, _, mu in tight], rtol=0, atol=1e-12)
 
 
 def test_singular_shift():
@@ -927,7 +936,7 @@ def _warm_and_cold(mesh, form):
     def pencil(fine):
         pencils.append(assemble_pencil(fine, form, 1.0))
         return pencils[-1]
-    warm = [mu for _, mu in ladder(mesh, 3, 1, pencil)]
+    warm = [mu for _, _, mu in ladder(mesh, 3, 1, pencil)]
     cold = [smallest_eigenpairs(pc, 1).eigenvalues[0] for pc in pencils]
     return warm, cold
 

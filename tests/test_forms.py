@@ -343,11 +343,13 @@ def _robin_oracle(mesh, form, n):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _assemble_oracle(mesh, form, denominator, quad_points, quad_subdiv, mw, free):
+def _assemble_oracle(mesh, form, denominator, mw, free):
     """Oracle: the element-block assembly on all nodes that _assemble
     replaced, without its sign checks, plus the Robin terms, then
-    restricted to the free nodes by fancy indexing."""
-    conn, pts, wts, basis, grads = _element_rule_oracle(mesh, quad_points, quad_subdiv)
+    restricted to the free nodes by fancy indexing; the 1D rule is the
+    pencil rule forms.QUAD_POINTS, forms.QUAD_SUBDIV."""
+    conn, pts, wts, basis, grads = _element_rule_oracle(mesh, forms.QUAD_POINTS,
+                                                        forms.QUAD_SUBDIV)
     shape = wts.shape
     d = mesh.domain.distance_many(pts.reshape(-1, mesh.dim)).reshape(shape)
     env = forms.environment(pts, d)
@@ -534,6 +536,26 @@ def test_every_pencil_shares_one_pattern():
                    (K.tocsc(), M.tocsc()), (K, M[:-1])):
         with pytest.raises(InvalidParameter, match="one pattern"):
             Pencil(K2, M2, pencil.free_nodes)
+
+
+def test_a_pencil_pattern_cannot_change_in_place():
+    # K and M share their pattern arrays, so eliminate_zeros() on K, which
+    # stores two exact zeros here, left M's indptr two entries short and
+    # M @ ones wrong; the pattern arrays are read-only, so it raises
+    pencil = assemble_pencil(build_trimesh(Disc((0, 0), 1.0), 0.25, 0.5),
+                             FormSpec(a=1.0, q=0.0), 1.0)
+    assert np.count_nonzero(pencil.K.data == 0) == 2
+    ones = np.ones(pencil.dof)
+    sums = pencil.M @ ones
+    for mat in (pencil.K, pencil.M):
+        with pytest.raises(ValueError, match="read-only"):
+            mat.eliminate_zeros()
+    assert pencil.K.nnz == pencil.M.nnz == pencil.M.indptr[-1] == 1769
+    assert (pencil.M @ ones).tobytes() == sums.tobytes()
+    # a copy's pattern is its own
+    copy = pencil.K.copy()
+    copy.eliminate_zeros()
+    assert copy.nnz == 1767 and pencil.K.nnz == 1769
 
 
 def _matrix_text_oracle(mat):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from hardyspec import (Annulus, ConvexPolygon, Disc, Interval, Torus,
                        superharmonicity_scan)
-from hardyspec.errors import PointOutsideDomain
+from hardyspec.errors import InvalidParameter, PointOutsideDomain
 from hardyspec.geometry import RIDGE_TOL
 from hardyspec.report import jsonable
 
@@ -99,6 +99,17 @@ def test_point_outside_raises():
         Interval(0, 1).distance(1.5)
     with pytest.raises(PointOutsideDomain):
         Disc((0, 0), 1.0).distance([2.0, 0.0])
+
+
+@pytest.mark.parametrize("domain, point", [
+    (Interval(0, 1), [np.nan]), (Interval(0, 1), [np.inf]),
+    (Disc((0, 0), 1.0), [0.1, np.nan]), (Torus(3.0, 1.0), [3.0, np.nan, 0.0]),
+    (Torus(3.0, 1.0), [-np.inf, 0.0, 0.0])])
+def test_non_finite_point_refused(domain, point):
+    # a NaN coordinate read d = NaN, which the report wrote as invalid JSON
+    for query in (domain.distance, domain.distance_calculus):
+        with pytest.raises(InvalidParameter, match="point must be finite"):
+            query(point)
 
 
 def test_outside_tolerance_scales_with_the_domain():
@@ -435,6 +446,9 @@ def _regular(n, scale=1.0, offset=0.0, turn=0.0):
 def test_polygon_validation():
     with pytest.raises(ValueError):
         ConvexPolygon([(0, 0), (1, 0)])
+    with pytest.raises(InvalidParameter, match="degenerate edge"):
+        # a repeated vertex: an edge of length 0
+        ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
     with pytest.raises(ValueError, match="counterclockwise"):
         # clockwise square
         ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])

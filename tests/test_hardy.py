@@ -119,6 +119,17 @@ def test_tubular_bound():
             lambda_bound(domain, "tubular", alpha=0.0, beta=0.0, delta=0.25)
 
 
+def test_weighted_and_tubular_bounds_out_of_range_refused():
+    with pytest.raises(MethodNotApplicable, match="needs the weight exponent alpha"):
+        lambda_bound(UNIT_DISC, "fmt_weighted")
+    with pytest.raises(MethodNotApplicable, match="fmt_weighted needs alpha > beta - 2"):
+        lambda_bound(UNIT_DISC, "fmt_weighted", alpha=-3.0)
+    with pytest.raises(MethodNotApplicable, match="tubular needs 2 alpha - beta"):
+        lambda_bound(UNIT_DISC, "tubular", alpha=-2.0, delta=0.25)
+    with pytest.raises(MethodNotApplicable, match="tubular needs the strip width"):
+        lambda_bound(UNIT_DISC, "tubular", alpha=0.0)
+
+
 def test_no_method_is_lambda_zero():
     for domain in (IV, UNIT_DISC, Annulus((0, 0), 0.5, 1.0)):
         spec = lambda_bound(domain, "none", beta=0.5)
@@ -238,9 +249,9 @@ def test_inconclusive_ladder_matches_the_default_floor():
     assert cert.verdict == "INCONCLUSIVE"
     mesh = ladder_mesh(UNIT_DISC, 256, 0.125, 0.5, 2)
     rows = ladder(mesh, 2, REFINE_FACTOR, lambda fine: hardy_pencil(fine, 0.0, 0.0, 20.0))
-    assert [mu for _, mu in rows] == pytest.approx([-4.3514, -4.3946], abs=1e-4)
-    for level, (dof, mu) in zip(cert.levels, rows):
-        assert level["dof"] == dof
+    assert [mu for _, _, mu in rows] == pytest.approx([-4.3514, -4.3946], abs=1e-4)
+    for level, (size, dof, mu) in zip(cert.levels, rows):
+        assert level["size"] == size and level["dof"] == dof
         assert abs(level["minimum"] - mu) <= 1e-10
 
 

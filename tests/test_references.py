@@ -136,5 +136,6 @@ def test_disc_strip_ladder_stays_above_the_annulus_bottom():
     # 1,414, 6,262 and 25,654 dof
     form = FormSpec(a=1.0, q=0.0)
     strip = strip_mesh(ProblemSpec(domain=Disc((0, 0), 1.0), form=form, ks=(4,)), 4)
-    minima = [mu for _, mu in ladder(strip, 3, 1, lambda m: assemble_pencil(m, form, 1.0))]
+    minima = [mu for _, _, mu in ladder(strip, 3, 1,
+                                         lambda m: assemble_pencil(m, form, 1.0))]
     assert np.all(np.array(minima) >= annulus_bottom(0.75)), minima
